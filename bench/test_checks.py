@@ -193,9 +193,10 @@ def test_tracer_self_times_add_up_to_root_time():
     traced_leaf()
     assert tracer.calls == {"leaf": 3, "outer": 1}
     assert list(tracer.span_parent) == [-1, 0, 0, -1]
-    assert sum(tracer.self_s.values()) == pytest.approx(tracer.root_s, rel=1e-12)
-    assert tracer.self_s["outer"] == pytest.approx(
-        tracer.inclusive_s["outer"] - (tracer.span_end[1] - tracer.span_start[1])
+    self_s, inclusive_s, root_s = tracer.totals()
+    assert sum(self_s.values()) == pytest.approx(root_s, rel=1e-12)
+    assert self_s["outer"] == pytest.approx(
+        inclusive_s["outer"] - (tracer.span_end[1] - tracer.span_start[1])
         - (tracer.span_end[2] - tracer.span_start[2]),
         rel=1e-9,
     )

@@ -2,10 +2,11 @@
 
 ``Tracer.wrap`` replaces a function under the name its caller looks up, so
 the package itself is untouched.  Calls nest on one thread, so a stack gives
-each span its parent and the time its direct children covered; a span's
-self time is its duration minus that.  Spans stay in memory and are written
-out once, when the run ends.  Spans are timed in process CPU time, like
-every other time the benchmark reports.
+each span its parent.  Spans stay in memory and are written out once, when
+the run ends.  Spans are timed in the CPU time of the calling thread, like
+every other time the benchmark measures in a run; ``Tracer.totals``
+converts the readings (to reference seconds, in the worker) before it
+takes a span's self time: its duration minus its direct children's.
 """
 
 from __future__ import annotations
@@ -14,7 +15,9 @@ import json
 from array import array
 from collections import defaultdict
 from pathlib import Path
-from time import process_time
+from time import thread_time
+
+import numpy as np
 
 # (module attribute, span name) per module whose functions look these up.
 HOOKS = {
@@ -54,13 +57,9 @@ class Tracer:
         self.span_start = array("d")
         self.span_end = array("d")
         self.calls: dict[str, int] = defaultdict(int)
-        self.inclusive_s: dict[str, float] = defaultdict(float)
-        self.self_s: dict[str, float] = defaultdict(float)
-        self.max_s: dict[str, float] = defaultdict(float)
-        self.root_s = 0.0
         self.crossings = 0
-        # One frame per open span: [span id, time covered by its children].
-        self._stack: list[list] = []
+        # Ids of the open spans, innermost last.
+        self._stack: list[int] = []
 
     def wrap(self, fn, name: str):
         if name not in self.name_ids:
@@ -73,37 +72,41 @@ class Tracer:
         def traced(*args, **kwargs):
             span_id = len(self.span_start)
             self.span_name.append(name_id)
-            self.span_parent.append(stack[-1][0] if stack else -1)
+            self.span_parent.append(stack[-1] if stack else -1)
             self.span_start.append(0.0)
             self.span_end.append(0.0)
-            frame = [span_id, 0.0]
-            stack.append(frame)
-            t0 = process_time()
+            stack.append(span_id)
+            t0 = thread_time()
             try:
                 out = fn(*args, **kwargs)
             finally:
-                t1 = process_time()
+                t1 = thread_time()
                 stack.pop()
-                self._close(span_id, name, t0, t1, frame[1])
+                self.span_start[span_id] = t0
+                self.span_end[span_id] = t1
+                self.calls[name] += 1
             if counts_crossings:
                 self.crossings += len(out)
             return out
 
         return traced
 
-    def _close(self, span_id: int, name: str, t0: float, t1: float, children: float) -> None:
-        dur = t1 - t0
-        self.span_start[span_id] = t0
-        self.span_end[span_id] = t1
-        self.calls[name] += 1
-        self.inclusive_s[name] += dur
-        self.self_s[name] += dur - children
-        if dur > self.max_s[name]:
-            self.max_s[name] = dur
-        if self._stack:
-            self._stack[-1][1] += dur
-        else:
-            self.root_s += dur
+    def totals(self, convert=None) -> tuple[dict[str, float], dict[str, float], float]:
+        """Self and inclusive time per span name, and the time of all root
+        spans, after passing every reading through ``convert``."""
+        start, end = np.asarray(self.span_start), np.asarray(self.span_end)
+        if convert is not None:
+            start, end = convert(start), convert(end)
+        dur = end - start
+        parent = np.asarray(self.span_parent)
+        names = np.asarray(self.span_name)
+        child = parent >= 0
+        own = dur.copy()
+        np.subtract.at(own, parent[child], dur[child])
+        k = len(self.names)
+        self_s = dict(zip(self.names, np.bincount(names, own, k).tolist()))
+        inclusive_s = dict(zip(self.names, np.bincount(names, dur, k).tolist()))
+        return self_s, inclusive_s, float(dur[~child].sum())
 
     def install(self, modules: dict) -> None:
         """Wrap every hooked function in the given ``{key: module}`` map."""

@@ -11,12 +11,19 @@ Run by ``run.py``; prints one JSON object as its last line.  Modes:
 * ``trace``: the same for exactly ``--rounds`` rounds, with a span around
   every call into each layer (see ``tracing.py``).
 
-Every reported time is CPU time of this process (``time.process_time``).
-The program is single-threaded and does no I/O, so on an idle machine that
-equals wall time; on a shared host the wall clock also counts the time the
-process waited for a CPU, which is not the program's cost and spread
-run-to-run wall-time figures by 7-24%.  Output checks run after each task
-sequence, outside the timed calls.
+Set-up time is the CPU time of this process (``time.process_time``) up to
+the first episode.  Every time measured after it is CPU time of the main
+thread (``time.thread_time``), which runs all of braidplan: once the
+profiling timer of ``hostspeed.py`` is armed, the process-wide clock of a
+process with more than one thread (numpy starts some) advances only at
+scheduler ticks, 4 ms here, and reads 0 for a sub-millisecond plan.
+CPU time rather than wall time, because on a shared host the wall clock
+also counts the time the process waited for a CPU, which is not the
+program's cost and spread run-to-run wall-time figures by 7-24%.  Every
+reported time is then converted to seconds at the reference host's speed
+by ``hostspeed.py``, whose kernel is timed after set-up, every few tenths
+of a CPU second during the run, and at the end.  Output checks and kernel
+slices fall outside the measured time.
 """
 
 from __future__ import annotations
@@ -35,13 +42,18 @@ SRC_DIR = BENCH_DIR.parent / "src"
 sys.path.insert(0, str(SRC_DIR))
 
 from checks import CrossingFold, Episode, check_episode  # noqa: E402
+from hostspeed import HostSpeed  # noqa: E402
 from tracing import Tracer  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
+
+# Reference-kernel slices timed right after set-up, before the first episode.
+SETUP_SLICES = 25
 
 
 class Capture:
     """Keeps what the planner, ``map_path`` and the verifier returned for
-    each episode of the task sequence being run, and times each plan."""
+    each episode of the task sequence being run, and the CPU-clock readings
+    around each plan."""
 
     def __init__(self, harness) -> None:
         self.records: list[list] = []
@@ -49,9 +61,9 @@ class Capture:
         records = self.records
 
         def timed_plan(*args, **kwargs):
-            t0 = time.process_time()
+            t0 = time.thread_time()
             out = plan(*args, **kwargs)
-            records.append([time.process_time() - t0, out, None, None])
+            records.append([(t0, time.thread_time()), out, None, None])
             return out
 
         def captured_map_path(*args, **kwargs):
@@ -76,7 +88,7 @@ class Tally:
         self.attempted = 0
         self.failed = 0
         self.wrong = 0
-        self.plan_s: list[float] = []
+        self.plan_spans: list[tuple[float, float]] = []
         self.actions = 0
         self.expanded = 0
         self.generated = 0
@@ -94,10 +106,10 @@ class Tally:
             return
         positions = scenario.initial_positions
         fold = CrossingFold()
-        for targets, (plan_s, outcome, trajectories, report), result in zip(
+        for targets, (plan_span, outcome, trajectories, report), result in zip(
             sets, records, metrics.results
         ):
-            self.plan_s.append(plan_s)
+            self.plan_spans.append(plan_span)
             trace = outcome.trace
             self.expanded += trace.expanded
             self.generated += trace.generated
@@ -164,6 +176,9 @@ def main() -> int:
     workload = WORKLOADS[args.workload]
     scenarios = workload.scenarios(args.seed)
     setup_s = time.process_time()
+    speed = HostSpeed()
+    speed.sample(SETUP_SLICES)
+    setup_s *= speed.first_rate()
     if args.mode == "setup":
         print(json.dumps({"setup_s": setup_s}))
         return 0
@@ -174,19 +189,20 @@ def main() -> int:
         tracer.install({"harness": harness, "workspace": workspace, "planner": planner})
     capture = Capture(harness)
     tally = Tally()
-    busy = 0.0
+    sequence_spans = []
     rounds = 0
     started = time.perf_counter()
+    speed.start_timer()
     while True:
         for scenario in scenarios:
             capture.records.clear()
             metrics, error = None, None
-            t0 = time.process_time()
+            t0 = time.thread_time()
             try:
                 metrics = harness.run_task_sequence(scenario)
             except Exception as exc:  # an episode that raises counts as failed
                 error = f"{type(exc).__name__}: {exc}"
-            busy += time.process_time() - t0
+            sequence_spans.append((t0, time.thread_time()))
             tally.add_sequence(scenario, metrics, capture.records, error)
         rounds += 1
         if args.rounds:
@@ -196,9 +212,15 @@ def main() -> int:
             elapsed = time.perf_counter() - started
             if elapsed + elapsed / rounds > args.seconds:
                 break
+    speed.stop_timer()
+    speed.sample()
 
     # Read before computing the percentiles, whose work arrays would raise it.
     peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+    sequence_ref = speed.to_reference(np.reshape(sequence_spans, (-1, 2)))
+    busy = float(np.sum(sequence_ref[:, 1] - sequence_ref[:, 0]))
+    plan_ref = speed.to_reference(np.reshape(tally.plan_spans, (-1, 2)))
+    plan_s = plan_ref[:, 1] - plan_ref[:, 0]
     completed = tally.attempted - tally.failed
     out = {
         "setup_s": setup_s,
@@ -209,20 +231,23 @@ def main() -> int:
         "wrong": tally.wrong,
         "errors": tally.errors[:5],
         "episodes_per_s": completed / busy,
-        "plan_p50_ms": percentile(tally.plan_s, 50.0) * 1e3,
-        "plan_tail_ms": percentile(tally.plan_s, workload.tail_percentile) * 1e3,
+        "plan_p50_ms": percentile(plan_s, 50.0) * 1e3,
+        "plan_tail_ms": percentile(plan_s, workload.tail_percentile) * 1e3,
         "swaps_per_episode": tally.actions / completed if completed else 0.0,
         "peak_rss_mb": peak_rss_mb,
     }
     if tracer is not None:
-        out["layers"] = layer_metrics(tracer, tally, busy)
-        tracer.write(args.trace_out, {"workload": args.workload, "seed": args.seed, "busy_s": busy})
+        out["layers"] = layer_metrics(tracer, tally, busy, speed, float(plan_s.max(initial=0.0)))
+        tracer.write(args.trace_out, {"workload": args.workload, "seed": args.seed})
     print(json.dumps(out))
     return 0
 
 
-def layer_metrics(tracer: Tracer, tally: Tally, busy: float) -> dict[str, float]:
-    self_s, incl, calls = tracer.self_s, tracer.inclusive_s, tracer.calls
+def layer_metrics(
+    tracer: Tracer, tally: Tally, busy: float, speed: HostSpeed, max_plan_s: float
+) -> dict[str, float]:
+    self_s, incl, root_s = tracer.totals(speed.to_reference)
+    calls = tracer.calls
     plan_incl = incl["planner.plan"]
     return {
         "planner.plan_s": self_s["planner.plan"],
@@ -231,7 +256,7 @@ def layer_metrics(tracer: Tracer, tally: Tally, busy: float) -> dict[str, float]
         "planner.rejected_by_braid": tally.rejected,
         "planner.peak_open": tally.peak_open,
         "planner.max_expanded": tally.max_expanded,
-        "planner.max_plan_s": tracer.max_s["planner.plan"],
+        "planner.max_plan_s": max_plan_s,
         "planner.expansions_per_s": tally.expanded / plan_incl if plan_incl else 0.0,
         "planner.swaps_per_expansion": tally.actions / tally.expanded if tally.expanded else 0.0,
         "workspace.ranks_s": self_s["workspace.ranks_from_positions"],
@@ -250,7 +275,7 @@ def layer_metrics(tracer: Tracer, tally: Tally, busy: float) -> dict[str, float]
         "braid.update_s": self_s["braid.update_pair"] + self_s["braid.update_triplet"],
         "braid.update_pair_calls": calls["braid.update_pair"],
         "braid.update_triplet_calls": calls["braid.update_triplet"],
-        "unspanned_s": busy - tracer.root_s,
+        "unspanned_s": busy - root_s,
         "self_total_s": sum(self_s.values()),
     }
 
