@@ -84,7 +84,6 @@ from .planner import (
 )
 from .plot import render_braid_svg, render_paths_svg
 from .workspace import (
-    TeamState,
     WorkspaceConfig,
     carry_over_braids,
     grid_cells,
@@ -118,7 +117,6 @@ __all__ = [
     "SimulationResult",
     "SpaceTimeTrajectory",
     "SwapAction",
-    "TeamState",
     "Trajectory",
     "TripletBraidState",
     "Violation",

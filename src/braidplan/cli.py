@@ -5,8 +5,8 @@ and the target sets; a plan file holds the timed trajectories the planner
 produced plus the permutation path, predicted braid table, and search
 statistics, and is self-contained enough to verify and plot on its own.
 
-Exit codes: 0 success, 1 input error, 2 no path found, 3 entanglement
-violation detected.
+Exit codes: 0 success, 1 input error (a malformed command line included),
+2 no path found, 3 entanglement violation detected.
 """
 
 from __future__ import annotations
@@ -260,8 +260,8 @@ def cmd_plan(args: argparse.Namespace) -> int:
         )
     targets = scenario.target_sets[args.set_index]
     config = scenario.config
-    start_perms = ranks_from_positions(scenario.initial_positions, config.axes)
-    target_perms = ranks_from_positions(targets, config.axes)
+    start_perms = ranks_from_positions(scenario.initial_positions)
+    target_perms = ranks_from_positions(targets)
     t0 = time.perf_counter()
     outcome = plan(
         start_perms,
@@ -301,10 +301,6 @@ def cmd_run(args: argparse.Namespace) -> int:
     scenario = load_scenario(args.scenario)
     if args.seed_override is not None:
         scenario = dataclasses.replace(scenario, rng_seed=args.seed_override)
-    if args.jobs < 1:
-        raise InputError("--jobs must be a positive integer")
-    # A single scenario is one deterministic replica; --jobs is accepted for
-    # interface stability but extra workers would have nothing to do.
     metrics = run_task_sequence(scenario, dump_dir=args.dump_dir)
     report = metrics.as_dict()
     report["seed"] = scenario.rng_seed
@@ -371,7 +367,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="run the whole task sequence and write a report")
     p_run.add_argument("--scenario", required=True, help="scenario JSON file")
     p_run.add_argument("--out", required=True, help="output report JSON file")
-    p_run.add_argument("--jobs", type=int, default=1, help="worker budget (single scenario: 1)")
     p_run.add_argument("--seed-override", type=int, default=None, help="replace the scenario seed")
     p_run.add_argument("--dump-dir", default=None, help="directory for per-set trajectory dumps")
     p_run.set_defaults(func=cmd_run)
@@ -394,8 +389,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 0 after --help and 2 on a usage error, which is bad input.
+        return EXIT_OK if exc.code == 0 else EXIT_INPUT_ERROR
     try:
         return args.func(args)
     except InputError as exc:

@@ -5,9 +5,13 @@ a sequence of target sets.  ``run_task_sequence`` plans each set in turn,
 realizes the plan as timed trajectories, samples the motion for minimum
 separation, and verifies the cables from scratch: the verifier re-extracts
 crossings from the executed trajectories on every projection angle of the
-check set and folds them into its own braid tables, which persist across
-episodes exactly like the planner's.  The two bookkeeping routes meet at
-the shared grid angles, where their tables must agree letter for letter.
+check set, plus the grid angles (pi/2, 0) when the check set lacks them,
+and folds them into its own braid tables, which persist across episodes.
+The planner's carried two-axis table is read off the verifier's tables at
+the grid angles, so each episode folds its crossings once.  The check
+that matters is the planner's prediction against geometry: the table the
+planner predicted at the goal must equal the one read off the executed
+trajectories.
 
 The number of check angles m must satisfy m > pi / gamma_bar, where
 gamma_bar is the largest projected crossing gap the cable model tolerates;
@@ -26,28 +30,16 @@ from pathlib import Path
 
 import numpy as np
 
-from .braid import update_pair, update_triplet
-from .errors import ConfigurationError, EntanglementAlarm, InputError
-from .geometry import (
-    ProjectionAxis,
-    Trajectory,
-    build_space_time,
-    extract_crossings,
-    sub_events,
-)
-from .planner import (
-    AXIS_ANGLES,
-    BraidTable,
-    pair_slot,
-    plan,
-    triplet_slot,
-)
-from .workspace import (
-    WorkspaceConfig,
-    carry_over_braids,
-    map_path,
-    ranks_from_positions,
-)
+from .errors import ConfigurationError, InputError
+from .geometry import ProjectionAxis, Trajectory, build_space_time, extract_crossings
+from .planner import AXIS_ANGLES, BraidTable, plan
+from .workspace import WorkspaceConfig, fold_crossings, map_path, ranks_from_positions
+
+# Not called here; the benchmark's tracer (bench/tracing.py) wraps these names
+# in this module, so they stay importable from it.
+from .braid import update_pair, update_triplet  # noqa: F401
+from .geometry import sub_events  # noqa: F401
+from .workspace import carry_over_braids  # noqa: F401
 
 __all__ = [
     "DEFAULT_GAMMA_BAR",
@@ -210,39 +202,6 @@ def simulate(trajectories: list[Trajectory] | tuple[Trajectory, ...], dt: float)
     return SimulationResult(best[0], best[1], best[2], horizon)
 
 
-def _fold_angle(
-    events, n: int, table: BraidTable, angle: float, violations: list[Violation]
-) -> BraidTable:
-    pairs = list(table.pairs)
-    trips = list(table.triplets)
-    for i, j in itertools.combinations(range(1, n + 1), 2):
-        folded = sub_events(events, (i, j))
-        if not folded:
-            continue
-        slot = pair_slot(n, i, j, 1)
-        state = pairs[slot]
-        for t, letter in folded:
-            state, ok = update_pair(state, letter)
-            if not ok:
-                word = " ".join(["s1" if state.exponent_sum > 0 else "S1"] * 2)
-                violations.append(Violation((i, j), angle, t, word))
-                break
-        pairs[slot] = state
-    for i, j, k in itertools.combinations(range(1, n + 1), 3):
-        folded = sub_events(events, (i, j, k))
-        if not folded:
-            continue
-        slot = triplet_slot(n, i, j, k, 1)
-        state = trips[slot]
-        for t, letter in folded:
-            state, ok = update_triplet(state, letter)
-            if not ok:
-                violations.append(Violation((i, j, k), angle, t, state.word.to_text()))
-                break
-        trips[slot] = state
-    return BraidTable(n, 1, tuple(pairs), tuple(trips))
-
-
 def verify(
     trajectories: list[Trajectory] | tuple[Trajectory, ...],
     angles: tuple[float, ...],
@@ -281,7 +240,9 @@ def verify(
         tie_records: list[tuple[int, int, float]] = []
         events = extract_crossings(lifted, ProjectionAxis(angle), ties_out=tie_records)
         ties.extend((angle, i, j, t) for i, j, t in tie_records)
-        new_tables.append(_fold_angle(events, n, table, angle, violations))
+        table, forbidden = fold_crossings(events, table)
+        new_tables.append(table)
+        violations.extend(Violation(culprits, angle, t, word) for culprits, t, word in forbidden)
     report = EntanglementReport(not violations, tuple(violations), tuple(ties))
     return report, tuple(new_tables)
 
@@ -417,49 +378,40 @@ class RunMetrics:
         }
 
 
-def _grid_angles_agree(
-    carried: BraidTable, angles: tuple[float, ...], verifier_tables: tuple[BraidTable, ...]
-) -> bool:
-    """Planner-route and verifier-route tables must match on shared angles."""
-    n = carried.n
-    for axis_idx, angle in enumerate(AXIS_ANGLES, start=1):
-        if angle not in angles:
-            continue
-        vt = verifier_tables[angles.index(angle)]
-        for i, j in itertools.combinations(range(1, n + 1), 2):
-            if carried.pair_state(i, j, axis_idx) != vt.pair_state(i, j, 1):
-                return False
-        for i, j, k in itertools.combinations(range(1, n + 1), 3):
-            if carried.triplet_state(i, j, k, axis_idx) != vt.triplet_state(i, j, k, 1):
-                return False
-    return True
+def _planner_table(angles: tuple[float, ...], tables: tuple[BraidTable, ...]) -> BraidTable:
+    """The planner's two-axis table, read off the verifier's grid-angle tables."""
+    t1, t2 = (tables[angles.index(angle)] for angle in AXIS_ANGLES)
+    # Both tables store their single axis in the planner's axis-major order.
+    return BraidTable(t1.n, 2, t1.pairs + t2.pairs, t1.triplets + t2.triplets)
 
 
 def run_task_sequence(scenario: Scenario, *, dump_dir: str | Path | None = None) -> RunMetrics:
     """Plan, execute, and verify every target set of a scenario in order.
 
-    Failed episodes leave the team state untouched (positions, planner
-    braids, and verifier braids all revert), so later sets still run from
-    a consistent state.  Output is deterministic apart from timings.
+    Failed episodes leave the team state untouched (positions and verifier
+    braids both revert), so later sets still run from a consistent state.
+    Output is deterministic apart from timings.
     """
     config = scenario.config
     n = scenario.n
+    # The planner's table is read off the grid angles, so the verifier folds
+    # them too where A(m) lacks them (odd m).
+    angles = scenario.angles + tuple(a for a in AXIS_ANGLES if a not in scenario.angles)
     positions = scenario.initial_positions
-    planner_table = BraidTable.identity(n)
-    verifier_tables = tuple(BraidTable.identity(n, axes_count=1) for _ in scenario.angles)
+    verifier_tables = tuple(BraidTable.identity(n, axes_count=1) for _ in angles)
     if dump_dir is not None:
         dump_dir = Path(dump_dir)
         dump_dir.mkdir(parents=True, exist_ok=True)
     results: list[SetResult] = []
 
     for set_index, targets in enumerate(scenario.target_sets):
-        start_perms = ranks_from_positions(positions, config.axes)
-        target_perms = ranks_from_positions(targets, config.axes)
+        start_perms = ranks_from_positions(positions)
+        target_perms = ranks_from_positions(targets)
         t0 = time.perf_counter()
         outcome = plan(
             start_perms,
             target_perms,
-            planner_table,
+            _planner_table(angles, verifier_tables),
             bias=scenario.bias,
             max_expansions=scenario.max_expansions,
         )
@@ -476,33 +428,18 @@ def run_task_sequence(scenario: Scenario, *, dump_dir: str | Path | None = None)
 
         trajectories = map_path(outcome.path, config, positions, targets)
         sim = simulate(trajectories, scenario.dt)
-        report, new_tables = verify(
-            trajectories, scenario.angles, verifier_tables, height=config.height
-        )
-        alarm: Violation | None = None
-        carried: BraidTable | None = None
-        try:
-            carried = carry_over_braids(
-                trajectories, planner_table, config.axes, height=config.height
-            )
-        except EntanglementAlarm as exc:
-            alarm = Violation(tuple(exc.ids), exc.axis_angle, exc.time, exc.word)
-
-        consistent = (
-            carried is not None
-            and carried == outcome.final_braids
-            and _grid_angles_agree(carried, scenario.angles, new_tables)
-        )
-        violations = report.violations + ((alarm,) if alarm is not None else ())
+        report, new_tables = verify(trajectories, angles, verifier_tables, height=config.height)
+        consistent = _planner_table(angles, new_tables) == outcome.final_braids
         clearance_ok = sim.min_distance >= config.d_safe - 1e-9
-        success = not violations and clearance_ok
-        reason = "ok" if success else ("violation" if violations else "clearance")
+        success = report.ok and clearance_ok
+        reason = "ok" if success else ("violation" if not report.ok else "clearance")
+        # Ties count on the check set only, not on grid angles it lacks.
+        ties = sum(p[0] in scenario.angles for p in report.perturbations)
 
         result = SetResult(
             set_index, success, reason, plan_time, len(outcome.path) - 1,
             trace.expanded, trace.generated, trace.rejected_by_braid,
-            sim.min_distance, sim.horizon, violations,
-            len(report.perturbations), consistent,
+            sim.min_distance, sim.horizon, report.violations, ties, consistent,
         )
         results.append(result)
         if dump_dir is not None:
@@ -521,7 +458,6 @@ def run_task_sequence(scenario: Scenario, *, dump_dir: str | Path | None = None)
 
         if success:
             positions = targets
-            planner_table = carried
             verifier_tables = new_tables
 
     successes = [r for r in results if r.success]
@@ -544,6 +480,6 @@ def run_task_sequence(scenario: Scenario, *, dump_dir: str | Path | None = None)
         all_tables_consistent=all(r.tables_consistent for r in results),
         results=tuple(results),
         final_positions=positions,
-        final_braids=planner_table,
+        final_braids=_planner_table(angles, verifier_tables),
     )
     return metrics

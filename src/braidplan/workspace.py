@@ -15,22 +15,28 @@ timed trajectories in three phases:
 Phases A and C cannot create crossings on the grid axes because each
 pair's projected order is the same at both window ends and interpolation
 is linear.  Phase B swaps keep at least one full cell of separation on
-the perpendicular axis.  ``carry_over_braids`` folds the crossings an
-executed episode actually produced into the team's braid table so the
-next plan starts from the true cable state.
+the perpendicular axis.
+
+``fold_crossings`` is the one place where the crossings an executed
+episode actually produced become braid state.  The verifier folds every
+check angle with it, and a task sequence reads the planner's carried
+two-axis table off the verifier's tables at the grid angles, so the next
+plan starts from the true cable state.  ``carry_over_braids`` folds one
+episode on both grid axes for a caller that holds only a planner table.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .braid import update_pair, update_triplet
 from .errors import ConfigurationError, EntanglementAlarm, InputError
 from .geometry import (
+    CrossingEvent,
     ProjectionAxis,
     Trajectory,
     build_space_time,
@@ -49,10 +55,10 @@ from .planner import (
 __all__ = [
     "GRID_AXES",
     "WorkspaceConfig",
-    "TeamState",
     "ranks_from_positions",
     "grid_cells",
     "map_path",
+    "fold_crossings",
     "carry_over_braids",
 ]
 
@@ -76,7 +82,6 @@ class WorkspaceConfig:
     cell_size: float
     d_safe: float
     speed: float
-    axes: tuple[ProjectionAxis, ProjectionAxis] = GRID_AXES
 
     def __post_init__(self) -> None:
         for name in ("xmin", "xmax", "ymin", "ymax", "height", "cell_size", "d_safe", "speed"):
@@ -94,8 +99,6 @@ class WorkspaceConfig:
             raise ConfigurationError(
                 f"cell_size {self.cell_size} must be at least d_safe {self.d_safe}"
             )
-        if len(self.axes) != 2:
-            raise ConfigurationError("exactly two grid axes are required")
 
     @property
     def center(self) -> Point:
@@ -114,41 +117,14 @@ class WorkspaceConfig:
             )
 
 
-@dataclass(frozen=True)
-class TeamState:
-    """Positions, tether bases, and accumulated braid state of the team."""
-
-    positions: tuple[Point, ...]
-    bases: tuple[Point, ...]
-    braids: BraidTable
-
-    def __post_init__(self) -> None:
-        if len(self.positions) != len(self.bases):
-            raise InputError("positions and bases must have equal length")
-        if self.braids.n != len(self.positions):
-            raise InputError("braid table size does not match the team")
-
-    def validate(self, config: WorkspaceConfig) -> None:
-        pts = np.asarray(self.positions, dtype=float)
-        for idx, p in enumerate(self.positions):
-            if not config.contains(p):
-                raise InputError(f"robot {idx + 1} position {p} lies outside the workspace")
-        for a, b in itertools.combinations(range(len(self.positions)), 2):
-            if float(np.hypot(*(pts[a] - pts[b]))) < config.d_safe:
-                raise InputError(f"robots {a + 1} and {b + 1} are closer than d_safe")
-
-
-def ranks_from_positions(
-    positions: tuple[Point, ...] | list[Point],
-    axes: tuple[ProjectionAxis, ProjectionAxis] = GRID_AXES,
-) -> PermutationState:
+def ranks_from_positions(positions: tuple[Point, ...] | list[Point]) -> PermutationState:
     """Rank the team along both grid axes; ties go to the smaller robot id."""
     pts = np.asarray(positions, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] == 0:
         raise InputError("positions must be a non-empty list of (x, y) points")
     n = pts.shape[0]
     vectors = []
-    for axis in axes[:2]:
+    for axis in GRID_AXES:
         u = axis.u(pts)
         order = sorted(range(n), key=lambda r: (u[r], r))
         ranks = [0] * n
@@ -208,9 +184,9 @@ def map_path(
         for idx, p in enumerate(positions):
             if not config.contains(tuple(p)):
                 raise InputError(f"{label} position of robot {idx + 1} lies outside the workspace")
-    if ranks_from_positions(start_positions, config.axes) != perm_path[0]:
+    if ranks_from_positions(start_positions) != perm_path[0]:
         raise InputError("first permutation does not match the start positions")
-    if ranks_from_positions(target_positions, config.axes) != perm_path[-1]:
+    if ranks_from_positions(target_positions) != perm_path[-1]:
         raise InputError("last permutation does not match the target positions")
 
     starts = np.asarray(start_positions, dtype=float)
@@ -261,52 +237,64 @@ def map_path(
     return trajectories
 
 
+def fold_crossings(
+    events: list[CrossingEvent], table: BraidTable, axis: int = 1
+) -> tuple[BraidTable, list[tuple[tuple[int, ...], float, str]]]:
+    """Fold one axis's crossing events into a braid table.
+
+    ``axis`` is the 1-based axis of ``table`` the events were extracted on.
+    Returns the new table and the first forbidden pattern of each pair,
+    then of each triplet, as (ids, time, word).  A flagged state keeps the
+    letter that flagged it and folds no later ones.
+    """
+    n = table.n
+    pairs, trips = list(table.pairs), list(table.triplets)
+    forbidden = []
+    for states, size, slot_of, update in (
+        (pairs, 2, pair_slot, update_pair),
+        (trips, 3, triplet_slot, update_triplet),
+    ):
+        for ids in itertools.combinations(range(1, n + 1), size):
+            folded = sub_events(events, ids)
+            if not folded:
+                continue
+            slot = slot_of(n, *ids, axis)
+            state = states[slot]
+            for time, letter in folded:
+                state, ok = update(state, letter)
+                if not ok:
+                    word = (
+                        state.word.to_text() if size == 3
+                        else " ".join(["s1" if state.exponent_sum > 0 else "S1"] * 2)
+                    )
+                    forbidden.append((ids, time, word))
+                    break
+            states[slot] = state
+    return BraidTable(n, table.axes_count, tuple(pairs), tuple(trips)), forbidden
+
+
 def carry_over_braids(
     executed: list[Trajectory] | tuple[Trajectory, ...],
     previous: BraidTable,
-    axes: tuple[ProjectionAxis, ...] = GRID_AXES,
     *,
     height: float = 1.0,
 ) -> BraidTable:
-    """Fold an executed episode's crossings into the team's braid table.
+    """Fold an executed episode's crossings on both grid axes into a table.
 
-    The result seeds the next planning episode.  Raises ``EntanglementAlarm``
-    if the executed motion produced a forbidden pattern (which a correctly
-    planned and executed episode cannot).  Braids only depend on crossing
-    order, so the lift height is arbitrary.
+    Raises ``EntanglementAlarm`` on the first forbidden pattern (which a
+    correctly planned and executed episode cannot produce).  Braids only
+    depend on crossing order, so the lift height is arbitrary.
     """
     ids = sorted(t.robot_id for t in executed)
-    n = previous.n
-    if ids != list(range(1, n + 1)):
+    if ids != list(range(1, previous.n + 1)):
         raise InputError("executed trajectories must cover robots 1..n of the braid table")
-    if len(axes) != previous.axes_count:
-        raise InputError("axis list does not match the braid table")
+    if previous.axes_count != len(GRID_AXES):
+        raise InputError("carry-over needs a braid table over both grid axes")
     lifted = build_space_time(list(executed), height)
-    pairs = list(previous.pairs)
-    trips = list(previous.triplets)
-    for axis_idx, axis in enumerate(axes, start=1):
-        events = extract_crossings(lifted, axis)
-        for i, j in itertools.combinations(range(1, n + 1), 2):
-            folded = sub_events(events, (i, j))
-            if not folded:
-                continue
-            slot = pair_slot(n, i, j, axis_idx)
-            state = pairs[slot]
-            for time, letter in folded:
-                state, ok = update_pair(state, letter)
-                if not ok:
-                    word = " ".join(["s1" if state.exponent_sum > 0 else "S1"] * 2)
-                    raise EntanglementAlarm((i, j), axis.angle, time, word)
-            pairs[slot] = state
-        for i, j, k in itertools.combinations(range(1, n + 1), 3):
-            folded = sub_events(events, (i, j, k))
-            if not folded:
-                continue
-            slot = triplet_slot(n, i, j, k, axis_idx)
-            state = trips[slot]
-            for time, letter in folded:
-                state, ok = update_triplet(state, letter)
-                if not ok:
-                    raise EntanglementAlarm((i, j, k), axis.angle, time, state.word.to_text())
-            trips[slot] = state
-    return BraidTable(n, previous.axes_count, tuple(pairs), tuple(trips))
+    table = previous
+    for axis_idx, axis in enumerate(GRID_AXES, start=1):
+        table, forbidden = fold_crossings(extract_crossings(lifted, axis), table, axis_idx)
+        if forbidden:
+            culprits, time, word = forbidden[0]
+            raise EntanglementAlarm(culprits, axis.angle, time, word)
+    return table

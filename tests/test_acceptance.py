@@ -466,8 +466,8 @@ def test_criterion_6_clearance(sequence_runs):
         table = BraidTable.identity(6)
         windows = 0
         for targets in scenario.target_sets:
-            start_perms = ranks_from_positions(positions, config.axes)
-            target_perms = ranks_from_positions(targets, config.axes)
+            start_perms = ranks_from_positions(positions)
+            target_perms = ranks_from_positions(targets)
             outcome = plan(
                 start_perms,
                 target_perms,

@@ -109,6 +109,19 @@ def test_run_seed_override_and_dump(tmp_path):
     assert sorted(p.name for p in dump.iterdir()) == ["set_000.json", "set_001.json"]
 
 
+def test_usage_errors_exit_1(tmp_path, capsys):
+    # exit code 2 means "no path found"; a malformed command line is bad input
+    sc_path, _ = _write_scenario(tmp_path)
+    out = str(tmp_path / "report.json")
+    assert main(["run", "--scenario", str(sc_path), "--out", out, "--jobs", "2"]) == EXIT_INPUT_ERROR
+    assert main(["run", "--scenario", str(sc_path), "--out", out, "--bogus"]) == EXIT_INPUT_ERROR
+    assert main([]) == EXIT_INPUT_ERROR
+    assert main(["plan", "--scenario", str(sc_path), "--set-index", "abc", "--out", out]) == EXIT_INPUT_ERROR
+    capsys.readouterr()
+    assert main(["--help"]) == EXIT_OK
+    assert "plan" in capsys.readouterr().out
+
+
 def test_verify_clean_plan_exits_0(tmp_path, capsys):
     sc_path, _ = _write_scenario(tmp_path)
     plan_path = tmp_path / "plan.json"

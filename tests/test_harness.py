@@ -3,7 +3,9 @@
 The entangling-weave fixture drives three robots so their y-projection
 braid reads s1 S2 s1, the middle strand threading over-under-over, which
 the verifier must flag; clean episodes must leave its tables in exact
-agreement with the planner's.
+agreement with the planner's.  Full runs fold each episode's crossings
+once, and the planner's carried table is the verifier's at the grid
+angles.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import random
 
 import pytest
 
+from braidplan import harness, workspace
 from braidplan.errors import ConfigurationError, InputError
 from braidplan.geometry import Trajectory
 from braidplan.harness import (
@@ -26,7 +29,13 @@ from braidplan.harness import (
     verify,
 )
 from braidplan.planner import AXIS_ANGLES, BraidTable, PermutationState, plan
-from braidplan.workspace import WorkspaceConfig, grid_cells, map_path, ranks_from_positions
+from braidplan.workspace import (
+    WorkspaceConfig,
+    carry_over_braids,
+    grid_cells,
+    map_path,
+    ranks_from_positions,
+)
 
 
 def _config(side: float = 12.0) -> WorkspaceConfig:
@@ -303,3 +312,54 @@ def test_run_metrics_as_dict_round_trips_json():
     assert payload["success_rate"] == 1.0
     assert payload["final_braids"]["n"] == 3
     assert len(payload["results"]) == 2
+
+
+def test_run_task_sequence_folds_each_episode_once(monkeypatch):
+    # m = 2: one lift per episode and one extraction per angle of A(2),
+    # which already holds both grid angles
+    counts = {"lift": 0, "extract": 0}
+    for module in (harness, workspace):
+        for name, key in (("build_space_time", "lift"), ("extract_crossings", "extract")):
+            def counted(*args, _real=getattr(module, name), _key=key, **kwargs):
+                counts[_key] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+    metrics = run_task_sequence(make_scenario(3, 5, 0))
+    assert metrics.success_rate == 1.0
+    episodes = len(metrics.results)
+    assert counts == {"lift": episodes, "extract": 3 * episodes}
+
+
+def test_run_task_sequence_odd_m_carries_grid_angle_tables(monkeypatch):
+    # pi/2 is not in A(3), so the verifier folds it as an extra angle; this
+    # sequence also has episodes refused for violations at other angles
+    scenario = make_scenario(4, 30, 60, m=3)
+    assert AXIS_ANGLES[0] not in scenario.angles
+    calls = []
+    real_verify = harness.verify
+
+    def recording_verify(trajectories, angles, tables, **kwargs):
+        out = real_verify(trajectories, angles, tables, **kwargs)
+        calls.append((trajectories, angles, out[1]))
+        return out
+
+    monkeypatch.setattr(harness, "verify", recording_verify)
+    metrics = run_task_sequence(scenario)
+    assert metrics.all_tables_consistent
+    assert 0 < metrics.successes < metrics.sets_total
+    assert any(r.reason == "violation" for r in metrics.results)
+    executed = [r for r in metrics.results if r.reason not in ("max_expansions", "exhausted")]
+    assert len(executed) == len(calls)
+
+    # replay the successful episodes through the two-axis carry-over
+    carried = BraidTable.identity(4)
+    for result, (trajectories, angles, tables) in zip(executed, calls):
+        if result.success:
+            carried = carry_over_braids(trajectories, carried)
+            last_angles, last_tables = angles, tables
+    t1, t2 = (last_tables[last_angles.index(a)] for a in AXIS_ANGLES)
+    from_verifier = BraidTable(4, 2, t1.pairs + t2.pairs, t1.triplets + t2.triplets)
+    assert metrics.final_braids == from_verifier
+    assert metrics.final_braids == carried
+    assert carried != BraidTable.identity(4)

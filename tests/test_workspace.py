@@ -18,7 +18,6 @@ from braidplan.geometry import Trajectory
 from braidplan.planner import BraidTable, PermutationState, plan
 from braidplan.workspace import (
     GRID_AXES,
-    TeamState,
     WorkspaceConfig,
     carry_over_braids,
     grid_cells,
@@ -115,22 +114,6 @@ def test_config_validation():
         WorkspaceConfig(0, 10, 0, 10, height=1, cell_size=1, d_safe=1, speed=0)
     with pytest.raises(ConfigurationError):
         WorkspaceConfig(0, 10, 0, 10, height=1, cell_size=math.inf, d_safe=1, speed=1)
-
-
-def test_team_state_validation():
-    config = _config()
-    good = TeamState(((1.0, 1.0), (3.0, 3.0)), ((1.0, 1.0), (3.0, 3.0)), BraidTable.identity(2))
-    good.validate(config)
-    with pytest.raises(InputError):
-        TeamState(((1.0, 1.0),), ((1.0, 1.0), (2.0, 2.0)), BraidTable.identity(1))
-    with pytest.raises(InputError):
-        TeamState(((1.0, 1.0),), ((1.0, 1.0),), BraidTable.identity(2))
-    close = TeamState(((1.0, 1.0), (1.5, 1.0)), ((1.0, 1.0), (1.5, 1.0)), BraidTable.identity(2))
-    with pytest.raises(InputError):
-        close.validate(config)
-    outside = TeamState(((-1.0, 1.0), (3.0, 3.0)), ((1.0, 1.0), (3.0, 3.0)), BraidTable.identity(2))
-    with pytest.raises(InputError):
-        outside.validate(config)
 
 
 # ---------------------------------------------------------------------------
