@@ -96,9 +96,6 @@ class BraidWord:
     def is_identity(self) -> bool:
         return not self.letters
 
-    def appended(self, letter: BraidLetter) -> "BraidWord":
-        return BraidWord(self.strands, self.letters + (letter,))
-
     def inverted(self) -> "BraidWord":
         """Group inverse: reversed word with every letter inverted."""
         return BraidWord(self.strands, tuple(l.inverse() for l in reversed(self.letters)))
@@ -168,12 +165,6 @@ class LaurentPoly:
 
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
         return LaurentPoly(self.terms + other.terms)
-
-    def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly(tuple((e, -c) for e, c in self.terms))
-
-    def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
-        return self + (-other)
 
     def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
         out: dict[int, int] = {}

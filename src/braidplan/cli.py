@@ -12,7 +12,6 @@ Exit codes: 0 success, 1 input error (a malformed command line included),
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import sys
@@ -299,8 +298,6 @@ def cmd_plan(args: argparse.Namespace) -> int:
 
 def cmd_run(args: argparse.Namespace) -> int:
     scenario = load_scenario(args.scenario)
-    if args.seed_override is not None:
-        scenario = dataclasses.replace(scenario, rng_seed=args.seed_override)
     metrics = run_task_sequence(scenario, dump_dir=args.dump_dir)
     report = metrics.as_dict()
     report["seed"] = scenario.rng_seed
@@ -335,14 +332,21 @@ def cmd_plot(args: argparse.Namespace) -> int:
             raise InputError(f"unknown axis {args.braid}; the grid tracks axes 1 and 2")
         svg = render_braid_svg(trajectories, AXIS_ANGLES[args.braid - 1])
     else:
-        workspace = None
-        bases = targets = None
+        workspace = bases = targets = None
         if doc is not None:
+            label = "plan file"
             ws = doc.get("workspace")
-            if isinstance(ws, dict):
-                workspace = (ws["xmin"], ws["xmax"], ws["ymin"], ws["ymax"])
-            bases = doc.get("bases")
-            targets = doc.get("targets")
+            if ws is not None:
+                if not isinstance(ws, dict):
+                    raise InputError(f"{label}: key 'workspace' must be an object")
+                workspace = tuple(
+                    _number(ws, key, f"{label}: workspace")
+                    for key in ("xmin", "xmax", "ymin", "ymax")
+                )
+            if doc.get("bases") is not None:
+                bases = _points(doc["bases"], "bases", label)
+            if doc.get("targets") is not None:
+                targets = _points(doc["targets"], "targets", label)
         svg = render_paths_svg(
             trajectories, workspace=workspace, bases=bases, targets=targets
         )
@@ -367,7 +371,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="run the whole task sequence and write a report")
     p_run.add_argument("--scenario", required=True, help="scenario JSON file")
     p_run.add_argument("--out", required=True, help="output report JSON file")
-    p_run.add_argument("--seed-override", type=int, default=None, help="replace the scenario seed")
     p_run.add_argument("--dump-dir", default=None, help="directory for per-set trajectory dumps")
     p_run.set_defaults(func=cmd_run)
 

@@ -189,9 +189,6 @@ class CrossingEvent:
     letter: BraidLetter
     order_before: tuple[int, ...] = field(repr=False)
 
-    def as_line(self) -> str:
-        return f"{self.time:.9g} {self.axis_angle:.9g} {self.i} {self.j} {self.letter}"
-
 
 def _perturbed_signs(diff: np.ndarray) -> np.ndarray:
     # Tie rule: for a pair (i, j) with i < j, a tied u counts robot i as

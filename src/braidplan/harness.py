@@ -277,19 +277,15 @@ def make_scenario(
     num_sets: int,
     seed: int,
     *,
-    config: WorkspaceConfig | None = None,
     m: int = 2,
-    gamma_bar: float = DEFAULT_GAMMA_BAR,
-    bias: float = DEFAULT_RUN_BIAS,
     max_expansions: int = DEFAULT_RUN_MAX_EXPANSIONS,
 ) -> Scenario:
     """A reproducible random scenario; bases coincide with the start poses."""
-    if config is None:
-        side = (n + 2) * 1.0
-        config = WorkspaceConfig(
-            xmin=0.0, xmax=side, ymin=0.0, ymax=side,
-            height=1.0, cell_size=1.0, d_safe=1.0, speed=1.0,
-        )
+    side = (n + 2) * 1.0
+    config = WorkspaceConfig(
+        xmin=0.0, xmax=side, ymin=0.0, ymax=side,
+        height=1.0, cell_size=1.0, d_safe=1.0, speed=1.0,
+    )
     rng = random.Random(seed)
     initial = random_targets(config, n, rng)
     target_sets = tuple(random_targets(config, n, rng) for _ in range(num_sets))
@@ -299,9 +295,7 @@ def make_scenario(
         initial_positions=initial,
         target_sets=target_sets,
         rng_seed=seed,
-        gamma_bar=gamma_bar,
         m=m,
-        bias=bias,
         max_expansions=max_expansions,
     )
 

@@ -244,10 +244,6 @@ class BraidTable:
             any(p.violated for p in self.pairs) or any(t.violated for t in self.triplets)
         )
 
-    @property
-    def fingerprint(self) -> int:
-        return self._hash
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, BraidTable):
             return NotImplemented
@@ -450,10 +446,6 @@ class GridNode:
             and self.pairs == other.pairs
             and self.trips == other.trips
         )
-
-    @property
-    def perms(self) -> PermutationState:
-        return PermutationState(self.pi1, self.pi2)
 
     @property
     def braids(self) -> BraidTable:
@@ -756,7 +748,6 @@ class PlanResult:
 # unwind stage.  Only active when the budget leaves room to recover.
 _STALL_LIMIT = 20_000
 _UNWIND_BUDGET = 30_000
-_UNWIND_PATIENCE = 3_000
 
 
 def _tangle(node: GridNode) -> int:
@@ -808,11 +799,7 @@ def _search(
         if stall_limit is not None and since_improve >= stall_limit:
             return None, expanded, generated, rejected, peak_open, "stalled"
         since_improve += 1
-        # A later stage's root arrives with an action taken in the previous
-        # stage; the commuting-order pruning must not refer to it because
-        # this stage cannot reach the states behind that boundary.
-        prune = node is not root or node.parent is None
-        children, braid_rejected = _expand(node, target, check_braids, prune)
+        children, braid_rejected = _expand(node, target, check_braids, True)
         rejected += braid_rejected
         generated += len(children)
         for child in children:
@@ -842,15 +829,14 @@ def _search(
 
 
 def _unwind(
-    root: GridNode, target: PermutationState, budget: int, patience: int
+    root: GridNode, target: PermutationState, budget: int
 ) -> tuple[GridNode, int, int, int, int]:
     """Best-first descent on recorded letters; returns the least tangled node.
 
     Carried braid words accumulated over earlier episodes can make the
     direct sort intractable; retracing crossings so the words cancel is
     cheap because every recorded letter keeps its undo move available.
-    The walk stops at zero letters, on a stretch of `patience` expansions
-    without improvement, or at the budget.
+    The walk stops at zero letters or at the budget.
     """
     seq = 0
     best = root
@@ -859,21 +845,17 @@ def _unwind(
     closed: set[GridNode] = set()
     expanded = generated = rejected = 0
     peak_open = 1
-    since = 0
 
-    while heap and expanded < budget and since < patience and best_t > 0:
+    while heap and expanded < budget and best_t > 0:
         tangle, _, _, node = heappop(heap)
         if node in closed:
             continue
         closed.add(node)
         expanded += 1
-        since += 1
         if tangle < best_t:
             best_t = tangle
             best = node
-            since = 0
-        prune = node is not root or node.parent is None
-        children, braid_rejected = _expand(node, target, True, prune)
+        children, braid_rejected = _expand(node, target, True, True)
         rejected += braid_rejected
         generated += len(children)
         for child in children:
@@ -954,9 +936,9 @@ def plan(
     the other axis's ranks stay fixed, so every crossing sign is a
     comparison under one fixed order, and each forbidden triplet word would
     need those comparisons to form a cycle (a > b > c > a).  That leg's
-    length is the inversion count, the shortest possible.  Only when the unwind stops
-    above zero tangle can a sort step be rejected; the guided search then
-    re-sorts from the unwound state instead.  The returned path covers all
+    length is the inversion count, the shortest possible.  Only when the
+    unwind stops above zero tangle can a sort step be rejected; the plan
+    then fails with reason "max_expansions".  The returned path covers all
     stages.  The fallback never runs with braid checks off.
     """
     if start.n != target.n:
@@ -977,7 +959,7 @@ def plan(
     if node is None and reason == "stalled":
         reason = "max_expansions"
         unwound, e2, g2, r2, p2 = _unwind(
-            root, target, min(_UNWIND_BUDGET, max_expansions - expanded), _UNWIND_PATIENCE
+            root, target, min(_UNWIND_BUDGET, max_expansions - expanded)
         )
         expanded += e2
         generated += g2
@@ -988,14 +970,6 @@ def plan(
             expanded += e3
             generated += g3
             rejected += r3
-        if node is None and expanded < max_expansions:
-            node, e3, g3, r3, p3, reason = _search(
-                unwound, target, True, bias, max_expansions - expanded, None
-            )
-            expanded += e3
-            generated += g3
-            rejected += r3
-            peak_open = max(peak_open, p3)
 
     if node is not None:
         path = []

@@ -96,16 +96,12 @@ def test_run_writes_report(tmp_path, capsys):
     assert report["all_tables_consistent"] is True
 
 
-def test_run_seed_override_and_dump(tmp_path):
+def test_run_dump_dir(tmp_path):
     sc_path, _ = _write_scenario(tmp_path)
     out = tmp_path / "report.json"
     dump = tmp_path / "dumps"
-    code = main([
-        "run", "--scenario", str(sc_path), "--out", str(out),
-        "--seed-override", "99", "--dump-dir", str(dump),
-    ])
+    code = main(["run", "--scenario", str(sc_path), "--out", str(out), "--dump-dir", str(dump)])
     assert code == EXIT_OK
-    assert json.loads(out.read_text())["seed"] == 99
     assert sorted(p.name for p in dump.iterdir()) == ["set_000.json", "set_001.json"]
 
 
@@ -114,6 +110,7 @@ def test_usage_errors_exit_1(tmp_path, capsys):
     sc_path, _ = _write_scenario(tmp_path)
     out = str(tmp_path / "report.json")
     assert main(["run", "--scenario", str(sc_path), "--out", out, "--jobs", "2"]) == EXIT_INPUT_ERROR
+    assert main(["run", "--scenario", str(sc_path), "--out", out, "--seed-override", "99"]) == EXIT_INPUT_ERROR
     assert main(["run", "--scenario", str(sc_path), "--out", out, "--bogus"]) == EXIT_INPUT_ERROR
     assert main([]) == EXIT_INPUT_ERROR
     assert main(["plan", "--scenario", str(sc_path), "--set-index", "abc", "--out", out]) == EXIT_INPUT_ERROR
@@ -193,6 +190,25 @@ def test_plot_paths_and_braid(tmp_path, capsys):
     code = main(["plot", str(plan_path), "--braid", "3", "--out", str(tmp_path / "no.svg")])
     assert code == EXIT_INPUT_ERROR
     capsys.readouterr()
+
+
+def test_plot_malformed_plan_file_exits_1(tmp_path, capsys):
+    sc_path, _ = _write_scenario(tmp_path)
+    plan_path = tmp_path / "plan.json"
+    main(["plan", "--scenario", str(sc_path), "--out", str(plan_path)])
+    doc = json.loads(plan_path.read_text())
+    broken = [
+        ("workspace", {}, "xmin"),
+        ("workspace", {**doc["workspace"], "xmin": "0"}, "xmin"),
+        ("bases", [[0, "x"]], "bases"),
+    ]
+    for key, value, named in broken:
+        bad = tmp_path / "bad_plan.json"
+        bad.write_text(json.dumps({**doc, key: value}))
+        capsys.readouterr()
+        assert main(["plot", str(bad), "--out", str(tmp_path / "bad.svg")]) == EXIT_INPUT_ERROR
+        assert named in capsys.readouterr().err
+    assert not (tmp_path / "bad.svg").exists()
 
 
 def test_console_script_help():

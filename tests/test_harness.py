@@ -10,9 +10,11 @@ angles.
 
 from __future__ import annotations
 
+import importlib.util
 import json
 import math
 import random
+from pathlib import Path
 
 import pytest
 
@@ -363,3 +365,17 @@ def test_run_task_sequence_odd_m_carries_grid_angle_tables(monkeypatch):
     assert metrics.final_braids == from_verifier
     assert metrics.final_braids == carried
     assert carried != BraidTable.identity(4)
+
+
+def test_bench_tracer_hooks_name_callables():
+    # bench/run.py --trace 1 wraps these names by getattr; a missing one
+    # would fail only there
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("bench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    assert tracing.HOOKS
+    for key, hooks in tracing.HOOKS.items():
+        module = importlib.import_module(f"braidplan.{key}")
+        for attr, _span in hooks:
+            assert callable(getattr(module, attr, None)), f"braidplan.{key}.{attr}"

@@ -421,7 +421,7 @@ def test_serialization_round_trip():
     table = plan(start, target).final_braids
     again = BraidTable.from_serializable(table.to_serializable())
     assert again == table
-    assert again.fingerprint == table.fingerprint
+    assert hash(again) == hash(table)
 
 
 # ---------------------------------------------------------------------------
@@ -439,10 +439,14 @@ def test_unwind_reaches_identity_table():
     carried = first.final_braids
     root = GridNode.root(mid, carried, start)
     assert _tangle(root) > 0
-    best, expanded, generated, rejected, peak = _unwind(root, start, 5000, 1000)
+    best, expanded, generated, rejected, peak = _unwind(root, start, 5000)
     assert _tangle(best) == 0
     assert expanded <= 5000
     assert best.g >= 1
+    # the budget stops the walk with tangle left
+    best, expanded, *_rest = _unwind(root, start, 1)
+    assert expanded == 1
+    assert best is root
 
 
 def test_search_reports_stall():
@@ -483,6 +487,19 @@ def test_axis_sort_from_clean_table_always_succeeds():
     for n in range(4, 11):
         for _ in range(30):
             check(_random_perms(rng, n), _random_perms(rng, n))
+
+
+def test_axis_sort_stops_on_rejected_step():
+    # the only axis-1 swap has sign -1, which a carried -1 sum cannot take
+    from braidplan.planner import _axis_sort
+
+    start = PermutationState.identity(2)
+    target = PermutationState((2, 1), (1, 2))
+    carried = BraidTable(2, 2, (pair_state(-1), pair_state(0)), ())
+    root = GridNode.root(start, carried, target)
+    node, expanded, generated, rejected = _axis_sort(root, target, 10)
+    assert node is None
+    assert (expanded, generated, rejected) == (1, 0, 2)
 
 
 def test_plan_stalled_query_recovers_by_axis_sort():
