@@ -70,13 +70,29 @@ def _require(data: dict, key: str, label: str) -> object:
     return data[key]
 
 
-def _number(data: dict, key: str, label: str) -> float:
-    value = _require(data, key, label)
+def _finite(value: object) -> float | None:
+    """A finite JSON number as a float, else None (so is an int too large for a float)."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise InputError(f"{label}: key '{key}' must be a number")
-    if not math.isfinite(value):
-        raise InputError(f"{label}: key '{key}' must be finite")
-    return float(value)
+        return None
+    try:
+        value = float(value)
+    except OverflowError:
+        return None
+    return value if math.isfinite(value) else None
+
+
+def _number(data: dict, key: str, label: str) -> float:
+    value = _finite(_require(data, key, label))
+    if value is None:
+        raise InputError(f"{label}: key '{key}' must be a finite number")
+    return value
+
+
+def _tuple_of_finite(entry: object, size: int) -> tuple[float, ...] | None:
+    if not isinstance(entry, list) or len(entry) != size:
+        return None
+    values = tuple(_finite(v) for v in entry)
+    return None if None in values else values
 
 
 def _points(value: object, key: str, label: str) -> tuple[tuple[float, float], ...]:
@@ -84,14 +100,10 @@ def _points(value: object, key: str, label: str) -> tuple[tuple[float, float], .
         raise InputError(f"{label}: key '{key}' must be a list of [x, y] pairs")
     out = []
     for entry in value:
-        if (
-            not isinstance(entry, list)
-            or len(entry) != 2
-            or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in entry)
-            or any(not math.isfinite(v) for v in entry)
-        ):
+        point = _tuple_of_finite(entry, 2)
+        if point is None:
             raise InputError(f"{label}: key '{key}' must be a list of finite [x, y] pairs")
-        out.append((float(entry[0]), float(entry[1])))
+        out.append(point)
     return tuple(out)
 
 
@@ -109,7 +121,6 @@ def load_scenario(path: str | Path) -> Scenario:
         xmax=_number(ws, "xmax", f"{label}: workspace"),
         ymin=_number(ws, "ymin", f"{label}: workspace"),
         ymax=_number(ws, "ymax", f"{label}: workspace"),
-        height=_number(ws, "height", f"{label}: workspace"),
         cell_size=_number(data, "cell_size", label),
         d_safe=_number(data, "d_safe", label),
         speed=_number(data, "speed", label),
@@ -131,10 +142,10 @@ def load_scenario(path: str | Path) -> Scenario:
     max_expansions = data.get("max_expansions", DEFAULT_RUN_MAX_EXPANSIONS)
     if isinstance(max_expansions, bool) or not isinstance(max_expansions, int):
         raise InputError(f"{label}: key 'max_expansions' must be an integer")
-    gamma_bar = data.get("gamma_bar", DEFAULT_GAMMA_BAR)
-    bias = data.get("bias", DEFAULT_RUN_BIAS)
+    gamma_bar = _finite(data.get("gamma_bar", DEFAULT_GAMMA_BAR))
+    bias = _finite(data.get("bias", DEFAULT_RUN_BIAS))
     for key, value in (("gamma_bar", gamma_bar), ("bias", bias)):
-        if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        if value is None:
             raise InputError(f"{label}: key '{key}' must be a finite number")
     return Scenario(
         config=config,
@@ -142,9 +153,9 @@ def load_scenario(path: str | Path) -> Scenario:
         initial_positions=initial,
         target_sets=target_sets,
         rng_seed=seed,
-        gamma_bar=float(gamma_bar),
+        gamma_bar=gamma_bar,
         m=m,
-        bias=float(bias),
+        bias=bias,
         max_expansions=max_expansions,
     )
 
@@ -155,7 +166,6 @@ def scenario_to_dict(scenario: Scenario) -> dict:
     return {
         "workspace": {
             "xmin": c.xmin, "xmax": c.xmax, "ymin": c.ymin, "ymax": c.ymax,
-            "height": c.height,
         },
         "cell_size": c.cell_size,
         "d_safe": c.d_safe,
@@ -186,13 +196,10 @@ def _trajectories_from_list(raw: object, label: str) -> list[Trajectory]:
             raise InputError(f"{label}: key 'waypoints' must be a non-empty list")
         waypoints = []
         for w in wps:
-            if (
-                not isinstance(w, list)
-                or len(w) != 3
-                or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in w)
-            ):
-                raise InputError(f"{label}: key 'waypoints' must hold [x, y, t] triples")
-            waypoints.append((float(w[0]), float(w[1]), float(w[2])))
+            waypoint = _tuple_of_finite(w, 3)
+            if waypoint is None:
+                raise InputError(f"{label}: key 'waypoints' must hold finite [x, y, t] triples")
+            waypoints.append(waypoint)
         out.append(Trajectory(robot_id=rid, waypoints=tuple(waypoints)))
     return out
 
@@ -234,7 +241,6 @@ def _plan_file_dict(
         "set_index": set_index,
         "workspace": {
             "xmin": c.xmin, "xmax": c.xmax, "ymin": c.ymin, "ymax": c.ymax,
-            "height": c.height,
         },
         "cell_size": c.cell_size,
         "d_safe": c.d_safe,
@@ -318,9 +324,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             f"trajectory file covers {len(trajectories)} robots; "
             f"the scenario declares {scenario.n}"
         )
-    report, _ = verify(
-        trajectories, scenario.angles, height=scenario.config.height
-    )
+    report, _ = verify(trajectories, scenario.angles)
     print(json.dumps(report.as_dict(), indent=2))
     return EXIT_OK if report.ok else EXIT_VIOLATION
 

@@ -1,10 +1,13 @@
 """Space-time lifting of timed paths and braid extraction by projection.
 
-A team's timed planar paths become ascending 3-D polylines by mapping time
-to height.  Projecting those polylines onto a vertical plane and recording
-every order swap of the projected strands yields a braid word per plane;
-the pair and triplet sub-words of that braid are what the planner and the
-verifier test for entangling patterns.
+A team's timed planar paths are lifted into space-time: each robot's
+cable is its path with time as the third, ascending coordinate.  The lift
+is only ever read in time order, so it needs no height: ``build_space_time``
+samples the whole team on one shared time grid.  Projecting the lifted
+strands onto a vertical plane and recording every order swap, in time
+order, yields a braid word per plane; the pair and triplet sub-words of
+that braid are what the planner and the verifier test for entangling
+patterns.
 
 Projection convention, fixed package-wide: for a plane at angle ``alpha``
 the projected horizontal coordinate of a point (x, y) is
@@ -34,7 +37,7 @@ from .errors import DegenerateInputError, InputError
 
 __all__ = [
     "Trajectory",
-    "SpaceTimeTrajectory",
+    "LiftedTeam",
     "ProjectionAxis",
     "CrossingEvent",
     "build_space_time",
@@ -93,62 +96,44 @@ class Trajectory:
 
 
 @dataclass(frozen=True, eq=False)
-class SpaceTimeTrajectory:
-    """A path lifted to 3-D, sampled on the team's shared event-time grid."""
+class LiftedTeam:
+    """A team's paths sampled on one shared event-time grid.
 
-    robot_id: int
-    xy: np.ndarray          # (G, 2) positions at grid times
-    z: np.ndarray           # (G,) heights, strictly increasing
-    grid_times: np.ndarray  # (G,) the shared time grid
-    horizon: float          # slowest arrival time across the team
-    height: float
+    Row k of ``xy`` is robot ``ids[k]``; ids ascend.
+    """
+
+    ids: tuple[int, ...]
+    grid: np.ndarray   # (G,) the union of all waypoint times
+    xy: np.ndarray     # (n, G, 2) positions at grid times
+    horizon: float     # slowest arrival time across the team
 
     def __post_init__(self) -> None:
+        self.grid.setflags(write=False)
         self.xy.setflags(write=False)
-        self.z.setflags(write=False)
-        self.grid_times.setflags(write=False)
-
-    @property
-    def points(self) -> tuple[tuple[float, float, float], ...]:
-        return tuple((float(x), float(y), float(z)) for (x, y), z in zip(self.xy, self.z))
 
 
-def build_space_time(paths: Sequence[Trajectory], height: float) -> list[SpaceTimeTrajectory]:
-    """Lift timed paths into 3-D with z = t * height / horizon.
+def build_space_time(paths: Sequence[Trajectory]) -> LiftedTeam:
+    """Sample every path on the union of all waypoint times.
 
-    Every output shares one time grid (the union of all waypoint times);
-    robots that arrive early are frozen at their final position.
+    Robots that arrive early are frozen at their final position.
     """
     if not paths:
         raise InputError("no trajectories to lift")
-    if height <= 0 or not math.isfinite(height):
-        raise InputError(f"height must be positive and finite, got {height}")
-    ids = [p.robot_id for p in paths]
+    paths = sorted(paths, key=lambda p: p.robot_id)
+    ids = tuple(p.robot_id for p in paths)
     if len(set(ids)) != len(ids):
         raise InputError("duplicate robot ids in trajectory list")
     horizon = max(p.arrival_time for p in paths)
     if horizon <= 0:
         raise InputError("the team horizon must be positive")
     grid = np.unique(np.concatenate([p.times() for p in paths]))
-    z = grid * (height / horizon)
-    out = []
-    for p in paths:
+    xy = np.empty((len(paths), len(grid), 2))
+    for row, p in enumerate(paths):
         ts = p.times()
         pts = p.positions()
-        xy = np.column_stack(
-            [np.interp(grid, ts, pts[:, 0]), np.interp(grid, ts, pts[:, 1])]
-        )
-        out.append(
-            SpaceTimeTrajectory(
-                robot_id=p.robot_id,
-                xy=xy,
-                z=z.copy(),
-                grid_times=grid.copy(),
-                horizon=float(horizon),
-                height=float(height),
-            )
-        )
-    return out
+        xy[row, :, 0] = np.interp(grid, ts, pts[:, 0])
+        xy[row, :, 1] = np.interp(grid, ts, pts[:, 1])
+    return LiftedTeam(ids, grid, xy, float(horizon))
 
 
 @dataclass(frozen=True)
@@ -183,7 +168,6 @@ class CrossingEvent:
     """
 
     time: float
-    axis_angle: float
     i: int
     j: int
     letter: BraidLetter
@@ -197,51 +181,36 @@ def _perturbed_signs(diff: np.ndarray) -> np.ndarray:
 
 
 def extract_crossings(
-    trajectories: Sequence[SpaceTimeTrajectory],
+    team: LiftedTeam,
     axis: ProjectionAxis,
     ties_out: list[tuple[int, int, float]] | None = None,
 ) -> list[CrossingEvent]:
     """All rank swaps of the projected strands, ordered by time.
 
-    Trajectories must share one grid (i.e. come from one ``build_space_time``
-    call).  Simultaneous events (within ``TIME_TOLERANCE`` of the horizon)
-    are resolved pair-lexicographically, always as adjacent-rank swaps.
-    If ``ties_out`` is given, exact coordinate ties that required the
-    symbolic perturbation are appended to it as (i, j, time).
+    Simultaneous events (within ``TIME_TOLERANCE`` of the horizon) are
+    resolved pair-lexicographically, always as adjacent-rank swaps.  If
+    ``ties_out`` is given, exact coordinate ties that required the symbolic
+    perturbation are appended to it as (i, j, time), pair by pair.
     """
-    if not trajectories:
-        raise InputError("no trajectories to project")
-    trajs = sorted(trajectories, key=lambda s: s.robot_id)
-    ids = [s.robot_id for s in trajs]
-    if len(set(ids)) != len(ids):
-        raise InputError("duplicate robot ids")
-    grid = trajs[0].grid_times
-    for s in trajs[1:]:
-        if len(s.grid_times) != len(grid) or not np.array_equal(s.grid_times, grid):
-            raise InputError("trajectories do not share a time grid; lift them together")
-    n = len(trajs)
-    if n < 2 or len(grid) < 2:
-        return []
+    ids, grid = team.ids, team.grid
+    U = axis.u(team.xy)       # (n, G)
+    D = axis.depth(team.xy)   # (n, G)
+    tol = TIME_TOLERANCE * team.horizon
 
-    U = np.stack([axis.u(s.xy) for s in trajs])       # (n, G)
-    D = np.stack([axis.depth(s.xy) for s in trajs])   # (n, G)
-    horizon = trajs[0].horizon
-    tol = TIME_TOLERANCE * horizon
-
-    candidates: list[tuple[float, int, int]] = []
-    for a in range(n):
-        for b in range(a + 1, n):
-            diff = U[a] - U[b]
-            signs = _perturbed_signs(diff)
-            if ties_out is not None and np.any(diff == 0.0):
-                for k in np.flatnonzero(diff == 0.0):
-                    ties_out.append((ids[a], ids[b], float(grid[k])))
-            flips = np.flatnonzero(signs[:-1] != signs[1:])
-            for k in flips:
-                f0, f1 = diff[k], diff[k + 1]
-                t = grid[k] + (grid[k + 1] - grid[k]) * (f0 / (f0 - f1))
-                candidates.append((float(t), ids[a], ids[b]))
-    candidates.sort()
+    rows_a, rows_b = np.triu_indices(len(ids), 1)
+    diff = U[rows_a] - U[rows_b]   # (pairs, G)
+    if ties_out is not None:
+        for p, k in zip(*np.nonzero(diff == 0.0)):
+            ties_out.append((ids[rows_a[p]], ids[rows_b[p]], float(grid[k])))
+    signs = _perturbed_signs(diff)
+    p, k = np.nonzero(signs[:, :-1] != signs[:, 1:])
+    f0, f1 = diff[p, k], diff[p, k + 1]
+    times = grid[k] + (grid[k + 1] - grid[k]) * (f0 / (f0 - f1))
+    candidates = sorted(zip(
+        times.tolist(),
+        [ids[r] for r in rows_a[p].tolist()],
+        [ids[r] for r in rows_b[p].tolist()],
+    ))
 
     # Running left-to-right order, seeded from the perturbed start ordering.
     id_row = {r: idx for idx, r in enumerate(ids)}
@@ -274,7 +243,6 @@ def extract_crossings(
             events.append(
                 CrossingEvent(
                     time=t,
-                    axis_angle=axis.angle,
                     i=min(a, b),
                     j=max(a, b),
                     letter=BraidLetter(rank[left] + 1, sign),

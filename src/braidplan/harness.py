@@ -30,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigurationError, InputError
+from .errors import ConfigurationError, DegenerateInputError, InputError
 from .geometry import ProjectionAxis, Trajectory, build_space_time, extract_crossings
 from .planner import AXIS_ANGLES, BraidTable, plan
 from .workspace import WorkspaceConfig, fold_crossings, map_path, ranks_from_positions
@@ -206,15 +206,15 @@ def verify(
     trajectories: list[Trajectory] | tuple[Trajectory, ...],
     angles: tuple[float, ...],
     tables: tuple[BraidTable, ...] | None = None,
-    *,
-    height: float = 1.0,
 ) -> tuple[EntanglementReport, tuple[BraidTable, ...]]:
     """Re-derive every pair and triplet braid from executed trajectories.
 
-    Independent of the planner: crossings are extracted afresh on every
-    angle in the check set and folded into per-angle braid tables (one
-    tracked axis each).  Passing the returned tables back in on the next
-    episode carries the cable state across the whole task sequence.
+    Independent of the planner: the team is lifted once, crossings are
+    extracted afresh on every angle in the check set and folded into
+    per-angle braid tables (one tracked axis each).  Passing the returned
+    tables back in on the next episode carries the cable state across the
+    whole task sequence.  Raises ``DegenerateInputError`` when some angle's
+    simultaneous crossings admit no order of adjacent swaps.
     """
     ids = sorted(t.robot_id for t in trajectories)
     n = len(ids)
@@ -232,7 +232,7 @@ def verify(
     if max(t.arrival_time for t in trajectories) <= 0.0:
         # Stationary team: no motion, no crossings, tables unchanged.
         return EntanglementReport(True, (), ()), tables
-    lifted = build_space_time(list(trajectories), height)
+    lifted = build_space_time(trajectories)
     violations: list[Violation] = []
     ties: list[tuple[float, int, int, float]] = []
     new_tables = []
@@ -284,7 +284,7 @@ def make_scenario(
     side = (n + 2) * 1.0
     config = WorkspaceConfig(
         xmin=0.0, xmax=side, ymin=0.0, ymax=side,
-        height=1.0, cell_size=1.0, d_safe=1.0, speed=1.0,
+        cell_size=1.0, d_safe=1.0, speed=1.0,
     )
     rng = random.Random(seed)
     initial = random_targets(config, n, rng)
@@ -306,7 +306,10 @@ class SetResult:
 
     set_index: int
     success: bool
-    reason: str  # "ok", "max_expansions", "exhausted", "violation", or "clearance"
+    # "ok", "max_expansions", "exhausted", "violation", "clearance", or
+    # "degenerate" (simultaneous crossings on some check angle could not be
+    # ordered into adjacent swaps, so the episode was not verified)
+    reason: str
     plan_time_s: float
     actions: int
     expanded: int
@@ -422,18 +425,24 @@ def run_task_sequence(scenario: Scenario, *, dump_dir: str | Path | None = None)
 
         trajectories = map_path(outcome.path, config, positions, targets)
         sim = simulate(trajectories, scenario.dt)
-        report, new_tables = verify(trajectories, angles, verifier_tables, height=config.height)
-        consistent = _planner_table(angles, new_tables) == outcome.final_braids
-        clearance_ok = sim.min_distance >= config.d_safe - 1e-9
-        success = report.ok and clearance_ok
-        reason = "ok" if success else ("violation" if not report.ok else "clearance")
-        # Ties count on the check set only, not on grid angles it lacks.
-        ties = sum(p[0] in scenario.angles for p in report.perturbations)
+        try:
+            report, new_tables = verify(trajectories, angles, verifier_tables)
+        except DegenerateInputError:
+            # The executed braids are unknown, so nothing can be checked.
+            success, reason, violations, ties, consistent = False, "degenerate", (), 0, True
+        else:
+            consistent = _planner_table(angles, new_tables) == outcome.final_braids
+            clearance_ok = sim.min_distance >= config.d_safe - 1e-9
+            success = report.ok and clearance_ok
+            reason = "ok" if success else ("violation" if not report.ok else "clearance")
+            violations = report.violations
+            # Ties count on the check set only, not on grid angles it lacks.
+            ties = sum(p[0] in scenario.angles for p in report.perturbations)
 
         result = SetResult(
             set_index, success, reason, plan_time, len(outcome.path) - 1,
             trace.expanded, trace.generated, trace.rejected_by_braid,
-            sim.min_distance, sim.horizon, report.violations, ties, consistent,
+            sim.min_distance, sim.horizon, violations, ties, consistent,
         )
         results.append(result)
         if dump_dir is not None:

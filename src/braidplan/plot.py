@@ -141,9 +141,9 @@ def render_braid_svg(
     horizon = max(t.arrival_time for t in trajs)
 
     if horizon > 0:
-        lifted = build_space_time(list(trajs), 1.0)
-        grid = lifted[0].grid_times
-        U = np.stack([axis.u(s.xy) for s in lifted])
+        lifted = build_space_time(trajs)
+        grid = lifted.grid
+        U = axis.u(lifted.xy)
         events = extract_crossings(lifted, axis)
     else:
         grid = np.array([0.0, 1.0])

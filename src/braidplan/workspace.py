@@ -78,19 +78,16 @@ class WorkspaceConfig:
     xmax: float
     ymin: float
     ymax: float
-    height: float
     cell_size: float
     d_safe: float
     speed: float
 
     def __post_init__(self) -> None:
-        for name in ("xmin", "xmax", "ymin", "ymax", "height", "cell_size", "d_safe", "speed"):
+        for name in ("xmin", "xmax", "ymin", "ymax", "cell_size", "d_safe", "speed"):
             if not math.isfinite(getattr(self, name)):
                 raise ConfigurationError(f"{name} must be finite")
         if self.xmax <= self.xmin or self.ymax <= self.ymin:
             raise ConfigurationError("workspace rectangle is empty")
-        if self.height <= 0:
-            raise ConfigurationError("height must be positive")
         if self.speed <= 0:
             raise ConfigurationError("speed must be positive")
         if self.d_safe <= 0:
@@ -276,21 +273,19 @@ def fold_crossings(
 def carry_over_braids(
     executed: list[Trajectory] | tuple[Trajectory, ...],
     previous: BraidTable,
-    *,
-    height: float = 1.0,
 ) -> BraidTable:
     """Fold an executed episode's crossings on both grid axes into a table.
 
-    Raises ``EntanglementAlarm`` on the first forbidden pattern (which a
-    correctly planned and executed episode cannot produce).  Braids only
-    depend on crossing order, so the lift height is arbitrary.
+    The episode is lifted once and projected on each grid axis.  Raises
+    ``EntanglementAlarm`` on the first forbidden pattern (which a correctly
+    planned and executed episode cannot produce).
     """
     ids = sorted(t.robot_id for t in executed)
     if ids != list(range(1, previous.n + 1)):
         raise InputError("executed trajectories must cover robots 1..n of the braid table")
     if previous.axes_count != len(GRID_AXES):
         raise InputError("carry-over needs a braid table over both grid axes")
-    lifted = build_space_time(list(executed), height)
+    lifted = build_space_time(executed)
     table = previous
     for axis_idx, axis in enumerate(GRID_AXES, start=1):
         table, forbidden = fold_crossings(extract_crossings(lifted, axis), table, axis_idx)

@@ -211,6 +211,52 @@ def test_plot_malformed_plan_file_exits_1(tmp_path, capsys):
     assert not (tmp_path / "bad.svg").exists()
 
 
+def test_oversized_json_integers_exit_1(tmp_path, capsys):
+    # 10**400 is valid JSON but too large for a float
+    huge = 10**400
+    sc_path, doc = _write_scenario(tmp_path)
+    plan_path = tmp_path / "plan.json"
+    main(["plan", "--scenario", str(sc_path), "--out", str(plan_path)])
+    plan_doc = json.loads(plan_path.read_text())
+
+    wide = tmp_path / "wide.json"
+    wide.write_text(json.dumps({**doc, "workspace": {**doc["workspace"], "xmin": huge}}))
+    far_base = tmp_path / "far_base.json"
+    far_base.write_text(json.dumps({**doc, "bases": [[huge, 0]] + doc["bases"][1:]}))
+    far_waypoint = tmp_path / "far_waypoint.json"
+    trajectories = plan_doc["trajectories"]
+    trajectories[0]["waypoints"][0][0] = huge
+    far_waypoint.write_text(json.dumps({**plan_doc, "trajectories": trajectories}))
+
+    out = str(tmp_path / "out")
+    for bad, named in ((wide, "xmin"), (far_base, "bases")):
+        for argv in (
+            ["plan", "--scenario", str(bad), "--out", out],
+            ["run", "--scenario", str(bad), "--out", out],
+            ["verify", str(plan_path), "--scenario", str(bad)],
+        ):
+            capsys.readouterr()
+            assert main(argv) == EXIT_INPUT_ERROR
+            assert named in capsys.readouterr().err
+    for argv in (
+        ["verify", str(far_waypoint), "--scenario", str(sc_path)],
+        ["plot", str(far_waypoint), "--out", out],
+        ["plot", str(far_waypoint), "--braid", "1", "--out", out],
+    ):
+        capsys.readouterr()
+        assert main(argv) == EXIT_INPUT_ERROR
+        assert "waypoints" in capsys.readouterr().err
+
+
+def test_scenario_file_with_legacy_height_loads(tmp_path):
+    # older scenario files carried an unused workspace.height
+    path, doc = _write_scenario(tmp_path)
+    legacy = tmp_path / "legacy.json"
+    legacy.write_text(json.dumps({**doc, "workspace": {**doc["workspace"], "height": 1.0}}))
+    assert "height" not in doc["workspace"]
+    assert load_scenario(legacy) == load_scenario(path)
+
+
 def test_console_script_help():
     exe = shutil.which("braidplan")
     assert exe is not None

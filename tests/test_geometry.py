@@ -13,10 +13,13 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from braidplan.errors import InputError
+from braidplan.errors import DegenerateInputError, InputError
 from braidplan.geometry import (
     CrossingEvent,
+    TIME_TOLERANCE,
     ProjectionAxis,
     Trajectory,
     build_space_time,
@@ -88,7 +91,7 @@ def _random_team(rng, n, waypoints=4, horizon=8.0):
 def _two_robot_fixture():
     r1 = Trajectory(1, ((0.0, 0.0, 0.0), (0.0, 1.0, 1.0)))
     r2 = Trajectory(2, ((1.0, 1.0, 0.0), (1.0, 0.0, 1.0)))
-    return build_space_time([r1, r2], height=1.0)
+    return build_space_time([r1, r2])
 
 
 def test_single_crossing_pinned():
@@ -106,7 +109,7 @@ def test_single_crossing_swapped_depth():
     # same picture with x coordinates exchanged: the left strand is in front
     r1 = Trajectory(1, ((1.0, 0.0, 0.0), (1.0, 1.0, 1.0)))
     r2 = Trajectory(2, ((0.0, 1.0, 0.0), (0.0, 0.0, 1.0)))
-    events = extract_crossings(build_space_time([r1, r2], 1.0), ProjectionAxis(0.0))
+    events = extract_crossings(build_space_time([r1, r2]), ProjectionAxis(0.0))
     assert len(events) == 1
     assert events[0].letter.index == 1 and events[0].letter.sign == 1
 
@@ -114,7 +117,7 @@ def test_single_crossing_swapped_depth():
 def test_no_crossing_parallel():
     r1 = Trajectory(1, ((0.0, 0.0, 0.0), (1.0, 0.0, 1.0)))
     r2 = Trajectory(2, ((0.0, 2.0, 0.0), (1.0, 2.0, 1.0)))
-    events = extract_crossings(build_space_time([r1, r2], 1.0), ProjectionAxis(0.0))
+    events = extract_crossings(build_space_time([r1, r2]), ProjectionAxis(0.0))
     assert events == []
 
 
@@ -124,7 +127,7 @@ def test_mirror_axis_flips_strand_indices():
     rng = random.Random(7)
     for _ in range(20):
         paths = _random_team(rng, 3)
-        lifted = build_space_time(paths, 2.0)
+        lifted = build_space_time(paths)
         axis = ProjectionAxis(rng.uniform(0, math.pi))
         fwd = extract_crossings(lifted, axis)
         back = extract_crossings(lifted, axis.mirror())
@@ -142,7 +145,7 @@ def test_crossings_match_oracle_random_teams():
     for trial in range(30):
         n = rng.randrange(2, 6)
         paths = _random_team(rng, n)
-        lifted = build_space_time(paths, 3.0)
+        lifted = build_space_time(paths)
         angle = rng.uniform(0, math.pi)
         axis = ProjectionAxis(angle)
         events = extract_crossings(lifted, axis)
@@ -190,7 +193,7 @@ def test_exact_tie_perturbation():
     r1 = Trajectory(1, ((0.0, 0.0, 0.0), (0.0, 1.0, 1.0)))
     r2 = Trajectory(2, ((1.0, 0.0, 0.0), (1.0, 2.0, 1.0)))
     ties: list[tuple[int, int, float]] = []
-    events = extract_crossings(build_space_time([r1, r2], 1.0), ProjectionAxis(0.0), ties)
+    events = extract_crossings(build_space_time([r1, r2]), ProjectionAxis(0.0), ties)
     assert events == []
     assert ties == [(1, 2, 0.0)]
 
@@ -200,10 +203,61 @@ def test_exact_tie_crossing_downward():
     r1 = Trajectory(1, ((0.0, 0.0, 0.0), (0.0, 2.0, 1.0)))
     r2 = Trajectory(2, ((1.0, 0.0, 0.0), (1.0, 1.0, 1.0)))
     ties: list[tuple[int, int, float]] = []
-    events = extract_crossings(build_space_time([r1, r2], 1.0), ProjectionAxis(0.0), ties)
+    events = extract_crossings(build_space_time([r1, r2]), ProjectionAxis(0.0), ties)
     assert len(events) == 1
     assert events[0].time == 0.0
     assert ties == [(1, 2, 0.0)]
+
+
+_LATTICE_PATH = st.lists(
+    st.tuples(st.integers(-2, 2), st.integers(-2, 2)), min_size=2, max_size=5
+)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    paths=st.lists(_LATTICE_PATH, min_size=2, max_size=5),
+    angle=st.sampled_from((0.0, math.pi / 4, math.pi / 2, 3 * math.pi / 4, math.pi, 1.0)),
+)
+def test_extract_crossings_lattice_property(paths, angle):
+    """Integer waypoints at integer times make exact ties and simultaneous
+    crossings common.  Extraction either replays the start order into the
+    final order by adjacent swaps or refuses the input as degenerate, and
+    the tie records are exactly the zero-difference grid samples."""
+    team = [
+        Trajectory(rid, tuple((float(x), float(y), float(t)) for t, (x, y) in enumerate(path)))
+        for rid, path in enumerate(paths, start=1)
+    ]
+    ids = range(1, len(team) + 1)
+    horizon = max(p.arrival_time for p in team)
+    grid = [float(t) for t in range(int(horizon) + 1)]
+    ties: list[tuple[int, int, float]] = []
+    try:
+        events = extract_crossings(build_space_time(team), ProjectionAxis(angle), ties)
+    except DegenerateInputError:
+        return
+
+    expected_ties = [
+        (a, b, t)
+        for a in ids
+        for b in ids
+        if a < b
+        for t in grid
+        if _u_of(team[a - 1], t, angle) == _u_of(team[b - 1], t, angle)
+    ]
+    assert ties == expected_ties
+
+    order = sorted(ids, key=lambda r: (_u_of(team[r - 1], 0.0, angle), r))
+    for ev in events:
+        assert 0.0 <= ev.time <= horizon
+        assert ev.order_before == tuple(order)
+        k = ev.letter.index - 1
+        assert {order[k], order[k + 1]} == {ev.i, ev.j}
+        order[k], order[k + 1] = order[k + 1], order[k]
+    assert order == sorted(ids, key=lambda r: (_u_of(team[r - 1], horizon, angle), r))
+    # simultaneous events are ordered by rank, not by time
+    tol = TIME_TOLERANCE * horizon
+    assert all(e1.time <= e2.time + tol for e1, e2 in zip(events, events[1:]))
 
 
 # ---------------------------------------------------------------------------
@@ -216,7 +270,7 @@ def _three_robot_fixture():
     r1 = Trajectory(1, ((0.0, 0.0, 0.0), (0.0, 3.0, 1.0), (0.0, 0.0, 2.0)))
     r2 = Trajectory(2, ((5.0, -9.0, 0.0), (5.0, -9.0, 2.0)))
     r3 = Trajectory(3, ((1.0, 2.0, 0.0), (1.0, -1.0, 1.0), (1.0, 2.0, 2.0)))
-    return build_space_time([r1, r3, r2], height=1.0)
+    return build_space_time([r1, r3, r2])
 
 
 def test_sub_events_reindex_to_pair_rank():
@@ -256,7 +310,7 @@ def test_sub_events_validation():
 def test_sub_events_triplet_counts():
     rng = random.Random(9)
     paths = _random_team(rng, 4)
-    lifted = build_space_time(paths, 2.0)
+    lifted = build_space_time(paths)
     events = extract_crossings(lifted, ProjectionAxis(1.0))
     for subset in ((1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4)):
         members = set(subset)
@@ -277,17 +331,14 @@ def test_sub_events_triplet_counts():
 def test_build_space_time_shared_grid_and_heights():
     r1 = Trajectory(1, ((0.0, 0.0, 0.0), (1.0, 0.0, 2.0)))
     r2 = Trajectory(2, ((3.0, 3.0, 0.0), (3.0, 4.0, 1.0), (4.0, 4.0, 4.0)))
-    lifted = build_space_time([r1, r2], height=2.0)
-    grid = [0.0, 1.0, 2.0, 4.0]
-    for st in lifted:
-        assert list(st.grid_times) == grid
-        assert st.horizon == 4.0
-        assert list(st.z) == [t * 2.0 / 4.0 for t in grid]
-        assert all(b > a for a, b in zip(st.z, st.z[1:]))
+    lifted = build_space_time([r2, r1])
+    assert lifted.ids == (1, 2)
+    assert list(lifted.grid) == [0.0, 1.0, 2.0, 4.0]
+    assert lifted.horizon == 4.0
+    assert lifted.xy.shape == (2, 4, 2)
     # early arriver frozen at its final position past t = 2
-    frozen = lifted[0]
-    assert tuple(frozen.xy[-1]) == (1.0, 0.0)
-    assert frozen.points[-1] == (1.0, 0.0, 2.0)
+    assert [tuple(p) for p in lifted.xy[0]] == [(0.0, 0.0), (0.5, 0.0), (1.0, 0.0), (1.0, 0.0)]
+    assert [tuple(p) for p in lifted.xy[1, [0, 1, 3]]] == [(3.0, 3.0), (3.0, 4.0), (4.0, 4.0)]
 
 
 def test_trajectory_interpolation_and_length():
@@ -312,22 +363,11 @@ def test_trajectory_validation():
 def test_build_space_time_validation():
     tr = Trajectory(1, ((0.0, 0.0, 0.0), (1.0, 1.0, 1.0)))
     with pytest.raises(InputError):
-        build_space_time([], 1.0)
+        build_space_time([])
     with pytest.raises(InputError):
-        build_space_time([tr], 0.0)
+        build_space_time([tr, Trajectory(1, ((0.0, 0.0, 0.0), (2.0, 2.0, 1.0)))])
     with pytest.raises(InputError):
-        build_space_time([tr, Trajectory(1, ((0.0, 0.0, 0.0), (2.0, 2.0, 1.0)))], 1.0)
-    with pytest.raises(InputError):
-        build_space_time([Trajectory(1, ((0.0, 0.0, 0.0),))], 1.0)
-
-
-def test_extract_requires_shared_grid():
-    r1 = Trajectory(1, ((0.0, 0.0, 0.0), (1.0, 0.0, 1.0)))
-    r2 = Trajectory(2, ((2.0, 0.0, 0.0), (2.0, 1.0, 2.0)))
-    a = build_space_time([r1], 1.0)[0]
-    b = build_space_time([r2], 1.0)[0]
-    with pytest.raises(InputError):
-        extract_crossings([a, b], ProjectionAxis(0.0))
+        build_space_time([Trajectory(1, ((0.0, 0.0, 0.0),))])
 
 
 def test_projection_convention():

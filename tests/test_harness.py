@@ -43,7 +43,7 @@ from braidplan.workspace import (
 def _config(side: float = 12.0) -> WorkspaceConfig:
     return WorkspaceConfig(
         xmin=0.0, xmax=side, ymin=0.0, ymax=side,
-        height=1.0, cell_size=1.0, d_safe=1.0, speed=1.0,
+        cell_size=1.0, d_safe=1.0, speed=1.0,
     )
 
 
@@ -110,7 +110,7 @@ def test_verify_clean_episode_agrees_with_planner():
     config = _config()
     angles = (0.0, math.pi / 2, math.pi)
     result, trajectories = _planned_trajectories(rng, 4, config)
-    report, tables = verify(trajectories, angles, height=config.height)
+    report, tables = verify(trajectories, angles)
     assert report.ok
     assert report.violations == ()
     final = result.final_braids
@@ -221,7 +221,7 @@ def test_random_targets_spacing_and_determinism():
 
 
 def test_random_targets_gives_up():
-    tight = WorkspaceConfig(0, 2, 0, 2, height=1, cell_size=1, d_safe=1, speed=1)
+    tight = WorkspaceConfig(0, 2, 0, 2, cell_size=1, d_safe=1, speed=1)
     with pytest.raises(ConfigurationError):
         random_targets(tight, 50, random.Random(32), max_attempts=200)
 
@@ -365,6 +365,35 @@ def test_run_task_sequence_odd_m_carries_grid_angle_tables(monkeypatch):
     assert metrics.final_braids == from_verifier
     assert metrics.final_braids == carried
     assert carried != BraidTable.identity(4)
+
+
+def test_run_task_sequence_degenerate_episode_fails_and_continues(monkeypatch):
+    # at m = 4 the diagonal check angles can see simultaneous crossings that
+    # no order of adjacent swaps explains; such an episode fails and the
+    # team state it started from carries on to the next one
+    calls = []
+    real_verify = harness.verify
+
+    def recording_verify(trajectories, angles, tables):
+        calls.append((trajectories, tables))
+        return real_verify(trajectories, angles, tables)
+
+    monkeypatch.setattr(harness, "verify", recording_verify)
+    scenario = make_scenario(5, 20, 0, m=4)
+    metrics = run_task_sequence(scenario)
+    assert metrics.sets_total == 20
+    assert metrics.successes > 0
+    executed = [r for r in metrics.results if r.reason not in ("max_expansions", "exhausted")]
+    assert len(executed) == len(calls)
+    degenerate = [k for k, r in enumerate(executed) if r.reason == "degenerate"]
+    assert degenerate
+    for k in degenerate:
+        assert not executed[k].success
+        assert executed[k].violations == ()
+        if k + 1 < len(calls):
+            (before, tables), (after, next_tables) = calls[k], calls[k + 1]
+            assert next_tables == tables
+            assert [t.waypoints[0][:2] for t in after] == [t.waypoints[0][:2] for t in before]
 
 
 def test_bench_tracer_hooks_name_callables():

@@ -128,7 +128,7 @@ def test_letters_match_geometric_extraction():
         n = rng.choice((3, 4, 5))
         perms = _random_perms(rng, n)
         action = rng.choice(action_space(perms))
-        lifted = build_space_time(_swap_trajectories(perms, action), height=1.0)
+        lifted = build_space_time(_swap_trajectories(perms, action))
         same = extract_crossings(lifted, ProjectionAxis(AXIS_ANGLES[action.axis - 1]))
         other = extract_crossings(lifted, ProjectionAxis(AXIS_ANGLES[2 - action.axis]))
         assert other == []

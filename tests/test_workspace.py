@@ -29,7 +29,7 @@ from braidplan.workspace import (
 def _config(side: float = 12.0) -> WorkspaceConfig:
     return WorkspaceConfig(
         xmin=0.0, xmax=side, ymin=0.0, ymax=side,
-        height=1.0, cell_size=1.0, d_safe=1.0, speed=1.0,
+        cell_size=1.0, d_safe=1.0, speed=1.0,
     )
 
 
@@ -107,13 +107,11 @@ def test_config_validation():
     with pytest.raises(ConfigurationError):
         _config(-1.0)
     with pytest.raises(ConfigurationError):
-        WorkspaceConfig(0, 10, 0, 10, height=1, cell_size=0.5, d_safe=1.0, speed=1)
+        WorkspaceConfig(0, 10, 0, 10, cell_size=0.5, d_safe=1.0, speed=1)
     with pytest.raises(ConfigurationError):
-        WorkspaceConfig(0, 10, 0, 10, height=0, cell_size=1, d_safe=1, speed=1)
+        WorkspaceConfig(0, 10, 0, 10, cell_size=1, d_safe=1, speed=0)
     with pytest.raises(ConfigurationError):
-        WorkspaceConfig(0, 10, 0, 10, height=1, cell_size=1, d_safe=1, speed=0)
-    with pytest.raises(ConfigurationError):
-        WorkspaceConfig(0, 10, 0, 10, height=1, cell_size=math.inf, d_safe=1, speed=1)
+        WorkspaceConfig(0, 10, 0, 10, cell_size=math.inf, d_safe=1, speed=1)
 
 
 # ---------------------------------------------------------------------------
