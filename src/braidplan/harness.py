@@ -43,6 +43,7 @@ from .workspace import carry_over_braids  # noqa: F401
 
 __all__ = [
     "DEFAULT_GAMMA_BAR",
+    "MAX_M",
     "Scenario",
     "Violation",
     "EntanglementReport",
@@ -65,6 +66,11 @@ DEFAULT_GAMMA_BAR = 0.51 * math.pi
 # worst-case memory for a sequence of hundreds of searches.
 DEFAULT_RUN_BIAS = 3.0
 DEFAULT_RUN_MAX_EXPANSIONS = 250_000
+
+# Largest accepted number of check angles.  Every angle of A(m) costs one
+# crossing extraction and one table fold per episode, so an unbounded m makes
+# a run linear in m; at this bound neighbouring angles are one degree apart.
+MAX_M = 180
 
 
 def _check_spread(points: tuple[Point, ...], config: WorkspaceConfig, label: str) -> None:
@@ -98,6 +104,8 @@ class Scenario:
             raise ConfigurationError("bases and initial positions must have equal length")
         if self.m < 1 or self.m != int(self.m):
             raise ConfigurationError("m must be a positive integer")
+        if self.m > MAX_M:
+            raise ConfigurationError(f"m = {self.m} exceeds the largest check set, m = {MAX_M}")
         if not 0.0 < self.gamma_bar <= math.pi:
             raise ConfigurationError("gamma_bar must lie in (0, pi]")
         if self.m <= math.pi / self.gamma_bar:

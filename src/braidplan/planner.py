@@ -416,10 +416,7 @@ class GridNode:
     can never merge distinct states.
     """
 
-    __slots__ = (
-        "pi1", "pi2", "pairs", "trips", "fp", "g", "hsum",
-        "parent", "action", "seq", "_kh",
-    )
+    __slots__ = ("pi1", "pi2", "pairs", "trips", "fp", "g", "hsum", "parent", "action", "_kh")
 
     def __init__(self, pi1, pi2, pairs, trips, fp, g, hsum, parent, action):
         self.pi1 = pi1
@@ -431,7 +428,6 @@ class GridNode:
         self.hsum = hsum
         self.parent = parent
         self.action = action
-        self.seq = 0
         self._kh = hash((pi1, pi2, fp))
 
     def __hash__(self) -> int:
@@ -452,26 +448,17 @@ class GridNode:
         return BraidTable(len(self.pi1), 2, self.pairs, self.trips)
 
     @classmethod
-    def root(
-        cls,
-        perms: PermutationState,
-        braids: BraidTable,
-        target: PermutationState,
-        check_braids: bool = True,
-    ) -> "GridNode":
+    def root(cls, perms: PermutationState, braids: BraidTable, target: PermutationState) -> "GridNode":
         if braids.n != perms.n or braids.axes_count != 2:
             raise InputError("braid table does not match the team or the two grid axes")
         if not braids.is_clean:
             raise InputError("initial braid table already holds a violated state")
-        psalts = _slot_salts(0, len(braids.pairs))
-        tsalts = _slot_salts(1, len(braids.triplets))
+        pord, _tord, psalts, tsalts = _lookups(perms.n)
         fp = 0
         for slot, st in enumerate(braids.pairs):
             fp ^= (psalts[slot] * (hash(st) | 1)) & _MARK_MASK
         for slot, st in enumerate(braids.triplets):
             fp ^= (tsalts[slot] * (st._hash | 1)) & _MARK_MASK
-        n = perms.n
-        pord = _pair_ord(n)
         n_pairs = len(pord)
         hsum = 0
         for (a, b), o in pord.items():
@@ -479,27 +466,29 @@ class GridNode:
             o2 = 1 if perms.pi2[a - 1] < perms.pi2[b - 1] else -1
             t1 = 1 if target.pi1[a - 1] < target.pi1[b - 1] else -1
             t2 = 1 if target.pi2[a - 1] < target.pi2[b - 1] else -1
-            if check_braids:
-                s1 = braids.pairs[o].exponent_sum
-                s2 = braids.pairs[n_pairs + o].exponent_sum
-                hsum += _PAIR_DIST[(o1, o2, s1, s2, t1, t2)]
-            else:
-                hsum += (o1 != t1) + (o2 != t2)
+            s1 = braids.pairs[o].exponent_sum
+            s2 = braids.pairs[n_pairs + o].exponent_sum
+            hsum += _PAIR_DIST[(o1, o2, s1, s2, t1, t2)]
         return cls(perms.pi1, perms.pi2, braids.pairs, braids.triplets, fp, 0, hsum, None, None)
 
 
-def expand(node: GridNode, target: PermutationState, check_braids: bool = True) -> list[GridNode]:
+@lru_cache(maxsize=None)
+def _lookups(n: int) -> tuple:
+    """Pair and triplet slot orders and fingerprint salts of a two-axis table."""
+    pord, tord = _pair_ord(n), _trip_ord(n)
+    return pord, tord, _slot_salts(0, 2 * len(pord)), _slot_salts(1, 2 * len(tord))
+
+
+def expand(node: GridNode, target: PermutationState) -> list[GridNode]:
     """Children of a node, silently dropping braid-violating moves.
 
     Every child's braid table shares all entries with its parent except the
     one pair and the n-2 triplet states touched on the swap axis.
     """
-    return _expand(node, target, check_braids, False)[0]
+    return _expand(node, target, False)[0]
 
 
-def _expand(
-    node: GridNode, target: PermutationState, check_braids: bool, prune: bool
-) -> tuple[list[GridNode], int]:
+def _expand(node: GridNode, target: PermutationState, prune: bool) -> tuple[list[GridNode], int]:
     """Expansion core; returns (children, braid-rejected action count).
 
     With ``prune`` set, two kinds of provably redundant successors are
@@ -511,14 +500,7 @@ def _expand(
     the already-closed parent state.
     """
     n = len(node.pi1)
-    n_pairs = len(_pair_ord(n))
-    n_trips = len(_trip_ord(n))
-    pord = _pair_ord(n)
-    tord = _trip_ord(n)
-    t1, t2 = target.pi1, target.pi2
-    node_pairs, node_trips = node.pairs, node.trips
-    psalts = _slot_salts(0, len(node_pairs))
-    tsalts = _slot_salts(1, len(node_trips))
+    lookups = _lookups(n)
     children: list[GridNode] = []
     braid_rejected = 0
 
@@ -528,102 +510,106 @@ def _expand(
         pa_key = (pa.axis, pa_a, pa_b)
 
     for axis in (1, 2):
-        ranks = node.pi1 if axis == 1 else node.pi2
-        other = node.pi2 if axis == 1 else node.pi1
         inv = [0] * (n + 1)
-        for robot0, r in enumerate(ranks):
+        for robot0, r in enumerate(node.pi1 if axis == 1 else node.pi2):
             inv[r] = robot0 + 1
-        base = (axis - 1) * n_pairs
-        tbase = (axis - 1) * n_trips
         for k in range(1, n):
             i, j = inv[k], inv[k + 1]
-            if axis == 1:
-                sign = 1 if other[i - 1] > other[j - 1] else -1
-            else:
-                sign = 1 if other[i - 1] < other[j - 1] else -1
-
-            a, b = (i, j) if i < j else (j, i)
             if pa is not None:
+                a, b = (i, j) if i < j else (j, i)
                 if a == pa_a and b == pa_b:
                     if axis == pa.axis:
                         continue
                 elif a != pa_a and a != pa_b and b != pa_a and b != pa_b:
                     if (axis, a, b) < pa_key:
                         continue
-            po = pord[(a, b)]
-            o1 = 1 if node.pi1[a - 1] < node.pi1[b - 1] else -1
-            o2 = 1 if node.pi2[a - 1] < node.pi2[b - 1] else -1
-            to1 = 1 if t1[a - 1] < t1[b - 1] else -1
-            to2 = 1 if t2[a - 1] < t2[b - 1] else -1
-
-            fp = node.fp
-            if check_braids:
-                pslot = base + po
-                pstate = node_pairs[pslot]
-                new_pair, ok = _PAIR_STEP[(pstate.exponent_sum, sign)]
-                if not ok:
-                    braid_rejected += 1
-                    continue
-                s1 = node_pairs[po].exponent_sum
-                s2 = node_pairs[n_pairs + po].exponent_sum
-                before = _PAIR_DIST[(o1, o2, s1, s2, to1, to2)]
-                if axis == 1:
-                    after = _PAIR_DIST[(-o1, o2, new_pair.exponent_sum, s2, to1, to2)]
-                else:
-                    after = _PAIR_DIST[(o1, -o2, s1, new_pair.exponent_sum, to1, to2)]
-                if after >= _INF:
-                    # This pair could never reach its target orders again.
-                    braid_rejected += 1
-                    continue
-                trip_changes: list[tuple[int, TripletBraidState]] = []
-                valid = True
-                for t in range(1, n + 1):
-                    if t == i or t == j:
-                        continue
-                    ids = (t, a, b) if t < a else (a, t, b) if t < b else (a, b, t)
-                    slot = tbase + tord[ids]
-                    st = node_trips[slot]
-                    ls = (2 if ranks[t - 1] < k else 1, sign)
-                    hit = st._trans.get(ls)
-                    if hit is None:
-                        hit = update_triplet(st, _LETTERS[ls])
-                    new_trip, ok = hit
-                    if not ok:
-                        valid = False
-                        break
-                    trip_changes.append((slot, new_trip))
-                if not valid:
-                    braid_rejected += 1
-                    continue
-                pairs = list(node_pairs)
-                pairs[pslot] = new_pair
-                fp ^= (psalts[pslot] * (hash(pstate) | 1)) & _MARK_MASK
-                fp ^= (psalts[pslot] * (hash(new_pair) | 1)) & _MARK_MASK
-                trips = list(node_trips)
-                for slot, st in trip_changes:
-                    fp ^= (tsalts[slot] * (trips[slot]._hash | 1)) & _MARK_MASK
-                    fp ^= (tsalts[slot] * (st._hash | 1)) & _MARK_MASK
-                    trips[slot] = st
-                pairs_t, trips_t = tuple(pairs), tuple(trips)
+            child = _child(node, target, axis, k, i, j, lookups)
+            if child is None:
+                braid_rejected += 1
             else:
-                before = (o1 != to1) + (o2 != to2)
-                if axis == 1:
-                    after = (-o1 != to1) + (o2 != to2)
-                else:
-                    after = (o1 != to1) + (-o2 != to2)
-                pairs_t, trips_t = node.pairs, node.trips
-
-            new_ranks = list(ranks)
-            new_ranks[i - 1], new_ranks[j - 1] = k + 1, k
-            new_ranks = tuple(new_ranks)
-            pi1, pi2 = (new_ranks, node.pi2) if axis == 1 else (node.pi1, new_ranks)
-            children.append(
-                GridNode(
-                    pi1, pi2, pairs_t, trips_t, fp,
-                    node.g + 1, node.hsum - before + after, node, SwapAction(axis, i, j),
-                )
-            )
+                children.append(child)
     return children, braid_rejected
+
+
+def _child(
+    node: GridNode, target: PermutationState, axis: int, k: int, i: int, j: int, lookups
+) -> GridNode | None:
+    """The node reached by swapping robots i and j, ranked k and k + 1 on
+    ``axis``, or None when a braid check rejects the move: the pair's
+    exponent sum would leave +-1 or a triplet word would become forbidden.
+
+    A move the pair check allows never strands the pair: the reverse swap
+    undoes every automaton step, so a pair with a finite distance to its
+    target orders keeps one, and ``plan`` refuses roots with an
+    unreachable pair.  ``lookups`` is ``_lookups(n)``, fetched once per
+    expansion by the caller.
+    """
+    pord, tord, psalts, tsalts = lookups
+    n_pairs = len(pord)
+    pi1, pi2 = node.pi1, node.pi2
+    if axis == 1:
+        ranks = pi1
+        sign = 1 if pi2[i - 1] > pi2[j - 1] else -1
+        pbase = tbase = 0
+    else:
+        ranks = pi2
+        sign = 1 if pi1[i - 1] < pi1[j - 1] else -1
+        pbase, tbase = n_pairs, len(tord)
+    node_pairs, node_trips = node.pairs, node.trips
+
+    a, b = (i, j) if i < j else (j, i)
+    po = pord[(a, b)]
+    pslot = pbase + po
+    pstate = node_pairs[pslot]
+    new_pair, ok = _PAIR_STEP[(pstate.exponent_sum, sign)]
+    if not ok:
+        return None
+    o1 = 1 if pi1[a - 1] < pi1[b - 1] else -1
+    o2 = 1 if pi2[a - 1] < pi2[b - 1] else -1
+    to1 = 1 if target.pi1[a - 1] < target.pi1[b - 1] else -1
+    to2 = 1 if target.pi2[a - 1] < target.pi2[b - 1] else -1
+    s1 = node_pairs[po].exponent_sum
+    s2 = node_pairs[n_pairs + po].exponent_sum
+    before = _PAIR_DIST[(o1, o2, s1, s2, to1, to2)]
+    if axis == 1:
+        after = _PAIR_DIST[(-o1, o2, new_pair.exponent_sum, s2, to1, to2)]
+    else:
+        after = _PAIR_DIST[(o1, -o2, s1, new_pair.exponent_sum, to1, to2)]
+
+    trip_changes: list[tuple[int, TripletBraidState]] = []
+    for t in range(1, len(pi1) + 1):
+        if t == i or t == j:
+            continue
+        ids = (t, a, b) if t < a else (a, t, b) if t < b else (a, b, t)
+        slot = tbase + tord[ids]
+        st = node_trips[slot]
+        ls = (2 if ranks[t - 1] < k else 1, sign)
+        hit = st._trans.get(ls)
+        if hit is None:
+            hit = update_triplet(st, _LETTERS[ls])
+        new_trip, ok = hit
+        if not ok:
+            return None
+        trip_changes.append((slot, new_trip))
+
+    fp = node.fp
+    pairs = list(node_pairs)
+    pairs[pslot] = new_pair
+    fp ^= (psalts[pslot] * (hash(pstate) | 1)) & _MARK_MASK
+    fp ^= (psalts[pslot] * (hash(new_pair) | 1)) & _MARK_MASK
+    trips = list(node_trips)
+    for slot, st in trip_changes:
+        fp ^= (tsalts[slot] * (trips[slot]._hash | 1)) & _MARK_MASK
+        fp ^= (tsalts[slot] * (st._hash | 1)) & _MARK_MASK
+        trips[slot] = st
+    new_ranks = list(ranks)
+    new_ranks[i - 1], new_ranks[j - 1] = k + 1, k
+    new_ranks = tuple(new_ranks)
+    pi1, pi2 = (new_ranks, pi2) if axis == 1 else (pi1, new_ranks)
+    return GridNode(
+        pi1, pi2, tuple(pairs), tuple(trips), fp,
+        node.g + 1, node.hsum - before + after, node, SwapAction(axis, i, j),
+    )
 
 
 def _transport_penalty(node: GridNode, target: PermutationState) -> int:
@@ -640,8 +626,7 @@ def _transport_penalty(node: GridNode, target: PermutationState) -> int:
     that robot must travel to the allowed side first (or, when both sides
     are forbidden, the triplet word itself must change, priced at a large
     constant).  Summing the corresponding rank distances gives those
-    detours a downhill gradient.  Guidance only, not a lower bound; used
-    solely when braid checks are on.
+    detours a downhill gradient.  Guidance only, not a lower bound.
     """
     n = len(node.pi1)
     pord = _pair_ord(n)
@@ -743,10 +728,9 @@ class PlanResult:
     trace: SearchTrace
 
 
-# A direct search that makes no heuristic progress for this many expansions
-# is considered stuck against carried cable tangle and falls back to the
-# unwind stage.  Only active when the budget leaves room to recover.
-_STALL_LIMIT = 20_000
+# Expansions the direct search may spend before a query counts as stuck
+# against carried cable tangle and falls back to the unwind stage.
+_DIRECT_BUDGET = 20_000
 _UNWIND_BUDGET = 30_000
 
 
@@ -761,30 +745,20 @@ def _tangle(node: GridNode) -> int:
 
 
 def _search(
-    root: GridNode,
-    target: PermutationState,
-    check_braids: bool,
-    bias: float,
-    budget: int,
-    stall_limit: int | None,
+    root: GridNode, target: PermutationState, bias: float, budget: int
 ) -> tuple[GridNode | None, int, int, int, int, str]:
     """One best-first stage ordered by g + h.
 
     Returns (goal node or None, expanded, generated, rejected, peak open
-    size, reason).  Reason "stalled" is only produced with a stall limit:
-    no new global best of (h, hsum) for that many expansions.
+    size, reason).
     """
-    h0 = root.hsum * bias
-    if check_braids:
-        h0 = (root.hsum + _transport_penalty(root, target)) * bias
+    h0 = (root.hsum + _transport_penalty(root, target)) * bias
     heap: list[tuple[float, float, int, GridNode]] = [(root.g + h0, h0, 0, root)]
     g_best = {root: root.g}
     closed: set[GridNode] = set()
     seq = 0
     expanded = generated = rejected = 0
     peak_open = 1
-    best_key = (h0, root.hsum)
-    since_improve = 0
 
     while heap:
         _, _, _, node = heappop(heap)
@@ -796,10 +770,7 @@ def _search(
             return node, expanded, generated, rejected, peak_open, "goal"
         if expanded >= budget:
             return None, expanded, generated, rejected, peak_open, "max_expansions"
-        if stall_limit is not None and since_improve >= stall_limit:
-            return None, expanded, generated, rejected, peak_open, "stalled"
-        since_improve += 1
-        children, braid_rejected = _expand(node, target, check_braids, True)
+        children, braid_rejected = _expand(node, target, True)
         rejected += braid_rejected
         generated += len(children)
         for child in children:
@@ -810,16 +781,7 @@ def _search(
                 continue
             g_best[child] = child.g
             seq += 1
-            child.seq = seq
-            if check_braids:
-                h = (child.hsum + _transport_penalty(child, target)) * bias
-            else:
-                h = child.hsum * bias
-            if stall_limit is not None:
-                key = (h, child.hsum)
-                if key < best_key:
-                    best_key = key
-                    since_improve = 0
+            h = (child.hsum + _transport_penalty(child, target)) * bias
             # ties on f then h pop newest first, diving across plateaus
             heappush(heap, (child.g + h, h, -seq, child))
         if len(heap) > peak_open:
@@ -855,7 +817,7 @@ def _unwind(
         if tangle < best_t:
             best_t = tangle
             best = node
-        children, braid_rejected = _expand(node, target, True, True)
+        children, braid_rejected = _expand(node, target, True)
         rejected += braid_rejected
         generated += len(children)
         for child in children:
@@ -872,7 +834,7 @@ def _unwind(
 def _axis_sort(
     root: GridNode, target: PermutationState, budget: int
 ) -> tuple[GridNode | None, int, int, int]:
-    """Bubble-sort axis 1, then axis 2, into target order through ``_expand``.
+    """Bubble-sort axis 1, then axis 2, into target order through ``_child``.
 
     Each step swaps the lowest rank-adjacent pair that is out of target
     order on the current axis, so every move keeps all braid checks.
@@ -882,33 +844,26 @@ def _axis_sort(
     shortest possible (see ``plan``).
     """
     n = len(root.pi1)
+    lookups = _lookups(n)
     node = root
-    expanded = generated = rejected = 0
+    expanded = generated = 0
     for axis, goal in ((1, target.pi1), (2, target.pi2)):
         while True:
             inv = [0] * (n + 1)
             for robot0, r in enumerate(node.pi1 if axis == 1 else node.pi2):
                 inv[r] = robot0 + 1
-            move = next(
-                (
-                    SwapAction(axis, inv[k], inv[k + 1])
-                    for k in range(1, n)
-                    if goal[inv[k] - 1] > goal[inv[k + 1] - 1]
-                ),
-                None,
-            )
-            if move is None:
+            k = next((k for k in range(1, n) if goal[inv[k] - 1] > goal[inv[k + 1] - 1]), None)
+            if k is None:
                 break
             if expanded >= budget:
-                return None, expanded, generated, rejected
-            children, braid_rejected = _expand(node, target, True, False)
+                return None, expanded, generated, 0
             expanded += 1
-            generated += len(children)
-            rejected += braid_rejected
-            node = next((c for c in children if c.action == move), None)
-            if node is None:
-                return None, expanded, generated, rejected
-    return node, expanded, generated, rejected
+            child = _child(node, target, axis, k, inv[k], inv[k + 1], lookups)
+            if child is None:
+                return None, expanded, generated, 1
+            generated += 1
+            node = child
+    return node, expanded, generated, 0
 
 
 def plan(
@@ -927,49 +882,56 @@ def plan(
     statistics.  Ties on f are broken by lower h, then newest node first,
     so results are deterministic.
 
-    A direct search that stops making heuristic progress against heavily
-    tangled carried-over braids falls back to unwinding the recorded words
-    toward identity and then sorting axis 1, then axis 2, by swapping
-    rank-adjacent robots that are out of target order (``_axis_sort``).
-    From a zero-tangle table that sort cannot fail: each pair crosses at
-    most once per axis, so no pair sum leaves +-1; while one axis is sorted
-    the other axis's ranks stay fixed, so every crossing sign is a
-    comparison under one fixed order, and each forbidden triplet word would
-    need those comparisons to form a cycle (a > b > c > a).  That leg's
-    length is the inversion count, the shortest possible.  Only when the
-    unwind stops above zero tangle can a sort step be rejected; the plan
-    then fails with reason "max_expansions".  The returned path covers all
-    stages.  The fallback never runs with braid checks off.
+    The direct best-first search gets at most ``_DIRECT_BUDGET`` of the
+    ``max_expansions`` budget.  A query it cannot solve within that is
+    taken to be stuck against heavily tangled carried-over braids, and the
+    rest of the budget goes to unwinding the recorded words toward identity
+    and then sorting axis 1, then axis 2, by swapping rank-adjacent robots
+    that are out of target order (``_axis_sort``).  From a zero-tangle
+    table that sort cannot fail: each pair crosses at most once per axis,
+    so no pair sum leaves +-1; while one axis is sorted the other axis's
+    ranks stay fixed, so every crossing sign is a comparison under one
+    fixed order, and each forbidden triplet word would need those
+    comparisons to form a cycle (a > b > c > a).  That leg's length is the
+    inversion count, the shortest possible.  Only when the unwind stops
+    above zero tangle can a sort step be rejected; the plan then fails
+    with reason "max_expansions".  The returned path covers all stages.
+
+    With ``check_braids`` off, ``braids`` and ``bias`` are ignored: the
+    plan is that axis sort from a clean table, a shortest path on the bare
+    permutation grid, and ``final_braids`` is the clean table with the
+    path's crossings folded in.
     """
     if start.n != target.n:
         raise InputError("start and target describe different team sizes")
-    if braids is None:
-        braids = BraidTable.identity(start.n)
-    root = GridNode.root(start, braids, target, check_braids)
-    if root.hsum >= _INF:
-        # Some pair's carried-over cable state makes its target order
-        # provably unreachable; no amount of search can help.
-        return PlanResult((), None, SearchTrace(0, 0, 0, 0, "exhausted"))
-
-    stall = _STALL_LIMIT if check_braids and max_expansions > _STALL_LIMIT else None
-    node, expanded, generated, rejected, peak_open, reason = _search(
-        root, target, check_braids, bias, max_expansions, stall
-    )
-
-    if node is None and reason == "stalled":
-        reason = "max_expansions"
-        unwound, e2, g2, r2, p2 = _unwind(
-            root, target, min(_UNWIND_BUDGET, max_expansions - expanded)
+    if not check_braids:
+        root = GridNode.root(start, BraidTable.identity(start.n), target)
+        node, expanded, generated, rejected = _axis_sort(root, target, max_expansions)
+        peak_open, reason = 0, "max_expansions"
+    else:
+        if braids is None:
+            braids = BraidTable.identity(start.n)
+        root = GridNode.root(start, braids, target)
+        if root.hsum >= _INF:
+            # Some pair's carried-over cable state makes its target order
+            # provably unreachable; no amount of search can help.
+            return PlanResult((), None, SearchTrace(0, 0, 0, 0, "exhausted"))
+        node, expanded, generated, rejected, peak_open, reason = _search(
+            root, target, bias, min(_DIRECT_BUDGET, max_expansions)
         )
-        expanded += e2
-        generated += g2
-        rejected += r2
-        peak_open = max(peak_open, p2)
-        if expanded < max_expansions:
-            node, e3, g3, r3 = _axis_sort(unwound, target, max_expansions - expanded)
-            expanded += e3
-            generated += g3
-            rejected += r3
+        if node is None and reason == "max_expansions" and expanded < max_expansions:
+            unwound, e2, g2, r2, p2 = _unwind(
+                root, target, min(_UNWIND_BUDGET, max_expansions - expanded)
+            )
+            expanded += e2
+            generated += g2
+            rejected += r2
+            peak_open = max(peak_open, p2)
+            if expanded < max_expansions:
+                node, e3, g3, r3 = _axis_sort(unwound, target, max_expansions - expanded)
+                expanded += e3
+                generated += g3
+                rejected += r3
 
     if node is not None:
         path = []

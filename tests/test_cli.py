@@ -17,7 +17,8 @@ from braidplan.cli import (
     main,
     scenario_to_dict,
 )
-from braidplan.harness import make_scenario
+from braidplan.errors import ConfigurationError
+from braidplan.harness import MAX_M, make_scenario
 from braidplan.planner import BraidTable
 
 
@@ -246,6 +247,20 @@ def test_oversized_json_integers_exit_1(tmp_path, capsys):
         capsys.readouterr()
         assert main(argv) == EXIT_INPUT_ERROR
         assert "waypoints" in capsys.readouterr().err
+
+
+def test_scenario_m_above_bound_exits_1(tmp_path, capsys):
+    path, _ = _write_scenario(tmp_path, m=1_000_000_000)
+    with pytest.raises(ConfigurationError, match="m = 1000000000"):
+        load_scenario(path)
+    code = main(["run", "--scenario", str(path), "--out", str(tmp_path / "run.json")])
+    assert code == EXIT_INPUT_ERROR
+    assert "m = 1000000000" in capsys.readouterr().err
+    path, _ = _write_scenario(tmp_path, m=MAX_M)
+    assert load_scenario(path).m == MAX_M
+    path, _ = _write_scenario(tmp_path, m=MAX_M + 1)
+    with pytest.raises(ConfigurationError):
+        load_scenario(path)
 
 
 def test_scenario_file_with_legacy_height_loads(tmp_path):
