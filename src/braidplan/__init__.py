@@ -18,7 +18,7 @@ Layers, bottom up:
   braid bookkeeping.
 * ``workspace``: the grid-to-workspace mapping, trajectory synthesis,
   and braid carryover between planning episodes.
-* ``harness``: scenario running, separation sampling, and the
+* ``harness``: scenario running, exact separation checks, and the
   independent multi-angle verifier.
 * ``cli`` and ``plot``: file contracts, subcommands, and SVG output.
 

@@ -374,8 +374,10 @@ class TripletBraidState:
 # Interning canonicalizes triplet states by their group element.  Different
 # reduced words can name the same element (s1 s2 s1 = s2 s1 s2), so the key is
 # the Burau matrix, never the word; the stored word is one witness for it.
+# The table is never cleared: every state's ``_trans`` cache keeps its
+# successors reachable from the identity state anyway, and re-interning an
+# element would give it a new witness word.
 _TRIPLET_INTERN: dict[tuple[LaurentMatrix, bool], TripletBraidState] = {}
-_TRIPLET_INTERN_LIMIT = 1 << 17
 
 
 def _intern_triplet(
@@ -384,8 +386,6 @@ def _intern_triplet(
     key = (matrix, violated)
     state = _TRIPLET_INTERN.get(key)
     if state is None:
-        if len(_TRIPLET_INTERN) >= _TRIPLET_INTERN_LIMIT:
-            _TRIPLET_INTERN.clear()
         state = TripletBraidState(letters, matrix, violated)
         _TRIPLET_INTERN[key] = state
     return state

@@ -20,14 +20,7 @@ from pathlib import Path
 
 from .errors import InputError
 from .geometry import Trajectory
-from .harness import (
-    DEFAULT_GAMMA_BAR,
-    DEFAULT_RUN_BIAS,
-    DEFAULT_RUN_MAX_EXPANSIONS,
-    Scenario,
-    run_task_sequence,
-    verify,
-)
+from .harness import DEFAULT_GAMMA_BAR, Scenario, run_task_sequence, verify
 from .planner import AXIS_ANGLES, BraidTable, plan
 from .plot import render_braid_svg, render_paths_svg
 from .workspace import WorkspaceConfig, map_path, ranks_from_positions
@@ -108,7 +101,11 @@ def _points(value: object, key: str, label: str) -> tuple[tuple[float, float], .
 
 
 def load_scenario(path: str | Path) -> Scenario:
-    """Parse and validate a scenario file; errors name the offending key."""
+    """Parse and validate a scenario file; errors name the offending key.
+
+    Keys that older files carry and nothing reads any more, such as
+    ``workspace.height`` and the planner's former tuning knobs, are ignored.
+    """
     label = "scenario file"
     data = _load_json(path, label)
     if not isinstance(data, dict):
@@ -139,14 +136,9 @@ def load_scenario(path: str | Path) -> Scenario:
     seed = data.get("seed", 0)
     if isinstance(seed, bool) or not isinstance(seed, int):
         raise InputError(f"{label}: key 'seed' must be an integer")
-    max_expansions = data.get("max_expansions", DEFAULT_RUN_MAX_EXPANSIONS)
-    if isinstance(max_expansions, bool) or not isinstance(max_expansions, int):
-        raise InputError(f"{label}: key 'max_expansions' must be an integer")
     gamma_bar = _finite(data.get("gamma_bar", DEFAULT_GAMMA_BAR))
-    bias = _finite(data.get("bias", DEFAULT_RUN_BIAS))
-    for key, value in (("gamma_bar", gamma_bar), ("bias", bias)):
-        if value is None:
-            raise InputError(f"{label}: key '{key}' must be a finite number")
+    if gamma_bar is None:
+        raise InputError(f"{label}: key 'gamma_bar' must be a finite number")
     return Scenario(
         config=config,
         bases=bases,
@@ -155,8 +147,6 @@ def load_scenario(path: str | Path) -> Scenario:
         rng_seed=seed,
         gamma_bar=gamma_bar,
         m=m,
-        bias=bias,
-        max_expansions=max_expansions,
     )
 
 
@@ -176,8 +166,6 @@ def scenario_to_dict(scenario: Scenario) -> dict:
         "seed": scenario.rng_seed,
         "gamma_bar": scenario.gamma_bar,
         "m": scenario.m,
-        "bias": scenario.bias,
-        "max_expansions": scenario.max_expansions,
     }
 
 
@@ -268,13 +256,7 @@ def cmd_plan(args: argparse.Namespace) -> int:
     start_perms = ranks_from_positions(scenario.initial_positions)
     target_perms = ranks_from_positions(targets)
     t0 = time.perf_counter()
-    outcome = plan(
-        start_perms,
-        target_perms,
-        BraidTable.identity(scenario.n),
-        bias=scenario.bias,
-        max_expansions=scenario.max_expansions,
-    )
+    outcome = plan(start_perms, target_perms, BraidTable.identity(scenario.n))
     plan_time = time.perf_counter() - t0
     if not outcome.path:
         print(f"no path found ({outcome.trace.reason}), "

@@ -1,8 +1,8 @@
-"""Scenario running, motion sampling, and the independent cable verifier.
+"""Scenario running, separation checks, and the independent cable verifier.
 
 A scenario fixes the workspace, the team's bases and start positions, and
 a sequence of target sets.  ``run_task_sequence`` plans each set in turn,
-realizes the plan as timed trajectories, samples the motion for minimum
+realizes the plan as timed trajectories, computes their exact minimum
 separation, and verifies the cables from scratch: the verifier re-extracts
 crossings from the executed trajectories on every projection angle of the
 check set, plus the grid angles (pi/2, 0) when the check set lacks them,
@@ -61,12 +61,6 @@ Point = tuple[float, float]
 
 DEFAULT_GAMMA_BAR = 0.51 * math.pi
 
-# Experiment-runner defaults.  A stronger greed than the planner's own default
-# keeps long carried-over episode sequences fast, and the expansion cap bounds
-# worst-case memory for a sequence of hundreds of searches.
-DEFAULT_RUN_BIAS = 3.0
-DEFAULT_RUN_MAX_EXPANSIONS = 250_000
-
 # Largest accepted number of check angles.  Every angle of A(m) costs one
 # crossing extraction and one table fold per episode, so an unbounded m makes
 # a run linear in m; at this bound neighbouring angles are one degree apart.
@@ -93,8 +87,6 @@ class Scenario:
     rng_seed: int = 0
     gamma_bar: float = DEFAULT_GAMMA_BAR
     m: int = 2
-    bias: float = DEFAULT_RUN_BIAS
-    max_expansions: int = DEFAULT_RUN_MAX_EXPANSIONS
 
     def __post_init__(self) -> None:
         n = len(self.initial_positions)
@@ -113,10 +105,6 @@ class Scenario:
                 f"m = {self.m} check angles leave gaps wider than gamma_bar; "
                 f"need m > {math.pi / self.gamma_bar:.3f}"
             )
-        if self.bias <= 0:
-            raise ConfigurationError("bias must be positive")
-        if self.max_expansions < 1:
-            raise ConfigurationError("max_expansions must be positive")
         self.config.validate_grid(n)
         for p in self.bases:
             if not self.config.contains(p):
@@ -134,12 +122,11 @@ class Scenario:
     @property
     def angles(self) -> tuple[float, ...]:
         """The projection check set A(m): m + 1 evenly spaced angles."""
-        return tuple(i * math.pi / self.m for i in range(self.m + 1))
-
-    @property
-    def dt(self) -> float:
-        """Separation sampling step: a tenth of a cell of travel."""
-        return self.config.cell_size / (10.0 * self.config.speed)
+        # i * pi / m misses the grid angle pi/2 at i = m/2 by one ulp for some m.
+        return tuple(
+            AXIS_ANGLES[0] if 2 * i == self.m else i * math.pi / self.m
+            for i in range(self.m + 1)
+        )
 
 
 @dataclass(frozen=True)
@@ -179,7 +166,7 @@ class EntanglementReport:
 
 @dataclass(frozen=True)
 class SimulationResult:
-    """Sampled minimum separation of the executed motion."""
+    """Minimum separation of the executed motion, and where it occurs."""
 
     min_distance: float
     time: float
@@ -187,27 +174,31 @@ class SimulationResult:
     horizon: float
 
 
-def simulate(trajectories: list[Trajectory] | tuple[Trajectory, ...], dt: float) -> SimulationResult:
-    """Sample all pairwise distances on waypoint times plus a dt raster."""
-    if dt <= 0 or not math.isfinite(dt):
-        raise InputError("dt must be positive and finite")
+def simulate(trajectories: list[Trajectory] | tuple[Trajectory, ...]) -> SimulationResult:
+    """Exact minimum pairwise distance: between consecutive waypoint times
+    of the team every robot moves linearly, so each pair's closest approach
+    in such a window has a closed form."""
     trajs = sorted(trajectories, key=lambda t: t.robot_id)
     if len(trajs) < 2:
         horizon = trajs[0].arrival_time if trajs else 0.0
         return SimulationResult(math.inf, 0.0, (0, 0), horizon)
-    grid = np.unique(np.concatenate([t.times() for t in trajs]))
+    paths = [(t.times(), t.positions()) for t in trajs]
+    grid = np.unique(np.concatenate([times for times, _ in paths]))
     horizon = float(grid[-1])
-    raster = np.arange(0.0, horizon, dt)
-    ts = np.unique(np.concatenate([grid, raster]))
-    xs = np.stack([np.interp(ts, t.times(), t.positions()[:, 0]) for t in trajs])
-    ys = np.stack([np.interp(ts, t.times(), t.positions()[:, 1]) for t in trajs])
-    best = (math.inf, 0.0, (0, 0))
-    for a, b in itertools.combinations(range(len(trajs)), 2):
-        d = np.hypot(xs[a] - xs[b], ys[a] - ys[b])
-        k = int(np.argmin(d))
-        if d[k] < best[0]:
-            best = (float(d[k]), float(ts[k]), (trajs[a].robot_id, trajs[b].robot_id))
-    return SimulationResult(best[0], best[1], best[2], horizon)
+    # A stationary team has one waypoint time: one window of length zero.
+    ts = grid if len(grid) > 1 else np.repeat(grid, 2)
+    xy = np.array([[np.interp(ts, times, pts[:, c]) for c in (0, 1)] for times, pts in paths])
+    a, b = np.array(list(itertools.combinations(range(len(trajs)), 2))).T
+    rel = xy[a] - xy[b]  # (pairs, 2, times)
+    begin, step = rel[..., :-1], rel[..., 1:] - rel[..., :-1]
+    sq = (step * step).sum(axis=1)
+    s = np.clip(-(begin * step).sum(axis=1) / np.where(sq > 0.0, sq, 1.0), 0.0, 1.0)
+    closest = begin + s[:, None] * step
+    dist = np.hypot(closest[:, 0], closest[:, 1])
+    pair, w = np.unravel_index(int(np.argmin(dist)), dist.shape)
+    when = float(ts[w] + s[pair, w] * (ts[w + 1] - ts[w]))
+    ids = (trajs[a[pair]].robot_id, trajs[b[pair]].robot_id)
+    return SimulationResult(float(dist[pair, w]), when, ids, horizon)
 
 
 def verify(
@@ -286,7 +277,6 @@ def make_scenario(
     seed: int,
     *,
     m: int = 2,
-    max_expansions: int = DEFAULT_RUN_MAX_EXPANSIONS,
 ) -> Scenario:
     """A reproducible random scenario; bases coincide with the start poses."""
     side = (n + 2) * 1.0
@@ -304,7 +294,6 @@ def make_scenario(
         target_sets=target_sets,
         rng_seed=seed,
         m=m,
-        max_expansions=max_expansions,
     )
 
 
@@ -413,13 +402,7 @@ def run_task_sequence(scenario: Scenario, *, dump_dir: str | Path | None = None)
         start_perms = ranks_from_positions(positions)
         target_perms = ranks_from_positions(targets)
         t0 = time.perf_counter()
-        outcome = plan(
-            start_perms,
-            target_perms,
-            _planner_table(angles, verifier_tables),
-            bias=scenario.bias,
-            max_expansions=scenario.max_expansions,
-        )
+        outcome = plan(start_perms, target_perms, _planner_table(angles, verifier_tables))
         plan_time = time.perf_counter() - t0
         trace = outcome.trace
 
@@ -432,7 +415,7 @@ def run_task_sequence(scenario: Scenario, *, dump_dir: str | Path | None = None)
             continue
 
         trajectories = map_path(outcome.path, config, positions, targets)
-        sim = simulate(trajectories, scenario.dt)
+        sim = simulate(trajectories)
         try:
             report, new_tables = verify(trajectories, angles, verifier_tables)
         except DegenerateInputError:

@@ -64,9 +64,6 @@ __all__ = [
 # workspace theta mapping and the verifier rely on these exact values.
 AXIS_ANGLES: tuple[float, float] = (math.pi / 2, 0.0)
 
-DEFAULT_BIAS = 1.5
-DEFAULT_MAX_EXPANSIONS = 2_000_000
-
 
 @dataclass(frozen=True)
 class PermutationState:
@@ -163,7 +160,7 @@ def braid_letter_for_action(
     return BraidLetter(index, _swap_sign(action.axis, perms, action.i, action.j))
 
 
-def heuristic(perms: PermutationState, target: PermutationState, bias: float = DEFAULT_BIAS) -> float:
+def heuristic(perms: PermutationState, target: PermutationState, bias: float = 1.5) -> float:
     """Biased half-Manhattan rank distance; admissible at bias 1."""
     total = 0
     for a, b in zip(perms.pi1, target.pi1):
@@ -728,8 +725,13 @@ class PlanResult:
     trace: SearchTrace
 
 
-# Expansions the direct search may spend before a query counts as stuck
-# against carried cable tangle and falls back to the unwind stage.
+# One search stage's outcome: the node it reached (None if it gave up) and its trace.
+_Stage = tuple[GridNode | None, SearchTrace]
+
+# The direct search orders nodes by g + _WEIGHT * (hsum + _transport_penalty)
+# and gets _DIRECT_BUDGET expansions before a query counts as stuck against
+# carried cable tangle; the unwind stage then gets _UNWIND_BUDGET more.
+_WEIGHT = 3.0
 _DIRECT_BUDGET = 20_000
 _UNWIND_BUDGET = 30_000
 
@@ -744,16 +746,16 @@ def _tangle(node: GridNode) -> int:
     return total
 
 
-def _search(
-    root: GridNode, target: PermutationState, bias: float, budget: int
-) -> tuple[GridNode | None, int, int, int, int, str]:
-    """One best-first stage ordered by g + h.
+def _best_first(root: GridNode, target: PermutationState, key, done, budget: int) -> _Stage:
+    """Expand nodes in ascending ``key(node)`` order until one is ``done``.
 
-    Returns (goal node or None, expanded, generated, rejected, peak open
-    size, reason).
+    Ties on the key pop the newest node first, diving across plateaus, so
+    the result is deterministic.  A child is queued only when it improves
+    on the best g seen for its state.  Stops with the done node (reason
+    "goal"), with None after ``budget`` expansions ("max_expansions"), or
+    with None once the queue runs dry ("exhausted").
     """
-    h0 = (root.hsum + _transport_penalty(root, target)) * bias
-    heap: list[tuple[float, float, int, GridNode]] = [(root.g + h0, h0, 0, root)]
+    heap: list[tuple] = [(*key(root), 0, root)]
     g_best = {root: root.g}
     closed: set[GridNode] = set()
     seq = 0
@@ -761,92 +763,68 @@ def _search(
     peak_open = 1
 
     while heap:
-        _, _, _, node = heappop(heap)
+        node = heappop(heap)[-1]
         if node in closed:
             continue
         closed.add(node)
         expanded += 1
-        if node.pi1 == target.pi1 and node.pi2 == target.pi2:
-            return node, expanded, generated, rejected, peak_open, "goal"
+        if done(node):
+            return node, SearchTrace(expanded, generated, rejected, peak_open, "goal")
         if expanded >= budget:
-            return None, expanded, generated, rejected, peak_open, "max_expansions"
+            return None, SearchTrace(expanded, generated, rejected, peak_open, "max_expansions")
         children, braid_rejected = _expand(node, target, True)
         rejected += braid_rejected
         generated += len(children)
         for child in children:
-            if child in closed:
-                continue
-            old = g_best.get(child)
-            if old is not None and old <= child.g:
+            if child in closed or g_best.get(child, _INF) <= child.g:
                 continue
             g_best[child] = child.g
             seq += 1
-            h = (child.hsum + _transport_penalty(child, target)) * bias
-            # ties on f then h pop newest first, diving across plateaus
-            heappush(heap, (child.g + h, h, -seq, child))
+            heappush(heap, (*key(child), -seq, child))
         if len(heap) > peak_open:
             peak_open = len(heap)
 
-    return None, expanded, generated, rejected, peak_open, "exhausted"
+    return None, SearchTrace(expanded, generated, rejected, peak_open, "exhausted")
 
 
-def _unwind(
-    root: GridNode, target: PermutationState, budget: int
-) -> tuple[GridNode, int, int, int, int]:
-    """Best-first descent on recorded letters; returns the least tangled node.
+def _search(root: GridNode, target: PermutationState, budget: int) -> _Stage:
+    """The direct stage: best-first to the target by f = g + h, ties on lower h."""
+
+    def key(node: GridNode) -> tuple[float, float]:
+        h = _WEIGHT * (node.hsum + _transport_penalty(node, target))
+        return node.g + h, h
+
+    return _best_first(
+        root, target, key, lambda node: node.pi1 == target.pi1 and node.pi2 == target.pi2, budget
+    )
+
+
+def _unwind(root: GridNode, target: PermutationState, budget: int) -> _Stage:
+    """Best-first descent on recorded letters to a zero-tangle node.
 
     Carried braid words accumulated over earlier episodes can make the
-    direct sort intractable; retracing crossings so the words cancel is
+    direct search intractable; retracing crossings so the words cancel is
     cheap because every recorded letter keeps its undo move available.
-    The walk stops at zero letters or at the budget.
     """
-    seq = 0
-    best = root
-    best_t = _tangle(root)
-    heap = [(best_t, root.g, 0, root)]
-    closed: set[GridNode] = set()
-    expanded = generated = rejected = 0
-    peak_open = 1
-
-    while heap and expanded < budget and best_t > 0:
-        tangle, _, _, node = heappop(heap)
-        if node in closed:
-            continue
-        closed.add(node)
-        expanded += 1
-        if tangle < best_t:
-            best_t = tangle
-            best = node
-        children, braid_rejected = _expand(node, target, True)
-        rejected += braid_rejected
-        generated += len(children)
-        for child in children:
-            if child in closed:
-                continue
-            seq += 1
-            heappush(heap, (_tangle(child), child.g, -seq, child))
-        if len(heap) > peak_open:
-            peak_open = len(heap)
-
-    return best, expanded, generated, rejected, peak_open
+    return _best_first(
+        root, target, lambda node: (_tangle(node), node.g), lambda node: _tangle(node) == 0, budget
+    )
 
 
-def _axis_sort(
-    root: GridNode, target: PermutationState, budget: int
-) -> tuple[GridNode | None, int, int, int]:
+def _axis_sort(root: GridNode, target: PermutationState) -> _Stage:
     """Bubble-sort axis 1, then axis 2, into target order through ``_child``.
 
     Each step swaps the lowest rank-adjacent pair that is out of target
-    order on the current axis, so every move keeps all braid checks.
-    Returns (goal node or None, expanded, generated, rejected); None means a
-    swap was rejected or the budget ran out.  From a zero-tangle table no
-    swap is ever rejected and the path length is the inversion count, the
-    shortest possible (see ``plan``).
+    order on the current axis, so every move keeps all braid checks and
+    the walk is at most the inversion count long.  Returns None when a
+    swap is rejected.  From a zero-tangle table no swap ever is, and the
+    path length is the inversion count, the shortest possible (see
+    ``plan``).
     """
     n = len(root.pi1)
     lookups = _lookups(n)
     node = root
-    expanded = generated = 0
+    expanded = 0
     for axis, goal in ((1, target.pi1), (2, target.pi2)):
         while True:
             inv = [0] * (n + 1)
@@ -855,15 +833,23 @@ def _axis_sort(
             k = next((k for k in range(1, n) if goal[inv[k] - 1] > goal[inv[k + 1] - 1]), None)
             if k is None:
                 break
-            if expanded >= budget:
-                return None, expanded, generated, 0
             expanded += 1
             child = _child(node, target, axis, k, inv[k], inv[k + 1], lookups)
             if child is None:
-                return None, expanded, generated, 1
-            generated += 1
+                return None, SearchTrace(expanded, expanded - 1, 1, 0, "max_expansions")
             node = child
-    return node, expanded, generated, 0
+    return node, SearchTrace(expanded, expanded, 0, 0, "goal")
+
+
+def _chain(stages: list[SearchTrace], reason: str) -> SearchTrace:
+    """One record for consecutive stages: summed counts, the largest queue."""
+    return SearchTrace(
+        sum(t.expanded for t in stages),
+        sum(t.generated for t in stages),
+        sum(t.rejected_by_braid for t in stages),
+        max(t.peak_open for t in stages),
+        reason,
+    )
 
 
 def plan(
@@ -871,78 +857,65 @@ def plan(
     target: PermutationState,
     braids: BraidTable | None = None,
     *,
-    bias: float = DEFAULT_BIAS,
-    max_expansions: int = DEFAULT_MAX_EXPANSIONS,
     check_braids: bool = True,
 ) -> PlanResult:
     """Search for an entanglement-free swap sequence from start to target.
 
-    Returns the permutation path (empty when no safe path exists within the
-    expansion budget), the braid table predicted at the goal, and search
-    statistics.  Ties on f are broken by lower h, then newest node first,
-    so results are deterministic.
+    Returns the permutation path (empty when no safe path was found), the
+    braid table predicted at the goal, and search statistics summed over
+    the stages that ran.  Results are deterministic.
 
-    The direct best-first search gets at most ``_DIRECT_BUDGET`` of the
-    ``max_expansions`` budget.  A query it cannot solve within that is
-    taken to be stuck against heavily tangled carried-over braids, and the
-    rest of the budget goes to unwinding the recorded words toward identity
-    and then sorting axis 1, then axis 2, by swapping rank-adjacent robots
-    that are out of target order (``_axis_sort``).  From a zero-tangle
+    The direct best-first search orders nodes by g + 3 * (pair-automaton
+    bound + ``_transport_penalty``) and stops after ``_DIRECT_BUDGET``
+    expansions.  A query it cannot solve within that is taken to be stuck
+    against heavily tangled carried-over braids: up to ``_UNWIND_BUDGET``
+    expansions then go to unwinding the recorded words to the identity,
+    and from there ``_axis_sort`` sorts axis 1, then axis 2, by swapping
+    rank-adjacent robots that are out of target order.  From a zero-tangle
     table that sort cannot fail: each pair crosses at most once per axis,
     so no pair sum leaves +-1; while one axis is sorted the other axis's
     ranks stay fixed, so every crossing sign is a comparison under one
     fixed order, and each forbidden triplet word would need those
     comparisons to form a cycle (a > b > c > a).  That leg's length is the
-    inversion count, the shortest possible.  Only when the unwind stops
-    above zero tangle can a sort step be rejected; the plan then fails
-    with reason "max_expansions".  The returned path covers all stages.
+    inversion count, the shortest possible.  So every plan spends at most
+    ``_DIRECT_BUDGET + _UNWIND_BUDGET`` expansions plus the inversion
+    count.  When the unwind does not reach zero tangle within its budget
+    the plan fails with the direct search's reason, "max_expansions"; a
+    direct search that runs dry fails with "exhausted".
 
-    With ``check_braids`` off, ``braids`` and ``bias`` are ignored: the
-    plan is that axis sort from a clean table, a shortest path on the bare
-    permutation grid, and ``final_braids`` is the clean table with the
-    path's crossings folded in.
+    With ``check_braids`` off, ``braids`` is ignored: the plan is that
+    axis sort from a clean table, a shortest path on the bare permutation
+    grid, and ``final_braids`` is the clean table with the path's
+    crossings folded in.
     """
     if start.n != target.n:
         raise InputError("start and target describe different team sizes")
+    if braids is None or not check_braids:
+        braids = BraidTable.identity(start.n)
+    root = GridNode.root(start, braids, target)
     if not check_braids:
-        root = GridNode.root(start, BraidTable.identity(start.n), target)
-        node, expanded, generated, rejected = _axis_sort(root, target, max_expansions)
-        peak_open, reason = 0, "max_expansions"
+        node, trace = _axis_sort(root, target)
+        stages = [trace]
+    elif root.hsum >= _INF:
+        # Some pair's carried-over cable state makes its target order
+        # provably unreachable; no amount of search can help.
+        return PlanResult((), None, SearchTrace(0, 0, 0, 0, "exhausted"))
     else:
-        if braids is None:
-            braids = BraidTable.identity(start.n)
-        root = GridNode.root(start, braids, target)
-        if root.hsum >= _INF:
-            # Some pair's carried-over cable state makes its target order
-            # provably unreachable; no amount of search can help.
-            return PlanResult((), None, SearchTrace(0, 0, 0, 0, "exhausted"))
-        node, expanded, generated, rejected, peak_open, reason = _search(
-            root, target, bias, min(_DIRECT_BUDGET, max_expansions)
-        )
-        if node is None and reason == "max_expansions" and expanded < max_expansions:
-            unwound, e2, g2, r2, p2 = _unwind(
-                root, target, min(_UNWIND_BUDGET, max_expansions - expanded)
-            )
-            expanded += e2
-            generated += g2
-            rejected += r2
-            peak_open = max(peak_open, p2)
-            if expanded < max_expansions:
-                node, e3, g3, r3 = _axis_sort(unwound, target, max_expansions - expanded)
-                expanded += e3
-                generated += g3
-                rejected += r3
+        node, trace = _search(root, target, _DIRECT_BUDGET)
+        stages = [trace]
+        if trace.reason == "max_expansions":
+            node, trace = _unwind(root, target, _UNWIND_BUDGET)
+            stages.append(trace)
+            if node is not None:
+                node, trace = _axis_sort(node, target)
+                stages.append(trace)
 
-    if node is not None:
-        path = []
-        cur = node
-        while cur is not None:
-            path.append(PermutationState(cur.pi1, cur.pi2))
-            cur = cur.parent
-        path.reverse()
-        return PlanResult(
-            tuple(path),
-            BraidTable(start.n, 2, node.pairs, node.trips),
-            SearchTrace(expanded, generated, rejected, peak_open, "goal"),
-        )
-    return PlanResult((), None, SearchTrace(expanded, generated, rejected, peak_open, reason))
+    if node is None:
+        return PlanResult((), None, _chain(stages, stages[0].reason))
+    path = []
+    cur = node
+    while cur is not None:
+        path.append(PermutationState(cur.pi1, cur.pi2))
+        cur = cur.parent
+    path.reverse()
+    return PlanResult(tuple(path), node.braids, _chain(stages, "goal"))

@@ -389,12 +389,7 @@ def _inversions(p: tuple, q: tuple) -> int:
 
 
 def _plan_length(start: tuple, target: tuple) -> int:
-    result = plan(
-        PermutationState(*start),
-        PermutationState(*target),
-        bias=1.0,
-        check_braids=False,
-    )
+    result = plan(PermutationState(*start), PermutationState(*target), check_braids=False)
     assert result.trace.reason == "goal"
     return len(result.path) - 1
 
@@ -468,16 +463,10 @@ def test_criterion_6_clearance(sequence_runs):
         for targets in scenario.target_sets:
             start_perms = ranks_from_positions(positions)
             target_perms = ranks_from_positions(targets)
-            outcome = plan(
-                start_perms,
-                target_perms,
-                table,
-                bias=scenario.bias,
-                max_expansions=scenario.max_expansions,
-            )
+            outcome = plan(start_perms, target_perms, table)
             assert outcome.trace.reason == "goal"
             trajectories = map_path(outcome.path, config, positions, targets)
-            fine = simulate(trajectories, scenario.dt / 5.0)
+            fine = simulate(trajectories)
             assert fine.min_distance >= config.d_safe - SLACK
             times = sorted({w[2] for t in trajectories for w in t.waypoints})
             for t0, t1 in zip(times, times[1:]):

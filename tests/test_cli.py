@@ -8,6 +8,7 @@ import subprocess
 
 import pytest
 
+from braidplan import cli
 from braidplan.cli import (
     EXIT_INPUT_ERROR,
     EXIT_NO_PATH,
@@ -19,7 +20,7 @@ from braidplan.cli import (
 )
 from braidplan.errors import ConfigurationError
 from braidplan.harness import MAX_M, make_scenario
-from braidplan.planner import BraidTable
+from braidplan.planner import BraidTable, PlanResult, SearchTrace
 
 
 def _write_scenario(tmp_path, n=3, num_sets=2, seed=40, **overrides):
@@ -56,8 +57,10 @@ def test_plan_writes_plan_file(tmp_path, capsys):
     assert len(plan_doc["permutation_path"]) == plan_doc["stats"]["actions"] + 1
 
 
-def test_plan_budget_exhausted_exits_2(tmp_path, capsys):
-    sc_path, _ = _write_scenario(tmp_path, max_expansions=1)
+def test_plan_budget_exhausted_exits_2(tmp_path, capsys, monkeypatch):
+    sc_path, _ = _write_scenario(tmp_path)
+    failed = PlanResult((), None, SearchTrace(1, 0, 0, 1, "max_expansions"))
+    monkeypatch.setattr(cli, "plan", lambda *args, **kwargs: failed)
     out = tmp_path / "plan.json"
     code = main(["plan", "--scenario", str(sc_path), "--out", str(out)])
     assert code == EXIT_NO_PATH
@@ -264,11 +267,16 @@ def test_scenario_m_above_bound_exits_1(tmp_path, capsys):
 
 
 def test_scenario_file_with_legacy_height_loads(tmp_path):
-    # older scenario files carried an unused workspace.height
+    # older scenario files carried an unused workspace.height and the
+    # search knobs bias and max_expansions, which the planner now fixes
     path, doc = _write_scenario(tmp_path)
     legacy = tmp_path / "legacy.json"
-    legacy.write_text(json.dumps({**doc, "workspace": {**doc["workspace"], "height": 1.0}}))
+    legacy.write_text(json.dumps({
+        **doc, "workspace": {**doc["workspace"], "height": 1.0},
+        "bias": 1.5, "max_expansions": 1,
+    }))
     assert "height" not in doc["workspace"]
+    assert "bias" not in doc and "max_expansions" not in doc
     assert load_scenario(legacy) == load_scenario(path)
 
 

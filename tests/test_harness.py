@@ -1,4 +1,4 @@
-"""Harness tests: motion sampling, the independent verifier, and full runs.
+"""Harness tests: separation checks, the independent verifier, and full runs.
 
 The entangling-weave fixture drives three robots so their y-projection
 braid reads s1 S2 s1, the middle strand threading over-under-over, which
@@ -10,6 +10,7 @@ angles.
 
 from __future__ import annotations
 
+import dataclasses
 import importlib.util
 import json
 import math
@@ -23,6 +24,7 @@ from braidplan.errors import ConfigurationError, InputError
 from braidplan.geometry import Trajectory
 from braidplan.harness import (
     DEFAULT_GAMMA_BAR,
+    MAX_M,
     Scenario,
     make_scenario,
     random_targets,
@@ -30,7 +32,7 @@ from braidplan.harness import (
     simulate,
     verify,
 )
-from braidplan.planner import AXIS_ANGLES, BraidTable, PermutationState, plan
+from braidplan.planner import AXIS_ANGLES, BraidTable, PermutationState, PlanResult, SearchTrace, plan
 from braidplan.workspace import (
     WorkspaceConfig,
     carry_over_braids,
@@ -55,7 +57,7 @@ def _config(side: float = 12.0) -> WorkspaceConfig:
 def test_simulate_passing_robots_pinned():
     r1 = Trajectory(1, ((0.0, 0.0, 0.0), (4.0, 0.0, 2.0)))
     r2 = Trajectory(2, ((4.0, 1.0, 0.0), (0.0, 1.0, 2.0)))
-    sim = simulate([r1, r2], dt=0.1)
+    sim = simulate([r1, r2])
     assert abs(sim.min_distance - 1.0) < 1e-6
     assert abs(sim.time - 1.0) < 0.11
     assert sim.ids == (1, 2)
@@ -66,19 +68,31 @@ def test_simulate_includes_waypoint_times():
     # the closest approach happens exactly at a waypoint between samples
     r1 = Trajectory(1, ((0.0, 0.0, 0.0), (0.0, 0.95, 0.333), (0.0, 0.0, 1.0)))
     r2 = Trajectory(2, ((0.0, 2.0, 0.0), (0.0, 2.0, 1.0)))
-    sim = simulate([r1, r2], dt=0.25)
+    sim = simulate([r1, r2])
     assert abs(sim.min_distance - 1.05) < 1e-9
     assert sim.time == 0.333
 
 
 def test_simulate_single_robot_and_validation():
     r1 = Trajectory(1, ((0.0, 0.0, 0.0), (1.0, 0.0, 1.0)))
-    sim = simulate([r1], dt=0.1)
+    sim = simulate([r1])
     assert sim.min_distance == math.inf
-    with pytest.raises(InputError):
-        simulate([r1], dt=0.0)
-    with pytest.raises(InputError):
-        simulate([r1], dt=math.inf)
+    # a stationary team has a single waypoint time
+    still = simulate([Trajectory(1, ((0.0, 0.0, 0.0),)), Trajectory(2, ((3.0, 4.0, 0.0),))])
+    assert (still.min_distance, still.time, still.ids, still.horizon) == (5.0, 0.0, (1, 2), 0.0)
+
+
+def test_simulate_closest_approach_between_waypoint_times():
+    # robot 2 sweeps past the parked robot 3; the nearest point, 0.3 away
+    # at t = 0.44, lies strictly inside robot 2's only segment
+    r1 = Trajectory(1, ((10.0, 10.0, 0.0),))
+    r2 = Trajectory(2, ((0.0, 0.0, 0.0), (5.0, 0.0, 2.0)))
+    r3 = Trajectory(3, ((1.1, 0.3, 0.0),))
+    sim = simulate([r3, r1, r2])
+    assert abs(sim.min_distance - 0.3) < 1e-12
+    assert abs(sim.time - 0.44) < 1e-12
+    assert sim.ids == (2, 3)
+    assert sim.horizon == 2.0
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +247,31 @@ def test_make_scenario_reproducible():
     assert sc1.n == 4
     assert len(sc1.target_sets) == 3
     assert sc1.angles == (0.0, math.pi / 2, math.pi)
-    assert sc1.dt == sc1.config.cell_size / (10.0 * sc1.config.speed)
+
+
+def test_scenario_angles_hold_the_grid_angles_exactly(monkeypatch):
+    # (m/2) * pi / m misses pi/2 by one ulp for some even m (22, 26, 30, ...);
+    # m = 1 leaves a blind direction, which Scenario rejects
+    base = make_scenario(3, 1, 33)
+    for m in range(2, MAX_M + 1):
+        angles = dataclasses.replace(base, m=m, gamma_bar=math.pi).angles
+        assert len(angles) == m + 1
+        assert angles[0] == AXIS_ANGLES[1]
+        assert (AXIS_ANGLES[0] in angles) == (m % 2 == 0)
+        for i, angle in enumerate(angles):
+            if 2 * i != m:
+                assert angle == i * math.pi / m
+    # so an even-m run folds exactly the m + 1 angles of its check set
+    folded = []
+    inner = harness.verify
+
+    def recording_verify(trajectories, angles, tables=None):
+        folded.append(angles)
+        return inner(trajectories, angles, tables)
+
+    monkeypatch.setattr(harness, "verify", recording_verify)
+    run_task_sequence(dataclasses.replace(base, m=22))
+    assert [len(angles) for angles in folded] == [23]
 
 
 def test_scenario_validation():
@@ -247,10 +285,6 @@ def test_scenario_validation():
         Scenario(config, pts, pts, (pts,), gamma_bar=0.0)
     with pytest.raises(ConfigurationError):
         Scenario(config, pts, pts, (((2.0, 2.0), (2.2, 2.0)),))
-    with pytest.raises(ConfigurationError):
-        Scenario(config, pts, pts, (pts,), bias=0.0)
-    with pytest.raises(ConfigurationError):
-        Scenario(config, pts, pts, (pts,), max_expansions=0)
     # pi / gamma_bar just under 2 admits m = 2
     assert Scenario(config, pts, pts, (pts,), m=2).angles == (0.0, math.pi / 2, math.pi)
 
@@ -285,8 +319,10 @@ def test_run_task_sequence_deterministic():
         assert r.min_distance >= 1.0 - 1e-9
 
 
-def test_run_task_sequence_failure_reverts_state():
-    scenario = make_scenario(3, 3, 35, max_expansions=1)
+def test_run_task_sequence_failure_reverts_state(monkeypatch):
+    scenario = make_scenario(3, 3, 35)
+    failed = PlanResult((), None, SearchTrace(1, 0, 0, 1, "max_expansions"))
+    monkeypatch.setattr(harness, "plan", lambda *args, **kwargs: failed)
     metrics = run_task_sequence(scenario)
     assert metrics.success_rate == 0.0
     assert all(r.reason == "max_expansions" for r in metrics.results)

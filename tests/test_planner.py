@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from braidplan import planner
 from braidplan.braid import BraidLetter, pair_state, update_pair, update_triplet
 from braidplan.errors import InputError
 from braidplan.geometry import ProjectionAxis, Trajectory, build_space_time, extract_crossings, sub_events
@@ -358,7 +359,7 @@ def test_slot_layout():
 def test_plan_two_robots_both_axes():
     start = PermutationState.identity(2)
     target = PermutationState((2, 1), (2, 1))
-    result = plan(start, target, bias=1.0)
+    result = plan(start, target)
     assert result.trace.reason == "goal"
     assert len(result.path) - 1 == 2
     assert result.path[0] == start
@@ -380,11 +381,11 @@ def test_plan_consumes_carried_pair_sum():
     start = PermutationState.identity(2)
     target = PermutationState((2, 1), (1, 2))
     carried = BraidTable(2, 2, (pair_state(1), pair_state(0)), ())
-    result = plan(start, target, carried, bias=1.0)
+    result = plan(start, target, carried)
     assert result.trace.reason == "goal"
     assert len(result.path) - 1 == 1
     assert result.final_braids.pair_state(1, 2, 1).exponent_sum == 0
-    fresh = plan(start, target, bias=1.0)
+    fresh = plan(start, target)
     assert fresh.final_braids.pair_state(1, 2, 1).exponent_sum == -1
 
 
@@ -401,13 +402,20 @@ def test_plan_detects_unreachable_carried_state():
     assert result.trace.expanded == 0
 
 
-def test_plan_budget_exhaustion():
-    start = PermutationState.identity(6)
-    target = PermutationState((6, 5, 4, 3, 2, 1), (6, 5, 4, 3, 2, 1))
-    result = plan(start, target, max_expansions=1)
+def test_plan_budget_exhaustion(monkeypatch):
+    # a tangled carried table: neither the direct search nor the unwind
+    # finishes in one expansion, so the sort never runs
+    start = PermutationState.identity(4)
+    mid = PermutationState((4, 3, 2, 1), (2, 1, 4, 3))
+    carried = plan(start, mid).final_braids
+    assert carried != BraidTable.identity(4)
+    monkeypatch.setattr(planner, "_DIRECT_BUDGET", 1)
+    monkeypatch.setattr(planner, "_UNWIND_BUDGET", 1)
+    result = plan(mid, start, carried)
     assert result.trace.reason == "max_expansions"
     assert result.path == ()
-    assert result.trace.expanded == 1
+    assert result.final_braids is None
+    assert result.trace.expanded == 2
 
 
 def test_plan_validates_team_sizes():
@@ -450,7 +458,7 @@ def test_plan_lengths_match_bfs_n3():
     for p1 in perms3:
         for p2 in perms3:
             target = PermutationState(p1, p2)
-            result = plan(start, target, bias=1.0, check_braids=False)
+            result = plan(start, target, check_braids=False)
             assert result.trace.reason == "goal"
             assert len(result.path) - 1 == _bfs_distance(start, target)
             assert result.trace.rejected_by_braid == 0
@@ -462,7 +470,7 @@ def test_plan_lengths_match_bfs_random_starts():
         n = rng.choice((3, 4))
         start = _random_perms(rng, n)
         target = _random_perms(rng, n)
-        result = plan(start, target, bias=1.0, check_braids=False)
+        result = plan(start, target, check_braids=False)
         assert len(result.path) - 1 == _bfs_distance(start, target)
 
 
@@ -518,14 +526,15 @@ def test_unwind_reaches_identity_table():
     carried = first.final_braids
     root = GridNode.root(mid, carried, start)
     assert _tangle(root) > 0
-    best, expanded, generated, rejected, peak = _unwind(root, start, 5000)
+    best, trace = _unwind(root, start, 5000)
+    assert trace.reason == "goal"
     assert _tangle(best) == 0
-    assert expanded <= 5000
+    assert trace.expanded <= 5000
     assert best.g >= 1
     # the budget stops the walk with tangle left
-    best, expanded, *_rest = _unwind(root, start, 1)
-    assert expanded == 1
-    assert best is root
+    best, trace = _unwind(root, start, 1)
+    assert best is None
+    assert (trace.expanded, trace.reason) == (1, "max_expansions")
 
 
 def test_plan_without_braid_checks_is_the_axis_sort():
@@ -536,7 +545,7 @@ def test_plan_without_braid_checks_is_the_axis_sort():
         for _ in range(5):
             start = _random_perms(rng, n)
             target = _random_perms(rng, n)
-            result = plan(start, target, bias=1.0, check_braids=False)
+            result = plan(start, target, check_braids=False)
             assert result.trace.reason == "goal"
             _assert_swap_chain(result.path, start, target)
             optimum = _inversions(start.pi1, target.pi1) + _inversions(start.pi2, target.pi2)
@@ -551,11 +560,11 @@ def test_search_stops_at_its_budget():
     start = PermutationState.identity(6)
     target = PermutationState((6, 5, 4, 3, 2, 1), (6, 5, 4, 3, 2, 1))
     root = GridNode.root(start, BraidTable.identity(6), target)
-    node, expanded, _generated, _rejected, _peak, reason = _search(root, target, 1.5, 1)
-    assert node is None and expanded == 1
-    assert reason == "max_expansions"
-    node, *_rest, reason = _search(root, target, 1.5, 10_000)
-    assert node is not None and reason == "goal"
+    node, trace = _search(root, target, 1)
+    assert node is None and trace.expanded == 1
+    assert trace.reason == "max_expansions"
+    node, trace = _search(root, target, 10_000)
+    assert node is not None and trace.reason == "goal"
 
 
 def test_axis_sort_from_clean_table_always_succeeds():
@@ -565,11 +574,11 @@ def test_axis_sort_from_clean_table_always_succeeds():
 
     def check(start: PermutationState, target: PermutationState) -> None:
         root = GridNode.root(start, BraidTable.identity(start.n), target)
-        node, expanded, _generated, _rejected = _axis_sort(root, target, 10_000)
-        assert node is not None
+        node, trace = _axis_sort(root, target)
+        assert node is not None and trace.reason == "goal"
         assert (node.pi1, node.pi2) == (target.pi1, target.pi2)
         optimum = _inversions(start.pi1, target.pi1) + _inversions(start.pi2, target.pi2)
-        assert node.g == expanded == optimum
+        assert node.g == trace.expanded == optimum
         assert node.braids.is_clean
 
     perms3 = list(itertools.permutations((1, 2, 3)))
@@ -591,9 +600,9 @@ def test_axis_sort_stops_on_rejected_step():
     target = PermutationState((2, 1), (1, 2))
     carried = BraidTable(2, 2, (pair_state(-1), pair_state(0)), ())
     root = GridNode.root(start, carried, target)
-    node, expanded, generated, rejected = _axis_sort(root, target, 10)
+    node, trace = _axis_sort(root, target)
     assert node is None
-    assert (expanded, generated, rejected) == (1, 0, 1)
+    assert (trace.expanded, trace.generated, trace.rejected_by_braid) == (1, 0, 1)
 
 
 def test_plan_stalled_query_recovers_by_axis_sort():
@@ -609,8 +618,36 @@ def test_plan_stalled_query_recovers_by_axis_sort():
     start = PermutationState(tuple(data["start"]["pi1"]), tuple(data["start"]["pi2"]))
     target = PermutationState(tuple(data["target"]["pi1"]), tuple(data["target"]["pi2"]))
     carried = BraidTable.from_serializable(data["carried"])
-    result = plan(start, target, carried, bias=3.0, max_expansions=250_000)
+    result = plan(start, target, carried)
     assert result.trace.reason == "goal"
     assert result.trace.expanded < 30_000
     _assert_swap_chain(result.path, start, target)
     assert result.final_braids.is_clean
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(n=st.integers(3, 6), seed=st.integers(0, 2**32 - 1))
+def test_plan_effort_is_bounded(n, seed):
+    """With budgets small enough that the fallback runs, every plan from a
+    carried table is either a clean swap chain to the target or an explained
+    failure, and its expansions never exceed both budgets plus the longest
+    axis sort, n(n - 1) swaps."""
+    rng = random.Random(seed)
+    target = _random_perms(rng, n)
+    node = GridNode.root(_random_perms(rng, n), BraidTable.identity(n), target)
+    for _ in range(rng.randrange(20)):
+        node = rng.choice(expand(node, target) or [node])
+    start = PermutationState(node.pi1, node.pi2)
+    target = _random_perms(rng, n)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(planner, "_DIRECT_BUDGET", 20)
+        mp.setattr(planner, "_UNWIND_BUDGET", 10)
+        result = plan(start, target, node.braids)
+    if result.path:
+        assert result.trace.reason == "goal"
+        _assert_swap_chain(result.path, start, target)
+        assert result.final_braids.is_clean
+    else:
+        assert result.trace.reason in ("exhausted", "max_expansions")
+        assert result.final_braids is None
+    assert result.trace.expanded <= 20 + 10 + n * (n - 1)
