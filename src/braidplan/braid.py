@@ -293,16 +293,19 @@ def is_forbidden_triplet(word: BraidWord) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PairBraidState:
-    """Running state of a 2-strand braid: its crossing count and a sticky flag."""
+    """Running state of a 2-strand braid: its crossing count and a sticky flag.
 
-    exponent_sum: int = 0
-    violated: bool = False
+    Only ``pair_state``, ``identity_pair`` and ``update_pair`` make states,
+    and they intern them, so equal braids are one object and ``==`` and
+    ``hash`` are identity.
+    """
+
+    exponent_sum: int
+    violated: bool
 
 
-# Interning canonicalizes state objects so that comparing whole braid
-# tables (tuples of states) hits the interpreter's identity fast path.
 _PAIR_INTERN: dict[tuple[int, bool], PairBraidState] = {}
 
 
@@ -335,22 +338,18 @@ class TripletBraidState:
     """Running state of a 3-strand braid.
 
     ``letters`` is the freely reduced word so far (kept for diagnostics and
-    serialization); ``matrix`` is its reduced Burau image and is the canonical
-    key: two states are equal exactly when their matrices and flags agree.
+    serialization); ``matrix`` is its reduced Burau image.  Only
+    ``triplet_state_from_word``, ``identity_triplet`` and ``update_triplet``
+    make states, and they intern them by matrix and flag, so equal braids
+    are one object and ``==`` and ``hash`` are identity.
     """
 
-    __slots__ = ("letters", "matrix", "violated", "_hash", "_trans")
+    __slots__ = ("letters", "matrix", "violated", "_trans")
 
-    def __init__(
-        self,
-        letters: tuple[BraidLetter, ...] = (),
-        matrix: LaurentMatrix = _IDENTITY_MATRIX,
-        violated: bool = False,
-    ):
+    def __init__(self, letters: tuple[BraidLetter, ...], matrix: LaurentMatrix, violated: bool):
         self.letters = letters
         self.matrix = matrix
         self.violated = violated
-        self._hash = hash((matrix._hash, violated))
         # per-state transition cache, filled lazily by update_triplet
         self._trans: dict[tuple[int, int], tuple[TripletBraidState, bool]] = {}
 
@@ -358,25 +357,17 @@ class TripletBraidState:
     def word(self) -> BraidWord:
         return BraidWord(3, self.letters)
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, TripletBraidState):
-            return NotImplemented
-        return self.violated == other.violated and self.matrix == other.matrix
-
-    def __hash__(self) -> int:
-        return self._hash
-
     def __repr__(self) -> str:
         flag = ", violated" if self.violated else ""
         return f"TripletBraidState({self.word.to_text()!r}{flag})"
 
 
-# Interning canonicalizes triplet states by their group element.  Different
-# reduced words can name the same element (s1 s2 s1 = s2 s1 s2), so the key is
-# the Burau matrix, never the word; the stored word is one witness for it.
-# The table is never cleared: every state's ``_trans`` cache keeps its
-# successors reachable from the identity state anyway, and re-interning an
-# element would give it a new witness word.
+# Interning makes one triplet state per group element and flag, so state
+# equality is identity.  Different reduced words can name the same element
+# (s1 s2 s1 = s2 s1 s2), so the key is the Burau matrix, never the word; the
+# stored word is one witness for it.  The table is never cleared: every
+# state's ``_trans`` cache keeps its successors reachable from the identity
+# state anyway, and re-interning an element would make a second object for it.
 _TRIPLET_INTERN: dict[tuple[LaurentMatrix, bool], TripletBraidState] = {}
 
 

@@ -19,7 +19,7 @@ import time
 from pathlib import Path
 
 from .errors import InputError
-from .geometry import Trajectory
+from .geometry import Trajectory, build_space_time
 from .harness import DEFAULT_GAMMA_BAR, Scenario, run_task_sequence, verify
 from .planner import AXIS_ANGLES, BraidTable, plan
 from .plot import render_braid_svg, render_paths_svg
@@ -306,7 +306,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             f"trajectory file covers {len(trajectories)} robots; "
             f"the scenario declares {scenario.n}"
         )
-    report, _ = verify(trajectories, scenario.angles)
+    report, _ = verify(build_space_time(trajectories), scenario.angles)
     print(json.dumps(report.as_dict(), indent=2))
     return EXIT_OK if report.ok else EXIT_VIOLATION
 

@@ -115,7 +115,8 @@ class LiftedTeam:
 def build_space_time(paths: Sequence[Trajectory]) -> LiftedTeam:
     """Sample every path on the union of all waypoint times.
 
-    Robots that arrive early are frozen at their final position.
+    Robots that arrive early are frozen at their final position.  A
+    stationary team lifts to one grid time and horizon 0.
     """
     if not paths:
         raise InputError("no trajectories to lift")
@@ -124,8 +125,6 @@ def build_space_time(paths: Sequence[Trajectory]) -> LiftedTeam:
     if len(set(ids)) != len(ids):
         raise InputError("duplicate robot ids in trajectory list")
     horizon = max(p.arrival_time for p in paths)
-    if horizon <= 0:
-        raise InputError("the team horizon must be positive")
     grid = np.unique(np.concatenate([p.times() for p in paths]))
     xy = np.empty((len(paths), len(grid), 2))
     for row, p in enumerate(paths):

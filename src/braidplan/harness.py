@@ -2,11 +2,12 @@
 
 A scenario fixes the workspace, the team's bases and start positions, and
 a sequence of target sets.  ``run_task_sequence`` plans each set in turn,
-realizes the plan as timed trajectories, computes their exact minimum
-separation, and verifies the cables from scratch: the verifier re-extracts
-crossings from the executed trajectories on every projection angle of the
-check set, plus the grid angles (pi/2, 0) when the check set lacks them,
-and folds them into its own braid tables, which persist across episodes.
+realizes the plan as timed trajectories and lifts them once.  From that
+lifted team it computes the exact minimum separation and verifies the
+cables from scratch: the verifier re-extracts crossings from the executed
+motion on every projection angle of the check set, plus the grid angles
+(pi/2, 0) when the check set lacks them, and folds them into its own
+braid tables, which persist across episodes.
 The planner's carried two-axis table is read off the verifier's tables at
 the grid angles, so each episode folds its crossings once.  The check
 that matters is the planner's prediction against geometry: the table the
@@ -31,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigurationError, DegenerateInputError, InputError
-from .geometry import ProjectionAxis, Trajectory, build_space_time, extract_crossings
+from .geometry import LiftedTeam, ProjectionAxis, build_space_time, extract_crossings
 from .planner import AXIS_ANGLES, BraidTable, plan
 from .workspace import WorkspaceConfig, fold_crossings, map_path, ranks_from_positions
 
@@ -174,50 +175,45 @@ class SimulationResult:
     horizon: float
 
 
-def simulate(trajectories: list[Trajectory] | tuple[Trajectory, ...]) -> SimulationResult:
-    """Exact minimum pairwise distance: between consecutive waypoint times
-    of the team every robot moves linearly, so each pair's closest approach
-    in such a window has a closed form."""
-    trajs = sorted(trajectories, key=lambda t: t.robot_id)
-    if len(trajs) < 2:
-        horizon = trajs[0].arrival_time if trajs else 0.0
-        return SimulationResult(math.inf, 0.0, (0, 0), horizon)
-    paths = [(t.times(), t.positions()) for t in trajs]
-    grid = np.unique(np.concatenate([times for times, _ in paths]))
-    horizon = float(grid[-1])
-    # A stationary team has one waypoint time: one window of length zero.
-    ts = grid if len(grid) > 1 else np.repeat(grid, 2)
-    xy = np.array([[np.interp(ts, times, pts[:, c]) for c in (0, 1)] for times, pts in paths])
-    a, b = np.array(list(itertools.combinations(range(len(trajs)), 2))).T
-    rel = xy[a] - xy[b]  # (pairs, 2, times)
-    begin, step = rel[..., :-1], rel[..., 1:] - rel[..., :-1]
-    sq = (step * step).sum(axis=1)
-    s = np.clip(-(begin * step).sum(axis=1) / np.where(sq > 0.0, sq, 1.0), 0.0, 1.0)
-    closest = begin + s[:, None] * step
-    dist = np.hypot(closest[:, 0], closest[:, 1])
+def simulate(team: LiftedTeam) -> SimulationResult:
+    """Exact minimum pairwise distance: between consecutive grid times of
+    the lifted team every robot moves linearly, so each pair's closest
+    approach in such a window has a closed form."""
+    if len(team.ids) < 2:
+        return SimulationResult(math.inf, 0.0, (0, 0), team.horizon)
+    ts, xy = team.grid, team.xy
+    if len(ts) == 1:
+        # A stationary team has one grid time: one window of length zero.
+        ts, xy = np.repeat(ts, 2), np.repeat(xy, 2, axis=1)
+    a, b = np.array(list(itertools.combinations(range(len(team.ids)), 2))).T
+    rel = xy[a] - xy[b]  # (pairs, times, 2)
+    begin, step = rel[:, :-1], rel[:, 1:] - rel[:, :-1]
+    sq = (step * step).sum(axis=2)
+    s = np.clip(-(begin * step).sum(axis=2) / np.where(sq > 0.0, sq, 1.0), 0.0, 1.0)
+    closest = begin + s[..., None] * step
+    dist = np.hypot(closest[..., 0], closest[..., 1])
     pair, w = np.unravel_index(int(np.argmin(dist)), dist.shape)
     when = float(ts[w] + s[pair, w] * (ts[w + 1] - ts[w]))
-    ids = (trajs[a[pair]].robot_id, trajs[b[pair]].robot_id)
-    return SimulationResult(float(dist[pair, w]), when, ids, horizon)
+    ids = (team.ids[a[pair]], team.ids[b[pair]])
+    return SimulationResult(float(dist[pair, w]), when, ids, team.horizon)
 
 
 def verify(
-    trajectories: list[Trajectory] | tuple[Trajectory, ...],
+    team: LiftedTeam,
     angles: tuple[float, ...],
     tables: tuple[BraidTable, ...] | None = None,
 ) -> tuple[EntanglementReport, tuple[BraidTable, ...]]:
-    """Re-derive every pair and triplet braid from executed trajectories.
+    """Re-derive every pair and triplet braid from an executed, lifted team.
 
-    Independent of the planner: the team is lifted once, crossings are
-    extracted afresh on every angle in the check set and folded into
-    per-angle braid tables (one tracked axis each).  Passing the returned
-    tables back in on the next episode carries the cable state across the
-    whole task sequence.  Raises ``DegenerateInputError`` when some angle's
-    simultaneous crossings admit no order of adjacent swaps.
+    Independent of the planner: crossings are extracted afresh on every
+    angle in the check set and folded into per-angle braid tables (one
+    tracked axis each).  Passing the returned tables back in on the next
+    episode carries the cable state across the whole task sequence.
+    Raises ``DegenerateInputError`` when some angle's simultaneous
+    crossings admit no order of adjacent swaps.
     """
-    ids = sorted(t.robot_id for t in trajectories)
-    n = len(ids)
-    if ids != list(range(1, n + 1)):
+    n = len(team.ids)
+    if team.ids != tuple(range(1, n + 1)):
         raise InputError("trajectories must cover robot ids 1..n exactly")
     if not angles:
         raise InputError("at least one check angle is required")
@@ -228,16 +224,15 @@ def verify(
     for table in tables:
         if table.n != n or table.axes_count != 1:
             raise InputError("verifier tables must be single-axis tables for this team")
-    if max(t.arrival_time for t in trajectories) <= 0.0:
+    if team.horizon <= 0.0:
         # Stationary team: no motion, no crossings, tables unchanged.
         return EntanglementReport(True, (), ()), tables
-    lifted = build_space_time(trajectories)
     violations: list[Violation] = []
     ties: list[tuple[float, int, int, float]] = []
     new_tables = []
     for angle, table in zip(angles, tables):
         tie_records: list[tuple[int, int, float]] = []
-        events = extract_crossings(lifted, ProjectionAxis(angle), ties_out=tie_records)
+        events = extract_crossings(team, ProjectionAxis(angle), ties_out=tie_records)
         ties.extend((angle, i, j, t) for i, j, t in tie_records)
         table, forbidden = fold_crossings(events, table)
         new_tables.append(table)
@@ -415,9 +410,10 @@ def run_task_sequence(scenario: Scenario, *, dump_dir: str | Path | None = None)
             continue
 
         trajectories = map_path(outcome.path, config, positions, targets)
-        sim = simulate(trajectories)
+        team = build_space_time(trajectories)
+        sim = simulate(team)
         try:
-            report, new_tables = verify(trajectories, angles, verifier_tables)
+            report, new_tables = verify(team, angles, verifier_tables)
         except DegenerateInputError:
             # The executed braids are unknown, so nothing can be checked.
             success, reason, violations, ties, consistent = False, "degenerate", (), 0, True

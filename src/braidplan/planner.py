@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import random
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
@@ -198,7 +197,8 @@ class BraidTable:
     """Braid state of every robot pair and triplet on every tracked axis.
 
     Immutable; planner nodes share unchanged entries structurally.  Pairs
-    and triplets are stored axis-major in combination order.
+    and triplets are stored axis-major in combination order.  The states
+    are interned, so tables compare and hash by state identity.
     """
 
     __slots__ = ("n", "axes_count", "pairs", "triplets", "_hash")
@@ -326,20 +326,6 @@ _PAIR_STEP = {
     for sg in (-1, 1)
 }
 
-# Fingerprint marks: every (slot, state) pair maps to a 64-bit mark and a
-# node's fingerprint is the XOR over its table, updated incrementally when a
-# slot changes.  Marks depend on state *value* hashes, never identity, so
-# equal tables always collide into the same hash bucket; unequal tables that
-# collide anyway are separated by full equality checks.
-_MARK_MASK = (1 << 64) - 1
-
-
-@lru_cache(maxsize=None)
-def _slot_salts(kind: int, count: int) -> tuple[int, ...]:
-    rng = random.Random(0x51AB ^ kind)
-    return tuple(rng.getrandbits(64) | 1 for _ in range(count))
-
-
 # ---------------------------------------------------------------------------
 # Pair-automaton lower bound used by the search.
 #
@@ -408,24 +394,22 @@ class GridNode:
     ``hsum`` is the pair-automaton lower bound on remaining actions (see
     ``_build_pair_automaton``), maintained incrementally: each action
     changes exactly one pair's term.  Nodes are their own closed-list keys:
-    they hash to a precomputed fingerprint of the permutations and braid
-    table, and equality compares the full tuples, so fingerprint collisions
-    can never merge distinct states.
+    braid states are interned, so equal tables hold the same objects, and
+    the permutations and table tuples hash and compare by state identity.
     """
 
-    __slots__ = ("pi1", "pi2", "pairs", "trips", "fp", "g", "hsum", "parent", "action", "_kh")
+    __slots__ = ("pi1", "pi2", "pairs", "trips", "g", "hsum", "parent", "action", "_kh")
 
-    def __init__(self, pi1, pi2, pairs, trips, fp, g, hsum, parent, action):
+    def __init__(self, pi1, pi2, pairs, trips, g, hsum, parent, action):
         self.pi1 = pi1
         self.pi2 = pi2
         self.pairs = pairs
         self.trips = trips
-        self.fp = fp
         self.g = g
         self.hsum = hsum
         self.parent = parent
         self.action = action
-        self._kh = hash((pi1, pi2, fp))
+        self._kh = hash((pi1, pi2, pairs, trips))
 
     def __hash__(self) -> int:
         return self._kh
@@ -450,12 +434,7 @@ class GridNode:
             raise InputError("braid table does not match the team or the two grid axes")
         if not braids.is_clean:
             raise InputError("initial braid table already holds a violated state")
-        pord, _tord, psalts, tsalts = _lookups(perms.n)
-        fp = 0
-        for slot, st in enumerate(braids.pairs):
-            fp ^= (psalts[slot] * (hash(st) | 1)) & _MARK_MASK
-        for slot, st in enumerate(braids.triplets):
-            fp ^= (tsalts[slot] * (st._hash | 1)) & _MARK_MASK
+        pord = _pair_ord(perms.n)
         n_pairs = len(pord)
         hsum = 0
         for (a, b), o in pord.items():
@@ -466,14 +445,7 @@ class GridNode:
             s1 = braids.pairs[o].exponent_sum
             s2 = braids.pairs[n_pairs + o].exponent_sum
             hsum += _PAIR_DIST[(o1, o2, s1, s2, t1, t2)]
-        return cls(perms.pi1, perms.pi2, braids.pairs, braids.triplets, fp, 0, hsum, None, None)
-
-
-@lru_cache(maxsize=None)
-def _lookups(n: int) -> tuple:
-    """Pair and triplet slot orders and fingerprint salts of a two-axis table."""
-    pord, tord = _pair_ord(n), _trip_ord(n)
-    return pord, tord, _slot_salts(0, 2 * len(pord)), _slot_salts(1, 2 * len(tord))
+        return cls(perms.pi1, perms.pi2, braids.pairs, braids.triplets, 0, hsum, None, None)
 
 
 def expand(node: GridNode, target: PermutationState) -> list[GridNode]:
@@ -497,7 +469,7 @@ def _expand(node: GridNode, target: PermutationState, prune: bool) -> tuple[list
     the already-closed parent state.
     """
     n = len(node.pi1)
-    lookups = _lookups(n)
+    pord, tord = _pair_ord(n), _trip_ord(n)
     children: list[GridNode] = []
     braid_rejected = 0
 
@@ -520,7 +492,7 @@ def _expand(node: GridNode, target: PermutationState, prune: bool) -> tuple[list
                 elif a != pa_a and a != pa_b and b != pa_a and b != pa_b:
                     if (axis, a, b) < pa_key:
                         continue
-            child = _child(node, target, axis, k, i, j, lookups)
+            child = _child(node, target, axis, k, i, j, pord, tord)
             if child is None:
                 braid_rejected += 1
             else:
@@ -529,7 +501,7 @@ def _expand(node: GridNode, target: PermutationState, prune: bool) -> tuple[list
 
 
 def _child(
-    node: GridNode, target: PermutationState, axis: int, k: int, i: int, j: int, lookups
+    node: GridNode, target: PermutationState, axis: int, k: int, i: int, j: int, pord, tord
 ) -> GridNode | None:
     """The node reached by swapping robots i and j, ranked k and k + 1 on
     ``axis``, or None when a braid check rejects the move: the pair's
@@ -538,10 +510,9 @@ def _child(
     A move the pair check allows never strands the pair: the reverse swap
     undoes every automaton step, so a pair with a finite distance to its
     target orders keeps one, and ``plan`` refuses roots with an
-    unreachable pair.  ``lookups`` is ``_lookups(n)``, fetched once per
-    expansion by the caller.
+    unreachable pair.  ``pord`` and ``tord`` are ``_pair_ord(n)`` and
+    ``_trip_ord(n)``, fetched once per expansion by the caller.
     """
-    pord, tord, psalts, tsalts = lookups
     n_pairs = len(pord)
     pi1, pi2 = node.pi1, node.pi2
     if axis == 1:
@@ -557,8 +528,7 @@ def _child(
     a, b = (i, j) if i < j else (j, i)
     po = pord[(a, b)]
     pslot = pbase + po
-    pstate = node_pairs[pslot]
-    new_pair, ok = _PAIR_STEP[(pstate.exponent_sum, sign)]
+    new_pair, ok = _PAIR_STEP[(node_pairs[pslot].exponent_sum, sign)]
     if not ok:
         return None
     o1 = 1 if pi1[a - 1] < pi1[b - 1] else -1
@@ -589,22 +559,17 @@ def _child(
             return None
         trip_changes.append((slot, new_trip))
 
-    fp = node.fp
     pairs = list(node_pairs)
     pairs[pslot] = new_pair
-    fp ^= (psalts[pslot] * (hash(pstate) | 1)) & _MARK_MASK
-    fp ^= (psalts[pslot] * (hash(new_pair) | 1)) & _MARK_MASK
     trips = list(node_trips)
     for slot, st in trip_changes:
-        fp ^= (tsalts[slot] * (trips[slot]._hash | 1)) & _MARK_MASK
-        fp ^= (tsalts[slot] * (st._hash | 1)) & _MARK_MASK
         trips[slot] = st
     new_ranks = list(ranks)
     new_ranks[i - 1], new_ranks[j - 1] = k + 1, k
     new_ranks = tuple(new_ranks)
     pi1, pi2 = (new_ranks, pi2) if axis == 1 else (pi1, new_ranks)
     return GridNode(
-        pi1, pi2, tuple(pairs), tuple(trips), fp,
+        pi1, pi2, tuple(pairs), tuple(trips),
         node.g + 1, node.hsum - before + after, node, SwapAction(axis, i, j),
     )
 
@@ -822,7 +787,7 @@ def _axis_sort(root: GridNode, target: PermutationState) -> _Stage:
     ``plan``).
     """
     n = len(root.pi1)
-    lookups = _lookups(n)
+    pord, tord = _pair_ord(n), _trip_ord(n)
     node = root
     expanded = 0
     for axis, goal in ((1, target.pi1), (2, target.pi2)):
@@ -834,7 +799,7 @@ def _axis_sort(root: GridNode, target: PermutationState) -> _Stage:
             if k is None:
                 break
             expanded += 1
-            child = _child(node, target, axis, k, inv[k], inv[k + 1], lookups)
+            child = _child(node, target, axis, k, inv[k], inv[k + 1], pord, tord)
             if child is None:
                 return None, SearchTrace(expanded, expanded - 1, 1, 0, "max_expansions")
             node = child
@@ -863,7 +828,11 @@ def plan(
 
     Returns the permutation path (empty when no safe path was found), the
     braid table predicted at the goal, and search statistics summed over
-    the stages that ran.  Results are deterministic.
+    the stages that ran.  The direct search and the axis sort depend only
+    on the arguments.  The unwind orders nodes by the length of each
+    triplet state's stored word, which is the witness of whichever
+    equivalent word the process interned first, so a query that reaches
+    the unwind can depend on the process's earlier calls.
 
     The direct best-first search orders nodes by g + 3 * (pair-automaton
     bound + ``_transport_penalty``) and stops after ``_DIRECT_BUDGET``

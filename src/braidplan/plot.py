@@ -138,16 +138,15 @@ def render_braid_svg(
         raise InputError("projection angle must be finite")
     trajs = sorted(trajectories, key=lambda t: t.robot_id)
     axis = ProjectionAxis(angle)
-    horizon = max(t.arrival_time for t in trajs)
-
-    if horizon > 0:
-        lifted = build_space_time(trajs)
+    lifted = build_space_time(trajs)
+    U = axis.u(lifted.xy)
+    if lifted.horizon > 0:
         grid = lifted.grid
-        U = axis.u(lifted.xy)
         events = extract_crossings(lifted, axis)
     else:
+        # A stationary team is drawn as straight strands over a unit time span.
         grid = np.array([0.0, 1.0])
-        U = np.stack([np.repeat(axis.u(t.positions()[:1])[0], 2) for t in trajs])
+        U = np.repeat(U, 2, axis=1)
         events = []
     horizon = float(grid[-1])
 

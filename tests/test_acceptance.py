@@ -46,6 +46,7 @@ from braidplan.braid import (
     triplet_state_from_word,
     update_triplet,
 )
+from braidplan.geometry import build_space_time
 from braidplan.harness import make_scenario, run_task_sequence, simulate
 from braidplan.planner import BraidTable, PermutationState, plan
 from braidplan.workspace import map_path, ranks_from_positions
@@ -466,7 +467,7 @@ def test_criterion_6_clearance(sequence_runs):
             outcome = plan(start_perms, target_perms, table)
             assert outcome.trace.reason == "goal"
             trajectories = map_path(outcome.path, config, positions, targets)
-            fine = simulate(trajectories)
+            fine = simulate(build_space_time(trajectories))
             assert fine.min_distance >= config.d_safe - SLACK
             times = sorted({w[2] for t in trajectories for w in t.waypoints})
             for t0, t1 in zip(times, times[1:]):

@@ -123,10 +123,11 @@ def test_no_crossing_parallel():
 
 def test_mirror_axis_flips_strand_indices():
     """Viewing from the opposite side reverses ranks and near and far at
-    once: pair letters keep their sign, triplet letters swap s1 and s2."""
+    once: every letter keeps its sign and generator index k becomes n - k
+    (on three strands, s1 and s2 swap)."""
     rng = random.Random(7)
-    for _ in range(20):
-        paths = _random_team(rng, 3)
+    for n in (2, 3, 4, 5, 6) * 20:
+        paths = _random_team(rng, n)
         lifted = build_space_time(paths)
         axis = ProjectionAxis(rng.uniform(0, math.pi))
         fwd = extract_crossings(lifted, axis)
@@ -136,7 +137,7 @@ def test_mirror_axis_flips_strand_indices():
             assert abs(e1.time - e2.time) < 1e-9
             assert (e1.i, e1.j) == (e2.i, e2.j)
             assert e1.letter.sign == e2.letter.sign
-            assert e2.letter.index == 3 - e1.letter.index
+            assert e2.letter.index == n - e1.letter.index
             assert e2.order_before == tuple(reversed(e1.order_before))
 
 
@@ -366,8 +367,12 @@ def test_build_space_time_validation():
         build_space_time([])
     with pytest.raises(InputError):
         build_space_time([tr, Trajectory(1, ((0.0, 0.0, 0.0), (2.0, 2.0, 1.0)))])
-    with pytest.raises(InputError):
-        build_space_time([Trajectory(1, ((0.0, 0.0, 0.0),))])
+    # a stationary team lifts to its one waypoint time
+    still = build_space_time([Trajectory(2, ((3.0, 4.0, 0.0),)), Trajectory(1, ((0.0, 1.0, 0.0),))])
+    assert still.ids == (1, 2)
+    assert still.grid.tolist() == [0.0]
+    assert still.xy.tolist() == [[[0.0, 1.0]], [[3.0, 4.0]]]
+    assert still.horizon == 0.0
 
 
 def test_projection_convention():

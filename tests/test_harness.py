@@ -21,7 +21,7 @@ import pytest
 
 from braidplan import harness, workspace
 from braidplan.errors import ConfigurationError, InputError
-from braidplan.geometry import Trajectory
+from braidplan.geometry import Trajectory, build_space_time
 from braidplan.harness import (
     DEFAULT_GAMMA_BAR,
     MAX_M,
@@ -57,7 +57,7 @@ def _config(side: float = 12.0) -> WorkspaceConfig:
 def test_simulate_passing_robots_pinned():
     r1 = Trajectory(1, ((0.0, 0.0, 0.0), (4.0, 0.0, 2.0)))
     r2 = Trajectory(2, ((4.0, 1.0, 0.0), (0.0, 1.0, 2.0)))
-    sim = simulate([r1, r2])
+    sim = simulate(build_space_time([r1, r2]))
     assert abs(sim.min_distance - 1.0) < 1e-6
     assert abs(sim.time - 1.0) < 0.11
     assert sim.ids == (1, 2)
@@ -68,17 +68,19 @@ def test_simulate_includes_waypoint_times():
     # the closest approach happens exactly at a waypoint between samples
     r1 = Trajectory(1, ((0.0, 0.0, 0.0), (0.0, 0.95, 0.333), (0.0, 0.0, 1.0)))
     r2 = Trajectory(2, ((0.0, 2.0, 0.0), (0.0, 2.0, 1.0)))
-    sim = simulate([r1, r2])
+    sim = simulate(build_space_time([r1, r2]))
     assert abs(sim.min_distance - 1.05) < 1e-9
     assert sim.time == 0.333
 
 
 def test_simulate_single_robot_and_validation():
     r1 = Trajectory(1, ((0.0, 0.0, 0.0), (1.0, 0.0, 1.0)))
-    sim = simulate([r1])
+    sim = simulate(build_space_time([r1]))
     assert sim.min_distance == math.inf
     # a stationary team has a single waypoint time
-    still = simulate([Trajectory(1, ((0.0, 0.0, 0.0),)), Trajectory(2, ((3.0, 4.0, 0.0),))])
+    still = simulate(build_space_time(
+        [Trajectory(1, ((0.0, 0.0, 0.0),)), Trajectory(2, ((3.0, 4.0, 0.0),))]
+    ))
     assert (still.min_distance, still.time, still.ids, still.horizon) == (5.0, 0.0, (1, 2), 0.0)
 
 
@@ -88,7 +90,7 @@ def test_simulate_closest_approach_between_waypoint_times():
     r1 = Trajectory(1, ((10.0, 10.0, 0.0),))
     r2 = Trajectory(2, ((0.0, 0.0, 0.0), (5.0, 0.0, 2.0)))
     r3 = Trajectory(3, ((1.1, 0.3, 0.0),))
-    sim = simulate([r3, r1, r2])
+    sim = simulate(build_space_time([r3, r1, r2]))
     assert abs(sim.min_distance - 0.3) < 1e-12
     assert abs(sim.time - 0.44) < 1e-12
     assert sim.ids == (2, 3)
@@ -124,7 +126,7 @@ def test_verify_clean_episode_agrees_with_planner():
     config = _config()
     angles = (0.0, math.pi / 2, math.pi)
     result, trajectories = _planned_trajectories(rng, 4, config)
-    report, tables = verify(trajectories, angles)
+    report, tables = verify(build_space_time(trajectories), angles)
     assert report.ok
     assert report.violations == ()
     final = result.final_braids
@@ -154,7 +156,7 @@ def _weave_fixture() -> list[Trajectory]:
 
 
 def test_verify_flags_triplet_weave():
-    report, tables = verify(_weave_fixture(), (0.0,))
+    report, tables = verify(build_space_time(_weave_fixture()), (0.0,))
     assert not report.ok
     assert len(report.violations) == 1
     violation = report.violations[0]
@@ -170,7 +172,7 @@ def test_verify_flags_triplet_weave():
 def test_verify_mirror_angle_sees_flipped_weave():
     # angle pi views the same motion from behind: the braid flips to
     # s2 S1 s2, which is forbidden as well
-    report, _ = verify(_weave_fixture(), (math.pi,))
+    report, _ = verify(build_space_time(_weave_fixture()), (math.pi,))
     assert not report.ok
     assert report.violations[0].word == "s2 S1 s2"
 
@@ -180,14 +182,14 @@ def test_verify_carries_tables_between_episodes():
         Trajectory(1, ((1.0, 0.0, 0.0), (1.0, 2.0, 1.0))),
         Trajectory(2, ((0.0, 1.0, 0.0), (0.0, 1.0, 1.0))),
     ]
-    report1, tables1 = verify(first, (0.0,))
+    report1, tables1 = verify(build_space_time(first), (0.0,))
     assert report1.ok
     assert tables1[0].pair_state(1, 2, 1).exponent_sum == 1
     second = [
         Trajectory(1, ((1.0, 2.0, 0.0), (1.0, 0.0, 2.0))),
         Trajectory(2, ((0.0, 1.0, 0.0), (3.0, 1.0, 1.0), (3.0, 1.0, 2.0))),
     ]
-    report2, tables2 = verify(second, (0.0,), tables1)
+    report2, tables2 = verify(build_space_time(second), (0.0,), tables1)
     assert not report2.ok
     violation = report2.violations[0]
     assert violation.ids == (1, 2)
@@ -198,7 +200,7 @@ def test_verify_carries_tables_between_episodes():
 def test_verify_stationary_is_clean():
     still = [Trajectory(1, ((0.0, 0.0, 0.0),)), Trajectory(2, ((3.0, 3.0, 0.0),))]
     tables_in = (BraidTable.identity(2, axes_count=1),)
-    report, tables = verify(still, (0.0,), tables_in)
+    report, tables = verify(build_space_time(still), (0.0,), tables_in)
     assert report.ok
     assert tables is tables_in
 
@@ -207,14 +209,14 @@ def test_verify_validation():
     r1 = Trajectory(1, ((0.0, 0.0, 0.0), (1.0, 0.0, 1.0)))
     r3 = Trajectory(3, ((2.0, 0.0, 0.0), (2.0, 1.0, 1.0)))
     with pytest.raises(InputError):
-        verify([r1, r3], (0.0,))
+        verify(build_space_time([r1, r3]), (0.0,))
     r2 = Trajectory(2, ((2.0, 0.0, 0.0), (2.0, 1.0, 1.0)))
     with pytest.raises(InputError):
-        verify([r1, r2], ())
+        verify(build_space_time([r1, r2]), ())
     with pytest.raises(InputError):
-        verify([r1, r2], (0.0, 1.0), (BraidTable.identity(2, axes_count=1),))
+        verify(build_space_time([r1, r2]), (0.0, 1.0), (BraidTable.identity(2, axes_count=1),))
     with pytest.raises(InputError):
-        verify([r1, r2], (0.0,), (BraidTable.identity(2),))
+        verify(build_space_time([r1, r2]), (0.0,), (BraidTable.identity(2),))
 
 
 # ---------------------------------------------------------------------------
@@ -375,13 +377,19 @@ def test_run_task_sequence_odd_m_carries_grid_angle_tables(monkeypatch):
     scenario = make_scenario(4, 30, 60, m=3)
     assert AXIS_ANGLES[0] not in scenario.angles
     calls = []
-    real_verify = harness.verify
+    real_map_path, real_verify = harness.map_path, harness.verify
 
-    def recording_verify(trajectories, angles, tables, **kwargs):
-        out = real_verify(trajectories, angles, tables, **kwargs)
-        calls.append((trajectories, angles, out[1]))
+    def recording_map_path(*args, **kwargs):
+        trajectories = real_map_path(*args, **kwargs)
+        calls.append([trajectories])
+        return trajectories
+
+    def recording_verify(team, angles, tables, **kwargs):
+        out = real_verify(team, angles, tables, **kwargs)
+        calls[-1] += [angles, out[1]]
         return out
 
+    monkeypatch.setattr(harness, "map_path", recording_map_path)
     monkeypatch.setattr(harness, "verify", recording_verify)
     metrics = run_task_sequence(scenario)
     assert metrics.all_tables_consistent
@@ -410,9 +418,9 @@ def test_run_task_sequence_degenerate_episode_fails_and_continues(monkeypatch):
     calls = []
     real_verify = harness.verify
 
-    def recording_verify(trajectories, angles, tables):
-        calls.append((trajectories, tables))
-        return real_verify(trajectories, angles, tables)
+    def recording_verify(team, angles, tables):
+        calls.append((team, tables))
+        return real_verify(team, angles, tables)
 
     monkeypatch.setattr(harness, "verify", recording_verify)
     scenario = make_scenario(5, 20, 0, m=4)
@@ -429,7 +437,7 @@ def test_run_task_sequence_degenerate_episode_fails_and_continues(monkeypatch):
         if k + 1 < len(calls):
             (before, tables), (after, next_tables) = calls[k], calls[k + 1]
             assert next_tables == tables
-            assert [t.waypoints[0][:2] for t in after] == [t.waypoints[0][:2] for t in before]
+            assert after.xy[:, 0].tolist() == before.xy[:, 0].tolist()
 
 
 def test_bench_tracer_hooks_name_callables():

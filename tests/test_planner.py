@@ -19,7 +19,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from braidplan import planner
-from braidplan.braid import BraidLetter, pair_state, update_pair, update_triplet
+from braidplan.braid import (
+    BraidLetter,
+    BraidWord,
+    identity_triplet,
+    pair_state,
+    triplet_state_from_word,
+    update_pair,
+    update_triplet,
+)
 from braidplan.errors import InputError
 from braidplan.geometry import ProjectionAxis, Trajectory, build_space_time, extract_crossings, sub_events
 from braidplan.planner import (
@@ -266,9 +274,11 @@ def _check_expansion(node: GridNode, target: PermutationState) -> list[GridNode]
         assert child.braids == table
         assert PermutationState(child.pi1, child.pi2) == _apply(perms, action)
         assert child.parent is node and child.g == node.g + 1
-        # the incremental bound and fingerprint match a from-scratch root
+        # the incremental bound and the closed-set key match a from-scratch root
         fresh = GridNode.root(PermutationState(child.pi1, child.pi2), table, target)
-        assert (child.hsum, child.fp) == (fresh.hsum, fresh.fp)
+        assert child.hsum == fresh.hsum
+        assert child == fresh
+        assert hash(child) == hash(fresh)
         kept.append(child)
     assert not children
     return kept
@@ -296,6 +306,57 @@ def test_expand_matches_letter_by_letter_fold(n, seed):
         if not kept:
             break
         node = rng.choice(kept)
+
+
+_RELATOR = BraidWord.from_text("s1 s2 s1 S2 S1 S2", 3).letters  # equals e in B3
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(n=st.integers(3, 6), seed=st.integers(0, 2**32 - 1))
+def test_interned_states_are_canonical(n, seed):
+    """Equal braids are one object however they are reached: by the
+    planner, by update chains along the same walk, from an equivalent word,
+    and through a JSON round trip of the table."""
+    rng = random.Random(seed)
+    target = _random_perms(rng, n)
+    node = GridNode.root(_random_perms(rng, n), BraidTable.identity(n), target)
+    for _ in range(rng.randrange(1, 20)):
+        children = expand(node, target)
+        if not children:
+            break
+        child = rng.choice(children)
+        folded = _folded_child_table(node, child.action, target)
+        assert all(a is b for a, b in zip(child.pairs, folded.pairs))
+        assert all(a is b for a, b in zip(child.trips, folded.triplets))
+        node = child
+    table = node.braids
+
+    for state in table.pairs:
+        assert pair_state(state.exponent_sum) is state
+        letter = BraidLetter(1, -1 if state.exponent_sum > 0 else 1)
+        there, ok = update_pair(state, letter)
+        assert ok and update_pair(there, letter.inverse())[0] is state
+    for state in table.triplets:
+        letters = list(state.letters)
+        at = rng.randrange(len(letters) + 1)
+        letters[at:at] = _RELATOR
+        at = rng.randrange(len(letters) + 1)
+        letter = BraidLetter(rng.choice((1, 2)), rng.choice((1, -1)))
+        letters[at:at] = (letter, letter.inverse())
+        assert triplet_state_from_word(BraidWord(3, tuple(letters))) is state
+        chained = identity_triplet()
+        for letter in letters:
+            chained, ok = update_triplet(chained, letter)
+            if not ok:
+                break  # the longer word passes a forbidden prefix
+        else:
+            assert chained is state
+
+    again = BraidTable.from_serializable(json.loads(json.dumps(table.to_serializable())))
+    assert all(a is b for a, b in zip(again.pairs, table.pairs))
+    assert all(a is b for a, b in zip(again.triplets, table.triplets))
+    assert again == table
+    assert hash(again) == hash(table)
 
 
 def test_nodes_with_different_braids_do_not_merge():
