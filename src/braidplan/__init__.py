@@ -10,8 +10,9 @@ episode.
 
 Layers, bottom up:
 
-* ``braid``: braid words on two and three strands, an exact matrix
-  representation, and the forbidden-pattern membership tests.
+* ``braid``: braid words on two and three strands, an exact integer key
+  for three-strand braids (a 2x2 matrix and the exponent sum), and the
+  forbidden-pattern membership tests.
 * ``geometry``: timed trajectories, space-time lifting, and crossing
   extraction on arbitrary projection planes.
 * ``planner``: best-first search over rank permutations with incremental

@@ -3,11 +3,15 @@
 Cable entanglement between robots is always witnessed by a pair or a
 triplet of strands, so the only braid groups this package ever needs are
 B2 and B3.  B2 is infinite cyclic: a pair braid is fully described by the
-signed count of its crossings.  For B3 we track the reduced Burau
-representation, which is faithful on three strands, so two words are
-equivalent exactly when their Burau matrices agree entry for entry.  The
-matrices live over integer Laurent polynomials and all arithmetic is
-exact.
+signed count of its crossings.  For B3 we track an integer key: the
+reduced Burau matrix at t = -1, which sends s1 to [[1, 1], [0, 1]] and s2
+to [[1, 0], [-1, 1]], together with the exponent sum.  That map
+B3 -> SL(2, Z) has kernel <D^4> = <(s1 s2)^6>, where D = s1 s2 s1 is the
+half twist (Kassel & Turaev, *Braid Groups*, GTM 247, 2008).  The kernel
+element D^(4k) has exponent sum 12k, which is 0 only for the identity, so
+the pair (matrix, exponent sum) is faithful on B3: two words are
+equivalent exactly when their keys are equal.  All arithmetic is on
+Python integers and exact.
 
 The entangling patterns rejected during planning and verification:
 
@@ -25,25 +29,20 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable
 
 from .errors import InputError
 
 __all__ = [
     "BraidLetter",
     "BraidWord",
-    "LaurentPoly",
-    "LaurentMatrix",
     "PairBraidState",
     "TripletBraidState",
-    "burau",
-    "burau_letter",
     "free_reduce",
-    "forbidden_triplet_matrices",
     "identity_pair",
     "identity_triplet",
     "is_forbidden_triplet",
     "pair_state",
+    "triplet_element",
     "triplet_state_from_word",
     "update_pair",
     "update_triplet",
@@ -132,160 +131,53 @@ def free_reduce(word: BraidWord) -> BraidWord:
 
 
 # ---------------------------------------------------------------------------
-# Exact Laurent-polynomial arithmetic for the reduced Burau representation.
+# The exact B3 key: the t = -1 Burau matrix and the exponent sum.
 # ---------------------------------------------------------------------------
 
-
-class LaurentPoly:
-    """Integer Laurent polynomial in one variable t.
-
-    Immutable; stored as sorted (exponent, coefficient) pairs with no zero
-    coefficients.  Python integers keep every coefficient exact no matter
-    how long the tracked braid word grows.
-    """
-
-    __slots__ = ("terms", "_hash")
-
-    def __init__(self, terms: Iterable[tuple[int, int]] = ()):
-        acc: dict[int, int] = {}
-        for exp, coeff in terms:
-            acc[exp] = acc.get(exp, 0) + coeff
-        self.terms: tuple[tuple[int, int], ...] = tuple(
-            sorted((e, c) for e, c in acc.items() if c)
-        )
-        self._hash = hash(self.terms)
-
-    @classmethod
-    def zero(cls) -> "LaurentPoly":
-        return cls()
-
-    @classmethod
-    def monomial(cls, exp: int, coeff: int = 1) -> "LaurentPoly":
-        return cls(((exp, coeff),))
-
-    def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
-        return LaurentPoly(self.terms + other.terms)
-
-    def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
-        out: dict[int, int] = {}
-        for e1, c1 in self.terms:
-            for e2, c2 in other.terms:
-                key = e1 + e2
-                out[key] = out.get(key, 0) + c1 * c2
-        return LaurentPoly(out.items())
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __repr__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for e, c in self.terms:
-            if e == 0:
-                parts.append(str(c))
-            else:
-                base = "t" if e == 1 else f"t^{e}"
-                parts.append(base if c == 1 else f"-{base}" if c == -1 else f"{c}*{base}")
-        return " + ".join(parts).replace("+ -", "- ")
-
-
-_P_ZERO = LaurentPoly.zero()
-_P_ONE = LaurentPoly.monomial(0)
-
-
-class LaurentMatrix:
-    """2x2 matrix of Laurent polynomials; the value type of Burau images."""
-
-    __slots__ = ("a", "b", "c", "d", "_hash")
-
-    def __init__(self, a: LaurentPoly, b: LaurentPoly, c: LaurentPoly, d: LaurentPoly):
-        self.a, self.b, self.c, self.d = a, b, c, d
-        self._hash = hash((a.terms, b.terms, c.terms, d.terms))
-
-    @classmethod
-    def identity(cls) -> "LaurentMatrix":
-        return cls(_P_ONE, _P_ZERO, _P_ZERO, _P_ONE)
-
-    def __mul__(self, other: "LaurentMatrix") -> "LaurentMatrix":
-        return LaurentMatrix(
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d,
-        )
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, LaurentMatrix):
-            return NotImplemented
-        return (
-            self._hash == other._hash
-            and self.a == other.a
-            and self.b == other.b
-            and self.c == other.c
-            and self.d == other.d
-        )
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __repr__(self) -> str:
-        return f"[[{self.a!r}, {self.b!r}], [{self.c!r}, {self.d!r}]]"
-
-
-_IDENTITY_MATRIX = LaurentMatrix.identity()
-
-# Reduced Burau images of s1, s2 and their inverses.  Faithful on B3, so
-# matrix equality is exactly word equivalence on three strands.
-_BURAU = {
-    (1, 1): LaurentMatrix(LaurentPoly.monomial(1, -1), _P_ONE, _P_ZERO, _P_ONE),
-    (2, 1): LaurentMatrix(_P_ONE, _P_ZERO, LaurentPoly.monomial(1), LaurentPoly.monomial(1, -1)),
-    (1, -1): LaurentMatrix(LaurentPoly.monomial(-1, -1), LaurentPoly.monomial(-1), _P_ZERO, _P_ONE),
-    (2, -1): LaurentMatrix(_P_ONE, _P_ZERO, _P_ONE, LaurentPoly.monomial(-1, -1)),
+# Images of s1, s2 and their inverses in SL(2, Z), as (a, b, c, d) for the
+# matrix [[a, b], [c, d]]: the reduced Burau matrices at t = -1.
+_GENERATORS = {
+    (1, 1): (1, 1, 0, 1),
+    (1, -1): (1, -1, 0, 1),
+    (2, 1): (1, 0, -1, 1),
+    (2, -1): (1, 0, 1, 1),
 }
 
-
-def burau_letter(letter: BraidLetter) -> LaurentMatrix:
-    """Reduced Burau image of a single B3 generator."""
-    try:
-        return _BURAU[(letter.index, letter.sign)]
-    except KeyError:
-        raise InputError(f"no 3-strand Burau image for generator index {letter.index}")
+_IDENTITY_ELEMENT = (1, 0, 0, 1, 0)
 
 
-def burau(word: BraidWord) -> LaurentMatrix:
-    """Reduced Burau image of a 3-strand word (letters act left to right)."""
+def _times(element: tuple[int, ...], key: tuple[int, int]) -> tuple[int, ...]:
+    """The key of ``element`` followed by the letter ``key`` = (index, sign)."""
+    a, b, c, d, e = element
+    p, q, r, s = _GENERATORS[key]
+    return (a * p + b * r, a * q + b * s, c * p + d * r, c * q + d * s, e + key[1])
+
+
+def triplet_element(word: BraidWord) -> tuple[int, int, int, int, int]:
+    """The exact B3 key ``(a, b, c, d, e)`` of a 3-strand word.
+
+    ``[[a, b], [c, d]]`` is the word's matrix (letters act left to right)
+    and ``e`` its exponent sum; two words are equivalent exactly when their
+    keys are equal.
+    """
     if word.strands != 3:
-        raise InputError(f"burau is defined here for 3 strands, got {word.strands}")
-    m = _IDENTITY_MATRIX
+        raise InputError(f"triplet elements need 3-strand words, got {word.strands}")
+    element = _IDENTITY_ELEMENT
     for letter in word.letters:
-        m = m * burau_letter(letter)
-    return m
+        element = _times(element, (letter.index, letter.sign))
+    return element
 
 
-def _forbidden() -> dict[LaurentMatrix, str]:
-    out = {}
-    for text in ("s1 S2 s1", "s2 S1 s2", "S1 s2 S1", "S2 s1 S2"):
-        out[burau(BraidWord.from_text(text, 3))] = text
-    return out
-
-
-# Burau images of the four entangling triplet patterns, keyed for lookup.
-_FORBIDDEN3 = _forbidden()
-
-
-def forbidden_triplet_matrices() -> tuple[LaurentMatrix, ...]:
-    return tuple(_FORBIDDEN3)
+# Keys of the four entangling triplet patterns.
+_FORBIDDEN3 = frozenset(
+    triplet_element(BraidWord.from_text(text, 3))
+    for text in ("s1 S2 s1", "s2 S1 s2", "S1 s2 S1", "S2 s1 S2")
+)
 
 
 def is_forbidden_triplet(word: BraidWord) -> bool:
     """True when the word is equivalent to one of the four entangling patterns."""
-    return burau(word) in _FORBIDDEN3
+    return triplet_element(word) in _FORBIDDEN3
 
 
 # ---------------------------------------------------------------------------
@@ -295,26 +187,27 @@ def is_forbidden_triplet(word: BraidWord) -> bool:
 
 @dataclass(frozen=True, eq=False)
 class PairBraidState:
-    """Running state of a 2-strand braid: its crossing count and a sticky flag.
+    """Running state of a 2-strand braid: its crossing count, and whether
+    that count has reached +-2.
 
     Only ``pair_state``, ``identity_pair`` and ``update_pair`` make states,
-    and they intern them, so equal braids are one object and ``==`` and
-    ``hash`` are identity.
+    and they intern them by count, so equal braids are one object and ``==``
+    and ``hash`` are identity.
     """
 
     exponent_sum: int
     violated: bool
 
 
-_PAIR_INTERN: dict[tuple[int, bool], PairBraidState] = {}
+_PAIR_INTERN: dict[int, PairBraidState] = {}
 
 
-def _intern_pair(exponent_sum: int, violated: bool) -> PairBraidState:
-    key = (exponent_sum, violated)
-    state = _PAIR_INTERN.get(key)
+def pair_state(exponent_sum: int) -> PairBraidState:
+    """Canonical pair state; it is violated once the count reaches +-2."""
+    state = _PAIR_INTERN.get(exponent_sum)
     if state is None:
-        state = PairBraidState(exponent_sum, violated)
-        _PAIR_INTERN[key] = state
+        state = PairBraidState(exponent_sum, abs(exponent_sum) >= 2)
+        _PAIR_INTERN[exponent_sum] = state
     return state
 
 
@@ -329,27 +222,27 @@ def update_pair(state: PairBraidState, letter: BraidLetter) -> tuple[PairBraidSt
         raise InputError("cannot update a violated pair braid state")
     if letter.index != 1:
         raise InputError(f"pair braids only have generator s1, got s{letter.index}")
-    total = state.exponent_sum + letter.sign
-    ok = abs(total) <= 1
-    return _intern_pair(total, not ok), ok
+    new = pair_state(state.exponent_sum + letter.sign)
+    return new, not new.violated
 
 
 class TripletBraidState:
     """Running state of a 3-strand braid.
 
     ``letters`` is the freely reduced word so far (kept for diagnostics and
-    serialization); ``matrix`` is its reduced Burau image.  Only
-    ``triplet_state_from_word``, ``identity_triplet`` and ``update_triplet``
-    make states, and they intern them by matrix and flag, so equal braids
-    are one object and ``==`` and ``hash`` are identity.
+    serialization); ``element`` is its key from ``triplet_element``, and
+    ``violated`` says whether that key is one of the four entangling
+    patterns.  Only ``triplet_state_from_word``, ``identity_triplet`` and
+    ``update_triplet`` make states, and they intern them by key, so equal
+    braids are one object and ``==`` and ``hash`` are identity.
     """
 
-    __slots__ = ("letters", "matrix", "violated", "_trans")
+    __slots__ = ("letters", "element", "violated", "_trans")
 
-    def __init__(self, letters: tuple[BraidLetter, ...], matrix: LaurentMatrix, violated: bool):
+    def __init__(self, letters: tuple[BraidLetter, ...], element: tuple[int, ...]):
         self.letters = letters
-        self.matrix = matrix
-        self.violated = violated
+        self.element = element
+        self.violated = element in _FORBIDDEN3
         # per-state transition cache, filled lazily by update_triplet
         self._trans: dict[tuple[int, int], tuple[TripletBraidState, bool]] = {}
 
@@ -362,35 +255,34 @@ class TripletBraidState:
         return f"TripletBraidState({self.word.to_text()!r}{flag})"
 
 
-# Interning makes one triplet state per group element and flag, so state
-# equality is identity.  Different reduced words can name the same element
-# (s1 s2 s1 = s2 s1 s2), so the key is the Burau matrix, never the word; the
-# stored word is one witness for it.  The table is never cleared: every
+# Interning makes one triplet state per group element, so state equality is
+# identity.  Different reduced words can name the same element
+# (s1 s2 s1 = s2 s1 s2), so the key is ``triplet_element``, never the word;
+# the stored word is one witness for it.  The table is never cleared: every
 # state's ``_trans`` cache keeps its successors reachable from the identity
 # state anyway, and re-interning an element would make a second object for it.
-_TRIPLET_INTERN: dict[tuple[LaurentMatrix, bool], TripletBraidState] = {}
+_TRIPLET_INTERN: dict[tuple[int, ...], TripletBraidState] = {}
 
 
 def _intern_triplet(
-    letters: tuple[BraidLetter, ...], matrix: LaurentMatrix, violated: bool
+    letters: tuple[BraidLetter, ...], element: tuple[int, ...]
 ) -> TripletBraidState:
-    key = (matrix, violated)
-    state = _TRIPLET_INTERN.get(key)
+    state = _TRIPLET_INTERN.get(element)
     if state is None:
-        state = TripletBraidState(letters, matrix, violated)
-        _TRIPLET_INTERN[key] = state
+        state = TripletBraidState(letters, element)
+        _TRIPLET_INTERN[element] = state
     return state
 
 
-_IDENTITY_TRIPLET = _intern_triplet((), _IDENTITY_MATRIX, False)
+_IDENTITY_TRIPLET = _intern_triplet((), _IDENTITY_ELEMENT)
 
 
 def update_triplet(state: TripletBraidState, letter: BraidLetter) -> tuple[TripletBraidState, bool]:
     """Append one crossing to a triplet braid and check it.
 
-    The new word is the free reduction of the old word plus the letter, the
-    new matrix its Burau image, and the update is unsafe when that matrix
-    equals one of the four entangling patterns.  Violated states are sticky.
+    The new word is the free reduction of the old word plus the letter, and
+    the update is unsafe when the new element is one of the four entangling
+    patterns.  Violated states are sticky.
     """
     if state.violated:
         raise InputError("cannot update a violated triplet braid state")
@@ -405,30 +297,19 @@ def update_triplet(state: TripletBraidState, letter: BraidLetter) -> tuple[Tripl
         letters = prior[:-1]  # appending the inverse of the last letter cancels it
     else:
         letters = prior + (letter,)
-    matrix = state.matrix * _BURAU[key]
-    ok = matrix not in _FORBIDDEN3
-    new = _intern_triplet(letters, matrix, not ok)
-    state._trans[key] = (new, ok)
-    return new, ok
+    new = _intern_triplet(letters, _times(state.element, key))
+    state._trans[key] = hit = (new, not new.violated)
+    return hit
 
 
-def triplet_state_from_word(word: BraidWord, violated: bool = False) -> TripletBraidState:
-    """Canonical triplet state for a word: freely reduced, Burau-keyed."""
-    if word.strands != 3:
-        raise InputError(f"triplet states need 3-strand words, got {word.strands}")
+def triplet_state_from_word(word: BraidWord) -> TripletBraidState:
+    """Canonical triplet state for a word, with its free reduction as witness."""
     reduced = free_reduce(word)
-    return _intern_triplet(reduced.letters, burau(reduced), violated)
-
-
-def pair_state(exponent_sum: int, violated: bool | None = None) -> PairBraidState:
-    """Canonical pair state; ``violated`` defaults to the cap check."""
-    if violated is None:
-        violated = abs(exponent_sum) >= 2
-    return _intern_pair(exponent_sum, violated)
+    return _intern_triplet(reduced.letters, triplet_element(reduced))
 
 
 def identity_pair() -> PairBraidState:
-    return _intern_pair(0, False)
+    return pair_state(0)
 
 
 def identity_triplet() -> TripletBraidState:

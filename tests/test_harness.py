@@ -283,6 +283,9 @@ def test_scenario_validation():
         Scenario(config, ((2.0, 2.0),), pts, (pts,))
     with pytest.raises(ConfigurationError):
         Scenario(config, pts, pts, (pts,), m=1)
+    for m in (2.0, True, "2"):
+        with pytest.raises(ConfigurationError):
+            Scenario(config, pts, pts, (pts,), m=m)
     with pytest.raises(ConfigurationError):
         Scenario(config, pts, pts, (pts,), gamma_bar=0.0)
     with pytest.raises(ConfigurationError):

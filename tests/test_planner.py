@@ -572,6 +572,21 @@ def test_serialization_round_trip():
     assert hash(again) == hash(table)
 
 
+def test_serialized_violated_flag_follows_word():
+    for key, word in (("pairs", "s1 s1"), ("triplets", "s1 S2 s1")):
+        data = BraidTable.identity(3).to_serializable()
+        data[key][0].update(word=word, violated=False)
+        with pytest.raises(InputError):
+            BraidTable.from_serializable(data)
+        data[key][0]["violated"] = True
+        assert not BraidTable.from_serializable(data).is_clean
+        del data[key][0]["violated"]
+        assert not BraidTable.from_serializable(data).is_clean
+        data[key][0].update(word="e", violated=True)
+        with pytest.raises(InputError):
+            BraidTable.from_serializable(data)
+
+
 # ---------------------------------------------------------------------------
 # Fallback stages.
 # ---------------------------------------------------------------------------
