@@ -35,13 +35,10 @@ from .errors import InputError
 __all__ = [
     "BraidLetter",
     "BraidWord",
-    "PairBraidState",
     "TripletBraidState",
     "free_reduce",
-    "identity_pair",
     "identity_triplet",
     "is_forbidden_triplet",
-    "pair_state",
     "triplet_element",
     "triplet_state_from_word",
     "update_pair",
@@ -185,45 +182,19 @@ def is_forbidden_triplet(word: BraidWord) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class PairBraidState:
-    """Running state of a 2-strand braid: its crossing count, and whether
-    that count has reached +-2.
+def update_pair(count: int, letter: BraidLetter) -> tuple[int, bool]:
+    """Append one crossing to a pair braid, given as its signed crossing count.
 
-    Only ``pair_state``, ``identity_pair`` and ``update_pair`` make states,
-    and they intern them by count, so equal braids are one object and ``==``
-    and ``hash`` are identity.
+    Returns the new count and whether it is still safe.  The count may never
+    reach +-2; an unsafe count is returned as it is and must not be updated
+    further.
     """
-
-    exponent_sum: int
-    violated: bool
-
-
-_PAIR_INTERN: dict[int, PairBraidState] = {}
-
-
-def pair_state(exponent_sum: int) -> PairBraidState:
-    """Canonical pair state; it is violated once the count reaches +-2."""
-    state = _PAIR_INTERN.get(exponent_sum)
-    if state is None:
-        state = PairBraidState(exponent_sum, abs(exponent_sum) >= 2)
-        _PAIR_INTERN[exponent_sum] = state
-    return state
-
-
-def update_pair(state: PairBraidState, letter: BraidLetter) -> tuple[PairBraidState, bool]:
-    """Append one crossing to a pair braid.
-
-    Returns the new state and whether it is still safe.  The running sum may
-    never reach +-2; an unsafe result is returned with ``violated`` set and
-    must not be updated further.
-    """
-    if state.violated:
+    if abs(count) >= 2:
         raise InputError("cannot update a violated pair braid state")
     if letter.index != 1:
         raise InputError(f"pair braids only have generator s1, got s{letter.index}")
-    new = pair_state(state.exponent_sum + letter.sign)
-    return new, not new.violated
+    count += letter.sign
+    return count, abs(count) < 2
 
 
 class TripletBraidState:
@@ -306,10 +277,6 @@ def triplet_state_from_word(word: BraidWord) -> TripletBraidState:
     """Canonical triplet state for a word, with its free reduction as witness."""
     reduced = free_reduce(word)
     return _intern_triplet(reduced.letters, triplet_element(reduced))
-
-
-def identity_pair() -> PairBraidState:
-    return pair_state(0)
 
 
 def identity_triplet() -> TripletBraidState:

@@ -26,18 +26,13 @@ from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 from heapq import heappush, heappop
-from typing import Iterator
 
 from .braid import (
     BraidLetter,
     BraidWord,
-    PairBraidState,
     TripletBraidState,
-    identity_pair,
     identity_triplet,
-    pair_state,
     triplet_state_from_word,
-    update_pair,
     update_triplet,
 )
 from .errors import InputError
@@ -170,7 +165,7 @@ def heuristic(perms: PermutationState, target: PermutationState, bias: float = 1
 
 
 # ---------------------------------------------------------------------------
-# The per-team braid table: one pair state and one triplet state per axis.
+# The per-team braid table: one pair count and one triplet state per axis.
 # ---------------------------------------------------------------------------
 
 
@@ -197,8 +192,10 @@ class BraidTable:
     """Braid state of every robot pair and triplet on every tracked axis.
 
     Immutable; planner nodes share unchanged entries structurally.  Pairs
-    and triplets are stored axis-major in combination order.  The states
-    are interned, so tables compare and hash by state identity.
+    and triplets are stored axis-major in combination order.  A pair's
+    entry is its signed crossing count (B2 is infinite cyclic), violated at
+    +-2; a triplet's is its interned state, so tables compare and hash by
+    count and by state identity.
     """
 
     __slots__ = ("n", "axes_count", "pairs", "triplets", "_hash")
@@ -207,7 +204,7 @@ class BraidTable:
         self,
         n: int,
         axes_count: int,
-        pairs: tuple[PairBraidState, ...],
+        pairs: tuple[int, ...],
         triplets: tuple[TripletBraidState, ...],
     ):
         if len(pairs) != axes_count * len(_pair_ord(n)):
@@ -225,11 +222,11 @@ class BraidTable:
         return cls(
             n,
             axes_count,
-            (identity_pair(),) * (axes_count * len(_pair_ord(n))),
+            (0,) * (axes_count * len(_pair_ord(n))),
             (identity_triplet(),) * (axes_count * len(_trip_ord(n))),
         )
 
-    def pair_state(self, i: int, j: int, axis: int) -> PairBraidState:
+    def pair_count(self, i: int, j: int, axis: int) -> int:
         return self.pairs[pair_slot(self.n, i, j, axis)]
 
     def triplet_state(self, i: int, j: int, k: int, axis: int) -> TripletBraidState:
@@ -238,7 +235,7 @@ class BraidTable:
     @property
     def is_clean(self) -> bool:
         return not (
-            any(p.violated for p in self.pairs) or any(t.violated for t in self.triplets)
+            any(abs(c) >= 2 for c in self.pairs) or any(t.violated for t in self.triplets)
         )
 
     def __eq__(self, other: object) -> bool:
@@ -254,69 +251,75 @@ class BraidTable:
     def __hash__(self) -> int:
         return self._hash
 
-    def iter_pairs(self) -> Iterator[tuple[tuple[int, int], int, PairBraidState]]:
-        """Yields ((i, j), axis, state) over all slots."""
-        per_axis = len(_pair_ord(n := self.n))
-        for (ids, o) in _pair_ord(n).items():
-            for axis in range(1, self.axes_count + 1):
-                yield ids, axis, self.pairs[(axis - 1) * per_axis + o]
-
-    def iter_triplets(self) -> Iterator[tuple[tuple[int, int, int], int, TripletBraidState]]:
-        per_axis = len(_trip_ord(n := self.n))
-        for (ids, o) in _trip_ord(n).items():
-            for axis in range(1, self.axes_count + 1):
-                yield ids, axis, self.triplets[(axis - 1) * per_axis + o]
-
     def to_serializable(self) -> dict:
-        pairs = [
-            {"ids": list(ids), "axis": axis, "word": _pair_word_text(st), "violated": st.violated}
-            for ids, axis, st in self.iter_pairs()
-        ]
-        trips = [
-            {"ids": list(ids), "axis": axis, "word": st.word.to_text(), "violated": st.violated}
-            for ids, axis, st in self.iter_triplets()
-        ]
-        return {"n": self.n, "axes": self.axes_count, "pairs": pairs, "triplets": trips}
+        doc = {"n": self.n, "axes": self.axes_count}
+        for key, ords, states in (
+            ("pairs", _pair_ord(self.n), self.pairs),
+            ("triplets", _trip_ord(self.n), self.triplets),
+        ):
+            doc[key] = entries = []
+            for ids, o in ords.items():
+                for axis in range(1, self.axes_count + 1):
+                    st = states[(axis - 1) * len(ords) + o]
+                    if key == "pairs":
+                        word = " ".join(["s1" if st > 0 else "S1"] * abs(st)) or "e"
+                        violated = abs(st) >= 2
+                    else:
+                        word, violated = st.word.to_text(), st.violated
+                    entries.append({"ids": list(ids), "axis": axis, "word": word, "violated": violated})
+        return doc
 
     @classmethod
     def from_serializable(cls, data: dict) -> "BraidTable":
         """Inverse of ``to_serializable``.
 
-        Each state's ``violated`` flag follows from its word; an entry whose
-        ``"violated"`` value says otherwise is an ``InputError``.
+        ``data`` must list every slot exactly once, so a truncated table
+        cannot load as a less tangled one, and each entry's ``violated``
+        flag follows from its word.  Anything else is an ``InputError``: a
+        missing or mistyped field, ids or an axis that name no slot, a slot
+        given twice, or a ``"violated"`` value that contradicts its word.
         """
-        n, axes_count = int(data["n"]), int(data["axes"])
-        pairs = [identity_pair()] * (axes_count * len(_pair_ord(n)))
-        trips = [identity_triplet()] * (axes_count * len(_trip_ord(n)))
-        for entry in data["pairs"]:
-            i, j = entry["ids"]
-            word = BraidWord.from_text(entry["word"], 2)
-            state = pair_state(sum(l.sign for l in word.letters))
-            pairs[pair_slot(n, i, j, entry["axis"])] = _check_flag(entry, state)
-        for entry in data["triplets"]:
-            i, j, k = entry["ids"]
-            state = triplet_state_from_word(BraidWord.from_text(entry["word"], 3))
-            trips[triplet_slot(n, i, j, k, entry["axis"])] = _check_flag(entry, state)
-        return cls(n, axes_count, tuple(pairs), tuple(trips))
-
-
-def _check_flag(
-    entry: dict, state: PairBraidState | TripletBraidState
-) -> PairBraidState | TripletBraidState:
-    """``state``, unless the entry's ``"violated"`` value contradicts it."""
-    if entry.get("violated", state.violated) != state.violated:
-        raise InputError(
-            f"braid table entry {entry['ids']} on axis {entry['axis']}: "
-            f"\"violated\": {entry['violated']!r} contradicts its word {entry['word']!r}"
-        )
-    return state
-
-
-def _pair_word_text(state: PairBraidState) -> str:
-    if state.exponent_sum == 0:
-        return "e"
-    letter = "s1" if state.exponent_sum > 0 else "S1"
-    return " ".join([letter] * abs(state.exponent_sum))
+        if not isinstance(data, dict):
+            raise InputError("a braid table must be a JSON object")
+        n, axes_count = data.get("n"), data.get("axes")
+        if type(n) is not int or n < 1 or type(axes_count) is not int or axes_count not in (1, 2):
+            raise InputError(
+                f"a braid table needs a positive integer \"n\" and \"axes\" 1 or 2, "
+                f"got {n!r} and {axes_count!r}"
+            )
+        loaded = []
+        for key, size, ord_of in (("pairs", 2, _pair_ord), ("triplets", 3, _trip_ord)):
+            entries, slots = data.get(key), axes_count * math.comb(n, size)
+            if not isinstance(entries, list) or len(entries) != slots:
+                raise InputError(f"braid table {key!r} must list all {slots} slots")
+            ords = ord_of(n)
+            states: list = [None] * slots
+            for entry in entries:
+                if not isinstance(entry, dict):
+                    raise InputError(f"braid table entries must be JSON objects, got {entry!r}")
+                ids, axis, text = entry.get("ids"), entry.get("axis"), entry.get("word")
+                # ``ords`` holds exactly the ascending id tuples in 1..n.
+                int_ids = isinstance(ids, list) and all(type(r) is int for r in ids)
+                o = ords.get(tuple(ids)) if int_ids else None
+                if o is None or type(axis) is not int or not 1 <= axis <= axes_count:
+                    raise InputError(f"braid table entry {entry!r} names no slot of this table")
+                if not isinstance(text, str):
+                    raise InputError(f"braid table entry {entry!r} has no word")
+                word = BraidWord.from_text(text, size)
+                if size == 2:
+                    state = sum(l.sign for l in word.letters)
+                    violated = abs(state) >= 2
+                else:
+                    state = triplet_state_from_word(word)
+                    violated = state.violated
+                if entry.get("violated", violated) != violated:
+                    raise InputError(f"braid table entry {entry!r}: \"violated\" contradicts its word")
+                slot = (axis - 1) * len(ords) + o
+                if states[slot] is not None:
+                    raise InputError(f"braid table entry {entry!r} repeats a slot")
+                states[slot] = state
+            loaded.append(tuple(states))
+        return cls(n, axes_count, *loaded)
 
 
 # ---------------------------------------------------------------------------
@@ -328,15 +331,6 @@ _LETTERS = {
     (1, -1): BraidLetter(1, -1),
     (2, 1): BraidLetter(2, 1),
     (2, -1): BraidLetter(2, -1),
-}
-
-# Swap-axis pair transitions by (exponent sum, crossing sign).  States with
-# |sum| = 2 are violated and never stored in a live node, so three sums cover
-# every reachable input.
-_PAIR_STEP = {
-    (s, sg): update_pair(pair_state(s), _LETTERS[(1, sg)])
-    for s in (-1, 0, 1)
-    for sg in (-1, 1)
 }
 
 # ---------------------------------------------------------------------------
@@ -407,8 +401,9 @@ class GridNode:
     ``hsum`` is the pair-automaton lower bound on remaining actions (see
     ``_build_pair_automaton``), maintained incrementally: each action
     changes exactly one pair's term.  Nodes are their own closed-list keys:
-    braid states are interned, so equal tables hold the same objects, and
-    the permutations and table tuples hash and compare by state identity.
+    pair entries are crossing counts and triplet states are interned, so
+    the permutations and table tuples hash and compare by count and by
+    triplet state identity.
     """
 
     __slots__ = ("pi1", "pi2", "pairs", "trips", "g", "hsum", "parent", "action", "_kh")
@@ -455,8 +450,8 @@ class GridNode:
             o2 = 1 if perms.pi2[a - 1] < perms.pi2[b - 1] else -1
             t1 = 1 if target.pi1[a - 1] < target.pi1[b - 1] else -1
             t2 = 1 if target.pi2[a - 1] < target.pi2[b - 1] else -1
-            s1 = braids.pairs[o].exponent_sum
-            s2 = braids.pairs[n_pairs + o].exponent_sum
+            s1 = braids.pairs[o]
+            s2 = braids.pairs[n_pairs + o]
             hsum += _PAIR_DIST[(o1, o2, s1, s2, t1, t2)]
         return cls(perms.pi1, perms.pi2, braids.pairs, braids.triplets, 0, hsum, None, None)
 
@@ -518,7 +513,8 @@ def _child(
 ) -> GridNode | None:
     """The node reached by swapping robots i and j, ranked k and k + 1 on
     ``axis``, or None when a braid check rejects the move: the pair's
-    exponent sum would leave +-1 or a triplet word would become forbidden.
+    crossing count would leave [-1, 1] or a triplet word would become
+    forbidden.
 
     A move the pair check allows never strands the pair: the reverse swap
     undoes every automaton step, so a pair with a finite distance to its
@@ -541,20 +537,20 @@ def _child(
     a, b = (i, j) if i < j else (j, i)
     po = pord[(a, b)]
     pslot = pbase + po
-    new_pair, ok = _PAIR_STEP[(node_pairs[pslot].exponent_sum, sign)]
-    if not ok:
+    new_pair = node_pairs[pslot] + sign
+    if abs(new_pair) > 1:
         return None
     o1 = 1 if pi1[a - 1] < pi1[b - 1] else -1
     o2 = 1 if pi2[a - 1] < pi2[b - 1] else -1
     to1 = 1 if target.pi1[a - 1] < target.pi1[b - 1] else -1
     to2 = 1 if target.pi2[a - 1] < target.pi2[b - 1] else -1
-    s1 = node_pairs[po].exponent_sum
-    s2 = node_pairs[n_pairs + po].exponent_sum
+    s1 = node_pairs[po]
+    s2 = node_pairs[n_pairs + po]
     before = _PAIR_DIST[(o1, o2, s1, s2, to1, to2)]
     if axis == 1:
-        after = _PAIR_DIST[(-o1, o2, new_pair.exponent_sum, s2, to1, to2)]
+        after = _PAIR_DIST[(-o1, o2, new_pair, s2, to1, to2)]
     else:
-        after = _PAIR_DIST[(o1, -o2, s1, new_pair.exponent_sum, to1, to2)]
+        after = _PAIR_DIST[(o1, -o2, s1, new_pair, to1, to2)]
 
     trip_changes: list[tuple[int, TripletBraidState]] = []
     for t in range(1, len(pi1) + 1):
@@ -620,8 +616,8 @@ def _transport_penalty(node: GridNode, target: PermutationState) -> int:
         d2 = o2 != (1 if tg2[a - 1] < tg2[b - 1] else -1)
         if not (d1 or d2):
             continue
-        s1 = pairs[po].exponent_sum
-        s2 = pairs[n_pairs + po].exponent_sum
+        s1 = pairs[po]
+        s2 = pairs[n_pairs + po]
         to1 = -o1 if d1 else o1
         to2 = -o2 if d2 else o2
         if _PAIR_DIST[(o1, o2, s1, s2, to1, to2)] > d1 + d2:
@@ -719,8 +715,8 @@ def _tangle(node: GridNode) -> int:
     total = 0
     for st in node.trips:
         total += len(st.letters)
-    for st in node.pairs:
-        total += abs(st.exponent_sum)
+    for c in node.pairs:
+        total += abs(c)
     return total
 
 

@@ -219,10 +219,6 @@ def map_path(
     if dur > 0.0:
         windows.append((dur, targets))
 
-    if not windows:
-        # Degenerate plan: nothing moves; hold so the horizon stays positive.
-        windows.append((swap_duration, starts))
-
     trajectories = []
     for r0 in range(n):
         t = 0.0
@@ -241,8 +237,10 @@ def fold_crossings(
 
     ``axis`` is the 1-based axis of ``table`` the events were extracted on.
     Returns the new table and the first forbidden pattern of each pair,
-    then of each triplet, as (ids, time, word).  A flagged state keeps the
-    letter that flagged it and folds no later ones.
+    then of each triplet, as (ids, time, word).  A pair's entry is its
+    crossing count, so its word is the doubled crossing that reached +-2.
+    A flagged entry keeps the letter that flagged it and folds no later
+    ones.
     """
     n = table.n
     pairs, trips = list(table.pairs), list(table.triplets)
@@ -262,7 +260,7 @@ def fold_crossings(
                 if not ok:
                     word = (
                         state.word.to_text() if size == 3
-                        else " ".join(["s1" if state.exponent_sum > 0 else "S1"] * 2)
+                        else "s1 s1" if state > 0 else "S1 S1"
                     )
                     forbidden.append((ids, time, word))
                     break

@@ -18,16 +18,15 @@ from braidplan.braid import (
     BraidLetter,
     BraidWord,
     free_reduce,
-    identity_pair,
     identity_triplet,
     is_forbidden_triplet,
-    pair_state,
     triplet_element,
     triplet_state_from_word,
     update_pair,
     update_triplet,
 )
 from braidplan.errors import InputError
+from braidplan.planner import BraidTable
 
 # ---------------------------------------------------------------------------
 # Independent oracle: Laurent polys as {exponent: coeff}, matrices as nested
@@ -296,59 +295,56 @@ def test_free_reduce_properties():
 
 
 # ---------------------------------------------------------------------------
-# Incremental pair states.
+# Incremental pair states: a pair braid is its signed crossing count.
 # ---------------------------------------------------------------------------
 
 
 def test_update_pair_counts_and_cap():
     up = BraidLetter(1, 1)
     down = BraidLetter(1, -1)
-    st, ok = update_pair(identity_pair(), up)
-    assert ok and st.exponent_sum == 1 and not st.violated
-    st2, ok = update_pair(st, down)
-    assert ok and st2.exponent_sum == 0
-    bad, ok = update_pair(st, up)
-    assert not ok and bad.violated and bad.exponent_sum == 2
-    neg, ok = update_pair(identity_pair(), down)
-    assert ok and neg.exponent_sum == -1
-    bad2, ok = update_pair(neg, down)
-    assert not ok and bad2.violated and bad2.exponent_sum == -2
+    assert update_pair(0, up) == (1, True)
+    assert update_pair(1, down) == (0, True)
+    assert update_pair(1, up) == (2, False)
+    assert update_pair(0, down) == (-1, True)
+    assert update_pair(-1, down) == (-2, False)
 
 
 def test_update_pair_violated_is_sticky():
-    st, ok = update_pair(pair_state(1), BraidLetter(1, 1))
+    st, ok = update_pair(1, BraidLetter(1, 1))
     assert not ok
     with pytest.raises(InputError):
         update_pair(st, BraidLetter(1, -1))
+    with pytest.raises(InputError):
+        update_pair(-3, BraidLetter(1, 1))
 
 
 def test_update_pair_rejects_other_generators():
     with pytest.raises(InputError):
-        update_pair(identity_pair(), BraidLetter(2, 1))
+        update_pair(0, BraidLetter(2, 1))
 
 
 def test_pair_state_default_flag():
-    assert not pair_state(0).violated
-    assert not pair_state(1).violated
-    assert not pair_state(-1).violated
-    assert pair_state(2).violated
-    assert pair_state(-2).violated
+    # a table stores a pair as its count, flagged exactly when |count| >= 2
+    for count in (-2, -1, 0, 1, 2):
+        table = BraidTable(2, 1, (count,), ())
+        (entry,) = table.to_serializable()["pairs"]
+        assert table.is_clean == (abs(count) < 2) == (not entry["violated"])
 
 
 def test_pair_prefix_cap_matches_running_sum():
     rng = random.Random(4)
     for _ in range(200):
         signs = [rng.choice((1, -1)) for _ in range(rng.randrange(1, 30))]
-        st = identity_pair()
+        st = 0
         total = 0
         for k, sign in enumerate(signs):
             total += sign
             st, ok = update_pair(st, BraidLetter(1, sign))
-            assert st.exponent_sum == total
+            assert st == total
             if abs(total) >= 2:
-                assert not ok and st.violated
+                assert not ok
                 break
-            assert ok and not st.violated
+            assert ok
 
 
 # ---------------------------------------------------------------------------
@@ -411,8 +407,6 @@ def test_interning_canonicalizes_equal_elements():
     b = triplet_state_from_word(BraidWord.from_text("s2 s1 s2", 3))
     assert a is b
     assert triplet_state_from_word(BraidWord(3)) is identity_triplet()
-    assert pair_state(1) is pair_state(1)
-    assert pair_state(0) is identity_pair()
 
 
 def test_violated_flag_follows_value():
@@ -423,8 +417,6 @@ def test_violated_flag_follows_value():
         st, ok = update_triplet(st, letter)
     assert not ok and st is built
     assert triplet_state_from_word(BraidWord.from_text("s1 s2 S2 S2 s1", 3)) is built
-    capped, ok = update_pair(pair_state(1), BraidLetter(1, 1))
-    assert not ok and capped is pair_state(2) and capped.violated
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import copy
 import json
 import shutil
 import subprocess
@@ -24,6 +23,7 @@ from braidplan.cli import (
 from braidplan.errors import ConfigurationError
 from braidplan.harness import MAX_M, make_scenario
 from braidplan.planner import BraidTable, PlanResult, SearchTrace
+from hostile_json import hostile
 
 
 def _write_scenario(tmp_path, n=3, num_sets=2, seed=40, **overrides):
@@ -284,32 +284,8 @@ def test_scenario_file_with_legacy_height_loads(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# Hostile JSON: one key or nested value of a valid file replaced at random.
+# Hostile JSON: every subcommand exits with a documented code.
 # ---------------------------------------------------------------------------
-
-_JSON_VALUES = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
-    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=4),
-    max_leaves=8,
-)
-
-
-@st.composite
-def _hostile(draw, doc):
-    """``doc`` with one value, or one key's name, replaced anywhere in its tree."""
-    holder = [copy.deepcopy(doc)]
-    parent, key = holder, 0
-    while draw(st.booleans()):
-        node = parent[key]
-        if not isinstance(node, (dict, list)) or not node:
-            break
-        keys = sorted(node) if isinstance(node, dict) else range(len(node))
-        parent, key = node, draw(st.sampled_from(keys))
-    if isinstance(parent, dict) and draw(st.booleans()):
-        parent[draw(st.text(max_size=6))] = parent.pop(key)
-    else:
-        parent[key] = draw(_JSON_VALUES)
-    return holder[0]
 
 
 @pytest.fixture(scope="module")
@@ -331,7 +307,7 @@ _EXITS = {EXIT_OK, EXIT_INPUT_ERROR, EXIT_NO_PATH, EXIT_VIOLATION}
 def test_hostile_scenario_file_exits_with_a_code(valid_files, data):
     root, scenario, plan_path = valid_files
     bad = root / "bad_scenario.json"
-    bad.write_text(json.dumps(data.draw(_hostile(json.loads(scenario.read_text())))))
+    bad.write_text(json.dumps(data.draw(hostile(json.loads(scenario.read_text())))))
     out = str(root / "out")
     assert {main(argv) for argv in (
         ["plan", "--scenario", str(bad), "--out", out],
@@ -345,7 +321,7 @@ def test_hostile_scenario_file_exits_with_a_code(valid_files, data):
 def test_hostile_plan_file_exits_with_a_code(valid_files, data):
     root, scenario, plan_path = valid_files
     bad = root / "bad_plan.json"
-    bad.write_text(json.dumps(data.draw(_hostile(json.loads(plan_path.read_text())))))
+    bad.write_text(json.dumps(data.draw(hostile(json.loads(plan_path.read_text())))))
     out = str(root / "out")
     assert {main(argv) for argv in (
         ["verify", str(bad), "--scenario", str(scenario)],

@@ -135,8 +135,8 @@ def test_verify_clean_episode_agrees_with_planner():
     ax2 = tables[angles.index(AXIS_ANGLES[1])]
     for i in range(1, 5):
         for j in range(i + 1, 5):
-            assert ax1.pair_state(i, j, 1) == final.pair_state(i, j, 1)
-            assert ax2.pair_state(i, j, 1) == final.pair_state(i, j, 2)
+            assert ax1.pair_count(i, j, 1) == final.pair_count(i, j, 1)
+            assert ax2.pair_count(i, j, 1) == final.pair_count(i, j, 2)
             for k in range(j + 1, 5):
                 assert ax1.triplet_state(i, j, k, 1) == final.triplet_state(i, j, k, 1)
                 assert ax2.triplet_state(i, j, k, 1) == final.triplet_state(i, j, k, 2)
@@ -184,7 +184,7 @@ def test_verify_carries_tables_between_episodes():
     ]
     report1, tables1 = verify(build_space_time(first), (0.0,))
     assert report1.ok
-    assert tables1[0].pair_state(1, 2, 1).exponent_sum == 1
+    assert tables1[0].pair_count(1, 2, 1) == 1
     second = [
         Trajectory(1, ((1.0, 2.0, 0.0), (1.0, 0.0, 2.0))),
         Trajectory(2, ((0.0, 1.0, 0.0), (3.0, 1.0, 1.0), (3.0, 1.0, 2.0))),
@@ -194,7 +194,7 @@ def test_verify_carries_tables_between_episodes():
     violation = report2.violations[0]
     assert violation.ids == (1, 2)
     assert violation.word == "s1 s1"
-    assert tables2[0].pair_state(1, 2, 1).violated
+    assert tables2[0].pair_count(1, 2, 1) == 2
 
 
 def test_verify_stationary_is_clean():

@@ -23,12 +23,12 @@ from braidplan.braid import (
     BraidLetter,
     BraidWord,
     identity_triplet,
-    pair_state,
     triplet_state_from_word,
     update_pair,
     update_triplet,
 )
 from braidplan.errors import InputError
+from braidplan.harness import verify
 from braidplan.geometry import ProjectionAxis, Trajectory, build_space_time, extract_crossings, sub_events
 from braidplan.planner import (
     AXIS_ANGLES,
@@ -44,6 +44,7 @@ from braidplan.planner import (
     plan,
     triplet_slot,
 )
+from hostile_json import hostile
 
 # ---------------------------------------------------------------------------
 # Helpers.
@@ -201,7 +202,7 @@ def test_expand_full_child_set_and_sharing():
             assert child.g == 1
             assert child.parent is root
             pair_diffs = [
-                k for k, (a, b) in enumerate(zip(root.pairs, child.pairs)) if a is not b
+                k for k, (a, b) in enumerate(zip(root.pairs, child.pairs)) if a != b
             ]
             trip_diffs = [
                 k for k, (a, b) in enumerate(zip(root.trips, child.trips)) if a is not b
@@ -219,12 +220,12 @@ def test_expand_drops_pair_violating_move():
     # robots 1, 2 with reversed axis-2 order make the axis-1 swap sign +1;
     # a carried +1 crossing sum leaves no room for it
     perms = PermutationState((1, 2), (2, 1))
-    blocked = BraidTable(2, 2, (pair_state(1), pair_state(0)), ())
+    blocked = BraidTable(2, 2, (1, 0), ())
     root = GridNode.root(perms, blocked, perms)
     actions = {child.action.axis for child in expand(root, perms)}
     assert actions == {2}
     # the opposite carried sum leaves the move free
-    open_table = BraidTable(2, 2, (pair_state(-1), pair_state(0)), ())
+    open_table = BraidTable(2, 2, (-1, 0), ())
     root2 = GridNode.root(perms, open_table, perms)
     assert {child.action.axis for child in expand(root2, perms)} == {1, 2}
 
@@ -255,7 +256,7 @@ def _folded_child_table(node: GridNode, action: SwapAction, target: PermutationS
     o1, o2, t1, t2 = (
         1 if p[a - 1] < p[b - 1] else -1 for p in (after.pi1, after.pi2, target.pi1, target.pi2)
     )
-    s1, s2 = (pairs[pair_slot(n, a, b, axis)].exponent_sum for axis in (1, 2))
+    s1, s2 = (pairs[pair_slot(n, a, b, axis)] for axis in (1, 2))
     if _PAIR_DIST[(o1, o2, s1, s2, t1, t2)] >= _INF:
         return None
     return BraidTable(n, 2, tuple(pairs), tuple(trips))
@@ -314,9 +315,10 @@ _RELATOR = BraidWord.from_text("s1 s2 s1 S2 S1 S2", 3).letters  # equals e in B3
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(n=st.integers(3, 6), seed=st.integers(0, 2**32 - 1))
 def test_interned_states_are_canonical(n, seed):
-    """Equal braids are one object however they are reached: by the
+    """Equal triplet braids are one object however they are reached: by the
     planner, by update chains along the same walk, from an equivalent word,
-    and through a JSON round trip of the table."""
+    and through a JSON round trip of the table.  Pair counts agree with the
+    same folds."""
     rng = random.Random(seed)
     target = _random_perms(rng, n)
     node = GridNode.root(_random_perms(rng, n), BraidTable.identity(n), target)
@@ -326,16 +328,15 @@ def test_interned_states_are_canonical(n, seed):
             break
         child = rng.choice(children)
         folded = _folded_child_table(node, child.action, target)
-        assert all(a is b for a, b in zip(child.pairs, folded.pairs))
+        assert child.pairs == folded.pairs
         assert all(a is b for a, b in zip(child.trips, folded.triplets))
         node = child
     table = node.braids
 
-    for state in table.pairs:
-        assert pair_state(state.exponent_sum) is state
-        letter = BraidLetter(1, -1 if state.exponent_sum > 0 else 1)
-        there, ok = update_pair(state, letter)
-        assert ok and update_pair(there, letter.inverse())[0] is state
+    for count in table.pairs:
+        letter = BraidLetter(1, -1 if count > 0 else 1)
+        there, ok = update_pair(count, letter)
+        assert ok and update_pair(there, letter.inverse()) == (count, True)
     for state in table.triplets:
         letters = list(state.letters)
         at = rng.randrange(len(letters) + 1)
@@ -353,7 +354,7 @@ def test_interned_states_are_canonical(n, seed):
             assert chained is state
 
     again = BraidTable.from_serializable(json.loads(json.dumps(table.to_serializable())))
-    assert all(a is b for a, b in zip(again.pairs, table.pairs))
+    assert again.pairs == table.pairs
     assert all(a is b for a, b in zip(again.triplets, table.triplets))
     assert again == table
     assert hash(again) == hash(table)
@@ -389,7 +390,7 @@ def test_root_rejects_bad_tables():
     perms = PermutationState.identity(3)
     with pytest.raises(InputError):
         GridNode.root(perms, BraidTable.identity(4), perms)
-    dirty_pairs = (pair_state(2),) + (pair_state(0),) * 5
+    dirty_pairs = (2,) + (0,) * 5
     dirty = BraidTable(3, 2, dirty_pairs, BraidTable.identity(3).triplets)
     with pytest.raises(InputError):
         GridNode.root(perms, dirty, perms)
@@ -426,8 +427,8 @@ def test_plan_two_robots_both_axes():
     assert result.path[0] == start
     assert result.path[-1] == target
     assert result.final_braids is not None
-    assert abs(result.final_braids.pair_state(1, 2, 1).exponent_sum) == 1
-    assert abs(result.final_braids.pair_state(1, 2, 2).exponent_sum) == 1
+    assert abs(result.final_braids.pair_count(1, 2, 1)) == 1
+    assert abs(result.final_braids.pair_count(1, 2, 2)) == 1
 
 
 def test_plan_zero_actions_when_already_there():
@@ -441,13 +442,13 @@ def test_plan_zero_actions_when_already_there():
 def test_plan_consumes_carried_pair_sum():
     start = PermutationState.identity(2)
     target = PermutationState((2, 1), (1, 2))
-    carried = BraidTable(2, 2, (pair_state(1), pair_state(0)), ())
+    carried = BraidTable(2, 2, (1, 0), ())
     result = plan(start, target, carried)
     assert result.trace.reason == "goal"
     assert len(result.path) - 1 == 1
-    assert result.final_braids.pair_state(1, 2, 1).exponent_sum == 0
+    assert result.final_braids.pair_count(1, 2, 1) == 0
     fresh = plan(start, target)
-    assert fresh.final_braids.pair_state(1, 2, 1).exponent_sum == -1
+    assert fresh.final_braids.pair_count(1, 2, 1) == -1
 
 
 def test_plan_detects_unreachable_carried_state():
@@ -455,7 +456,7 @@ def test_plan_detects_unreachable_carried_state():
     # impossible: the direct sign repeats -1 and every detour dead-ends
     start = PermutationState.identity(2)
     target = PermutationState((2, 1), (1, 2))
-    carried = BraidTable(2, 2, (pair_state(-1), pair_state(0)), ())
+    carried = BraidTable(2, 2, (-1, 0), ())
     result = plan(start, target, carried)
     assert result.trace.reason == "exhausted"
     assert result.path == ()
@@ -587,6 +588,80 @@ def test_serialized_violated_flag_follows_word():
             BraidTable.from_serializable(data)
 
 
+def _edited(change) -> dict:
+    data = BraidTable.identity(3).to_serializable()
+    change(data)
+    return data
+
+
+# Inputs that are not a full serialized table, by what is wrong with them.
+_MALFORMED_TABLES = {
+    "not an object": [],
+    "empty object": {},
+    "n zero": _edited(lambda d: d.update(n=0)),
+    "n a string": _edited(lambda d: d.update(n="3")),
+    "n a bool": _edited(lambda d: d.update(n=True)),
+    "three axes": _edited(lambda d: d.update(axes=3)),
+    "pairs not a list": _edited(lambda d: d.update(pairs=None)),
+    "entry not an object": _edited(lambda d: d["pairs"].__setitem__(0, "e")),
+    "id beyond n": _edited(lambda d: d["pairs"][0].update(ids=[1, 5])),
+    "ids descending": _edited(lambda d: d["pairs"][0].update(ids=[2, 1])),
+    "three ids for a pair": _edited(lambda d: d["pairs"][0].update(ids=[1, 2, 3])),
+    "repeated id": _edited(lambda d: d["triplets"][0].update(ids=[1, 1, 2])),
+    "axis beyond axes": _edited(lambda d: d["pairs"][0].update(axis=7)),
+    "axis zero": _edited(lambda d: d["pairs"][0].update(axis=0)),
+    "word not a string": _edited(lambda d: d["pairs"][0].update(word=5)),
+    "slot given twice": _edited(lambda d: d["pairs"].__setitem__(1, dict(d["pairs"][0]))),
+    "slot missing": _edited(lambda d: d["triplets"].pop()),
+}
+
+
+@pytest.mark.parametrize("label", sorted(_MALFORMED_TABLES))
+def test_from_serializable_refuses_malformed_tables(label):
+    with pytest.raises(InputError):
+        BraidTable.from_serializable(_MALFORMED_TABLES[label])
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(n=st.integers(2, 4), seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_hostile_table_loads_or_raises_input_error(n, seed, data):
+    """A carried table with one key or nested value replaced by arbitrary
+    JSON loads as a table that survives its own round trip, or is refused
+    with ``InputError``; no other exception escapes."""
+    rng = random.Random(seed)
+    target = _random_perms(rng, n)
+    node = GridNode.root(_random_perms(rng, n), BraidTable.identity(n), target)
+    for _ in range(rng.randrange(1, 10)):
+        node = rng.choice(expand(node, target) or [node])
+    doc = json.loads(json.dumps(node.braids.to_serializable()))
+    # Aim half the edits at one entry: a walk from the root seldom gets there.
+    key = data.draw(st.sampled_from(("pairs", "triplets")))
+    if doc[key] and data.draw(st.booleans()):
+        k = data.draw(st.integers(0, len(doc[key]) - 1))
+        doc[key][k] = data.draw(hostile(doc[key][k]))
+    else:
+        doc = data.draw(hostile(doc))
+    try:
+        table = BraidTable.from_serializable(doc)
+    except InputError:
+        return
+    assert BraidTable.from_serializable(table.to_serializable()) == table
+
+
+def test_violated_verifier_pair_round_trips():
+    # robot 1 crosses robot 2 upward, then back down after robot 2 has
+    # moved to the far side in depth: both crossings read s1 at angle 0
+    r1 = Trajectory(1, ((0.0, 0.0, 0.0), (0.0, 2.0, 1.0), (0.0, 0.0, 2.0)))
+    r2 = Trajectory(2, ((-1.0, 1.0, 0.0), (-1.0, 1.0, 1.0), (3.0, 1.0, 2.0)))
+    report, (table,) = verify(build_space_time([r1, r2]), (0.0,))
+    assert [v.word for v in report.violations] == ["s1 s1"]
+    data = json.loads(json.dumps(table.to_serializable()))
+    assert data["pairs"] == [{"ids": [1, 2], "axis": 1, "word": "s1 s1", "violated": True}]
+    again = BraidTable.from_serializable(data)
+    assert again == table and again.pairs == (2,)
+    assert not again.is_clean
+
+
 # ---------------------------------------------------------------------------
 # Fallback stages.
 # ---------------------------------------------------------------------------
@@ -674,7 +749,7 @@ def test_axis_sort_stops_on_rejected_step():
 
     start = PermutationState.identity(2)
     target = PermutationState((2, 1), (1, 2))
-    carried = BraidTable(2, 2, (pair_state(-1), pair_state(0)), ())
+    carried = BraidTable(2, 2, (-1, 0), ())
     root = GridNode.root(start, carried, target)
     node, trace = _axis_sort(root, target)
     assert node is None
