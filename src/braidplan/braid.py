@@ -39,6 +39,7 @@ __all__ = [
     "free_reduce",
     "identity_triplet",
     "is_forbidden_triplet",
+    "pair_word_text",
     "triplet_element",
     "triplet_state_from_word",
     "update_pair",
@@ -69,7 +70,8 @@ class BraidLetter:
         return f"s{self.index}" if self.sign > 0 else f"S{self.index}"
 
 
-_LETTER_RE = re.compile(r"^([sS])(\d+)$")
+# At most four ASCII digits, so a hostile word cannot hand ``int`` a huge index.
+_LETTER_RE = re.compile(r"^([sS])([1-9][0-9]{0,3})$", re.ASCII)
 
 
 @dataclass(frozen=True)
@@ -195,6 +197,11 @@ def update_pair(count: int, letter: BraidLetter) -> tuple[int, bool]:
         raise InputError(f"pair braids only have generator s1, got s{letter.index}")
     count += letter.sign
     return count, abs(count) < 2
+
+
+def pair_word_text(count: int) -> str:
+    """The serialized word of a pair braid with this crossing count."""
+    return " ".join(["s1" if count > 0 else "S1"] * abs(count)) or "e"
 
 
 class TripletBraidState:

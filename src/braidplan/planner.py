@@ -26,12 +26,14 @@ from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 from heapq import heappush, heappop
+from typing import Iterator
 
 from .braid import (
     BraidLetter,
     BraidWord,
     TripletBraidState,
     identity_triplet,
+    pair_word_text,
     triplet_state_from_word,
     update_triplet,
 )
@@ -252,22 +254,15 @@ class BraidTable:
         return self._hash
 
     def to_serializable(self) -> dict:
-        doc = {"n": self.n, "axes": self.axes_count}
-        for key, ords, states in (
-            ("pairs", _pair_ord(self.n), self.pairs),
-            ("triplets", _trip_ord(self.n), self.triplets),
-        ):
-            doc[key] = entries = []
-            for ids, o in ords.items():
-                for axis in range(1, self.axes_count + 1):
-                    st = states[(axis - 1) * len(ords) + o]
-                    if key == "pairs":
-                        word = " ".join(["s1" if st > 0 else "S1"] * abs(st)) or "e"
-                        violated = abs(st) >= 2
-                    else:
-                        word, violated = st.word.to_text(), st.violated
-                    entries.append({"ids": list(ids), "axis": axis, "word": word, "violated": violated})
-        return doc
+        pairs = [
+            {"ids": list(ids), "axis": axis, "word": pair_word_text(c), "violated": abs(c) >= 2}
+            for ids, axis, c in _by_slot(_pair_ord(self.n), self.axes_count, self.pairs)
+        ]
+        trips = [
+            {"ids": list(ids), "axis": axis, "word": st.word.to_text(), "violated": st.violated}
+            for ids, axis, st in _by_slot(_trip_ord(self.n), self.axes_count, self.triplets)
+        ]
+        return {"n": self.n, "axes": self.axes_count, "pairs": pairs, "triplets": trips}
 
     @classmethod
     def from_serializable(cls, data: dict) -> "BraidTable":
@@ -275,9 +270,9 @@ class BraidTable:
 
         ``data`` must list every slot exactly once, so a truncated table
         cannot load as a less tangled one, and each entry's ``violated``
-        flag follows from its word.  Anything else is an ``InputError``: a
-        missing or mistyped field, ids or an axis that name no slot, a slot
-        given twice, or a ``"violated"`` value that contradicts its word.
+        flag, if given, is the boolean its word implies.  Anything else is
+        an ``InputError``: a missing or mistyped field, ids or an axis that
+        name no slot, a malformed word, or a slot given twice.
         """
         if not isinstance(data, dict):
             raise InputError("a braid table must be a JSON object")
@@ -287,39 +282,57 @@ class BraidTable:
                 f"a braid table needs a positive integer \"n\" and \"axes\" 1 or 2, "
                 f"got {n!r} and {axes_count!r}"
             )
-        loaded = []
-        for key, size, ord_of in (("pairs", 2, _pair_ord), ("triplets", 3, _trip_ord)):
-            entries, slots = data.get(key), axes_count * math.comb(n, size)
-            if not isinstance(entries, list) or len(entries) != slots:
-                raise InputError(f"braid table {key!r} must list all {slots} slots")
-            ords = ord_of(n)
-            states: list = [None] * slots
-            for entry in entries:
-                if not isinstance(entry, dict):
-                    raise InputError(f"braid table entries must be JSON objects, got {entry!r}")
-                ids, axis, text = entry.get("ids"), entry.get("axis"), entry.get("word")
-                # ``ords`` holds exactly the ascending id tuples in 1..n.
-                int_ids = isinstance(ids, list) and all(type(r) is int for r in ids)
-                o = ords.get(tuple(ids)) if int_ids else None
-                if o is None or type(axis) is not int or not 1 <= axis <= axes_count:
-                    raise InputError(f"braid table entry {entry!r} names no slot of this table")
-                if not isinstance(text, str):
-                    raise InputError(f"braid table entry {entry!r} has no word")
-                word = BraidWord.from_text(text, size)
-                if size == 2:
-                    state = sum(l.sign for l in word.letters)
-                    violated = abs(state) >= 2
-                else:
-                    state = triplet_state_from_word(word)
-                    violated = state.violated
-                if entry.get("violated", violated) != violated:
-                    raise InputError(f"braid table entry {entry!r}: \"violated\" contradicts its word")
-                slot = (axis - 1) * len(ords) + o
-                if states[slot] is not None:
-                    raise InputError(f"braid table entry {entry!r} repeats a slot")
-                states[slot] = state
-            loaded.append(tuple(states))
-        return cls(n, axes_count, *loaded)
+        pairs = []
+        for word, entry in _slot_words(data, "pairs", _pair_ord, 2, n, axes_count):
+            pairs.append(sum(l.sign for l in word.letters))
+            _check_flag(entry, abs(pairs[-1]) >= 2)
+        trips = []
+        for word, entry in _slot_words(data, "triplets", _trip_ord, 3, n, axes_count):
+            trips.append(triplet_state_from_word(word))
+            _check_flag(entry, trips[-1].violated)
+        return cls(n, axes_count, tuple(pairs), tuple(trips))
+
+
+def _by_slot(ords: dict, axes_count: int, states: tuple) -> Iterator[tuple[tuple, int, object]]:
+    """Yields (ids, axis, state) in serialized order: ids first, then axis."""
+    for ids, o in ords.items():
+        for axis in range(1, axes_count + 1):
+            yield ids, axis, states[(axis - 1) * len(ords) + o]
+
+
+def _slot_words(
+    data: dict, key: str, ord_of, size: int, n: int, axes_count: int
+) -> list[tuple[BraidWord, dict]]:
+    """(word, entry) of each slot of ``data[key]``, in slot order.  The entry
+    count is checked before a hostile ``n`` can build a huge slot table."""
+    entries, slots = data.get(key), axes_count * math.comb(n, size)
+    if not isinstance(entries, list) or len(entries) != slots:
+        raise InputError(f"braid table {key!r} must list all {slots} slots")
+    ords = ord_of(n)
+    words: list = [None] * slots
+    for entry in entries:
+        if not isinstance(entry, dict):
+            raise InputError(f"braid table entries must be JSON objects, got {entry!r}")
+        ids, axis, text = entry.get("ids"), entry.get("axis"), entry.get("word")
+        # ``ords`` holds exactly the ascending id tuples in 1..n.
+        int_ids = isinstance(ids, list) and all(type(r) is int for r in ids)
+        o = ords.get(tuple(ids)) if int_ids else None
+        if o is None or type(axis) is not int or not 1 <= axis <= axes_count:
+            raise InputError(f"braid table entry {entry!r} names no slot of this table")
+        if not isinstance(text, str):
+            raise InputError(f"braid table entry {entry!r} has no word")
+        slot = (axis - 1) * len(ords) + o
+        if words[slot] is not None:
+            raise InputError(f"braid table entry {entry!r} repeats a slot")
+        words[slot] = (BraidWord.from_text(text, size), entry)
+    return words
+
+
+def _check_flag(entry: dict, violated: bool) -> None:
+    if "violated" in entry and entry["violated"] is not violated:
+        raise InputError(
+            f"braid table entry {entry!r}: \"violated\" must be {violated}, as its word implies"
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .braid import update_pair, update_triplet
+from .braid import pair_word_text, update_pair, update_triplet
 from .errors import ConfigurationError, EntanglementAlarm, InputError
 from .geometry import (
     CrossingEvent,
@@ -205,9 +205,9 @@ def map_path(
         ]
 
     entry_cells = grid_cells(perm_path[0], config)
-    dur = float(np.max(np.hypot(*(entry_cells - starts).T))) / config.speed
-    if dur > 0.0:
-        windows.append((dur, entry_cells))
+    dist = float(np.max(np.hypot(*(entry_cells - starts).T)))
+    if dist > 0.0:
+        windows.append((dist / config.speed, entry_cells))
 
     swap_duration = config.cell_size / config.speed
     for prev, cur in zip(perm_path, perm_path[1:]):
@@ -215,16 +215,17 @@ def map_path(
         windows.append((swap_duration, grid_cells(cur, config)))
 
     exit_cells = grid_cells(perm_path[-1], config)
-    dur = float(np.max(np.hypot(*(targets - exit_cells).T))) / config.speed
-    if dur > 0.0:
-        windows.append((dur, targets))
+    dist = float(np.max(np.hypot(*(targets - exit_cells).T)))
+    if dist > 0.0:
+        windows.append((dist / config.speed, targets))
 
     trajectories = []
     for r0 in range(n):
         t = 0.0
         waypoints = [(float(starts[r0, 0]), float(starts[r0, 1]), 0.0)]
         for dur, ends in windows:
-            t += dur
+            # A move too short for the float clock still takes one tick.
+            t = max(t + dur, math.nextafter(t, math.inf))
             waypoints.append((float(ends[r0, 0]), float(ends[r0, 1]), t))
         trajectories.append(Trajectory(robot_id=r0 + 1, waypoints=tuple(waypoints)))
     return trajectories
@@ -245,9 +246,9 @@ def fold_crossings(
     n = table.n
     pairs, trips = list(table.pairs), list(table.triplets)
     forbidden = []
-    for states, size, slot_of, update in (
-        (pairs, 2, pair_slot, update_pair),
-        (trips, 3, triplet_slot, update_triplet),
+    for states, size, slot_of, update, word_of in (
+        (pairs, 2, pair_slot, update_pair, pair_word_text),
+        (trips, 3, triplet_slot, update_triplet, lambda st: st.word.to_text()),
     ):
         for ids in itertools.combinations(range(1, n + 1), size):
             folded = sub_events(events, ids)
@@ -258,11 +259,7 @@ def fold_crossings(
             for time, letter in folded:
                 state, ok = update(state, letter)
                 if not ok:
-                    word = (
-                        state.word.to_text() if size == 3
-                        else "s1 s1" if state > 0 else "S1 S1"
-                    )
-                    forbidden.append((ids, time, word))
+                    forbidden.append((ids, time, word_of(state)))
                     break
             states[slot] = state
     return BraidTable(n, table.axes_count, tuple(pairs), tuple(trips)), forbidden

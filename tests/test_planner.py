@@ -611,6 +611,9 @@ _MALFORMED_TABLES = {
     "axis beyond axes": _edited(lambda d: d["pairs"][0].update(axis=7)),
     "axis zero": _edited(lambda d: d["pairs"][0].update(axis=0)),
     "word not a string": _edited(lambda d: d["pairs"][0].update(word=5)),
+    "index of 5000 digits": _edited(lambda d: d["triplets"][0].update(word="s" + "1" * 5000)),
+    "violated an int": _edited(lambda d: d["pairs"][0].update(violated=0)),
+    "violated a float": _edited(lambda d: d["triplets"][0].update(violated=0.0)),
     "slot given twice": _edited(lambda d: d["pairs"].__setitem__(1, dict(d["pairs"][0]))),
     "slot missing": _edited(lambda d: d["triplets"].pop()),
 }

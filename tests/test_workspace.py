@@ -202,6 +202,30 @@ def test_map_path_stationary_holds_in_place():
         assert traj.position_at(traj.arrival_time / 2) == p
 
 
+def test_map_path_sub_tick_moves_take_one_tick():
+    # Moves shorter than the float clock can resolve: a start 5e-324 m off
+    # its cell at 2 m/s (the time underflows to 0), and a target one ulp off
+    # its cell after a swap ending at t = 1 (1 + 1e-16 rounds back to 1).
+    config = WorkspaceConfig(-5.0, 5.0, -5.0, 5.0, 1.0, 0.5, 2.0)
+    perms = PermutationState((1, 2, 3), (1, 2, 3))
+    cells = [tuple(c) for c in grid_cells(perms, config)]
+    starts = [(5e-324, y) if x == 0.0 else (x, y) for x, y in cells]
+    swapped = PermutationState((2, 1), (1, 2))
+    config2 = WorkspaceConfig(-5.0, 5.0, -5.0, 5.0, 1.0, 0.5, 1.0)
+    targets = [tuple(c) for c in grid_cells(swapped, config2)]
+    targets[0] = (math.nextafter(targets[0][0], math.inf), targets[0][1])
+    cases = (
+        ([perms], config, starts, cells),
+        ([PermutationState.identity(2), swapped], config2,
+         [tuple(c) for c in grid_cells(PermutationState.identity(2), config2)], targets),
+    )
+    for path, cfg, begin, end in cases:
+        for traj, a, b in zip(map_path(path, cfg, begin, end), begin, end):
+            assert traj.waypoints[0][:2] == a and traj.waypoints[-1][:2] == b
+            times = [w[2] for w in traj.waypoints]
+            assert all(t0 < t1 for t0, t1 in zip(times, times[1:]))
+
+
 def test_map_path_validation():
     config = _config()
     positions = [(2.0, 2.0), (6.0, 6.0)]
