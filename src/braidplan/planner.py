@@ -29,6 +29,8 @@ from heapq import heappush, heappop
 from typing import Iterator
 
 from .braid import (
+    _FORBIDDEN3,
+    _times,
     BraidLetter,
     BraidWord,
     TripletBraidState,
@@ -478,6 +480,34 @@ def expand(node: GridNode, target: PermutationState) -> list[GridNode]:
     return _expand(node, target, False)[0]
 
 
+@lru_cache(maxsize=None)
+def _rows(n: int) -> dict[tuple[int, int], tuple]:
+    """One row per pair (a, b), a < b, in pair order: ``(a - 1, b - 1, pair
+    ord, ((t - 1, triplet ord of {a, b, t}), ...))`` over every third robot
+    t in ascending order."""
+    tord = _trip_ord(n)
+    return {
+        (a, b): (
+            a - 1, b - 1, po,
+            tuple(
+                (t - 1, tord[tuple(sorted((a, b, t)))])
+                for t in range(1, n + 1) if t != a and t != b
+            ),
+        )
+        for (a, b), po in _pair_ord(n).items()
+    }
+
+
+def _target_orders(target: PermutationState) -> tuple[tuple[int, int], ...]:
+    """Per pair, in pair order: +1 or -1 for whether the lower id ranks
+    first on axis 1 and on axis 2 of ``target``."""
+    tg1, tg2 = target.pi1, target.pi2
+    return tuple(
+        (1 if tg1[a0] < tg1[b0] else -1, 1 if tg2[a0] < tg2[b0] else -1)
+        for a0, b0, _, _ in _rows(len(tg1)).values()
+    )
+
+
 def _expand(node: GridNode, target: PermutationState, prune: bool) -> tuple[list[GridNode], int]:
     """Expansion core; returns (children, braid-rejected action count).
 
@@ -490,7 +520,6 @@ def _expand(node: GridNode, target: PermutationState, prune: bool) -> tuple[list
     the already-closed parent state.
     """
     n = len(node.pi1)
-    pord, tord = _pair_ord(n), _trip_ord(n)
     children: list[GridNode] = []
     braid_rejected = 0
 
@@ -513,7 +542,7 @@ def _expand(node: GridNode, target: PermutationState, prune: bool) -> tuple[list
                 elif a != pa_a and a != pa_b and b != pa_a and b != pa_b:
                     if (axis, a, b) < pa_key:
                         continue
-            child = _child(node, target, axis, k, i, j, pord, tord)
+            child = _child(node, target, axis, k, i, j)
             if child is None:
                 braid_rejected += 1
             else:
@@ -522,7 +551,7 @@ def _expand(node: GridNode, target: PermutationState, prune: bool) -> tuple[list
 
 
 def _child(
-    node: GridNode, target: PermutationState, axis: int, k: int, i: int, j: int, pord, tord
+    node: GridNode, target: PermutationState, axis: int, k: int, i: int, j: int
 ) -> GridNode | None:
     """The node reached by swapping robots i and j, ranked k and k + 1 on
     ``axis``, or None when a braid check rejects the move: the pair's
@@ -532,11 +561,12 @@ def _child(
     A move the pair check allows never strands the pair: the reverse swap
     undoes every automaton step, so a pair with a finite distance to its
     target orders keeps one, and ``plan`` refuses roots with an
-    unreachable pair.  ``pord`` and ``tord`` are ``_pair_ord(n)`` and
-    ``_trip_ord(n)``, fetched once per expansion by the caller.
+    unreachable pair.
     """
-    n_pairs = len(pord)
     pi1, pi2 = node.pi1, node.pi2
+    node_pairs, node_trips = node.pairs, node.trips
+    n_pairs = len(node_pairs) >> 1
+    a0, b0, po, thirds = _rows(len(pi1))[(i, j) if i < j else (j, i)]
     if axis == 1:
         ranks = pi1
         sign = 1 if pi2[i - 1] > pi2[j - 1] else -1
@@ -544,19 +574,16 @@ def _child(
     else:
         ranks = pi2
         sign = 1 if pi1[i - 1] < pi1[j - 1] else -1
-        pbase, tbase = n_pairs, len(tord)
-    node_pairs, node_trips = node.pairs, node.trips
+        pbase, tbase = n_pairs, len(node_trips) >> 1
 
-    a, b = (i, j) if i < j else (j, i)
-    po = pord[(a, b)]
     pslot = pbase + po
     new_pair = node_pairs[pslot] + sign
     if abs(new_pair) > 1:
         return None
-    o1 = 1 if pi1[a - 1] < pi1[b - 1] else -1
-    o2 = 1 if pi2[a - 1] < pi2[b - 1] else -1
-    to1 = 1 if target.pi1[a - 1] < target.pi1[b - 1] else -1
-    to2 = 1 if target.pi2[a - 1] < target.pi2[b - 1] else -1
+    o1 = 1 if pi1[a0] < pi1[b0] else -1
+    o2 = 1 if pi2[a0] < pi2[b0] else -1
+    to1 = 1 if target.pi1[a0] < target.pi1[b0] else -1
+    to2 = 1 if target.pi2[a0] < target.pi2[b0] else -1
     s1 = node_pairs[po]
     s2 = node_pairs[n_pairs + po]
     before = _PAIR_DIST[(o1, o2, s1, s2, to1, to2)]
@@ -566,13 +593,10 @@ def _child(
         after = _PAIR_DIST[(o1, -o2, s1, new_pair, to1, to2)]
 
     trip_changes: list[tuple[int, TripletBraidState]] = []
-    for t in range(1, len(pi1) + 1):
-        if t == i or t == j:
-            continue
-        ids = (t, a, b) if t < a else (a, t, b) if t < b else (a, b, t)
-        slot = tbase + tord[ids]
+    for t0, to in thirds:
+        slot = tbase + to
         st = node_trips[slot]
-        ls = (2 if ranks[t - 1] < k else 1, sign)
+        ls = (2 if ranks[t0] < k else 1, sign)
         hit = st._trans.get(ls)
         if hit is None:
             hit = update_triplet(st, _LETTERS[ls])
@@ -596,54 +620,73 @@ def _child(
     )
 
 
-def _transport_penalty(node: GridNode, target: PermutationState) -> int:
+def _build_blockers() -> dict[tuple[int, ...], tuple[int, int]]:
+    """The triplet keys that block some crossing letter, with what they block.
+
+    A state blocks letter L exactly when state * L is one of the four
+    forbidden elements F, that is when the state is F * L^-1, so only these
+    16 keys can block anything.  They are distinct, so each blocks exactly
+    one letter.  Each maps to what it blocks under a crossing of sign -1
+    and of sign +1 (indices 0 and 1): 1 for s1, 2 for s2, 0 for neither.
+    Built on the keys alone, so it interns no state.
+    """
+    blockers: dict[tuple[int, ...], tuple[int, int]] = {}
+    for forbidden in _FORBIDDEN3:
+        for index in (1, 2):
+            for sign in (-1, 1):
+                blockers[_times(forbidden, (index, -sign))] = (0, index) if sign > 0 else (index, 0)
+    return blockers
+
+
+_BLOCKERS = _build_blockers()
+
+
+def _transport_penalty(node: GridNode, orders: tuple[tuple[int, int], ...]) -> int:
     """Rank transport needed before blocked-but-required crossings can happen.
 
-    Two blockage patterns hide from the per-pair automaton bound, and both
-    stall the search on a plateau because the detour that fixes them raises
-    the bound before the required crossing can lower it.  First, a crossing
-    whose geometric sign would push the pair's own exponent sum out of
-    bounds: the route must first flip the pair's order on the other axis,
-    and making the pair adjacent over there costs twice its rank gap in
-    crossings of otherwise-ordered pairs.  Second, a crossing forbidden by
-    a triplet constraint while a third robot sits on one side of the pair:
-    that robot must travel to the allowed side first (or, when both sides
-    are forbidden, the triplet word itself must change, priced at a large
-    constant).  Summing the corresponding rank distances gives those
-    detours a downhill gradient.  Guidance only, not a lower bound.
+    ``orders`` is ``_target_orders(target)``.  Two blockage patterns hide
+    from the per-pair automaton bound, and both stall the search on a
+    plateau because the detour that fixes them raises the bound before the
+    required crossing can lower it.  First, a crossing whose geometric sign
+    would push the pair's own exponent sum out of bounds: the route must
+    first flip the pair's order on the other axis, and making the pair
+    adjacent over there costs twice its rank gap in crossings of
+    otherwise-ordered pairs.  Second, a crossing forbidden by a triplet
+    constraint while a third robot sits on one side of the pair: that robot
+    must travel to the allowed side first.  Summing the corresponding rank
+    distances gives those detours a downhill gradient.  Guidance only, not
+    a lower bound.
+
+    A triplet state can block a letter only if it is one of the 16 keys in
+    ``_BLOCKERS``, and none blocks both sides of a pair, so each probe is
+    one lookup of the state's key there.  Guidance interns no triplet state
+    and so leaves no witness word behind for later stages to read.
     """
-    n = len(node.pi1)
-    pord = _pair_ord(n)
-    tord = _trip_ord(n)
-    n_pairs = len(pord)
-    n_trips = len(tord)
     pi1, pi2 = node.pi1, node.pi2
-    tg1, tg2 = target.pi1, target.pi2
-    pairs = node.pairs
-    trips = node.trips
+    pairs, trips = node.pairs, node.trips
+    n = len(pi1)
+    n_pairs, n_trips = len(pairs) >> 1, len(trips) >> 1
+    blockers = _BLOCKERS
     pen = 0
-    for (a, b), po in pord.items():
-        o1 = 1 if pi1[a - 1] < pi1[b - 1] else -1
-        o2 = 1 if pi2[a - 1] < pi2[b - 1] else -1
-        d1 = o1 != (1 if tg1[a - 1] < tg1[b - 1] else -1)
-        d2 = o2 != (1 if tg2[a - 1] < tg2[b - 1] else -1)
+    for (a0, b0, po, thirds), (t1, t2) in zip(_rows(n).values(), orders):
+        o1 = 1 if pi1[a0] < pi1[b0] else -1
+        o2 = 1 if pi2[a0] < pi2[b0] else -1
+        d1 = o1 != t1
+        d2 = o2 != t2
         if not (d1 or d2):
             continue
         s1 = pairs[po]
         s2 = pairs[n_pairs + po]
-        to1 = -o1 if d1 else o1
-        to2 = -o2 if d2 else o2
-        if _PAIR_DIST[(o1, o2, s1, s2, to1, to2)] > d1 + d2:
+        if _PAIR_DIST[(o1, o2, s1, s2, t1, t2)] > d1 + d2:
             # The shortest route includes auxiliary crossings on an axis
             # that is already ordered, so the pair must become adjacent
             # there first and separate again afterwards.
             if d1 and not d2:
-                gap = abs(pi2[a - 1] - pi2[b - 1]) - 1
+                gap = abs(pi2[a0] - pi2[b0]) - 1
             elif d2 and not d1:
-                gap = abs(pi1[a - 1] - pi1[b - 1]) - 1
+                gap = abs(pi1[a0] - pi1[b0]) - 1
             else:
-                gap = min(abs(pi1[a - 1] - pi1[b - 1]),
-                          abs(pi2[a - 1] - pi2[b - 1])) - 1
+                gap = min(abs(pi1[a0] - pi1[b0]), abs(pi2[a0] - pi2[b0])) - 1
             pen += 2 * gap
         for axis in (1, 2):
             if axis == 1:
@@ -664,33 +707,22 @@ def _transport_penalty(node: GridNode, target: PermutationState) -> int:
                     sign = -sign
                 ranks = pi2
                 tbase = n_trips
-            ls1 = (1, sign)
-            ls2 = (2, sign)
-            ra, rb = ranks[a - 1], ranks[b - 1]
+            positive = sign > 0
+            ra, rb = ranks[a0], ranks[b0]
             lo, hi = (ra, rb) if ra < rb else (rb, ra)
-            for t in range(1, n + 1):
-                if t == a or t == b:
+            for t0, to in thirds:
+                blocks = blockers.get(trips[tbase + to].element)
+                if blocks is None:
                     continue
-                ids = (t, a, b) if t < a else (a, t, b) if t < b else (a, b, t)
-                st = trips[tbase + tord[ids]]
-                hit = st._trans.get(ls1)
-                if hit is None:
-                    hit = update_triplet(st, _LETTERS[ls1])
-                ok_above = hit[1]
-                hit = st._trans.get(ls2)
-                if hit is None:
-                    hit = update_triplet(st, _LETTERS[ls2])
-                ok_below = hit[1]
-                if ok_above and ok_below:
-                    continue
-                if not ok_above and not ok_below:
-                    pen += 2 * n
-                elif ok_below:
-                    rt = ranks[t - 1]
+                blocked = blocks[positive]
+                if blocked == 1:
+                    # s1, the letter with the third robot above the pair,
+                    # is blocked: the robot must move below it.
+                    rt = ranks[t0]
                     if rt > lo:
                         pen += rt - lo
-                else:
-                    rt = ranks[t - 1]
+                elif blocked == 2:
+                    rt = ranks[t0]
                     if rt < hi:
                         pen += hi - rt
     return pen
@@ -777,8 +809,10 @@ def _best_first(root: GridNode, target: PermutationState, key, done, budget: int
 def _search(root: GridNode, target: PermutationState, budget: int) -> _Stage:
     """The direct stage: best-first to the target by f = g + h, ties on lower h."""
 
+    orders = _target_orders(target)
+
     def key(node: GridNode) -> tuple[float, float]:
-        h = _WEIGHT * (node.hsum + _transport_penalty(node, target))
+        h = _WEIGHT * (node.hsum + _transport_penalty(node, orders))
         return node.g + h, h
 
     return _best_first(
@@ -809,7 +843,6 @@ def _axis_sort(root: GridNode, target: PermutationState) -> _Stage:
     ``plan``).
     """
     n = len(root.pi1)
-    pord, tord = _pair_ord(n), _trip_ord(n)
     node = root
     expanded = 0
     for axis, goal in ((1, target.pi1), (2, target.pi2)):
@@ -821,7 +854,7 @@ def _axis_sort(root: GridNode, target: PermutationState) -> _Stage:
             if k is None:
                 break
             expanded += 1
-            child = _child(node, target, axis, k, inv[k], inv[k + 1], pord, tord)
+            child = _child(node, target, axis, k, inv[k], inv[k + 1])
             if child is None:
                 return None, SearchTrace(expanded, expanded - 1, 1, 0, "max_expansions")
             node = child
@@ -853,8 +886,10 @@ def plan(
     the stages that ran.  The direct search and the axis sort depend only
     on the arguments.  The unwind orders nodes by the length of each
     triplet state's stored word, which is the witness of whichever
-    equivalent word the process interned first, so a query that reaches
-    the unwind can depend on the process's earlier calls.
+    equivalent word the process interned first.  Only expansions and
+    loaded tables intern states (guidance interns nothing), but those of
+    earlier calls count too, so a query that reaches the unwind can depend
+    on the process's earlier calls.
 
     The direct best-first search orders nodes by g + 3 * (pair-automaton
     bound + ``_transport_penalty``) and stops after ``_DIRECT_BUDGET``

@@ -414,6 +414,174 @@ def test_slot_layout():
 
 
 # ---------------------------------------------------------------------------
+# Guidance.
+# ---------------------------------------------------------------------------
+
+
+def _reference_transport_penalty(node: GridNode, target: PermutationState) -> int:
+    """The guidance term as first written: every probe folds the letter into
+    the triplet state with ``update_triplet`` (which interns the successor)
+    and reads its flag.  Oracle for ``planner._transport_penalty``."""
+    from braidplan.planner import _PAIR_DIST, _pair_ord, _trip_ord
+
+    n = len(node.pi1)
+    pord = _pair_ord(n)
+    tord = _trip_ord(n)
+    n_pairs = len(pord)
+    n_trips = len(tord)
+    pi1, pi2 = node.pi1, node.pi2
+    tg1, tg2 = target.pi1, target.pi2
+    pairs = node.pairs
+    trips = node.trips
+    pen = 0
+    for (a, b), po in pord.items():
+        o1 = 1 if pi1[a - 1] < pi1[b - 1] else -1
+        o2 = 1 if pi2[a - 1] < pi2[b - 1] else -1
+        d1 = o1 != (1 if tg1[a - 1] < tg1[b - 1] else -1)
+        d2 = o2 != (1 if tg2[a - 1] < tg2[b - 1] else -1)
+        if not (d1 or d2):
+            continue
+        s1 = pairs[po]
+        s2 = pairs[n_pairs + po]
+        to1 = -o1 if d1 else o1
+        to2 = -o2 if d2 else o2
+        if _PAIR_DIST[(o1, o2, s1, s2, to1, to2)] > d1 + d2:
+            if d1 and not d2:
+                gap = abs(pi2[a - 1] - pi2[b - 1]) - 1
+            elif d2 and not d1:
+                gap = abs(pi1[a - 1] - pi1[b - 1]) - 1
+            else:
+                gap = min(abs(pi1[a - 1] - pi1[b - 1]),
+                          abs(pi2[a - 1] - pi2[b - 1])) - 1
+            pen += 2 * gap
+        for axis in (1, 2):
+            if axis == 1:
+                if not d1:
+                    continue
+                sign = -o1 * o2
+                if abs(s1 + sign) > 1:
+                    sign = -sign
+                ranks = pi1
+                tbase = 0
+            else:
+                if not d2:
+                    continue
+                sign = o1 * o2
+                if abs(s2 + sign) > 1:
+                    sign = -sign
+                ranks = pi2
+                tbase = n_trips
+            ra, rb = ranks[a - 1], ranks[b - 1]
+            lo, hi = (ra, rb) if ra < rb else (rb, ra)
+            for t in range(1, n + 1):
+                if t == a or t == b:
+                    continue
+                ids = (t, a, b) if t < a else (a, t, b) if t < b else (a, b, t)
+                st = trips[tbase + tord[ids]]
+                ok_above = update_triplet(st, BraidLetter(1, sign))[1]
+                ok_below = update_triplet(st, BraidLetter(2, sign))[1]
+                if ok_above and ok_below:
+                    continue
+                if not ok_above and not ok_below:
+                    pen += 2 * n
+                elif ok_below:
+                    rt = ranks[t - 1]
+                    if rt > lo:
+                        pen += rt - lo
+                else:
+                    rt = ranks[t - 1]
+                    if rt < hi:
+                        pen += hi - rt
+    return pen
+
+
+def _assert_penalty_matches(node: GridNode, target: PermutationState) -> None:
+    orders = planner._target_orders(target)
+    assert planner._transport_penalty(node, orders) == _reference_transport_penalty(node, target)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(n=st.integers(3, 8), seed=st.integers(0, 2**32 - 1))
+def test_transport_penalty_matches_reference(n, seed):
+    """The blocker-table guidance equals the folding reference on every node
+    of a random walk from a clean table, and of a second walk that starts
+    from the first one's carried table towards a new target."""
+    rng = random.Random(seed)
+    target = _random_perms(rng, n)
+    node = GridNode.root(_random_perms(rng, n), BraidTable.identity(n), target)
+    for _ in range(2):
+        for _ in range(rng.randrange(40)):
+            _assert_penalty_matches(node, target)
+            node = rng.choice(expand(node, target) or [node])
+        _assert_penalty_matches(node, target)
+        target = _random_perms(rng, n)
+        node = GridNode.root(PermutationState(node.pi1, node.pi2), node.braids, target)
+
+
+def test_transport_penalty_matches_reference_on_stalled_query():
+    data = json.loads((Path(__file__).parent / "data" / "stalled_n9_query.json").read_text())
+    start = PermutationState(tuple(data["start"]["pi1"]), tuple(data["start"]["pi2"]))
+    target = PermutationState(tuple(data["target"]["pi1"]), tuple(data["target"]["pi2"]))
+    root = GridNode.root(start, BraidTable.from_serializable(data["carried"]), target)
+    children = expand(root, target)
+    assert children
+    for node in [root, *children]:
+        _assert_penalty_matches(node, target)
+
+
+def test_blocker_table_matches_brute_force():
+    """For every 3-strand word of up to 6 letters and every letter L, the
+    word followed by L is forbidden exactly when ``_BLOCKERS`` says the
+    word's key blocks L's generator under L's sign."""
+    from braidplan.braid import is_forbidden_triplet, triplet_element
+    from braidplan.planner import _BLOCKERS
+
+    letters = [BraidLetter(index, sign) for index in (1, 2) for sign in (-1, 1)]
+    words = 0
+    for length in range(7):
+        for word in itertools.product(letters, repeat=length):
+            words += 1
+            blocks = _BLOCKERS.get(triplet_element(BraidWord(3, word)), (0, 0))
+            for letter in letters:
+                blocked = blocks[letter.sign > 0] == letter.index
+                assert blocked == is_forbidden_triplet(BraidWord(3, word + (letter,)))
+    assert words == 5461
+    assert len(_BLOCKERS) == 16
+
+
+def test_transport_penalty_interns_nothing():
+    """Guidance on a tangled table leaves the triplet intern table as it was,
+    although the folding reference would add the successors it probes."""
+    from braidplan import braid
+    from braidplan.braid import _times
+
+    rng = random.Random(23)
+    n = 5
+    trips = []
+    while len(trips) < 2 * 10:
+        # Words this long name braids no other test reaches.
+        letters = tuple(
+            BraidLetter(rng.choice((1, 2)), rng.choice((1, -1))) for _ in range(30)
+        )
+        state = triplet_state_from_word(BraidWord(3, letters))
+        if not state.violated:
+            trips.append(state)
+    start = PermutationState.identity(n)
+    target = PermutationState((5, 4, 3, 2, 1), (5, 4, 3, 2, 1))
+    node = GridNode.root(start, BraidTable(n, 2, (0,) * 20, tuple(trips)), target)
+    successors = {
+        _times(state.element, (index, sign))
+        for state in trips for index in (1, 2) for sign in (-1, 1)
+    }
+    assert not successors <= braid._TRIPLET_INTERN.keys()
+    before = len(braid._TRIPLET_INTERN)
+    planner._transport_penalty(node, planner._target_orders(target))
+    assert len(braid._TRIPLET_INTERN) == before
+    _reference_transport_penalty(node, target)
+    assert len(braid._TRIPLET_INTERN) > before
+
+
+# ---------------------------------------------------------------------------
 # Planning.
 # ---------------------------------------------------------------------------
 
