@@ -2,7 +2,7 @@
 
 File contracts are JSON.  A scenario file holds the workspace, the team,
 and the target sets; a plan file holds the timed trajectories the planner
-produced plus the permutation path, predicted braid table, and search
+produced plus the permutation path, predicted braid tables, and search
 statistics, and is self-contained enough to verify and plot on its own.
 
 Exit codes: 0 success, 1 input error (a malformed command line included),
@@ -21,7 +21,7 @@ from pathlib import Path
 from .errors import InputError
 from .geometry import Trajectory, build_space_time
 from .harness import DEFAULT_GAMMA_BAR, Scenario, run_task_sequence, verify
-from .planner import AXIS_ANGLES, BraidTable, plan
+from .planner import AXIS_ANGLES, BraidTable, plan, to_serializable
 from .plot import render_braid_svg, render_paths_svg
 from .workspace import WorkspaceConfig, map_path, ranks_from_positions
 
@@ -214,7 +214,7 @@ def _plan_file_dict(
     set_index: int,
     trajectories: list[Trajectory],
     perm_path,
-    braids: BraidTable,
+    braids: tuple[BraidTable, BraidTable],
     stats: dict,
 ) -> dict:
     c = scenario.config
@@ -224,7 +224,7 @@ def _plan_file_dict(
             for t in trajectories
         ],
         "permutation_path": [{"pi1": list(p.pi1), "pi2": list(p.pi2)} for p in perm_path],
-        "final_braids": braids.to_serializable(),
+        "final_braids": to_serializable(braids),
         "stats": stats,
         "set_index": set_index,
         "workspace": {
@@ -256,7 +256,7 @@ def cmd_plan(args: argparse.Namespace) -> int:
     start_perms = ranks_from_positions(scenario.initial_positions)
     target_perms = ranks_from_positions(targets)
     t0 = time.perf_counter()
-    outcome = plan(start_perms, target_perms, BraidTable.identity(scenario.n))
+    outcome = plan(start_perms, target_perms)
     plan_time = time.perf_counter() - t0
     if not outcome.path:
         print(f"no path found ({outcome.trace.reason}), "

@@ -7,12 +7,11 @@ lifted team it computes the exact minimum separation and verifies the
 cables from scratch: the verifier re-extracts crossings from the executed
 motion on every projection angle of the check set, plus the grid angles
 (pi/2, 0) when the check set lacks them, and folds them into its own
-braid tables, which persist across episodes.
-The planner's carried two-axis table is read off the verifier's tables at
-the grid angles, so each episode folds its crossings once.  The check
-that matters is the planner's prediction against geometry: the table the
-planner predicted at the goal must equal the one read off the executed
-trajectories.
+braid tables, one per angle, which persist across episodes.  The
+planner carries the verifier's own tables at the grid angles, so each
+episode folds its crossings once.  The check that matters is the
+planner's prediction against geometry: the tables the planner predicted
+at the goal must equal the verifier's tables at the grid angles.
 
 The number of check angles m must satisfy m > pi / gamma_bar, where
 gamma_bar is the largest projected crossing gap the cable model tolerates;
@@ -27,13 +26,14 @@ import math
 import random
 import time
 from dataclasses import dataclass
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigurationError, DegenerateInputError, InputError
 from .geometry import LiftedTeam, ProjectionAxis, build_space_time, extract_crossings
-from .planner import AXIS_ANGLES, BraidTable, plan
+from .planner import AXIS_ANGLES, BraidTable, plan, to_serializable
 from .workspace import WorkspaceConfig, fold_crossings, map_path, ranks_from_positions
 
 # Not called here; the benchmark's tracer (bench/tracing.py) wraps these names
@@ -206,9 +206,9 @@ def verify(
     """Re-derive every pair and triplet braid from an executed, lifted team.
 
     Independent of the planner: crossings are extracted afresh on every
-    angle in the check set and folded into per-angle braid tables (one
-    tracked axis each).  Passing the returned tables back in on the next
-    episode carries the cable state across the whole task sequence.
+    angle in the check set and folded into one braid table per angle.
+    Passing the returned tables back in on the next episode carries the
+    cable state across the whole task sequence.
     Raises ``DegenerateInputError`` when some angle's simultaneous
     crossings admit no order of adjacent swaps.
     """
@@ -218,12 +218,11 @@ def verify(
     if not angles:
         raise InputError("at least one check angle is required")
     if tables is None:
-        tables = tuple(BraidTable.identity(n, axes_count=1) for _ in angles)
+        tables = (BraidTable.identity(n),) * len(angles)
     if len(tables) != len(angles):
         raise InputError("one braid table per check angle is required")
-    for table in tables:
-        if table.n != n or table.axes_count != 1:
-            raise InputError("verifier tables must be single-axis tables for this team")
+    if any(table.n != n for table in tables):
+        raise InputError("verifier tables must match the team size")
     if team.horizon <= 0.0:
         # Stationary team: no motion, no crossings, tables unchanged.
         return EntanglementReport(True, (), ()), tables
@@ -347,7 +346,7 @@ class RunMetrics:
     all_tables_consistent: bool
     results: tuple[SetResult, ...]
     final_positions: tuple[Point, ...]
-    final_braids: BraidTable
+    final_braids: tuple[BraidTable, BraidTable]  # at pi/2 and at 0
 
     def as_dict(self) -> dict:
         return {
@@ -363,15 +362,8 @@ class RunMetrics:
             "all_tables_consistent": self.all_tables_consistent,
             "results": [r.as_dict() for r in self.results],
             "final_positions": [list(p) for p in self.final_positions],
-            "final_braids": self.final_braids.to_serializable(),
+            "final_braids": to_serializable(self.final_braids),
         }
-
-
-def _planner_table(angles: tuple[float, ...], tables: tuple[BraidTable, ...]) -> BraidTable:
-    """The planner's two-axis table, read off the verifier's grid-angle tables."""
-    t1, t2 = (tables[angles.index(angle)] for angle in AXIS_ANGLES)
-    # Both tables store their single axis in the planner's axis-major order.
-    return BraidTable(t1.n, 2, t1.pairs + t2.pairs, t1.triplets + t2.triplets)
 
 
 def run_task_sequence(scenario: Scenario, *, dump_dir: str | Path | None = None) -> RunMetrics:
@@ -383,11 +375,12 @@ def run_task_sequence(scenario: Scenario, *, dump_dir: str | Path | None = None)
     """
     config = scenario.config
     n = scenario.n
-    # The planner's table is read off the grid angles, so the verifier folds
-    # them too where A(m) lacks them (odd m).
+    # The planner carries the verifier's tables at the grid angles, so the
+    # verifier folds them too where A(m) lacks them (odd m).
     angles = scenario.angles + tuple(a for a in AXIS_ANGLES if a not in scenario.angles)
+    at_grid = itemgetter(*(angles.index(a) for a in AXIS_ANGLES))
     positions = scenario.initial_positions
-    verifier_tables = tuple(BraidTable.identity(n, axes_count=1) for _ in angles)
+    verifier_tables = (BraidTable.identity(n),) * len(angles)
     if dump_dir is not None:
         dump_dir = Path(dump_dir)
         dump_dir.mkdir(parents=True, exist_ok=True)
@@ -397,7 +390,7 @@ def run_task_sequence(scenario: Scenario, *, dump_dir: str | Path | None = None)
         start_perms = ranks_from_positions(positions)
         target_perms = ranks_from_positions(targets)
         t0 = time.perf_counter()
-        outcome = plan(start_perms, target_perms, _planner_table(angles, verifier_tables))
+        outcome = plan(start_perms, target_perms, at_grid(verifier_tables))
         plan_time = time.perf_counter() - t0
         trace = outcome.trace
 
@@ -418,7 +411,7 @@ def run_task_sequence(scenario: Scenario, *, dump_dir: str | Path | None = None)
             # The executed braids are unknown, so nothing can be checked.
             success, reason, violations, ties, consistent = False, "degenerate", (), 0, True
         else:
-            consistent = _planner_table(angles, new_tables) == outcome.final_braids
+            consistent = at_grid(new_tables) == outcome.final_braids
             clearance_ok = sim.min_distance >= config.d_safe - 1e-9
             success = report.ok and clearance_ok
             reason = "ok" if success else ("violation" if not report.ok else "clearance")
@@ -470,6 +463,6 @@ def run_task_sequence(scenario: Scenario, *, dump_dir: str | Path | None = None)
         all_tables_consistent=all(r.tables_consistent for r in results),
         results=tuple(results),
         final_positions=positions,
-        final_braids=_planner_table(angles, verifier_tables),
+        final_braids=at_grid(verifier_tables),
     )
     return metrics

@@ -7,7 +7,9 @@ one crossing letter per projection axis braid.  A search node therefore
 carries, besides the two permutations, the braid state of every robot
 pair and triplet on both axes; a move whose letter drives any of those
 braids into an entangling pattern is silently discarded, so any returned
-path is entanglement-free by construction.
+path is entanglement-free by construction.  A ``BraidTable`` holds one
+projection angle's states, the kind the verifier keeps per check angle,
+and the planner's braid state is the pair (table at pi/2, table at 0).
 
 The two grid axes default to projection angles (pi/2, 0): the axis-1 rank
 of a robot determines its x cell (descending, so that the projected
@@ -56,6 +58,8 @@ __all__ = [
     "pair_slot",
     "triplet_slot",
     "plan",
+    "to_serializable",
+    "from_serializable",
 ]
 
 # Projection angles of grid axes 1 and 2.  See the module docstring; the
@@ -169,7 +173,8 @@ def heuristic(perms: PermutationState, target: PermutationState, bias: float = 1
 
 
 # ---------------------------------------------------------------------------
-# The per-team braid table: one pair count and one triplet state per axis.
+# Braid tables: one pair count and one triplet state per robot pair and
+# triplet, on one projection angle.
 # ---------------------------------------------------------------------------
 
 
@@ -183,58 +188,41 @@ def _trip_ord(n: int) -> dict[tuple[int, int, int], int]:
     return {t: o for o, t in enumerate(itertools.combinations(range(1, n + 1), 3))}
 
 
-def pair_slot(n: int, i: int, j: int, axis: int) -> int:
-    """Flat index of pair (i, j) on the given 1-based axis."""
-    return (axis - 1) * len(_pair_ord(n)) + _pair_ord(n)[(i, j)]
+def pair_slot(n: int, i: int, j: int) -> int:
+    """Index of pair (i, j), i < j, in a table's pair tuple."""
+    return _pair_ord(n)[(i, j)]
 
 
-def triplet_slot(n: int, i: int, j: int, k: int, axis: int) -> int:
-    return (axis - 1) * len(_trip_ord(n)) + _trip_ord(n)[(i, j, k)]
+def triplet_slot(n: int, i: int, j: int, k: int) -> int:
+    """Index of triplet (i, j, k), i < j < k, in a table's triplet tuple."""
+    return _trip_ord(n)[(i, j, k)]
 
 
 class BraidTable:
-    """Braid state of every robot pair and triplet on every tracked axis.
+    """Braid state of every robot pair and triplet on one projection angle.
 
-    Immutable; planner nodes share unchanged entries structurally.  Pairs
-    and triplets are stored axis-major in combination order.  A pair's
-    entry is its signed crossing count (B2 is infinite cyclic), violated at
-    +-2; a triplet's is its interned state, so tables compare and hash by
-    count and by state identity.
+    Immutable; planner nodes share unchanged tuples structurally.  Pairs and
+    triplets are stored in combination order.  A pair's entry is its signed
+    crossing count (B2 is infinite cyclic), violated at +-2; a triplet's is
+    its interned state, so tables compare and hash by count and by state
+    identity.
     """
 
-    __slots__ = ("n", "axes_count", "pairs", "triplets", "_hash")
+    __slots__ = ("n", "pairs", "triplets", "_hash")
 
-    def __init__(
-        self,
-        n: int,
-        axes_count: int,
-        pairs: tuple[int, ...],
-        triplets: tuple[TripletBraidState, ...],
-    ):
-        if len(pairs) != axes_count * len(_pair_ord(n)):
+    def __init__(self, n: int, pairs: tuple[int, ...], triplets: tuple[TripletBraidState, ...]):
+        if len(pairs) != len(_pair_ord(n)):
             raise InputError("pair tuple has the wrong length for this team size")
-        if len(triplets) != axes_count * len(_trip_ord(n)):
+        if len(triplets) != len(_trip_ord(n)):
             raise InputError("triplet tuple has the wrong length for this team size")
         self.n = n
-        self.axes_count = axes_count
         self.pairs = pairs
         self.triplets = triplets
-        self._hash = hash((n, axes_count, pairs, triplets))
+        self._hash = hash((n, pairs, triplets))
 
     @classmethod
-    def identity(cls, n: int, axes_count: int = 2) -> "BraidTable":
-        return cls(
-            n,
-            axes_count,
-            (0,) * (axes_count * len(_pair_ord(n))),
-            (identity_triplet(),) * (axes_count * len(_trip_ord(n))),
-        )
-
-    def pair_count(self, i: int, j: int, axis: int) -> int:
-        return self.pairs[pair_slot(self.n, i, j, axis)]
-
-    def triplet_state(self, i: int, j: int, k: int, axis: int) -> TripletBraidState:
-        return self.triplets[triplet_slot(self.n, i, j, k, axis)]
+    def identity(cls, n: int) -> "BraidTable":
+        return cls(n, (0,) * len(_pair_ord(n)), (identity_triplet(),) * len(_trip_ord(n)))
 
     @property
     def is_clean(self) -> bool:
@@ -245,73 +233,80 @@ class BraidTable:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, BraidTable):
             return NotImplemented
-        return (
-            self.n == other.n
-            and self.axes_count == other.axes_count
-            and self.pairs == other.pairs
-            and self.triplets == other.triplets
-        )
+        return self.n == other.n and self.pairs == other.pairs and self.triplets == other.triplets
 
     def __hash__(self) -> int:
         return self._hash
 
-    def to_serializable(self) -> dict:
-        pairs = [
-            {"ids": list(ids), "axis": axis, "word": pair_word_text(c), "violated": abs(c) >= 2}
-            for ids, axis, c in _by_slot(_pair_ord(self.n), self.axes_count, self.pairs)
-        ]
-        trips = [
-            {"ids": list(ids), "axis": axis, "word": st.word.to_text(), "violated": st.violated}
-            for ids, axis, st in _by_slot(_trip_ord(self.n), self.axes_count, self.triplets)
-        ]
-        return {"n": self.n, "axes": self.axes_count, "pairs": pairs, "triplets": trips}
 
-    @classmethod
-    def from_serializable(cls, data: dict) -> "BraidTable":
-        """Inverse of ``to_serializable``.
+def to_serializable(tables: tuple[BraidTable, ...]) -> dict:
+    """One team's tables on ``len(tables)`` angles as one JSON object.
 
-        ``data`` must list every slot exactly once, so a truncated table
-        cannot load as a less tangled one, and each entry's ``violated``
-        flag, if given, is the boolean its word implies.  Anything else is
-        an ``InputError``: a missing or mistyped field, ids or an axis that
-        name no slot, a malformed word, or a slot given twice.
-        """
-        if not isinstance(data, dict):
-            raise InputError("a braid table must be a JSON object")
-        n, axes_count = data.get("n"), data.get("axes")
-        if type(n) is not int or n < 1 or type(axes_count) is not int or axes_count not in (1, 2):
-            raise InputError(
-                f"a braid table needs a positive integer \"n\" and \"axes\" 1 or 2, "
-                f"got {n!r} and {axes_count!r}"
-            )
-        pairs = []
-        for word, entry in _slot_words(data, "pairs", _pair_ord, 2, n, axes_count):
-            pairs.append(sum(l.sign for l in word.letters))
-            _check_flag(entry, abs(pairs[-1]) >= 2)
-        trips = []
-        for word, entry in _slot_words(data, "triplets", _trip_ord, 3, n, axes_count):
-            trips.append(triplet_state_from_word(word))
-            _check_flag(entry, trips[-1].violated)
-        return cls(n, axes_count, tuple(pairs), tuple(trips))
+    ``"axes"`` is the number of tables, and each entry names its table by a
+    1-based ``"axis"``.  Entries are listed by ids, then by axis.
+    """
+    n = tables[0].n
+    pairs = [
+        {"ids": list(ids), "axis": axis, "word": pair_word_text(c), "violated": abs(c) >= 2}
+        for ids, axis, c in _by_slot(_pair_ord(n), [t.pairs for t in tables])
+    ]
+    trips = [
+        {"ids": list(ids), "axis": axis, "word": st.word.to_text(), "violated": st.violated}
+        for ids, axis, st in _by_slot(_trip_ord(n), [t.triplets for t in tables])
+    ]
+    return {"n": n, "axes": len(tables), "pairs": pairs, "triplets": trips}
 
 
-def _by_slot(ords: dict, axes_count: int, states: tuple) -> Iterator[tuple[tuple, int, object]]:
+def from_serializable(data: dict) -> tuple[BraidTable, ...]:
+    """Inverse of ``to_serializable``: one table per axis, in axis order.
+
+    ``data`` must list every slot exactly once, so a truncated table cannot
+    load as a less tangled one, and each entry's ``violated`` flag, if
+    given, is the boolean its word implies.  Anything else is an
+    ``InputError``: a missing or mistyped field, ``"axes"`` other than 1 or
+    2, ids or an axis that name no slot, a malformed word, or a slot given
+    twice.
+    """
+    if not isinstance(data, dict):
+        raise InputError("a braid table must be a JSON object")
+    n, axes = data.get("n"), data.get("axes")
+    if type(n) is not int or n < 1 or type(axes) is not int or axes not in (1, 2):
+        raise InputError(
+            f"a braid table needs a positive integer \"n\" and \"axes\" 1 or 2, "
+            f"got {n!r} and {axes!r}"
+        )
+    pair_columns = _slot_words(data, "pairs", _pair_ord, 2, n, axes)
+    trip_columns = _slot_words(data, "triplets", _trip_ord, 3, n, axes)
+    tables = []
+    for pair_column, trip_column in zip(pair_columns, trip_columns):
+        pairs = tuple(sum(l.sign for l in word.letters) for word, _ in pair_column)
+        trips = tuple(triplet_state_from_word(word) for word, _ in trip_column)
+        for (_, entry), count in zip(pair_column, pairs):
+            _check_flag(entry, abs(count) >= 2)
+        for (_, entry), state in zip(trip_column, trips):
+            _check_flag(entry, state.violated)
+        tables.append(BraidTable(n, pairs, trips))
+    return tuple(tables)
+
+
+def _by_slot(ords: dict, columns: list[tuple]) -> Iterator[tuple[tuple, int, object]]:
     """Yields (ids, axis, state) in serialized order: ids first, then axis."""
     for ids, o in ords.items():
-        for axis in range(1, axes_count + 1):
-            yield ids, axis, states[(axis - 1) * len(ords) + o]
+        for axis, states in enumerate(columns, start=1):
+            yield ids, axis, states[o]
 
 
 def _slot_words(
-    data: dict, key: str, ord_of, size: int, n: int, axes_count: int
-) -> list[tuple[BraidWord, dict]]:
-    """(word, entry) of each slot of ``data[key]``, in slot order.  The entry
-    count is checked before a hostile ``n`` can build a huge slot table."""
-    entries, slots = data.get(key), axes_count * math.comb(n, size)
+    data: dict, key: str, ord_of, size: int, n: int, axes: int
+) -> list[list[tuple[BraidWord, dict]]]:
+    """(word, entry) of each slot of ``data[key]``: one list per axis, in
+    slot order.  The entry count is checked before a hostile ``n`` can build
+    a huge slot table."""
+    entries, slots = data.get(key), axes * math.comb(n, size)
     if not isinstance(entries, list) or len(entries) != slots:
         raise InputError(f"braid table {key!r} must list all {slots} slots")
     ords = ord_of(n)
-    words: list = [None] * slots
+    columns: list[list] = [[None] * len(ords) for _ in range(axes)]
     for entry in entries:
         if not isinstance(entry, dict):
             raise InputError(f"braid table entries must be JSON objects, got {entry!r}")
@@ -319,15 +314,15 @@ def _slot_words(
         # ``ords`` holds exactly the ascending id tuples in 1..n.
         int_ids = isinstance(ids, list) and all(type(r) is int for r in ids)
         o = ords.get(tuple(ids)) if int_ids else None
-        if o is None or type(axis) is not int or not 1 <= axis <= axes_count:
+        if o is None or type(axis) is not int or not 1 <= axis <= axes:
             raise InputError(f"braid table entry {entry!r} names no slot of this table")
         if not isinstance(text, str):
             raise InputError(f"braid table entry {entry!r} has no word")
-        slot = (axis - 1) * len(ords) + o
-        if words[slot] is not None:
+        column = columns[axis - 1]
+        if column[o] is not None:
             raise InputError(f"braid table entry {entry!r} repeats a slot")
-        words[slot] = (BraidWord.from_text(text, size), entry)
-    return words
+        column[o] = (BraidWord.from_text(text, size), entry)
+    return columns
 
 
 def _check_flag(entry: dict, violated: bool) -> None:
@@ -413,6 +408,9 @@ _PAIR_DIST = _build_pair_automaton()
 class GridNode:
     """One search node: a configuration with its accumulated braid state.
 
+    ``pairs`` and ``trips`` hold one tuple per grid axis, the entries of the
+    node's table at pi/2 and at 0, so a child rebuilds only the tuples of
+    the axis it swaps on and shares the other axis's with its parent.
     ``hsum`` is the pair-automaton lower bound on remaining actions (see
     ``_build_pair_automaton``), maintained incrementally: each action
     changes exactly one pair's term.  Nodes are their own closed-list keys:
@@ -448,34 +446,39 @@ class GridNode:
         )
 
     @property
-    def braids(self) -> BraidTable:
-        return BraidTable(len(self.pi1), 2, self.pairs, self.trips)
+    def braids(self) -> tuple[BraidTable, BraidTable]:
+        """The node's (table at pi/2, table at 0)."""
+        n = len(self.pi1)
+        (pairs1, pairs2), (trips1, trips2) = self.pairs, self.trips
+        return BraidTable(n, pairs1, trips1), BraidTable(n, pairs2, trips2)
 
     @classmethod
-    def root(cls, perms: PermutationState, braids: BraidTable, target: PermutationState) -> "GridNode":
-        if braids.n != perms.n or braids.axes_count != 2:
-            raise InputError("braid table does not match the team or the two grid axes")
-        if not braids.is_clean:
-            raise InputError("initial braid table already holds a violated state")
-        pord = _pair_ord(perms.n)
-        n_pairs = len(pord)
+    def root(
+        cls, perms: PermutationState, braids: tuple[BraidTable, BraidTable], target: PermutationState
+    ) -> "GridNode":
+        """The search root; ``braids`` is the (table at pi/2, table at 0) pair."""
+        if len(braids) != 2 or braids[0].n != perms.n or braids[1].n != perms.n:
+            raise InputError("the planner needs one braid table per grid axis for this team")
+        table1, table2 = braids
+        if not (table1.is_clean and table2.is_clean):
+            raise InputError("initial braid tables already hold a violated state")
+        pairs1, pairs2 = table1.pairs, table2.pairs
         hsum = 0
-        for (a, b), o in pord.items():
+        for (a, b), o in _pair_ord(perms.n).items():
             o1 = 1 if perms.pi1[a - 1] < perms.pi1[b - 1] else -1
             o2 = 1 if perms.pi2[a - 1] < perms.pi2[b - 1] else -1
             t1 = 1 if target.pi1[a - 1] < target.pi1[b - 1] else -1
             t2 = 1 if target.pi2[a - 1] < target.pi2[b - 1] else -1
-            s1 = braids.pairs[o]
-            s2 = braids.pairs[n_pairs + o]
-            hsum += _PAIR_DIST[(o1, o2, s1, s2, t1, t2)]
-        return cls(perms.pi1, perms.pi2, braids.pairs, braids.triplets, 0, hsum, None, None)
+            hsum += _PAIR_DIST[(o1, o2, pairs1[o], pairs2[o], t1, t2)]
+        trips = (table1.triplets, table2.triplets)
+        return cls(perms.pi1, perms.pi2, (pairs1, pairs2), trips, 0, hsum, None, None)
 
 
 def expand(node: GridNode, target: PermutationState) -> list[GridNode]:
     """Children of a node, silently dropping braid-violating moves.
 
-    Every child's braid table shares all entries with its parent except the
-    one pair and the n-2 triplet states touched on the swap axis.
+    Every child's braid tables share all entries with its parent's except
+    the one pair and the n-2 triplet states touched on the swap axis.
     """
     return _expand(node, target, False)[0]
 
@@ -564,28 +567,25 @@ def _child(
     unreachable pair.
     """
     pi1, pi2 = node.pi1, node.pi2
-    node_pairs, node_trips = node.pairs, node.trips
-    n_pairs = len(node_pairs) >> 1
+    pairs1, pairs2 = node.pairs
+    trips1, trips2 = node.trips
     a0, b0, po, thirds = _rows(len(pi1))[(i, j) if i < j else (j, i)]
     if axis == 1:
-        ranks = pi1
+        ranks, node_pairs, node_trips = pi1, pairs1, trips1
         sign = 1 if pi2[i - 1] > pi2[j - 1] else -1
-        pbase = tbase = 0
     else:
-        ranks = pi2
+        ranks, node_pairs, node_trips = pi2, pairs2, trips2
         sign = 1 if pi1[i - 1] < pi1[j - 1] else -1
-        pbase, tbase = n_pairs, len(node_trips) >> 1
 
-    pslot = pbase + po
-    new_pair = node_pairs[pslot] + sign
+    new_pair = node_pairs[po] + sign
     if abs(new_pair) > 1:
         return None
     o1 = 1 if pi1[a0] < pi1[b0] else -1
     o2 = 1 if pi2[a0] < pi2[b0] else -1
     to1 = 1 if target.pi1[a0] < target.pi1[b0] else -1
     to2 = 1 if target.pi2[a0] < target.pi2[b0] else -1
-    s1 = node_pairs[po]
-    s2 = node_pairs[n_pairs + po]
+    s1 = pairs1[po]
+    s2 = pairs2[po]
     before = _PAIR_DIST[(o1, o2, s1, s2, to1, to2)]
     if axis == 1:
         after = _PAIR_DIST[(-o1, o2, new_pair, s2, to1, to2)]
@@ -594,8 +594,7 @@ def _child(
 
     trip_changes: list[tuple[int, TripletBraidState]] = []
     for t0, to in thirds:
-        slot = tbase + to
-        st = node_trips[slot]
+        st = node_trips[to]
         ls = (2 if ranks[t0] < k else 1, sign)
         hit = st._trans.get(ls)
         if hit is None:
@@ -603,19 +602,22 @@ def _child(
         new_trip, ok = hit
         if not ok:
             return None
-        trip_changes.append((slot, new_trip))
+        trip_changes.append((to, new_trip))
 
     pairs = list(node_pairs)
-    pairs[pslot] = new_pair
+    pairs[po] = new_pair
     trips = list(node_trips)
-    for slot, st in trip_changes:
-        trips[slot] = st
+    for to, st in trip_changes:
+        trips[to] = st
     new_ranks = list(ranks)
     new_ranks[i - 1], new_ranks[j - 1] = k + 1, k
-    new_ranks = tuple(new_ranks)
-    pi1, pi2 = (new_ranks, pi2) if axis == 1 else (pi1, new_ranks)
+    # Only the swap axis's tuples are rebuilt; the other axis's are shared.
+    if axis == 1:
+        pi1, pairs1, trips1 = tuple(new_ranks), tuple(pairs), tuple(trips)
+    else:
+        pi2, pairs2, trips2 = tuple(new_ranks), tuple(pairs), tuple(trips)
     return GridNode(
-        pi1, pi2, tuple(pairs), tuple(trips),
+        pi1, pi2, (pairs1, pairs2), (trips1, trips2),
         node.g + 1, node.hsum - before + after, node, SwapAction(axis, i, j),
     )
 
@@ -663,9 +665,9 @@ def _transport_penalty(node: GridNode, orders: tuple[tuple[int, int], ...]) -> i
     and so leaves no witness word behind for later stages to read.
     """
     pi1, pi2 = node.pi1, node.pi2
-    pairs, trips = node.pairs, node.trips
+    pairs1, pairs2 = node.pairs
+    trips1, trips2 = node.trips
     n = len(pi1)
-    n_pairs, n_trips = len(pairs) >> 1, len(trips) >> 1
     blockers = _BLOCKERS
     pen = 0
     for (a0, b0, po, thirds), (t1, t2) in zip(_rows(n).values(), orders):
@@ -675,8 +677,8 @@ def _transport_penalty(node: GridNode, orders: tuple[tuple[int, int], ...]) -> i
         d2 = o2 != t2
         if not (d1 or d2):
             continue
-        s1 = pairs[po]
-        s2 = pairs[n_pairs + po]
+        s1 = pairs1[po]
+        s2 = pairs2[po]
         if _PAIR_DIST[(o1, o2, s1, s2, t1, t2)] > d1 + d2:
             # The shortest route includes auxiliary crossings on an axis
             # that is already ordered, so the pair must become adjacent
@@ -698,7 +700,7 @@ def _transport_penalty(node: GridNode, orders: tuple[tuple[int, int], ...]) -> i
                     # other axis first and crosses with the sign negated.
                     sign = -sign
                 ranks = pi1
-                tbase = 0
+                trips = trips1
             else:
                 if not d2:
                     continue
@@ -706,12 +708,12 @@ def _transport_penalty(node: GridNode, orders: tuple[tuple[int, int], ...]) -> i
                 if abs(s2 + sign) > 1:
                     sign = -sign
                 ranks = pi2
-                tbase = n_trips
+                trips = trips2
             positive = sign > 0
             ra, rb = ranks[a0], ranks[b0]
             lo, hi = (ra, rb) if ra < rb else (rb, ra)
             for t0, to in thirds:
-                blocks = blockers.get(trips[tbase + to].element)
+                blocks = blockers.get(trips[to].element)
                 if blocks is None:
                     continue
                 blocked = blocks[positive]
@@ -740,7 +742,8 @@ class SearchTrace:
 @dataclass(frozen=True)
 class PlanResult:
     path: tuple[PermutationState, ...]
-    final_braids: BraidTable | None
+    # The (table at pi/2, table at 0) predicted at the goal.
+    final_braids: tuple[BraidTable, BraidTable] | None
     trace: SearchTrace
 
 
@@ -756,12 +759,13 @@ _UNWIND_BUDGET = 30_000
 
 
 def _tangle(node: GridNode) -> int:
-    """Letters still recorded across the node's braid table."""
+    """Letters still recorded across the node's braid tables."""
     total = 0
-    for st in node.trips:
-        total += len(st.letters)
-    for c in node.pairs:
-        total += abs(c)
+    for pairs, trips in zip(node.pairs, node.trips):
+        for st in trips:
+            total += len(st.letters)
+        for c in pairs:
+            total += abs(c)
     return total
 
 
@@ -875,15 +879,16 @@ def _chain(stages: list[SearchTrace], reason: str) -> SearchTrace:
 def plan(
     start: PermutationState,
     target: PermutationState,
-    braids: BraidTable | None = None,
+    braids: tuple[BraidTable, BraidTable] | None = None,
     *,
     check_braids: bool = True,
 ) -> PlanResult:
     """Search for an entanglement-free swap sequence from start to target.
 
-    Returns the permutation path (empty when no safe path was found), the
-    braid table predicted at the goal, and search statistics summed over
-    the stages that ran.  The direct search and the axis sort depend only
+    ``braids`` is the team's carried (table at pi/2, table at 0) pair, clean
+    tables when None.  Returns the permutation path (empty when no safe path
+    was found), the pair of tables predicted at the goal, and search
+    statistics summed over the stages that ran.  The direct search and the axis sort depend only
     on the arguments.  The unwind orders nodes by the length of each
     triplet state's stored word, which is the witness of whichever
     equivalent word the process interned first.  Only expansions and
@@ -911,13 +916,13 @@ def plan(
 
     With ``check_braids`` off, ``braids`` is ignored: the plan is that
     axis sort from a clean table, a shortest path on the bare permutation
-    grid, and ``final_braids`` is the clean table with the path's
+    grid, and ``final_braids`` is the clean tables with the path's
     crossings folded in.
     """
     if start.n != target.n:
         raise InputError("start and target describe different team sizes")
     if braids is None or not check_braids:
-        braids = BraidTable.identity(start.n)
+        braids = (BraidTable.identity(start.n),) * 2
     root = GridNode.root(start, braids, target)
     if not check_braids:
         node, trace = _axis_sort(root, target)

@@ -18,11 +18,12 @@ is linear.  Phase B swaps keep at least one full cell of separation on
 the perpendicular axis.
 
 ``fold_crossings`` is the one place where the crossings an executed
-episode actually produced become braid state.  The verifier folds every
-check angle with it, and a task sequence reads the planner's carried
-two-axis table off the verifier's tables at the grid angles, so the next
-plan starts from the true cable state.  ``carry_over_braids`` folds one
-episode on both grid axes for a caller that holds only a planner table.
+episode actually produced become braid state: it folds one angle's
+crossings into that angle's table.  The verifier folds every check angle
+with it, and a task sequence hands the planner the verifier's own tables
+at the two grid angles, so the next plan starts from the true cable state.
+``carry_over_braids`` folds one episode on both grid axes for a caller
+that holds only the planner's pair of tables.
 """
 
 from __future__ import annotations
@@ -232,11 +233,10 @@ def map_path(
 
 
 def fold_crossings(
-    events: list[CrossingEvent], table: BraidTable, axis: int = 1
+    events: list[CrossingEvent], table: BraidTable
 ) -> tuple[BraidTable, list[tuple[tuple[int, ...], float, str]]]:
-    """Fold one axis's crossing events into a braid table.
+    """Fold one angle's crossing events into that angle's braid table.
 
-    ``axis`` is the 1-based axis of ``table`` the events were extracted on.
     Returns the new table and the first forbidden pattern of each pair,
     then of each triplet, as (ids, time, word).  A pair's entry is its
     crossing count, so its word is the doubled crossing that reached +-2.
@@ -254,7 +254,7 @@ def fold_crossings(
             folded = sub_events(events, ids)
             if not folded:
                 continue
-            slot = slot_of(n, *ids, axis)
+            slot = slot_of(n, *ids)
             state = states[slot]
             for time, letter in folded:
                 state, ok = update(state, letter)
@@ -262,29 +262,29 @@ def fold_crossings(
                     forbidden.append((ids, time, word_of(state)))
                     break
             states[slot] = state
-    return BraidTable(n, table.axes_count, tuple(pairs), tuple(trips)), forbidden
+    return BraidTable(n, tuple(pairs), tuple(trips)), forbidden
 
 
 def carry_over_braids(
     executed: list[Trajectory] | tuple[Trajectory, ...],
-    previous: BraidTable,
-) -> BraidTable:
-    """Fold an executed episode's crossings on both grid axes into a table.
+    previous: tuple[BraidTable, BraidTable],
+) -> tuple[BraidTable, BraidTable]:
+    """Fold an executed episode's crossings into the planner's (table at
+    pi/2, table at 0) pair.
 
     The episode is lifted once and projected on each grid axis.  Raises
     ``EntanglementAlarm`` on the first forbidden pattern (which a correctly
     planned and executed episode cannot produce).
     """
     ids = sorted(t.robot_id for t in executed)
-    if ids != list(range(1, previous.n + 1)):
-        raise InputError("executed trajectories must cover robots 1..n of the braid table")
-    if previous.axes_count != len(GRID_AXES):
-        raise InputError("carry-over needs a braid table over both grid axes")
+    if len(previous) != len(GRID_AXES) or any(ids != list(range(1, t.n + 1)) for t in previous):
+        raise InputError("carry-over needs one table per grid axis over the executed robots 1..n")
     lifted = build_space_time(executed)
-    table = previous
-    for axis_idx, axis in enumerate(GRID_AXES, start=1):
-        table, forbidden = fold_crossings(extract_crossings(lifted, axis), table, axis_idx)
+    tables = []
+    for axis, table in zip(GRID_AXES, previous):
+        table, forbidden = fold_crossings(extract_crossings(lifted, axis), table)
         if forbidden:
             culprits, time, word = forbidden[0]
             raise EntanglementAlarm(culprits, axis.angle, time, word)
-    return table
+        tables.append(table)
+    return tuple(tables)

@@ -458,7 +458,7 @@ def test_criterion_6_clearance(sequence_runs):
         scenario = make_scenario(6, 3, 11)
         config = scenario.config
         positions = scenario.initial_positions
-        table = BraidTable.identity(6)
+        table = (BraidTable.identity(6),) * 2
         windows = 0
         for targets in scenario.target_sets:
             start_perms = ranks_from_positions(positions)

@@ -26,7 +26,7 @@ from braidplan.braid import (
     update_triplet,
 )
 from braidplan.errors import InputError
-from braidplan.planner import BraidTable
+from braidplan.planner import BraidTable, to_serializable
 
 # ---------------------------------------------------------------------------
 # Independent oracle: Laurent polys as {exponent: coeff}, matrices as nested
@@ -326,8 +326,8 @@ def test_update_pair_rejects_other_generators():
 def test_pair_state_default_flag():
     # a table stores a pair as its count, flagged exactly when |count| >= 2
     for count in (-2, -1, 0, 1, 2):
-        table = BraidTable(2, 1, (count,), ())
-        (entry,) = table.to_serializable()["pairs"]
+        table = BraidTable(2, (count,), ())
+        (entry,) = to_serializable((table,))["pairs"]
         assert table.is_clean == (abs(count) < 2) == (not entry["violated"])
 
 

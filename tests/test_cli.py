@@ -22,7 +22,7 @@ from braidplan.cli import (
 )
 from braidplan.errors import ConfigurationError
 from braidplan.harness import MAX_M, make_scenario
-from braidplan.planner import BraidTable, PlanResult, SearchTrace
+from braidplan.planner import PlanResult, SearchTrace, from_serializable
 from hostile_json import hostile
 
 
@@ -50,8 +50,8 @@ def test_plan_writes_plan_file(tmp_path, capsys):
     plan_doc = json.loads(out.read_text())
     assert plan_doc["stats"]["reason"] == "goal"
     assert plan_doc["set_index"] == 0
-    table = BraidTable.from_serializable(plan_doc["final_braids"])
-    assert table.n == 3
+    tables = from_serializable(plan_doc["final_braids"])
+    assert [t.n for t in tables] == [3, 3]
     for traj in plan_doc["trajectories"]:
         rid = traj["robot_id"]
         first, last = traj["waypoints"][0], traj["waypoints"][-1]
@@ -101,6 +101,23 @@ def test_run_writes_report(tmp_path, capsys):
     assert report["sets_total"] == 2
     assert report["seed"] == 40
     assert report["all_tables_consistent"] is True
+
+
+def test_final_braids_keep_the_two_axis_form(tmp_path):
+    # a plan file and a run report write the planner's tables at pi/2 and 0
+    # as one object: "axes": 2, an "axis" per entry, entries by ids first
+    sc_path, _ = _write_scenario(tmp_path)
+    plan_out, run_out = tmp_path / "plan.json", tmp_path / "report.json"
+    assert main(["plan", "--scenario", str(sc_path), "--out", str(plan_out)]) == EXIT_OK
+    assert main(["run", "--scenario", str(sc_path), "--out", str(run_out)]) == EXIT_OK
+    for path in (plan_out, run_out):
+        doc = json.loads(path.read_text())["final_braids"]
+        assert (doc["n"], doc["axes"]) == (3, 2)
+        for key, ids in (("pairs", [[1, 2], [1, 3], [2, 3]]), ("triplets", [[1, 2, 3]])):
+            assert [(e["ids"], e["axis"]) for e in doc[key]] == [
+                (i, axis) for i in ids for axis in (1, 2)
+            ]
+            assert all(set(e) == {"ids", "axis", "word", "violated"} for e in doc[key])
 
 
 def test_run_dump_dir(tmp_path):

@@ -4,7 +4,7 @@ The entangling-weave fixture drives three robots so their y-projection
 braid reads s1 S2 s1, the middle strand threading over-under-over, which
 the verifier must flag; clean episodes must leave its tables in exact
 agreement with the planner's.  Full runs fold each episode's crossings
-once, and the planner's carried table is the verifier's at the grid
+once, and the planner's carried tables are the verifier's at the grid
 angles.
 """
 
@@ -18,6 +18,8 @@ import random
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from braidplan import harness, workspace
 from braidplan.errors import ConfigurationError, InputError
@@ -32,7 +34,16 @@ from braidplan.harness import (
     simulate,
     verify,
 )
-from braidplan.planner import AXIS_ANGLES, BraidTable, PermutationState, PlanResult, SearchTrace, plan
+from braidplan.planner import (
+    AXIS_ANGLES,
+    BraidTable,
+    PermutationState,
+    PlanResult,
+    SearchTrace,
+    pair_slot,
+    plan,
+    triplet_slot,
+)
 from braidplan.workspace import (
     WorkspaceConfig,
     carry_over_braids,
@@ -129,17 +140,19 @@ def test_verify_clean_episode_agrees_with_planner():
     report, tables = verify(build_space_time(trajectories), angles)
     assert report.ok
     assert report.violations == ()
-    final = result.final_braids
+    final1, final2 = result.final_braids
     # angle pi/2 is grid axis 1, angle 0 is grid axis 2
     ax1 = tables[angles.index(AXIS_ANGLES[0])]
     ax2 = tables[angles.index(AXIS_ANGLES[1])]
     for i in range(1, 5):
         for j in range(i + 1, 5):
-            assert ax1.pair_count(i, j, 1) == final.pair_count(i, j, 1)
-            assert ax2.pair_count(i, j, 1) == final.pair_count(i, j, 2)
+            slot = pair_slot(4, i, j)
+            assert ax1.pairs[slot] == final1.pairs[slot]
+            assert ax2.pairs[slot] == final2.pairs[slot]
             for k in range(j + 1, 5):
-                assert ax1.triplet_state(i, j, k, 1) == final.triplet_state(i, j, k, 1)
-                assert ax2.triplet_state(i, j, k, 1) == final.triplet_state(i, j, k, 2)
+                slot = triplet_slot(4, i, j, k)
+                assert ax1.triplets[slot] == final1.triplets[slot]
+                assert ax2.triplets[slot] == final2.triplets[slot]
 
 
 def _weave_fixture() -> list[Trajectory]:
@@ -165,7 +178,7 @@ def test_verify_flags_triplet_weave():
     assert violation.axis_angle == 0.0
     assert abs(violation.time - 2.5) < 1e-9
     # the flagged state is sticky in the returned table
-    assert tables[0].triplet_state(1, 2, 3, 1).violated
+    assert tables[0].triplets[triplet_slot(3, 1, 2, 3)].violated
     assert not tables[0].is_clean
 
 
@@ -184,7 +197,7 @@ def test_verify_carries_tables_between_episodes():
     ]
     report1, tables1 = verify(build_space_time(first), (0.0,))
     assert report1.ok
-    assert tables1[0].pair_count(1, 2, 1) == 1
+    assert tables1[0].pairs[pair_slot(2, 1, 2)] == 1
     second = [
         Trajectory(1, ((1.0, 2.0, 0.0), (1.0, 0.0, 2.0))),
         Trajectory(2, ((0.0, 1.0, 0.0), (3.0, 1.0, 1.0), (3.0, 1.0, 2.0))),
@@ -194,12 +207,12 @@ def test_verify_carries_tables_between_episodes():
     violation = report2.violations[0]
     assert violation.ids == (1, 2)
     assert violation.word == "s1 s1"
-    assert tables2[0].pair_count(1, 2, 1) == 2
+    assert tables2[0].pairs[pair_slot(2, 1, 2)] == 2
 
 
 def test_verify_stationary_is_clean():
     still = [Trajectory(1, ((0.0, 0.0, 0.0),)), Trajectory(2, ((3.0, 3.0, 0.0),))]
-    tables_in = (BraidTable.identity(2, axes_count=1),)
+    tables_in = (BraidTable.identity(2),)
     report, tables = verify(build_space_time(still), (0.0,), tables_in)
     assert report.ok
     assert tables is tables_in
@@ -214,9 +227,9 @@ def test_verify_validation():
     with pytest.raises(InputError):
         verify(build_space_time([r1, r2]), ())
     with pytest.raises(InputError):
-        verify(build_space_time([r1, r2]), (0.0, 1.0), (BraidTable.identity(2, axes_count=1),))
+        verify(build_space_time([r1, r2]), (0.0, 1.0), (BraidTable.identity(2),))
     with pytest.raises(InputError):
-        verify(build_space_time([r1, r2]), (0.0,), (BraidTable.identity(2),))
+        verify(build_space_time([r1, r2]), (0.0,), (BraidTable.identity(3),))
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +345,7 @@ def test_run_task_sequence_failure_reverts_state(monkeypatch):
     assert metrics.success_rate == 0.0
     assert all(r.reason == "max_expansions" for r in metrics.results)
     assert metrics.final_positions == scenario.initial_positions
-    assert metrics.final_braids == BraidTable.identity(3)
+    assert metrics.final_braids == (BraidTable.identity(3),) * 2
     assert metrics.all_tables_consistent
 
 
@@ -401,17 +414,74 @@ def test_run_task_sequence_odd_m_carries_grid_angle_tables(monkeypatch):
     executed = [r for r in metrics.results if r.reason not in ("max_expansions", "exhausted")]
     assert len(executed) == len(calls)
 
-    # replay the successful episodes through the two-axis carry-over
-    carried = BraidTable.identity(4)
+    # replay the successful episodes through the grid-axis carry-over
+    carried = (BraidTable.identity(4),) * 2
     for result, (trajectories, angles, tables) in zip(executed, calls):
         if result.success:
             carried = carry_over_braids(trajectories, carried)
             last_angles, last_tables = angles, tables
-    t1, t2 = (last_tables[last_angles.index(a)] for a in AXIS_ANGLES)
-    from_verifier = BraidTable(4, 2, t1.pairs + t2.pairs, t1.triplets + t2.triplets)
+    from_verifier = tuple(last_tables[last_angles.index(a)] for a in AXIS_ANGLES)
     assert metrics.final_braids == from_verifier
     assert metrics.final_braids == carried
-    assert carried != BraidTable.identity(4)
+    assert carried != (BraidTable.identity(4),) * 2
+
+
+def _back_to_back(episodes: list[list[Trajectory]]) -> list[Trajectory]:
+    """One trajectory per robot through all episodes, each shifted to start
+    when the one before it ended; the shared joint waypoint is kept once."""
+    paths: dict[int, list] = {}
+    offset = 0.0
+    for trajectories in episodes:
+        for t in trajectories:
+            points = [(x, y, time + offset) for x, y, time in t.waypoints]
+            path = paths.setdefault(t.robot_id, [])
+            if path:
+                assert points[0] == path[-1]
+                points = points[1:]
+            path.extend(points)
+        offset = paths[1][-1][2]
+    return [Trajectory(r, tuple(path)) for r, path in sorted(paths.items())]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    n=st.integers(3, 5),
+    num_sets=st.integers(1, 6),
+    seed=st.integers(0, 2**32 - 1),
+    m=st.sampled_from((2, 3, 5)),
+)
+def test_verify_episode_by_episode_equals_whole_sequence(n, num_sets, seed, m):
+    """Folding a task sequence's executed episodes one by one through
+    ``verify``, passing the tables forward, gives the same per-angle tables
+    as verifying the whole sequence lifted at once, and the planner's final
+    tables are those at the grid angles.  A failed episode leaves the team
+    state as it was, so only the successful ones are chained."""
+    scenario = make_scenario(n, num_sets, seed, m=m)
+    episodes = []
+    with pytest.MonkeyPatch.context() as mp:
+        real_map_path = harness.map_path
+
+        def recording_map_path(*args, **kwargs):
+            episodes.append(real_map_path(*args, **kwargs))
+            return episodes[-1]
+
+        mp.setattr(harness, "map_path", recording_map_path)
+        metrics = run_task_sequence(scenario)
+    executed = [r for r in metrics.results if r.reason not in ("max_expansions", "exhausted")]
+    assert len(executed) == len(episodes)
+    kept = [trajectories for r, trajectories in zip(executed, episodes) if r.success]
+    angles = scenario.angles + tuple(a for a in AXIS_ANGLES if a not in scenario.angles)
+
+    tables = None
+    for trajectories in kept:
+        report, tables = verify(build_space_time(trajectories), angles, tables)
+        assert report.ok
+    if not kept:
+        return
+    report, whole = verify(build_space_time(_back_to_back(kept)), angles)
+    assert report.ok
+    assert whole == tables
+    assert metrics.final_braids == tuple(whole[angles.index(a)] for a in AXIS_ANGLES)
 
 
 def test_run_task_sequence_degenerate_episode_fails_and_continues(monkeypatch):

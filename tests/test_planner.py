@@ -8,9 +8,14 @@ that shares no code with the planner.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import json
+import math
+import os
 import random
+import subprocess
+import sys
 from collections import deque
 from pathlib import Path
 
@@ -39,12 +44,16 @@ from braidplan.planner import (
     action_space,
     braid_letter_for_action,
     expand,
+    from_serializable,
     heuristic,
     pair_slot,
     plan,
+    to_serializable,
     triplet_slot,
 )
 from hostile_json import hostile
+
+DATA = Path(__file__).parent / "data"
 
 # ---------------------------------------------------------------------------
 # Helpers.
@@ -63,6 +72,20 @@ def _apply(perms: PermutationState, action: SwapAction) -> PermutationState:
         if action.axis == 1
         else PermutationState(perms.pi1, new)
     )
+
+
+def _clean(n: int) -> tuple[BraidTable, BraidTable]:
+    """Clean tables at both grid angles."""
+    return (BraidTable.identity(n),) * 2
+
+
+def _all_clean(tables) -> bool:
+    return all(t.is_clean for t in tables)
+
+
+def _pair_tables(count1: int, count2: int) -> tuple[BraidTable, BraidTable]:
+    """Two-robot tables holding the given pair counts at pi/2 and at 0."""
+    return BraidTable(2, (count1,), ()), BraidTable(2, (count2,), ())
 
 
 def _random_perms(rng: random.Random, n: int) -> PermutationState:
@@ -194,72 +217,76 @@ def test_expand_full_child_set_and_sharing():
     for n in (3, 5):
         perms = _random_perms(rng, n)
         target = _random_perms(rng, n)
-        root = GridNode.root(perms, BraidTable.identity(n), target)
+        root = GridNode.root(perms, _clean(n), target)
         children = expand(root, target)
         # from a clean table no first move can violate anything
         assert len(children) == 2 * (n - 1)
         for child in children:
             assert child.g == 1
             assert child.parent is root
+            # the swap axis's tuples change in one pair and n - 2 triplets;
+            # the other axis's are the parent's own
+            ax, other = child.action.axis - 1, 2 - child.action.axis
             pair_diffs = [
-                k for k, (a, b) in enumerate(zip(root.pairs, child.pairs)) if a != b
+                k for k, (a, b) in enumerate(zip(root.pairs[ax], child.pairs[ax])) if a != b
             ]
             trip_diffs = [
-                k for k, (a, b) in enumerate(zip(root.trips, child.trips)) if a is not b
+                k for k, (a, b) in enumerate(zip(root.trips[ax], child.trips[ax])) if a is not b
             ]
             assert len(pair_diffs) == 1
             assert len(trip_diffs) == n - 2
-            axis = child.action.axis
-            n_pairs = len(root.pairs) // 2
-            n_trips = len(root.trips) // 2 if root.trips else 0
-            assert all(axis == 1 and k < n_pairs or axis == 2 and k >= n_pairs for k in pair_diffs)
-            assert all(axis == 1 and k < n_trips or axis == 2 and k >= n_trips for k in trip_diffs)
+            assert child.pairs[other] is root.pairs[other]
+            assert child.trips[other] is root.trips[other]
 
 
 def test_expand_drops_pair_violating_move():
     # robots 1, 2 with reversed axis-2 order make the axis-1 swap sign +1;
     # a carried +1 crossing sum leaves no room for it
     perms = PermutationState((1, 2), (2, 1))
-    blocked = BraidTable(2, 2, (1, 0), ())
+    blocked = _pair_tables(1, 0)
     root = GridNode.root(perms, blocked, perms)
     actions = {child.action.axis for child in expand(root, perms)}
     assert actions == {2}
     # the opposite carried sum leaves the move free
-    open_table = BraidTable(2, 2, (-1, 0), ())
+    open_table = _pair_tables(-1, 0)
     root2 = GridNode.root(perms, open_table, perms)
     assert {child.action.axis for child in expand(root2, perms)} == {1, 2}
 
 
 def _folded_child_table(node: GridNode, action: SwapAction, target: PermutationState):
-    """Oracle for one move: the node's table with the action's letters folded
-    in slot by slot, or None when a letter trips a forbidden pattern or the
-    pair's target orders become unreachable under the pair automaton."""
+    """Oracle for one move: the node's tables with the action's letters folded
+    into the swap axis's table slot by slot, or None when a letter trips a
+    forbidden pattern or the pair's target orders become unreachable under
+    the pair automaton."""
     from braidplan.planner import _INF, _PAIR_DIST
 
     perms = PermutationState(node.pi1, node.pi2)
     n = perms.n
-    pairs = list(node.pairs)
-    trips = list(node.trips)
+    tables = node.braids
+    pairs = list(tables[action.axis - 1].pairs)
+    trips = list(tables[action.axis - 1].triplets)
     a, b = sorted((action.i, action.j))
-    slot = pair_slot(n, a, b, action.axis)
+    slot = pair_slot(n, a, b)
     pairs[slot], ok = update_pair(pairs[slot], braid_letter_for_action(action, perms, (a, b)))
     if not ok:
         return None
     for t in range(1, n + 1):
         if t not in (a, b):
             ids = tuple(sorted((a, b, t)))
-            slot = triplet_slot(n, *ids, action.axis)
+            slot = triplet_slot(n, *ids)
             trips[slot], ok = update_triplet(trips[slot], braid_letter_for_action(action, perms, ids))
             if not ok:
                 return None
+    folded = list(tables)
+    folded[action.axis - 1] = BraidTable(n, tuple(pairs), tuple(trips))
     after = _apply(perms, action)
     o1, o2, t1, t2 = (
         1 if p[a - 1] < p[b - 1] else -1 for p in (after.pi1, after.pi2, target.pi1, target.pi2)
     )
-    s1, s2 = (pairs[pair_slot(n, a, b, axis)] for axis in (1, 2))
+    s1, s2 = (t.pairs[pair_slot(n, a, b)] for t in folded)
     if _PAIR_DIST[(o1, o2, s1, s2, t1, t2)] >= _INF:
         return None
-    return BraidTable(n, 2, tuple(pairs), tuple(trips))
+    return tuple(folded)
 
 
 def _check_expansion(node: GridNode, target: PermutationState) -> list[GridNode]:
@@ -295,7 +322,7 @@ def test_expand_matches_letter_by_letter_fold(n, seed):
 
     rng = random.Random(seed)
     target = _random_perms(rng, n)
-    node = GridNode.root(_random_perms(rng, n), BraidTable.identity(n), target)
+    node = GridNode.root(_random_perms(rng, n), _clean(n), target)
     for _ in range(rng.randrange(12)):
         node = rng.choice(expand(node, target) or [node])
     target = _random_perms(rng, n)
@@ -321,23 +348,24 @@ def test_interned_states_are_canonical(n, seed):
     same folds."""
     rng = random.Random(seed)
     target = _random_perms(rng, n)
-    node = GridNode.root(_random_perms(rng, n), BraidTable.identity(n), target)
+    node = GridNode.root(_random_perms(rng, n), _clean(n), target)
     for _ in range(rng.randrange(1, 20)):
         children = expand(node, target)
         if not children:
             break
         child = rng.choice(children)
         folded = _folded_child_table(node, child.action, target)
-        assert child.pairs == folded.pairs
-        assert all(a is b for a, b in zip(child.trips, folded.triplets))
+        assert child.pairs == tuple(t.pairs for t in folded)
+        for trips, table in zip(child.trips, folded):
+            assert all(a is b for a, b in zip(trips, table.triplets))
         node = child
-    table = node.braids
+    tables = node.braids
 
-    for count in table.pairs:
+    for count in (c for table in tables for c in table.pairs):
         letter = BraidLetter(1, -1 if count > 0 else 1)
         there, ok = update_pair(count, letter)
         assert ok and update_pair(there, letter.inverse()) == (count, True)
-    for state in table.triplets:
+    for state in (st for table in tables for st in table.triplets):
         letters = list(state.letters)
         at = rng.randrange(len(letters) + 1)
         letters[at:at] = _RELATOR
@@ -353,11 +381,12 @@ def test_interned_states_are_canonical(n, seed):
         else:
             assert chained is state
 
-    again = BraidTable.from_serializable(json.loads(json.dumps(table.to_serializable())))
-    assert again.pairs == table.pairs
-    assert all(a is b for a, b in zip(again.triplets, table.triplets))
-    assert again == table
-    assert hash(again) == hash(table)
+    again = from_serializable(json.loads(json.dumps(to_serializable(tables))))
+    for loaded, table in zip(again, tables):
+        assert loaded.pairs == table.pairs
+        assert all(a is b for a, b in zip(loaded.triplets, table.triplets))
+    assert again == tables
+    assert hash(again) == hash(tables)
 
 
 def test_nodes_with_different_braids_do_not_merge():
@@ -365,7 +394,7 @@ def test_nodes_with_different_braids_do_not_merge():
     # braid tables, kept apart as separate search states
     start = PermutationState.identity(3)
     target = PermutationState((3, 2, 1), (3, 2, 1))
-    root = GridNode.root(start, BraidTable.identity(3), target)
+    root = GridNode.root(start, _clean(3), target)
     layer = [root]
     by_perm: dict[tuple, list[GridNode]] = {}
     for _ in range(4):
@@ -389,28 +418,22 @@ def test_nodes_with_different_braids_do_not_merge():
 def test_root_rejects_bad_tables():
     perms = PermutationState.identity(3)
     with pytest.raises(InputError):
-        GridNode.root(perms, BraidTable.identity(4), perms)
-    dirty_pairs = (2,) + (0,) * 5
-    dirty = BraidTable(3, 2, dirty_pairs, BraidTable.identity(3).triplets)
+        GridNode.root(perms, _clean(4), perms)
+    with pytest.raises(InputError):
+        GridNode.root(perms, (BraidTable.identity(3),), perms)
+    dirty = (BraidTable(3, (2, 0, 0), BraidTable.identity(3).triplets), BraidTable.identity(3))
     with pytest.raises(InputError):
         GridNode.root(perms, dirty, perms)
 
 
 def test_slot_layout():
-    n = 5
-    n_pairs = 10
-    n_trips = 10
-    seen_p = set()
-    seen_t = set()
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            assert pair_slot(n, i, j, 2) == pair_slot(n, i, j, 1) + n_pairs
-            seen_p.add(pair_slot(n, i, j, 1))
-            for k in range(j + 1, n + 1):
-                assert triplet_slot(n, i, j, k, 2) == triplet_slot(n, i, j, k, 1) + n_trips
-                seen_t.add(triplet_slot(n, i, j, k, 1))
-    assert seen_p == set(range(n_pairs))
-    assert seen_t == set(range(n_trips))
+    # a table's slots are a bijection from the ascending id tuples onto
+    # range(C(n, 2)) and range(C(n, 3)), in combination order
+    for n in range(1, 9):
+        for size, slot_of in ((2, pair_slot), (3, triplet_slot)):
+            combos = list(itertools.combinations(range(1, n + 1), size))
+            assert len(combos) == math.comb(n, size)
+            assert [slot_of(n, *ids) for ids in combos] == list(range(len(combos)))
 
 
 # ---------------------------------------------------------------------------
@@ -427,12 +450,9 @@ def _reference_transport_penalty(node: GridNode, target: PermutationState) -> in
     n = len(node.pi1)
     pord = _pair_ord(n)
     tord = _trip_ord(n)
-    n_pairs = len(pord)
-    n_trips = len(tord)
     pi1, pi2 = node.pi1, node.pi2
     tg1, tg2 = target.pi1, target.pi2
-    pairs = node.pairs
-    trips = node.trips
+    pairs1, pairs2 = node.pairs
     pen = 0
     for (a, b), po in pord.items():
         o1 = 1 if pi1[a - 1] < pi1[b - 1] else -1
@@ -441,8 +461,8 @@ def _reference_transport_penalty(node: GridNode, target: PermutationState) -> in
         d2 = o2 != (1 if tg2[a - 1] < tg2[b - 1] else -1)
         if not (d1 or d2):
             continue
-        s1 = pairs[po]
-        s2 = pairs[n_pairs + po]
+        s1 = pairs1[po]
+        s2 = pairs2[po]
         to1 = -o1 if d1 else o1
         to2 = -o2 if d2 else o2
         if _PAIR_DIST[(o1, o2, s1, s2, to1, to2)] > d1 + d2:
@@ -462,7 +482,6 @@ def _reference_transport_penalty(node: GridNode, target: PermutationState) -> in
                 if abs(s1 + sign) > 1:
                     sign = -sign
                 ranks = pi1
-                tbase = 0
             else:
                 if not d2:
                     continue
@@ -470,14 +489,13 @@ def _reference_transport_penalty(node: GridNode, target: PermutationState) -> in
                 if abs(s2 + sign) > 1:
                     sign = -sign
                 ranks = pi2
-                tbase = n_trips
             ra, rb = ranks[a - 1], ranks[b - 1]
             lo, hi = (ra, rb) if ra < rb else (rb, ra)
             for t in range(1, n + 1):
                 if t == a or t == b:
                     continue
                 ids = (t, a, b) if t < a else (a, t, b) if t < b else (a, b, t)
-                st = trips[tbase + tord[ids]]
+                st = node.trips[axis - 1][tord[ids]]
                 ok_above = update_triplet(st, BraidLetter(1, sign))[1]
                 ok_below = update_triplet(st, BraidLetter(2, sign))[1]
                 if ok_above and ok_below:
@@ -508,7 +526,7 @@ def test_transport_penalty_matches_reference(n, seed):
     from the first one's carried table towards a new target."""
     rng = random.Random(seed)
     target = _random_perms(rng, n)
-    node = GridNode.root(_random_perms(rng, n), BraidTable.identity(n), target)
+    node = GridNode.root(_random_perms(rng, n), _clean(n), target)
     for _ in range(2):
         for _ in range(rng.randrange(40)):
             _assert_penalty_matches(node, target)
@@ -519,10 +537,10 @@ def test_transport_penalty_matches_reference(n, seed):
 
 
 def test_transport_penalty_matches_reference_on_stalled_query():
-    data = json.loads((Path(__file__).parent / "data" / "stalled_n9_query.json").read_text())
+    data = json.loads((DATA / "stalled_n9_query.json").read_text())
     start = PermutationState(tuple(data["start"]["pi1"]), tuple(data["start"]["pi2"]))
     target = PermutationState(tuple(data["target"]["pi1"]), tuple(data["target"]["pi2"]))
-    root = GridNode.root(start, BraidTable.from_serializable(data["carried"]), target)
+    root = GridNode.root(start, from_serializable(data["carried"]), target)
     children = expand(root, target)
     assert children
     for node in [root, *children]:
@@ -568,7 +586,8 @@ def test_transport_penalty_interns_nothing():
             trips.append(state)
     start = PermutationState.identity(n)
     target = PermutationState((5, 4, 3, 2, 1), (5, 4, 3, 2, 1))
-    node = GridNode.root(start, BraidTable(n, 2, (0,) * 20, tuple(trips)), target)
+    tables = (BraidTable(n, (0,) * 10, tuple(trips[:10])), BraidTable(n, (0,) * 10, tuple(trips[10:])))
+    node = GridNode.root(start, tables, target)
     successors = {
         _times(state.element, (index, sign))
         for state in trips for index in (1, 2) for sign in (-1, 1)
@@ -595,8 +614,7 @@ def test_plan_two_robots_both_axes():
     assert result.path[0] == start
     assert result.path[-1] == target
     assert result.final_braids is not None
-    assert abs(result.final_braids.pair_count(1, 2, 1)) == 1
-    assert abs(result.final_braids.pair_count(1, 2, 2)) == 1
+    assert [abs(t.pairs[pair_slot(2, 1, 2)]) for t in result.final_braids] == [1, 1]
 
 
 def test_plan_zero_actions_when_already_there():
@@ -604,19 +622,19 @@ def test_plan_zero_actions_when_already_there():
     result = plan(state, state)
     assert result.trace.reason == "goal"
     assert len(result.path) == 1
-    assert result.final_braids == BraidTable.identity(3)
+    assert result.final_braids == _clean(3)
 
 
 def test_plan_consumes_carried_pair_sum():
     start = PermutationState.identity(2)
     target = PermutationState((2, 1), (1, 2))
-    carried = BraidTable(2, 2, (1, 0), ())
+    carried = _pair_tables(1, 0)
     result = plan(start, target, carried)
     assert result.trace.reason == "goal"
     assert len(result.path) - 1 == 1
-    assert result.final_braids.pair_count(1, 2, 1) == 0
+    assert result.final_braids[0].pairs[pair_slot(2, 1, 2)] == 0
     fresh = plan(start, target)
-    assert fresh.final_braids.pair_count(1, 2, 1) == -1
+    assert fresh.final_braids[0].pairs[pair_slot(2, 1, 2)] == -1
 
 
 def test_plan_detects_unreachable_carried_state():
@@ -624,7 +642,7 @@ def test_plan_detects_unreachable_carried_state():
     # impossible: the direct sign repeats -1 and every detour dead-ends
     start = PermutationState.identity(2)
     target = PermutationState((2, 1), (1, 2))
-    carried = BraidTable(2, 2, (-1, 0), ())
+    carried = _pair_tables(-1, 0)
     result = plan(start, target, carried)
     assert result.trace.reason == "exhausted"
     assert result.path == ()
@@ -638,7 +656,7 @@ def test_plan_budget_exhaustion(monkeypatch):
     start = PermutationState.identity(4)
     mid = PermutationState((4, 3, 2, 1), (2, 1, 4, 3))
     carried = plan(start, mid).final_braids
-    assert carried != BraidTable.identity(4)
+    assert carried != _clean(4)
     monkeypatch.setattr(planner, "_DIRECT_BUDGET", 1)
     monkeypatch.setattr(planner, "_UNWIND_BUDGET", 1)
     result = plan(mid, start, carried)
@@ -646,6 +664,28 @@ def test_plan_budget_exhaustion(monkeypatch):
     assert result.path == ()
     assert result.final_braids is None
     assert result.trace.expanded == 2
+
+
+def test_recorded_plans_replay():
+    """``plan()`` repeats every call recorded in ``data/recorded_plans.json``:
+    the same path, the same ``SearchTrace`` and equal predicted tables.
+
+    The file holds 64 calls at n = 3..6, per team size 8 from clean tables
+    and 8 from tables carried over a random walk of expansions, each with
+    its serialized input and predicted tables.  They were recorded while
+    the planner still kept both grid axes in one table.  All of them finish
+    in the direct search, because the unwind's order reads stored witness
+    words, which depend on what the process interned before; for the same
+    reason tables are compared as loaded values, not as text.
+    """
+    records = json.loads((DATA / "recorded_plans.json").read_text())
+    assert len(records) == 64
+    for rec in records:
+        start, target = (PermutationState(*map(tuple, rec[key])) for key in ("start", "target"))
+        result = plan(start, target, from_serializable(rec["braids"]))
+        assert [[list(p.pi1), list(p.pi2)] for p in result.path] == rec["path"]
+        assert dataclasses.asdict(result.trace) == rec["trace"]
+        assert result.final_braids == from_serializable(rec["final_braids"])
 
 
 def test_plan_validates_team_sizes():
@@ -725,39 +765,37 @@ def test_plan_path_is_valid_swap_sequence():
         assert result.trace.reason == "goal"
         _assert_swap_chain(result.path, start, target)
         # goal-state braid table is clean by construction
-        assert result.final_braids.is_clean
+        assert _all_clean(result.final_braids)
 
 
 def test_serialization_round_trip():
-    assert BraidTable.from_serializable(
-        BraidTable.identity(4).to_serializable()
-    ) == BraidTable.identity(4)
+    assert from_serializable(to_serializable(_clean(4))) == _clean(4)
     rng = random.Random(16)
     start = _random_perms(rng, 5)
     target = _random_perms(rng, 5)
-    table = plan(start, target).final_braids
-    again = BraidTable.from_serializable(table.to_serializable())
-    assert again == table
-    assert hash(again) == hash(table)
+    tables = plan(start, target).final_braids
+    again = from_serializable(to_serializable(tables))
+    assert again == tables
+    assert hash(again) == hash(tables)
 
 
 def test_serialized_violated_flag_follows_word():
     for key, word in (("pairs", "s1 s1"), ("triplets", "s1 S2 s1")):
-        data = BraidTable.identity(3).to_serializable()
+        data = to_serializable(_clean(3))
         data[key][0].update(word=word, violated=False)
         with pytest.raises(InputError):
-            BraidTable.from_serializable(data)
+            from_serializable(data)
         data[key][0]["violated"] = True
-        assert not BraidTable.from_serializable(data).is_clean
+        assert not _all_clean(from_serializable(data))
         del data[key][0]["violated"]
-        assert not BraidTable.from_serializable(data).is_clean
+        assert not _all_clean(from_serializable(data))
         data[key][0].update(word="e", violated=True)
         with pytest.raises(InputError):
-            BraidTable.from_serializable(data)
+            from_serializable(data)
 
 
 def _edited(change) -> dict:
-    data = BraidTable.identity(3).to_serializable()
+    data = to_serializable(_clean(3))
     change(data)
     return data
 
@@ -790,7 +828,7 @@ _MALFORMED_TABLES = {
 @pytest.mark.parametrize("label", sorted(_MALFORMED_TABLES))
 def test_from_serializable_refuses_malformed_tables(label):
     with pytest.raises(InputError):
-        BraidTable.from_serializable(_MALFORMED_TABLES[label])
+        from_serializable(_MALFORMED_TABLES[label])
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
@@ -801,10 +839,10 @@ def test_hostile_table_loads_or_raises_input_error(n, seed, data):
     with ``InputError``; no other exception escapes."""
     rng = random.Random(seed)
     target = _random_perms(rng, n)
-    node = GridNode.root(_random_perms(rng, n), BraidTable.identity(n), target)
+    node = GridNode.root(_random_perms(rng, n), _clean(n), target)
     for _ in range(rng.randrange(1, 10)):
         node = rng.choice(expand(node, target) or [node])
-    doc = json.loads(json.dumps(node.braids.to_serializable()))
+    doc = json.loads(json.dumps(to_serializable(node.braids)))
     # Aim half the edits at one entry: a walk from the root seldom gets there.
     key = data.draw(st.sampled_from(("pairs", "triplets")))
     if doc[key] and data.draw(st.booleans()):
@@ -813,10 +851,10 @@ def test_hostile_table_loads_or_raises_input_error(n, seed, data):
     else:
         doc = data.draw(hostile(doc))
     try:
-        table = BraidTable.from_serializable(doc)
+        tables = from_serializable(doc)
     except InputError:
         return
-    assert BraidTable.from_serializable(table.to_serializable()) == table
+    assert from_serializable(to_serializable(tables)) == tables
 
 
 def test_violated_verifier_pair_round_trips():
@@ -826,11 +864,32 @@ def test_violated_verifier_pair_round_trips():
     r2 = Trajectory(2, ((-1.0, 1.0, 0.0), (-1.0, 1.0, 1.0), (3.0, 1.0, 2.0)))
     report, (table,) = verify(build_space_time([r1, r2]), (0.0,))
     assert [v.word for v in report.violations] == ["s1 s1"]
-    data = json.loads(json.dumps(table.to_serializable()))
+    data = json.loads(json.dumps(to_serializable((table,))))
+    assert (data["n"], data["axes"]) == (2, 1)
     assert data["pairs"] == [{"ids": [1, 2], "axis": 1, "word": "s1 s1", "violated": True}]
-    again = BraidTable.from_serializable(data)
+    (again,) = from_serializable(data)
     assert again == table and again.pairs == (2,)
     assert not again.is_clean
+
+
+def test_pinned_table_dumps_as_loaded():
+    """The pinned n = 9 carried table loads as two tables and dumps back to
+    the file's own dict.  It runs in a fresh interpreter: a triplet's stored
+    word is whichever equal word the process interned first, so earlier
+    tests could change the words a dump writes."""
+    path = DATA / "stalled_n9_query.json"
+    code = (
+        "import json, sys\n"
+        "from braidplan.planner import from_serializable, to_serializable\n"
+        "doc = json.loads(open(sys.argv[1]).read())['carried']\n"
+        "tables = from_serializable(doc)\n"
+        "assert [t.n for t in tables] == [9, 9], tables\n"
+        "assert to_serializable(tables) == doc\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path_var = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = dict(os.environ, PYTHONPATH=path_var)
+    subprocess.run([sys.executable, "-c", code, str(path)], check=True, env=env)
 
 
 # ---------------------------------------------------------------------------
@@ -881,7 +940,7 @@ def test_search_stops_at_its_budget():
 
     start = PermutationState.identity(6)
     target = PermutationState((6, 5, 4, 3, 2, 1), (6, 5, 4, 3, 2, 1))
-    root = GridNode.root(start, BraidTable.identity(6), target)
+    root = GridNode.root(start, _clean(6), target)
     node, trace = _search(root, target, 1)
     assert node is None and trace.expanded == 1
     assert trace.reason == "max_expansions"
@@ -895,13 +954,13 @@ def test_axis_sort_from_clean_table_always_succeeds():
     from braidplan.planner import _axis_sort
 
     def check(start: PermutationState, target: PermutationState) -> None:
-        root = GridNode.root(start, BraidTable.identity(start.n), target)
+        root = GridNode.root(start, _clean(start.n), target)
         node, trace = _axis_sort(root, target)
         assert node is not None and trace.reason == "goal"
         assert (node.pi1, node.pi2) == (target.pi1, target.pi2)
         optimum = _inversions(start.pi1, target.pi1) + _inversions(start.pi2, target.pi2)
         assert node.g == trace.expanded == optimum
-        assert node.braids.is_clean
+        assert _all_clean(node.braids)
 
     perms3 = list(itertools.permutations((1, 2, 3)))
     states3 = [PermutationState(p1, p2) for p1 in perms3 for p2 in perms3]
@@ -920,7 +979,7 @@ def test_axis_sort_stops_on_rejected_step():
 
     start = PermutationState.identity(2)
     target = PermutationState((2, 1), (1, 2))
-    carried = BraidTable(2, 2, (-1, 0), ())
+    carried = _pair_tables(-1, 0)
     root = GridNode.root(start, carried, target)
     node, trace = _axis_sort(root, target)
     assert node is None
@@ -932,19 +991,19 @@ def test_plan_stalled_query_recovers_by_axis_sort():
     exhaust the budget.
 
     The fixture holds the episode's start and target permutations and the
-    carried braid table (``BraidTable.to_serializable``) after sets 0-4 of
+    carried braid tables (``to_serializable``) after sets 0-4 of
     ``make_scenario(9, 11, 191)`` ran through ``run_task_sequence``; the
     query is that scenario's set 5.
     """
-    data = json.loads((Path(__file__).parent / "data" / "stalled_n9_query.json").read_text())
+    data = json.loads((DATA / "stalled_n9_query.json").read_text())
     start = PermutationState(tuple(data["start"]["pi1"]), tuple(data["start"]["pi2"]))
     target = PermutationState(tuple(data["target"]["pi1"]), tuple(data["target"]["pi2"]))
-    carried = BraidTable.from_serializable(data["carried"])
+    carried = from_serializable(data["carried"])
     result = plan(start, target, carried)
     assert result.trace.reason == "goal"
     assert result.trace.expanded < 30_000
     _assert_swap_chain(result.path, start, target)
-    assert result.final_braids.is_clean
+    assert _all_clean(result.final_braids)
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
@@ -956,7 +1015,7 @@ def test_plan_effort_is_bounded(n, seed):
     axis sort, n(n - 1) swaps."""
     rng = random.Random(seed)
     target = _random_perms(rng, n)
-    node = GridNode.root(_random_perms(rng, n), BraidTable.identity(n), target)
+    node = GridNode.root(_random_perms(rng, n), _clean(n), target)
     for _ in range(rng.randrange(20)):
         node = rng.choice(expand(node, target) or [node])
     start = PermutationState(node.pi1, node.pi2)
@@ -968,7 +1027,7 @@ def test_plan_effort_is_bounded(n, seed):
     if result.path:
         assert result.trace.reason == "goal"
         _assert_swap_chain(result.path, start, target)
-        assert result.final_braids.is_clean
+        assert _all_clean(result.final_braids)
     else:
         assert result.trace.reason in ("exhausted", "max_expansions")
         assert result.final_braids is None

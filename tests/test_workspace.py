@@ -255,7 +255,7 @@ def test_carry_over_matches_planner_prediction():
     config = _config()
     for n in (3, 4, 5):
         result, trajectories, _, _ = _planned_episode(rng, n, config)
-        folded = carry_over_braids(trajectories, BraidTable.identity(n))
+        folded = carry_over_braids(trajectories, (BraidTable.identity(n),) * 2)
         assert folded == result.final_braids
 
 
@@ -271,7 +271,7 @@ def test_carry_over_chains_across_episodes():
         map_path(first.path, config,
                  [tuple(c) for c in grid_cells(start, config)],
                  [tuple(c) for c in grid_cells(mid, config)]),
-        BraidTable.identity(n),
+        (BraidTable.identity(n),) * 2,
     )
     assert table1 == first.final_braids
     second = plan(mid, end, table1)
@@ -291,7 +291,7 @@ def test_carry_over_pair_alarm_names_pair_and_word():
     r1 = Trajectory(1, ((0.0, 0.0, 0.0), (0.0, 2.0, 1.0), (0.0, 0.0, 2.0)))
     r2 = Trajectory(2, ((1.0, 1.0, 0.0), (1.0, 1.0, 1.0), (-3.0, 1.0, 2.0)))
     with pytest.raises(EntanglementAlarm) as err:
-        carry_over_braids([r1, r2], BraidTable.identity(2))
+        carry_over_braids([r1, r2], (BraidTable.identity(2),) * 2)
     alarm = err.value
     assert alarm.ids == (1, 2)
     assert alarm.word == "S1 S1"
@@ -301,4 +301,7 @@ def test_carry_over_pair_alarm_names_pair_and_word():
 def test_carry_over_validation():
     r1 = Trajectory(1, ((0.0, 0.0, 0.0), (0.0, 1.0, 1.0)))
     with pytest.raises(InputError):
-        carry_over_braids([r1], BraidTable.identity(2))
+        carry_over_braids([r1], (BraidTable.identity(2),) * 2)
+    r2 = Trajectory(2, ((1.0, 0.0, 0.0), (1.0, 1.0, 1.0)))
+    with pytest.raises(InputError):
+        carry_over_braids([r1, r2], (BraidTable.identity(2),))
