@@ -90,14 +90,6 @@ class BraidWord:
                     f"generator s{letter.index} does not exist on {self.strands} strands"
                 )
 
-    @property
-    def is_identity(self) -> bool:
-        return not self.letters
-
-    def inverted(self) -> "BraidWord":
-        """Group inverse: reversed word with every letter inverted."""
-        return BraidWord(self.strands, tuple(l.inverse() for l in reversed(self.letters)))
-
     def to_text(self) -> str:
         if not self.letters:
             return "e"

@@ -83,16 +83,6 @@ class Trajectory:
     def positions(self) -> np.ndarray:
         return np.array([(w[0], w[1]) for w in self.waypoints])
 
-    def position_at(self, t: float) -> tuple[float, float]:
-        ts = self.times()
-        xs = np.interp(t, ts, [w[0] for w in self.waypoints])
-        ys = np.interp(t, ts, [w[1] for w in self.waypoints])
-        return float(xs), float(ys)
-
-    def length(self) -> float:
-        pts = self.positions()
-        return float(np.sum(np.hypot(*(pts[1:] - pts[:-1]).T)))
-
 
 @dataclass(frozen=True, eq=False)
 class LiftedTeam:
@@ -149,10 +139,6 @@ class ProjectionAxis:
         """Signed distance(s) along the plane normal; larger is nearer the viewer."""
         xy = np.asarray(xy)
         return xy[..., 0] * math.cos(self.angle) + xy[..., 1] * math.sin(self.angle)
-
-    def mirror(self) -> "ProjectionAxis":
-        """The same plane viewed from the other side (negated u and depth)."""
-        return ProjectionAxis(self.angle + math.pi)
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
-from heapq import heappush, heappop
+from heapq import heappop, heappush, heapreplace
 from typing import Iterator
 
 from .braid import (
@@ -769,7 +769,9 @@ def _tangle(node: GridNode) -> int:
     return total
 
 
-def _best_first(root: GridNode, target: PermutationState, key, done, budget: int) -> _Stage:
+def _best_first(
+    root: GridNode, target: PermutationState, key, done, budget: int, refine=None
+) -> _Stage:
     """Expand nodes in ascending ``key(node)`` order until one is ``done``.
 
     Ties on the key pop the newest node first, diving across plateaus, so
@@ -777,8 +779,21 @@ def _best_first(root: GridNode, target: PermutationState, key, done, budget: int
     on the best g seen for its state.  Stops with the done node (reason
     "goal"), with None after ``budget`` expansions ("max_expansions"), or
     with None once the queue runs dry ("exhausted").
+
+    With ``refine``, nodes are ordered by ``refine(node)`` instead, but
+    computed lazily: a node is queued under the cheap ``key(node)``, which
+    must never exceed ``refine(node)``, and only when that entry reaches
+    the front is ``refine`` called and the node queued again under the full
+    key, with the same sequence number.  Only a full-key entry is checked
+    against the closed set and expanded.  A full-key entry at the front is
+    no larger than any other entry's full key, and sequence numbers are
+    unique, so nodes pop in exactly the order an eager queue of full keys
+    gives.  An entry whose node was closed meanwhile is refined and queued
+    again all the same, so the queue holds as many entries as the eager one
+    at every expansion and ``peak_open`` is the eager count.
     """
-    heap: list[tuple] = [(*key(root), 0, root)]
+    lazy = refine is not None
+    heap: list[tuple] = [(*key(root), 0, lazy, root)]
     g_best = {root: root.g}
     closed: set[GridNode] = set()
     seq = 0
@@ -786,7 +801,11 @@ def _best_first(root: GridNode, target: PermutationState, key, done, budget: int
     peak_open = 1
 
     while heap:
-        node = heappop(heap)[-1]
+        _, _, order, pending, node = heap[0]
+        if pending:
+            heapreplace(heap, (*refine(node), order, False, node))
+            continue
+        heappop(heap)
         if node in closed:
             continue
         closed.add(node)
@@ -803,7 +822,7 @@ def _best_first(root: GridNode, target: PermutationState, key, done, budget: int
                 continue
             g_best[child] = child.g
             seq += 1
-            heappush(heap, (*key(child), -seq, child))
+            heappush(heap, (*key(child), -seq, lazy, child))
         if len(heap) > peak_open:
             peak_open = len(heap)
 
@@ -811,16 +830,31 @@ def _best_first(root: GridNode, target: PermutationState, key, done, budget: int
 
 
 def _search(root: GridNode, target: PermutationState, budget: int) -> _Stage:
-    """The direct stage: best-first to the target by f = g + h, ties on lower h."""
+    """The direct stage: best-first to the target by f = g + h, ties on lower h.
+
+    h is ``_WEIGHT * (hsum + _transport_penalty)``, refined lazily: a child
+    is queued under the pair bound alone, h = ``_WEIGHT * hsum``, and gets
+    its penalty only if it reaches the front of the queue (see
+    ``_best_first``).  Most queued children never do.
+    """
 
     orders = _target_orders(target)
+
+    def bound(node: GridNode) -> tuple[float, float]:
+        h = _WEIGHT * node.hsum
+        return node.g + h, h
 
     def key(node: GridNode) -> tuple[float, float]:
         h = _WEIGHT * (node.hsum + _transport_penalty(node, orders))
         return node.g + h, h
 
     return _best_first(
-        root, target, key, lambda node: node.pi1 == target.pi1 and node.pi2 == target.pi2, budget
+        root,
+        target,
+        bound,
+        lambda node: node.pi1 == target.pi1 and node.pi2 == target.pi2,
+        budget,
+        refine=key,
     )
 
 
@@ -914,6 +948,12 @@ def plan(
     the plan fails with the direct search's reason, "max_expansions"; a
     direct search that runs dry fails with "exhausted".
 
+    The direct search queues each child under g + 3 * bound and computes
+    the penalty only when the child reaches the front of the queue.  The
+    penalty is never negative, so nodes still pop in the full key's order,
+    and the path and the trace, ``peak_open`` included, are those of
+    computing it for every child (see ``_best_first``).
+
     With ``check_braids`` off, ``braids`` is ignored: the plan is that
     axis sort from a clean table, a shortest path on the bare permutation
     grid, and ``final_braids`` is the clean tables with the path's
@@ -926,27 +966,26 @@ def plan(
     root = GridNode.root(start, braids, target)
     if not check_braids:
         node, trace = _axis_sort(root, target)
-        stages = [trace]
     elif root.hsum >= _INF:
         # Some pair's carried-over cable state makes its target order
         # provably unreachable; no amount of search can help.
         return PlanResult((), None, SearchTrace(0, 0, 0, 0, "exhausted"))
     else:
         node, trace = _search(root, target, _DIRECT_BUDGET)
-        stages = [trace]
         if trace.reason == "max_expansions":
-            node, trace = _unwind(root, target, _UNWIND_BUDGET)
-            stages.append(trace)
-            if node is not None:
-                node, trace = _axis_sort(node, target)
-                stages.append(trace)
+            unwound, unwind_trace = _unwind(root, target, _UNWIND_BUDGET)
+            stages = [trace, unwind_trace]
+            if unwound is not None:
+                node, sort_trace = _axis_sort(unwound, target)
+                stages.append(sort_trace)
+            trace = _chain(stages, "goal" if node is not None else trace.reason)
 
     if node is None:
-        return PlanResult((), None, _chain(stages, stages[0].reason))
+        return PlanResult((), None, trace)
     path = []
     cur = node
     while cur is not None:
         path.append(PermutationState(cur.pi1, cur.pi2))
         cur = cur.parent
     path.reverse()
-    return PlanResult(tuple(path), node.braids, _chain(stages, "goal"))
+    return PlanResult(tuple(path), node.braids, trace)

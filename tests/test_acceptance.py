@@ -49,6 +49,7 @@ from braidplan.geometry import build_space_time
 from braidplan.harness import make_scenario, run_task_sequence, simulate
 from braidplan.planner import BraidTable, PermutationState, plan
 from braidplan.workspace import map_path, ranks_from_positions
+from sampling import position_at
 
 SEEDS = (11, 12, 13)
 SET_SPLITS = (34, 33, 33)
@@ -472,7 +473,7 @@ def test_criterion_6_clearance(sequence_runs):
             for t0, t1 in zip(times, times[1:]):
                 movers = [
                     t for t in trajectories
-                    if t.position_at(t0) != t.position_at(t1)
+                    if position_at(t, t0) != position_at(t, t1)
                 ]
                 if len(movers) != 2:
                     continue
@@ -481,7 +482,7 @@ def test_criterion_6_clearance(sequence_runs):
                 for k in range(21):
                     s = t0 + (t1 - t0) * k / 20
                     assert math.dist(
-                        a.position_at(s), b.position_at(s)
+                        position_at(a, s), position_at(b, s)
                     ) >= config.cell_size - SLACK
             positions = targets
             table = outcome.final_braids

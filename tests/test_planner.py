@@ -600,6 +600,162 @@ def test_transport_penalty_interns_nothing():
     assert len(braid._TRIPLET_INTERN) > before
 
 
+def _eager_best_first(root: GridNode, target: PermutationState, key, done, budget: int):
+    """``planner._best_first`` as it was before guidance became lazy: every
+    child is queued under its full key.  Oracle for the lazy queue."""
+    from heapq import heappop, heappush
+
+    from braidplan.planner import _INF, SearchTrace, _expand
+
+    heap: list[tuple] = [(*key(root), 0, root)]
+    g_best = {root: root.g}
+    closed: set[GridNode] = set()
+    seq = 0
+    expanded = generated = rejected = 0
+    peak_open = 1
+
+    while heap:
+        node = heappop(heap)[-1]
+        if node in closed:
+            continue
+        closed.add(node)
+        expanded += 1
+        if done(node):
+            return node, SearchTrace(expanded, generated, rejected, peak_open, "goal")
+        if expanded >= budget:
+            return None, SearchTrace(expanded, generated, rejected, peak_open, "max_expansions")
+        children, braid_rejected = _expand(node, target, True)
+        rejected += braid_rejected
+        generated += len(children)
+        for child in children:
+            if child in closed or g_best.get(child, _INF) <= child.g:
+                continue
+            g_best[child] = child.g
+            seq += 1
+            heappush(heap, (*key(child), -seq, child))
+        if len(heap) > peak_open:
+            peak_open = len(heap)
+
+    return None, SearchTrace(expanded, generated, rejected, peak_open, "exhausted")
+
+
+def _eager_search(root: GridNode, target: PermutationState, budget: int):
+    """The direct stage with the transport penalty computed for every child."""
+    orders = planner._target_orders(target)
+
+    def key(node: GridNode) -> tuple[float, float]:
+        h = planner._WEIGHT * (node.hsum + planner._transport_penalty(node, orders))
+        return node.g + h, h
+
+    def done(node: GridNode) -> bool:
+        return node.pi1 == target.pi1 and node.pi2 == target.pi2
+
+    return _eager_best_first(root, target, key, done, budget)
+
+
+def _walk(node: GridNode | None) -> list:
+    """A stage's result node as comparable values: its path and tables."""
+    steps = []
+    while node is not None:
+        steps.append((node.pi1, node.pi2, node.braids))
+        node = node.parent
+    return steps
+
+
+def _lazy_queries() -> list[tuple[PermutationState, PermutationState, tuple]]:
+    """Two queries per team size n = 7..10, one from clean tables and one
+    from tables carried over a random walk of expansions.  The direct search
+    takes 19 to 194 expansions on them."""
+    rng = random.Random(32)
+    queries = []
+    for n in range(7, 11):
+        target = _random_perms(rng, n)
+        queries.append((_random_perms(rng, n), target, _clean(n)))
+        node = GridNode.root(_random_perms(rng, n), _clean(n), target)
+        for _ in range(rng.randrange(10, 30)):
+            node = rng.choice(expand(node, target) or [node])
+        queries.append((PermutationState(node.pi1, node.pi2), _random_perms(rng, n), node.braids))
+    return queries
+
+
+def test_lazy_guidance_matches_eager_order(monkeypatch):
+    """Queuing children on the pair bound and computing the penalty at the
+    front of the queue expands the nodes an eager queue of full keys does:
+    the same stage results and traces, ``peak_open`` included, when the
+    search stops mid-plateau after 1, 2 or 50 expansions, and the same
+    plans, also through the unwind once the direct budget is cut to 50."""
+    from braidplan.planner import _search
+
+    for start, target, braids in _lazy_queries():
+        root = GridNode.root(start, braids, target)
+        for budget in (1, 2, 50):
+            lazy, eager = _search(root, target, budget), _eager_search(root, target, budget)
+            assert _walk(lazy[0]) == _walk(eager[0])
+            assert lazy[1] == eager[1]
+        runs = []
+        for search in (_search, _eager_search):
+            for direct_budget in (planner._DIRECT_BUDGET, 50):
+                with monkeypatch.context() as mp:
+                    mp.setattr(planner, "_search", search)
+                    mp.setattr(planner, "_DIRECT_BUDGET", direct_budget)
+                    result = plan(start, target, braids)
+                runs.append((result.path, dataclasses.asdict(result.trace), result.final_braids))
+        assert runs[:2] == runs[2:]
+
+
+def test_lazy_queue_matches_eager_on_inconsistent_keys():
+    """``_best_first`` pops in the full key's order for any cheap key that
+    never exceeds it.  These pseudo-random keys reopen states often, so a
+    cheap entry can reach the front after its state was closed through a
+    shorter path; it must still be refined and queued again, or the queue
+    shrinks early and ``peak_open`` drops below the eager count."""
+    from braidplan.planner import _best_first
+
+    def mix(node: GridNode, m: int, mod: int) -> int:
+        return sum((k + m) * r for k, r in enumerate(node.pi1 + node.pi2)) % mod
+
+    def cheap(node: GridNode) -> tuple[float, float]:
+        h = 3.0 * mix(node, 1, 11)
+        return node.g + h, h
+
+    def full(node: GridNode) -> tuple[float, float]:
+        h = 3.0 * (mix(node, 1, 11) + mix(node, 2, 2))
+        return node.g + h, h
+
+    rng = random.Random(5)
+    for n in (4, 5, 6):
+        for _ in range(3):
+            start, target = _random_perms(rng, n), _random_perms(rng, n)
+            root = GridNode.root(start, _clean(n), target)
+
+            def done(node: GridNode) -> bool:
+                return node.pi1 == target.pi1 and node.pi2 == target.pi2
+
+            for budget in (10, 100, 1000):
+                lazy = _best_first(root, target, cheap, done, budget, refine=full)
+                eager = _eager_best_first(root, target, full, done, budget)
+                assert _walk(lazy[0]) == _walk(eager[0])
+                assert lazy[1] == eager[1]
+
+
+def test_guidance_is_lazy(monkeypatch):
+    """On a clean n = 10 query the penalty is computed for fewer than half
+    of the children the search generates (44 of 441 here)."""
+    calls = 0
+    penalty = planner._transport_penalty
+
+    def counted(node, orders):
+        nonlocal calls
+        calls += 1
+        return penalty(node, orders)
+
+    monkeypatch.setattr(planner, "_transport_penalty", counted)
+    rng = random.Random(32)
+    result = plan(_random_perms(rng, 10), _random_perms(rng, 10))
+    assert result.trace.reason == "goal"
+    assert 0 < calls < result.trace.generated / 2
+
+
 # ---------------------------------------------------------------------------
 # Planning.
 # ---------------------------------------------------------------------------
