@@ -12,7 +12,7 @@ Layers, bottom up:
 
 * ``braid``: braid words on two and three strands, an exact integer key
   for three-strand braids (a 2x2 matrix and the exponent sum), and the
-  forbidden-pattern membership tests.
+  checked braid states: a pair's crossing count, a triplet's small int id.
 * ``geometry``: timed trajectories, space-time lifting, and crossing
   extraction on arbitrary projection planes.
 * ``planner``: best-first search over rank permutations with incremental

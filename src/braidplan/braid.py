@@ -21,6 +21,16 @@ The entangling patterns rejected during planning and verification:
   ``S1 s2 S1``, ``S2 s1 S2`` (a strand weaving over-under-over, or
   under-over-under, through its two neighbours).
 
+A triplet state is a small int indexing per-id lists of keys, words,
+violated flags and transitions.  At import the 47 braids of at most three
+letters are numbered breadth first in shortlex order over s1 < S1 < s2 <
+S2 (id 0 is the identity), so each has its shortlex-least shortest word.
+They include the 19 clean and 4 forbidden braids a triplet can reach while
+every strand pair's crossing count stays within +-1, so the words that
+plans, carried tables and violation reports hold follow from the braid
+alone.  Other braids are interned when first met, with the word that
+reached them.
+
 Text form: lowercase ``s1`` is a positive generator, uppercase ``S1`` its
 inverse, letters are space-separated and the empty word is ``"e"``.
 """
@@ -35,13 +45,11 @@ from .errors import InputError
 __all__ = [
     "BraidLetter",
     "BraidWord",
-    "TripletBraidState",
     "free_reduce",
-    "identity_triplet",
-    "is_forbidden_triplet",
     "pair_word_text",
     "triplet_element",
     "triplet_state_from_word",
+    "triplet_word_text",
     "update_pair",
     "update_triplet",
 ]
@@ -159,16 +167,9 @@ def triplet_element(word: BraidWord) -> tuple[int, int, int, int, int]:
     return element
 
 
-# Keys of the four entangling triplet patterns.
-_FORBIDDEN3 = frozenset(
-    triplet_element(BraidWord.from_text(text, 3))
-    for text in ("s1 S2 s1", "s2 S1 s2", "S1 s2 S1", "S2 s1 S2")
-)
-
-
-def is_forbidden_triplet(word: BraidWord) -> bool:
-    """True when the word is equivalent to one of the four entangling patterns."""
-    return triplet_element(word) in _FORBIDDEN3
+# The four entangling triplet patterns and their keys.
+_FORBIDDEN_WORDS = ("s1 S2 s1", "s2 S1 s2", "S1 s2 S1", "S2 s1 S2")
+_FORBIDDEN3 = frozenset(triplet_element(BraidWord.from_text(text, 3)) for text in _FORBIDDEN_WORDS)
 
 
 # ---------------------------------------------------------------------------
@@ -196,87 +197,83 @@ def pair_word_text(count: int) -> str:
     return " ".join(["s1" if count > 0 else "S1"] * abs(count)) or "e"
 
 
-class TripletBraidState:
-    """Running state of a 3-strand braid.
-
-    ``letters`` is the freely reduced word so far (kept for diagnostics and
-    serialization); ``element`` is its key from ``triplet_element``, and
-    ``violated`` says whether that key is one of the four entangling
-    patterns.  Only ``triplet_state_from_word``, ``identity_triplet`` and
-    ``update_triplet`` make states, and they intern them by key, so equal
-    braids are one object and ``==`` and ``hash`` are identity.
-    """
-
-    __slots__ = ("letters", "element", "violated", "_trans")
-
-    def __init__(self, letters: tuple[BraidLetter, ...], element: tuple[int, ...]):
-        self.letters = letters
-        self.element = element
-        self.violated = element in _FORBIDDEN3
-        # per-state transition cache, filled lazily by update_triplet
-        self._trans: dict[tuple[int, int], tuple[TripletBraidState, bool]] = {}
-
-    @property
-    def word(self) -> BraidWord:
-        return BraidWord(3, self.letters)
-
-    def __repr__(self) -> str:
-        flag = ", violated" if self.violated else ""
-        return f"TripletBraidState({self.word.to_text()!r}{flag})"
+# Per-id lists: ``_KEY[s]`` is state s's key (``_ID`` maps it back),
+# ``_WORD[s]`` its word, ``_VIOLATED[s]`` its flag, and ``_NEXT[4 * s + slot]``
+# the state after letter ``slot`` (0-3: s1, S1, s2, S2), -1 until first used.
+# The lists only grow and are never rebound, so importers may hold them.
+_KEY: list[tuple[int, ...]] = []
+_ID: dict[tuple[int, ...], int] = {}
+_WORD: list[tuple[BraidLetter, ...]] = []
+_VIOLATED: list[bool] = []
+_NEXT: list[int] = []
 
 
-# Interning makes one triplet state per group element, so state equality is
-# identity.  Different reduced words can name the same element
-# (s1 s2 s1 = s2 s1 s2), so the key is ``triplet_element``, never the word;
-# the stored word is one witness for it.  The table is never cleared: every
-# state's ``_trans`` cache keeps its successors reachable from the identity
-# state anyway, and re-interning an element would make a second object for it.
-_TRIPLET_INTERN: dict[tuple[int, ...], TripletBraidState] = {}
-
-
-def _intern_triplet(
-    letters: tuple[BraidLetter, ...], element: tuple[int, ...]
-) -> TripletBraidState:
-    state = _TRIPLET_INTERN.get(element)
-    if state is None:
-        state = TripletBraidState(letters, element)
-        _TRIPLET_INTERN[element] = state
+def _intern(word: tuple[BraidLetter, ...], key: tuple[int, ...]) -> int:
+    state = len(_KEY)
+    _KEY.append(key)
+    _ID[key] = state
+    _WORD.append(word)
+    _VIOLATED.append(key in _FORBIDDEN3)
+    _NEXT.extend((-1, -1, -1, -1))
     return state
 
 
-_IDENTITY_TRIPLET = _intern_triplet((), _IDENTITY_ELEMENT)
+def _append(state: int, letter: BraidLetter) -> int:
+    """The state reached from ``state`` by ``letter``.  A braid met for the
+    first time is interned with ``state``'s word plus the letter, which
+    cancels the word's last letter if that is its inverse."""
+    slot = 4 * state + 2 * letter.index - 2 + (letter.sign < 0)
+    new = _NEXT[slot]
+    if new < 0:
+        key = _times(_KEY[state], (letter.index, letter.sign))
+        new = _ID.get(key)
+        if new is None:
+            prior = _WORD[state]
+            cancels = prior and prior[-1] == letter.inverse()
+            new = _intern(prior[:-1] if cancels else prior + (letter,), key)
+        _NEXT[slot] = new
+    return new
 
 
-def update_triplet(state: TripletBraidState, letter: BraidLetter) -> tuple[TripletBraidState, bool]:
+def _seed(length: int) -> None:
+    """Intern every braid of at most ``length`` letters, breadth first: each
+    state of the last layer is extended by s1, S1, s2 and S2 in turn, so a
+    braid is first met through its shortlex-least shortest word."""
+    lo, hi = 0, len(_KEY)
+    for _ in range(length):
+        for state in range(lo, hi):
+            for index, sign in _GENERATORS:
+                _append(state, BraidLetter(index, sign))
+        lo, hi = hi, len(_KEY)
+
+
+_intern((), _IDENTITY_ELEMENT)  # id 0
+_seed(3)
+
+
+def update_triplet(state: int, letter: BraidLetter) -> tuple[int, bool]:
     """Append one crossing to a triplet braid and check it.
 
-    The new word is the free reduction of the old word plus the letter, and
-    the update is unsafe when the new element is one of the four entangling
-    patterns.  Violated states are sticky.
+    Returns the new state and whether it is still safe: the update is
+    unsafe when the new braid is one of the four entangling patterns.
+    Violated states are sticky.
     """
-    if state.violated:
+    if _VIOLATED[state]:
         raise InputError("cannot update a violated triplet braid state")
     if letter.index not in (1, 2):
         raise InputError(f"triplet braids have generators s1, s2, got s{letter.index}")
-    key = (letter.index, letter.sign)
-    hit = state._trans.get(key)
-    if hit is not None:
-        return hit
-    prior = state.letters
-    if prior and prior[-1].index == letter.index and prior[-1].sign == -letter.sign:
-        letters = prior[:-1]  # appending the inverse of the last letter cancels it
-    else:
-        letters = prior + (letter,)
-    new = _intern_triplet(letters, _times(state.element, key))
-    state._trans[key] = hit = (new, not new.violated)
-    return hit
+    new = _append(state, letter)
+    return new, not _VIOLATED[new]
 
 
-def triplet_state_from_word(word: BraidWord) -> TripletBraidState:
-    """Canonical triplet state for a word, with its free reduction as witness."""
-    reduced = free_reduce(word)
-    return _intern_triplet(reduced.letters, triplet_element(reduced))
+def triplet_state_from_word(word: BraidWord) -> int:
+    """The state of a 3-strand word.  A braid met for the first time is
+    interned with the word's free reduction as its word."""
+    key = triplet_element(word)
+    state = _ID.get(key)
+    return _intern(free_reduce(word).letters, key) if state is None else state
 
 
-def identity_triplet() -> TripletBraidState:
-    return _IDENTITY_TRIPLET
+def triplet_word_text(state: int) -> str:
+    """The serialized word of a triplet braid state."""
+    return " ".join(map(str, _WORD[state])) or "e"

@@ -31,14 +31,15 @@ from heapq import heappop, heappush, heapreplace
 from typing import Iterator
 
 from .braid import (
-    _FORBIDDEN3,
-    _times,
+    _FORBIDDEN_WORDS,
+    _NEXT,
+    _VIOLATED,
+    _WORD,
     BraidLetter,
     BraidWord,
-    TripletBraidState,
-    identity_triplet,
     pair_word_text,
     triplet_state_from_word,
+    triplet_word_text,
     update_triplet,
 )
 from .errors import InputError
@@ -152,7 +153,9 @@ def braid_letter_for_action(
     ranks = perms.ranks(action.axis)
     ri, rj = ranks[action.i - 1], ranks[action.j - 1]
     if rj != ri + 1:
-        raise InputError(f"robots {action.i},{action.j} are not rank-adjacent on axis {action.axis}")
+        raise InputError(
+            f"robots {action.i},{action.j} are not rank-adjacent on axis {action.axis}"
+        )
     members = set(subset)
     if len(subset) not in (2, 3) or len(members) != len(subset):
         raise InputError("subset must be 2 or 3 distinct robot ids")
@@ -204,13 +207,13 @@ class BraidTable:
     Immutable; planner nodes share unchanged tuples structurally.  Pairs and
     triplets are stored in combination order.  A pair's entry is its signed
     crossing count (B2 is infinite cyclic), violated at +-2; a triplet's is
-    its interned state, so tables compare and hash by count and by state
-    identity.
+    its state id from ``braid``, one id per braid, so tables are tuples of
+    small ints that compare and hash by value.
     """
 
     __slots__ = ("n", "pairs", "triplets", "_hash")
 
-    def __init__(self, n: int, pairs: tuple[int, ...], triplets: tuple[TripletBraidState, ...]):
+    def __init__(self, n: int, pairs: tuple[int, ...], triplets: tuple[int, ...]):
         if len(pairs) != len(_pair_ord(n)):
             raise InputError("pair tuple has the wrong length for this team size")
         if len(triplets) != len(_trip_ord(n)):
@@ -222,12 +225,12 @@ class BraidTable:
 
     @classmethod
     def identity(cls, n: int) -> "BraidTable":
-        return cls(n, (0,) * len(_pair_ord(n)), (identity_triplet(),) * len(_trip_ord(n)))
+        return cls(n, (0,) * len(_pair_ord(n)), (0,) * len(_trip_ord(n)))
 
     @property
     def is_clean(self) -> bool:
         return not (
-            any(abs(c) >= 2 for c in self.pairs) or any(t.violated for t in self.triplets)
+            any(abs(c) >= 2 for c in self.pairs) or any(_VIOLATED[t] for t in self.triplets)
         )
 
     def __eq__(self, other: object) -> bool:
@@ -251,7 +254,7 @@ def to_serializable(tables: tuple[BraidTable, ...]) -> dict:
         for ids, axis, c in _by_slot(_pair_ord(n), [t.pairs for t in tables])
     ]
     trips = [
-        {"ids": list(ids), "axis": axis, "word": st.word.to_text(), "violated": st.violated}
+        {"ids": list(ids), "axis": axis, "word": triplet_word_text(st), "violated": _VIOLATED[st]}
         for ids, axis, st in _by_slot(_trip_ord(n), [t.triplets for t in tables])
     ]
     return {"n": n, "axes": len(tables), "pairs": pairs, "triplets": trips}
@@ -284,7 +287,7 @@ def from_serializable(data: dict) -> tuple[BraidTable, ...]:
         for (_, entry), count in zip(pair_column, pairs):
             _check_flag(entry, abs(count) >= 2)
         for (_, entry), state in zip(trip_column, trips):
-            _check_flag(entry, state.violated)
+            _check_flag(entry, _VIOLATED[state])
         tables.append(BraidTable(n, pairs, trips))
     return tuple(tables)
 
@@ -331,17 +334,6 @@ def _check_flag(entry: dict, violated: bool) -> None:
             f"braid table entry {entry!r}: \"violated\" must be {violated}, as its word implies"
         )
 
-
-# ---------------------------------------------------------------------------
-# Search nodes and expansion.
-# ---------------------------------------------------------------------------
-
-_LETTERS = {
-    (1, 1): BraidLetter(1, 1),
-    (1, -1): BraidLetter(1, -1),
-    (2, 1): BraidLetter(2, 1),
-    (2, -1): BraidLetter(2, -1),
-}
 
 # ---------------------------------------------------------------------------
 # Pair-automaton lower bound used by the search.
@@ -405,6 +397,11 @@ def _build_pair_automaton() -> dict[tuple[int, int, int, int, int, int], int]:
 _PAIR_DIST = _build_pair_automaton()
 
 
+# ---------------------------------------------------------------------------
+# Search nodes and expansion.
+# ---------------------------------------------------------------------------
+
+
 class GridNode:
     """One search node: a configuration with its accumulated braid state.
 
@@ -414,9 +411,8 @@ class GridNode:
     ``hsum`` is the pair-automaton lower bound on remaining actions (see
     ``_build_pair_automaton``), maintained incrementally: each action
     changes exactly one pair's term.  Nodes are their own closed-list keys:
-    pair entries are crossing counts and triplet states are interned, so
-    the permutations and table tuples hash and compare by count and by
-    triplet state identity.
+    pair entries are crossing counts and triplet entries are state ids, so
+    a node hashes and compares tuples of small ints.
     """
 
     __slots__ = ("pi1", "pi2", "pairs", "trips", "g", "hsum", "parent", "action", "_kh")
@@ -454,7 +450,8 @@ class GridNode:
 
     @classmethod
     def root(
-        cls, perms: PermutationState, braids: tuple[BraidTable, BraidTable], target: PermutationState
+        cls, perms: PermutationState, braids: tuple[BraidTable, BraidTable],
+        target: PermutationState,
     ) -> "GridNode":
         """The search root; ``braids`` is the (table at pi/2, table at 0) pair."""
         if len(braids) != 2 or braids[0].n != perms.n or braids[1].n != perms.n:
@@ -592,15 +589,17 @@ def _child(
     else:
         after = _PAIR_DIST[(o1, -o2, s1, new_pair, to1, to2)]
 
-    trip_changes: list[tuple[int, TripletBraidState]] = []
+    # The letter's slot in ``braid._NEXT``: s2 when the third robot ranks
+    # below the pair, else s1; its inverse for a negative crossing.
+    neg = sign < 0
+    trip_changes: list[tuple[int, int]] = []
     for t0, to in thirds:
         st = node_trips[to]
-        ls = (2 if ranks[t0] < k else 1, sign)
-        hit = st._trans.get(ls)
-        if hit is None:
-            hit = update_triplet(st, _LETTERS[ls])
-        new_trip, ok = hit
-        if not ok:
+        index = 2 if ranks[t0] < k else 1
+        new_trip = _NEXT[4 * st + 2 * index - 2 + neg]
+        if new_trip < 0:
+            new_trip, _ = update_triplet(st, BraidLetter(index, sign))
+        if _VIOLATED[new_trip]:
             return None
         trip_changes.append((to, new_trip))
 
@@ -622,21 +621,26 @@ def _child(
     )
 
 
-def _build_blockers() -> dict[tuple[int, ...], tuple[int, int]]:
-    """The triplet keys that block some crossing letter, with what they block.
+def _build_blockers() -> dict[int, tuple[int, int]]:
+    """The triplet states that block some crossing letter, with what they block.
 
     A state blocks letter L exactly when state * L is one of the four
-    forbidden elements F, that is when the state is F * L^-1, so only these
-    16 keys can block anything.  They are distinct, so each blocks exactly
-    one letter.  Each maps to what it blocks under a crossing of sign -1
-    and of sign +1 (indices 0 and 1): 1 for s1, 2 for s2, 0 for neither.
-    Built on the keys alone, so it interns no state.
+    forbidden braids F, that is when the state is F * L^-1, so only these
+    16 states can block anything.  They are distinct, so each blocks
+    exactly one letter.  Each maps to what it blocks under a crossing of
+    sign -1 and of sign +1 (indices 0 and 1): 1 for s1, 2 for s2, 0 for
+    neither.  All 16 are interned here, at import; only the four of two
+    letters (s1 S2, S1 s2, s2 S1, S2 s1) are states a plan can hold.
     """
-    blockers: dict[tuple[int, ...], tuple[int, int]] = {}
-    for forbidden in _FORBIDDEN3:
+    blockers: dict[int, tuple[int, int]] = {}
+    for text in _FORBIDDEN_WORDS:
+        forbidden = BraidWord.from_text(text, 3).letters
         for index in (1, 2):
             for sign in (-1, 1):
-                blockers[_times(forbidden, (index, -sign))] = (0, index) if sign > 0 else (index, 0)
+                state = triplet_state_from_word(
+                    BraidWord(3, forbidden + (BraidLetter(index, -sign),))
+                )
+                blockers[state] = (0, index) if sign > 0 else (index, 0)
     return blockers
 
 
@@ -659,10 +663,9 @@ def _transport_penalty(node: GridNode, orders: tuple[tuple[int, int], ...]) -> i
     distances gives those detours a downhill gradient.  Guidance only, not
     a lower bound.
 
-    A triplet state can block a letter only if it is one of the 16 keys in
-    ``_BLOCKERS``, and none blocks both sides of a pair, so each probe is
-    one lookup of the state's key there.  Guidance interns no triplet state
-    and so leaves no witness word behind for later stages to read.
+    A triplet state can block a letter only if it is one of the 16 states
+    in ``_BLOCKERS``, and none blocks both sides of a pair, so each probe is
+    one lookup of the state's id there.
     """
     pi1, pi2 = node.pi1, node.pi2
     pairs1, pairs2 = node.pairs
@@ -713,7 +716,7 @@ def _transport_penalty(node: GridNode, orders: tuple[tuple[int, int], ...]) -> i
             ra, rb = ranks[a0], ranks[b0]
             lo, hi = (ra, rb) if ra < rb else (rb, ra)
             for t0, to in thirds:
-                blocks = blockers.get(trips[to].element)
+                blocks = blockers.get(trips[to])
                 if blocks is None:
                     continue
                 blocked = blocks[positive]
@@ -759,11 +762,13 @@ _UNWIND_BUDGET = 30_000
 
 
 def _tangle(node: GridNode) -> int:
-    """Letters still recorded across the node's braid tables."""
+    """Letters recorded across the node's braid tables: each pair's crossing
+    count and each triplet's word length, the shortest for every braid a
+    plan can hold."""
     total = 0
     for pairs, trips in zip(node.pairs, node.trips):
         for st in trips:
-            total += len(st.letters)
+            total += len(_WORD[st])
         for c in pairs:
             total += abs(c)
     return total
@@ -922,13 +927,7 @@ def plan(
     ``braids`` is the team's carried (table at pi/2, table at 0) pair, clean
     tables when None.  Returns the permutation path (empty when no safe path
     was found), the pair of tables predicted at the goal, and search
-    statistics summed over the stages that ran.  The direct search and the axis sort depend only
-    on the arguments.  The unwind orders nodes by the length of each
-    triplet state's stored word, which is the witness of whichever
-    equivalent word the process interned first.  Only expansions and
-    loaded tables intern states (guidance interns nothing), but those of
-    earlier calls count too, so a query that reaches the unwind can depend
-    on the process's earlier calls.
+    statistics summed over the stages that ran.
 
     The direct best-first search orders nodes by g + 3 * (pair-automaton
     bound + ``_transport_penalty``) and stops after ``_DIRECT_BUDGET``

@@ -116,8 +116,10 @@ def render_paths_svg(
             cx, cy = px(tx), py(ty)
             parts.append(
                 f'<g class="target" stroke="{color}" stroke-width="2">'
-                f'<line x1="{_fmt(cx - 5)}" y1="{_fmt(cy - 5)}" x2="{_fmt(cx + 5)}" y2="{_fmt(cy + 5)}"/>'
-                f'<line x1="{_fmt(cx - 5)}" y1="{_fmt(cy + 5)}" x2="{_fmt(cx + 5)}" y2="{_fmt(cy - 5)}"/>'
+                f'<line x1="{_fmt(cx - 5)}" y1="{_fmt(cy - 5)}" '
+                f'x2="{_fmt(cx + 5)}" y2="{_fmt(cy + 5)}"/>'
+                f'<line x1="{_fmt(cx - 5)}" y1="{_fmt(cy + 5)}" '
+                f'x2="{_fmt(cx + 5)}" y2="{_fmt(cy - 5)}"/>'
                 f"</g>"
             )
     parts.append("</svg>")

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .braid import pair_word_text, update_pair, update_triplet
+from .braid import pair_word_text, triplet_word_text, update_pair, update_triplet
 from .errors import ConfigurationError, EntanglementAlarm, InputError
 from .geometry import (
     CrossingEvent,
@@ -248,7 +248,7 @@ def fold_crossings(
     forbidden = []
     for states, size, slot_of, update, word_of in (
         (pairs, 2, pair_slot, update_pair, pair_word_text),
-        (trips, 3, triplet_slot, update_triplet, lambda st: st.word.to_text()),
+        (trips, 3, triplet_slot, update_triplet, triplet_word_text),
     ):
         for ids in itertools.combinations(range(1, n + 1), size):
             folded = sub_events(events, ids)

@@ -38,11 +38,12 @@ from collections import deque
 import pytest
 
 from braidplan.braid import (
+    _VIOLATED,
     BraidLetter,
     BraidWord,
-    identity_triplet,
     triplet_element,
     triplet_state_from_word,
+    triplet_word_text,
     update_triplet,
 )
 from braidplan.geometry import build_space_time
@@ -301,7 +302,7 @@ def test_criterion_4_braid_algebra():
         assert len(pkg_forbidden) == 4
         assert triplet_element(BraidWord(3)) not in pkg_forbidden
         for t in _FORBIDDEN_WORDS:
-            assert triplet_state_from_word(BraidWord.from_text(t, 3)).violated
+            assert _VIOLATED[triplet_state_from_word(BraidWord.from_text(t, 3))]
 
         # (d) incremental folding equals batch folding, 10^4 random words;
         # a forbidden prefix is terminal, so folding stops there
@@ -314,7 +315,7 @@ def test_criterion_4_braid_algebra():
                 BraidLetter(rng.choice((1, 2)), rng.choice((1, -1)))
                 for _ in range(k)
             ]
-            state = identity_triplet()
+            state = 0
             consumed = 0
             for letter in letters:
                 state, safe = update_triplet(state, letter)
@@ -322,26 +323,26 @@ def test_criterion_4_braid_algebra():
                 if not safe:
                     break
             if consumed:
-                assert state.violated == (not safe)
+                assert _VIOLATED[state] == (not safe)
             else:
-                assert not state.violated
+                assert not _VIOLATED[state]
             batch = triplet_state_from_word(BraidWord(3, tuple(letters[:consumed])))
-            assert state is batch
-            flagged_words += state.violated
+            assert state == batch
+            flagged_words += _VIOLATED[state]
             if trial < oracle_budget:
                 prefix = _ORACLE_ID
                 for index, sign in (
                     (l.index, l.sign) for l in letters[:consumed]
                 ):
                     prefix = _mmul(prefix, _ORACLE_GEN[(index, sign)])
-                assert (_frozen(prefix) in forbidden_set) == state.violated
+                assert (_frozen(prefix) in forbidden_set) == _VIOLATED[state]
                 for j in range(consumed - 1):
                     partial = _oracle_burau(
                         (l.index, l.sign) for l in letters[: j + 1]
                     )
                     assert _frozen(partial) not in forbidden_set
                 assert _oracle_burau(
-                    (l.index, l.sign) for l in state.word.letters
+                    _letters(triplet_word_text(state))
                 ) == prefix
         assert flagged_words > 0
         return (

@@ -14,14 +14,14 @@ import random
 
 import pytest
 
+from braidplan import braid
 from braidplan.braid import (
     BraidLetter,
     BraidWord,
     free_reduce,
-    identity_triplet,
-    is_forbidden_triplet,
     triplet_element,
     triplet_state_from_word,
+    triplet_word_text,
     update_pair,
     update_triplet,
 )
@@ -122,6 +122,15 @@ def _inverted(word: BraidWord) -> BraidWord:
     return BraidWord(word.strands, tuple(l.inverse() for l in reversed(word.letters)))
 
 
+def _flagged(word: BraidWord) -> bool:
+    """The package's violated flag for the state of a 3-strand word."""
+    return braid._VIOLATED[triplet_state_from_word(word)]
+
+
+def _word(state: int) -> BraidWord:
+    return BraidWord.from_text(triplet_word_text(state), 3)
+
+
 # ---------------------------------------------------------------------------
 # Oracle trustworthiness, then package-vs-oracle agreement.
 # ---------------------------------------------------------------------------
@@ -187,7 +196,7 @@ def test_full_twist_is_not_the_identity():
     assert triplet_element(full) != triplet_element(BraidWord(3))
     assert _at_minus_one(_oracle_burau(_keys(full))) == (1, 0, 0, 1)
     assert _frozen(_oracle_burau(_keys(full))) != _IDENTITY_FROZEN
-    assert triplet_state_from_word(full) is not identity_triplet()
+    assert triplet_state_from_word(full) != 0
 
 
 def test_inverse_cancellation():
@@ -213,7 +222,7 @@ def test_forbidden_matrices_frozen_distinct_nonidentity():
         assert _frozen(_oracle_burau(keys)) == frozen != _IDENTITY_FROZEN
         word = BraidWord.from_text(text, 3)
         assert triplet_element(word) == _oracle_element(keys)
-        assert is_forbidden_triplet(word)
+        assert _flagged(word)
         elements.add(triplet_element(word))
     assert len(elements) == 4
     assert triplet_element(BraidWord(3)) not in elements
@@ -264,16 +273,16 @@ def test_bounded_rewrites_stay_flagged():
             # each rewrite preserved the group element
             assert _frozen(_oracle_burau(keys)) == frozen
             word = BraidWord(3, tuple(BraidLetter(i, s) for i, s in keys))
-            assert is_forbidden_triplet(word)
+            assert _flagged(word)
 
 
 def test_near_misses_not_flagged():
-    assert not is_forbidden_triplet(BraidWord(3))
-    assert not is_forbidden_triplet(BraidWord.from_text("s1 s2 s1", 3))
-    assert not is_forbidden_triplet(BraidWord.from_text("s1 S2", 3))
+    assert not _flagged(BraidWord(3))
+    assert not _flagged(BraidWord.from_text("s1 s2 s1", 3))
+    assert not _flagged(BraidWord.from_text("s1 S2", 3))
     for text in _FORBIDDEN_FROZEN:
         longer = BraidWord.from_text(text + " s2", 3)
-        assert not is_forbidden_triplet(longer)
+        assert not _flagged(longer)
 
 
 # ---------------------------------------------------------------------------
@@ -358,28 +367,28 @@ def test_pair_prefix_cap_matches_running_sum():
 
 
 def test_update_triplet_flags_entangling_word():
-    st = identity_triplet()
+    st = 0
     for text, expect_ok in (("s1", True), ("S2", True), ("s1", False)):
         letter = BraidWord.from_text(text, 3).letters[0]
         st, ok = update_triplet(st, letter)
         assert ok == expect_ok
-    assert st.violated
+    assert braid._VIOLATED[st]
     with pytest.raises(InputError):
         update_triplet(st, BraidLetter(1, 1))
 
 
 def test_update_triplet_free_reduces_letters():
-    st, ok = update_triplet(identity_triplet(), BraidLetter(1, 1))
+    st, ok = update_triplet(0, BraidLetter(1, 1))
     assert ok
     st, ok = update_triplet(st, BraidLetter(1, -1))
     assert ok
-    assert st is identity_triplet()
-    assert st.letters == ()
+    assert st == 0
+    assert triplet_word_text(st) == "e"
 
 
 def test_update_triplet_rejects_bad_generator():
     with pytest.raises(InputError):
-        update_triplet(identity_triplet(), BraidLetter(3, 1))
+        update_triplet(0, BraidLetter(3, 1))
 
 
 def test_incremental_matches_batch_small():
@@ -387,7 +396,7 @@ def test_incremental_matches_batch_small():
     forbidden = set(_FORBIDDEN_FROZEN.values())
     for _ in range(300):
         word = _random_word(rng, 40)
-        st = identity_triplet()
+        st = 0
         tripped = False
         for k, letter in enumerate(word.letters):
             st, ok = update_triplet(st, letter)
@@ -399,10 +408,10 @@ def test_incremental_matches_batch_small():
         if tripped:
             continue
         batch = triplet_state_from_word(word)
-        assert st is batch
-        assert st.element == _oracle_element(_keys(word))
-        # stored letters are one freely reduced witness of the same element
-        witness = BraidWord(3, st.letters)
+        assert st == batch
+        assert braid._KEY[st] == _oracle_element(_keys(word))
+        # the stored word is one freely reduced witness of the same element
+        witness = _word(st)
         assert free_reduce(witness) == witness
         assert _frozen(_oracle_burau(_keys(witness))) == _frozen(_oracle_burau(_keys(word)))
 
@@ -410,18 +419,87 @@ def test_incremental_matches_batch_small():
 def test_interning_canonicalizes_equal_elements():
     a = triplet_state_from_word(BraidWord.from_text("s1 s2 s1", 3))
     b = triplet_state_from_word(BraidWord.from_text("s2 s1 s2", 3))
-    assert a is b
-    assert triplet_state_from_word(BraidWord(3)) is identity_triplet()
+    assert a == b
+    assert triplet_state_from_word(BraidWord(3)) == 0
+
+
+def _shortlex_geodesics(max_len):
+    """Oracle class -> its shortlex-least shortest word (as (index, sign)
+    keys), for every braid of at most ``max_len`` letters, in shortlex
+    order of those words."""
+    letters = ((1, 1), (1, -1), (2, 1), (2, -1))  # s1 < S1 < s2 < S2
+    best = {_frozen(_ORACLE_ID): ()}
+    layer = [((), _ORACLE_ID)]
+    for _ in range(max_len):
+        nxt = []
+        for keys, matrix in layer:
+            for key in letters:
+                m = _mmul(matrix, _ORACLE_GEN[key])
+                if _frozen(m) not in best:
+                    best[_frozen(m)] = keys + (key,)
+                    nxt.append((keys + (key,), m))
+        layer = nxt
+    return best
+
+
+def test_seeded_braids_cover_every_plannable_state():
+    """Words whose every prefix keeps each strand pair's crossing count
+    within +-1 (the planner's pair check), not extended past a forbidden
+    prefix, reach exactly 19 clean and 4 forbidden braids, none longer than
+    three letters.  The package numbers them all at import, so each has
+    its shortlex-least shortest word whatever the process met first."""
+    forbidden = set(_FORBIDDEN_FROZEN.values())
+    # BFS over braids; the strand order and the pair counts follow from the
+    # braid, so a braid met once need not be met again.
+    start = ((), _ORACLE_ID, (0, 1, 2), {(0, 1): 0, (0, 2): 0, (1, 2): 0})
+    seen = {_frozen(_ORACLE_ID): ()}
+    layer = [start]
+    while layer:
+        nxt = []
+        for keys, matrix, strands, counts in layer:
+            if _frozen(matrix) in forbidden:
+                continue
+            for index, sign in ((1, 1), (1, -1), (2, 1), (2, -1)):
+                a, b = strands[index - 1], strands[index]
+                pair = (min(a, b), max(a, b))
+                if abs(counts[pair] + sign) > 1:
+                    continue
+                m = _mmul(matrix, _ORACLE_GEN[(index, sign)])
+                if _frozen(m) in seen:
+                    continue
+                seen[_frozen(m)] = keys + ((index, sign),)
+                swapped = list(strands)
+                swapped[index - 1], swapped[index] = b, a
+                nxt.append((
+                    keys + ((index, sign),), m, tuple(swapped),
+                    {**counts, pair: counts[pair] + sign},
+                ))
+        layer = nxt
+    reached_forbidden = [c for c in seen if c in forbidden]
+    assert len(seen) - len(reached_forbidden) == 19
+    assert len(reached_forbidden) == 4
+    assert max(len(keys) for keys in seen.values()) <= 3
+
+    geodesics = _shortlex_geodesics(3)
+    assert len(geodesics) == 47
+    # the package numbers exactly these braids first, in this order
+    assert [_keys(_word(s)) for s in range(47)] == [list(k) for k in geodesics.values()]
+    interned = len(braid._KEY)
+    for cls, keys in seen.items():
+        state = triplet_state_from_word(BraidWord(3, tuple(BraidLetter(*k) for k in keys)))
+        assert _keys(_word(state)) == list(geodesics[cls])
+        assert braid._VIOLATED[state] == (cls in forbidden)
+    assert len(braid._KEY) == interned
 
 
 def test_violated_flag_follows_value():
     built = triplet_state_from_word(BraidWord.from_text("s1 S2 s1", 3))
-    assert built.violated
-    st = identity_triplet()
+    assert braid._VIOLATED[built]
+    st = 0
     for letter in BraidWord.from_text("s1 S2 s1", 3).letters:
         st, ok = update_triplet(st, letter)
-    assert not ok and st is built
-    assert triplet_state_from_word(BraidWord.from_text("s1 s2 S2 S2 s1", 3)) is built
+    assert not ok and st == built
+    assert triplet_state_from_word(BraidWord.from_text("s1 s2 S2 S2 s1", 3)) == built
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from braidplan import harness, workspace
+from braidplan.braid import _VIOLATED
 from braidplan.errors import ConfigurationError, InputError
 from braidplan.geometry import Trajectory, build_space_time
 from braidplan.harness import (
@@ -178,7 +179,7 @@ def test_verify_flags_triplet_weave():
     assert violation.axis_angle == 0.0
     assert abs(violation.time - 2.5) < 1e-9
     # the flagged state is sticky in the returned table
-    assert tables[0].triplets[triplet_slot(3, 1, 2, 3)].violated
+    assert _VIOLATED[tables[0].triplets[triplet_slot(3, 1, 2, 3)]]
     assert not tables[0].is_clean
 
 

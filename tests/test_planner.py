@@ -12,10 +12,7 @@ import dataclasses
 import itertools
 import json
 import math
-import os
 import random
-import subprocess
-import sys
 from collections import deque
 from pathlib import Path
 
@@ -27,8 +24,9 @@ from braidplan import planner
 from braidplan.braid import (
     BraidLetter,
     BraidWord,
-    identity_triplet,
+    triplet_element,
     triplet_state_from_word,
+    triplet_word_text,
     update_pair,
     update_triplet,
 )
@@ -342,7 +340,7 @@ _RELATOR = BraidWord.from_text("s1 s2 s1 S2 S1 S2", 3).letters  # equals e in B3
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(n=st.integers(3, 6), seed=st.integers(0, 2**32 - 1))
 def test_interned_states_are_canonical(n, seed):
-    """Equal triplet braids are one object however they are reached: by the
+    """Equal triplet braids are one state id however they are reached: by the
     planner, by update chains along the same walk, from an equivalent word,
     and through a JSON round trip of the table.  Pair counts agree with the
     same folds."""
@@ -356,8 +354,7 @@ def test_interned_states_are_canonical(n, seed):
         child = rng.choice(children)
         folded = _folded_child_table(node, child.action, target)
         assert child.pairs == tuple(t.pairs for t in folded)
-        for trips, table in zip(child.trips, folded):
-            assert all(a is b for a, b in zip(trips, table.triplets))
+        assert child.trips == tuple(t.triplets for t in folded)
         node = child
     tables = node.braids
 
@@ -366,25 +363,25 @@ def test_interned_states_are_canonical(n, seed):
         there, ok = update_pair(count, letter)
         assert ok and update_pair(there, letter.inverse()) == (count, True)
     for state in (st for table in tables for st in table.triplets):
-        letters = list(state.letters)
+        letters = list(BraidWord.from_text(triplet_word_text(state), 3).letters)
         at = rng.randrange(len(letters) + 1)
         letters[at:at] = _RELATOR
         at = rng.randrange(len(letters) + 1)
         letter = BraidLetter(rng.choice((1, 2)), rng.choice((1, -1)))
         letters[at:at] = (letter, letter.inverse())
-        assert triplet_state_from_word(BraidWord(3, tuple(letters))) is state
-        chained = identity_triplet()
+        assert triplet_state_from_word(BraidWord(3, tuple(letters))) == state
+        chained = 0
         for letter in letters:
             chained, ok = update_triplet(chained, letter)
             if not ok:
                 break  # the longer word passes a forbidden prefix
         else:
-            assert chained is state
+            assert chained == state
 
     again = from_serializable(json.loads(json.dumps(to_serializable(tables))))
     for loaded, table in zip(again, tables):
         assert loaded.pairs == table.pairs
-        assert all(a is b for a, b in zip(loaded.triplets, table.triplets))
+        assert loaded.triplets == table.triplets
     assert again == tables
     assert hash(again) == hash(tables)
 
@@ -550,8 +547,9 @@ def test_transport_penalty_matches_reference_on_stalled_query():
 def test_blocker_table_matches_brute_force():
     """For every 3-strand word of up to 6 letters and every letter L, the
     word followed by L is forbidden exactly when ``_BLOCKERS`` says the
-    word's key blocks L's generator under L's sign."""
-    from braidplan.braid import is_forbidden_triplet, triplet_element
+    word's state blocks L's generator under L's sign.  The 16 blockers are
+    interned, so a braid with no state blocks nothing."""
+    from braidplan.braid import _FORBIDDEN3, _ID
     from braidplan.planner import _BLOCKERS
 
     letters = [BraidLetter(index, sign) for index in (1, 2) for sign in (-1, 1)]
@@ -559,10 +557,10 @@ def test_blocker_table_matches_brute_force():
     for length in range(7):
         for word in itertools.product(letters, repeat=length):
             words += 1
-            blocks = _BLOCKERS.get(triplet_element(BraidWord(3, word)), (0, 0))
+            blocks = _BLOCKERS.get(_ID.get(triplet_element(BraidWord(3, word))), (0, 0))
             for letter in letters:
                 blocked = blocks[letter.sign > 0] == letter.index
-                assert blocked == is_forbidden_triplet(BraidWord(3, word + (letter,)))
+                assert blocked == (triplet_element(BraidWord(3, word + (letter,))) in _FORBIDDEN3)
     assert words == 5461
     assert len(_BLOCKERS) == 16
 
@@ -582,22 +580,22 @@ def test_transport_penalty_interns_nothing():
             BraidLetter(rng.choice((1, 2)), rng.choice((1, -1))) for _ in range(30)
         )
         state = triplet_state_from_word(BraidWord(3, letters))
-        if not state.violated:
+        if not braid._VIOLATED[state]:
             trips.append(state)
     start = PermutationState.identity(n)
     target = PermutationState((5, 4, 3, 2, 1), (5, 4, 3, 2, 1))
     tables = (BraidTable(n, (0,) * 10, tuple(trips[:10])), BraidTable(n, (0,) * 10, tuple(trips[10:])))
     node = GridNode.root(start, tables, target)
     successors = {
-        _times(state.element, (index, sign))
+        _times(braid._KEY[state], (index, sign))
         for state in trips for index in (1, 2) for sign in (-1, 1)
     }
-    assert not successors <= braid._TRIPLET_INTERN.keys()
-    before = len(braid._TRIPLET_INTERN)
+    assert not successors <= braid._ID.keys()
+    before = len(braid._KEY)
     planner._transport_penalty(node, planner._target_orders(target))
-    assert len(braid._TRIPLET_INTERN) == before
+    assert len(braid._KEY) == before
     _reference_transport_penalty(node, target)
-    assert len(braid._TRIPLET_INTERN) > before
+    assert len(braid._KEY) > before
 
 
 def _eager_best_first(root: GridNode, target: PermutationState, key, done, budget: int):
@@ -1028,24 +1026,56 @@ def test_violated_verifier_pair_round_trips():
     assert not again.is_clean
 
 
+def _same_braid(text_a: str, text_b: str) -> bool:
+    return triplet_element(BraidWord.from_text(text_a, 3)) == triplet_element(
+        BraidWord.from_text(text_b, 3)
+    )
+
+
 def test_pinned_table_dumps_as_loaded():
     """The pinned n = 9 carried table loads as two tables and dumps back to
-    the file's own dict.  It runs in a fresh interpreter: a triplet's stored
-    word is whichever equal word the process interned first, so earlier
-    tests could change the words a dump writes."""
-    path = DATA / "stalled_n9_query.json"
-    code = (
-        "import json, sys\n"
-        "from braidplan.planner import from_serializable, to_serializable\n"
-        "doc = json.loads(open(sys.argv[1]).read())['carried']\n"
-        "tables = from_serializable(doc)\n"
-        "assert [t.n for t in tables] == [9, 9], tables\n"
-        "assert to_serializable(tables) == doc\n"
-    )
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    path_var = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    env = dict(os.environ, PYTHONPATH=path_var)
-    subprocess.run([sys.executable, "-c", code, str(path)], check=True, env=env)
+    the file's own dict, except that a triplet may be written with another
+    word for the same braid, never a longer one.  A second load and dump is
+    a fixed point."""
+    doc = json.loads((DATA / "stalled_n9_query.json").read_text())["carried"]
+    tables = from_serializable(doc)
+    assert [t.n for t in tables] == [9, 9]
+    dumped = to_serializable(tables)
+    assert {**dumped, "triplets": None} == {**doc, "triplets": None}
+    assert len(dumped["triplets"]) == len(doc["triplets"]) == 2 * 84
+    for mine, theirs in zip(dumped["triplets"], doc["triplets"]):
+        assert {**mine, "word": None} == {**theirs, "word": None}
+        assert _same_braid(mine["word"], theirs["word"])
+        assert len(mine["word"].split()) <= len(theirs["word"].split())
+    assert to_serializable(from_serializable(json.loads(json.dumps(dumped)))) == dumped
+
+
+def test_words_do_not_depend_on_history():
+    """Folding longer equal words first changes neither the words a table
+    dumps nor the tangle the unwind orders by: both follow from the braid."""
+    from braidplan.planner import _tangle
+
+    # the half twist, met first through its second shortest word
+    delta = triplet_state_from_word(BraidWord.from_text("s2 s1 s2", 3))
+    chained = 0
+    for letter in BraidWord.from_text("s2 s1 s2", 3).letters:
+        chained, ok = update_triplet(chained, letter)
+        assert ok
+    assert chained == delta and triplet_word_text(delta) == "s1 s2 s1"
+    # a weave as verifier reports once wrote it, letter by letter
+    weave = 0
+    for letter in BraidWord.from_text("S1 S2 s1 s2 s2", 3).letters:
+        weave, ok = update_triplet(weave, letter)
+    assert not ok and weave == triplet_state_from_word(BraidWord.from_text("s2 S1 s2", 3))
+
+    tables = (BraidTable(3, (0, 0, 1), (delta,)), BraidTable(3, (-1, 0, 0), (weave,)))
+    dumped = to_serializable(tables)
+    assert [e["word"] for e in dumped["triplets"]] == ["s1 s2 s1", "s2 S1 s2"]
+    assert [e["violated"] for e in dumped["triplets"]] == [False, True]
+    assert from_serializable(dumped) == tables
+    start = PermutationState.identity(3)
+    root = GridNode.root(start, (tables[0], tables[0]), start)
+    assert _tangle(root) == 2 * (1 + 3)
 
 
 # ---------------------------------------------------------------------------
