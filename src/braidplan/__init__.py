@@ -17,10 +17,10 @@ Layers, bottom up:
   extraction on arbitrary projection planes.
 * ``planner``: best-first search over rank permutations with incremental
   braid bookkeeping.
-* ``workspace``: the grid-to-workspace mapping, trajectory synthesis,
-  and braid carryover between planning episodes.
+* ``workspace``: the grid-to-workspace mapping and trajectory synthesis.
 * ``harness``: scenario running, exact separation checks, and the
-  independent multi-angle verifier.
+  independent multi-angle verifier, which folds executed crossings into
+  braid tables and carries them between planning episodes.
 * ``cli`` and ``plot``: file contracts, subcommands, and SVG output.
 
 Import each name from its submodule, e.g. ``from braidplan.planner import plan``.

@@ -13,6 +13,10 @@ episode folds its crossings once.  The check that matters is the
 planner's prediction against geometry: the tables the planner predicted
 at the goal must equal the verifier's tables at the grid angles.
 
+``fold_crossings`` folds each executed crossing once per angle, into its
+pair's entry and the n - 2 triplet entries that hold the pair.
+``carry_over_braids`` is ``verify`` on the grid angles.
+
 The number of check angles m must satisfy m > pi / gamma_bar, where
 gamma_bar is the largest projected crossing gap the cable model tolerates;
 the check set A(m) = {i*pi/m : i = 0..m} then leaves no blind direction.
@@ -31,16 +35,16 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigurationError, DegenerateInputError, InputError
-from .geometry import LiftedTeam, ProjectionAxis, build_space_time, extract_crossings
-from .planner import AXIS_ANGLES, BraidTable, plan, to_serializable
-from .workspace import WorkspaceConfig, fold_crossings, map_path, ranks_from_positions
+from .braid import BraidLetter, pair_word_text, triplet_word_text, update_pair, update_triplet
+from .errors import ConfigurationError, DegenerateInputError, EntanglementAlarm, InputError
+from .geometry import CrossingEvent, LiftedTeam, ProjectionAxis, Trajectory
+from .geometry import build_space_time, extract_crossings
+from .planner import AXIS_ANGLES, BraidTable, _rows, plan, to_serializable
+from .workspace import WorkspaceConfig, map_path, ranks_from_positions
 
-# Not called here; the benchmark's tracer (bench/tracing.py) wraps these names
-# in this module, so they stay importable from it.
-from .braid import update_pair, update_triplet  # noqa: F401
+# Not called here; the benchmark's tracer (bench/tracing.py) wraps this name
+# in this module, so it stays importable from it.
 from .geometry import sub_events  # noqa: F401
-from .workspace import carry_over_braids  # noqa: F401
 
 __all__ = [
     "DEFAULT_GAMMA_BAR",
@@ -52,7 +56,9 @@ __all__ = [
     "SetResult",
     "RunMetrics",
     "simulate",
+    "fold_crossings",
     "verify",
+    "carry_over_braids",
     "random_targets",
     "make_scenario",
     "run_task_sequence",
@@ -198,6 +204,53 @@ def simulate(team: LiftedTeam) -> SimulationResult:
     return SimulationResult(float(dist[pair, w]), when, ids, team.horizon)
 
 
+def fold_crossings(
+    events: list[CrossingEvent], table: BraidTable
+) -> tuple[BraidTable, list[tuple[tuple[int, ...], float, str]]]:
+    """Fold one angle's crossing events into that angle's braid table.
+
+    A crossing of robots i and j is one letter of their pair braid and one
+    of each of the n - 2 triplet braids that hold them, with the
+    crossing's sign: s2 when the third robot ranks left of the pair just
+    before the crossing, else s1.  Events of robots outside the table are
+    ignored; a table robot missing from an event's order raises
+    ``InputError``.
+
+    Returns the new table and the first forbidden pattern of each pair,
+    then of each triplet, in slot order, as (ids, time, word).  A pair's
+    entry is its crossing count, so its word is the doubled crossing that
+    reached +-2.  A flagged entry keeps the letter that flagged it and
+    folds no later ones.
+    """
+    rows = _rows(table.n)
+    pairs, trips = list(table.pairs), list(table.triplets)
+    # keyed (2, pair slot) or (3, triplet slot), so sorted keys give the report order
+    hits: dict[tuple[int, int], tuple[tuple[int, ...], float, str]] = {}
+    for ev in events:
+        row = rows.get((ev.i, ev.j))
+        if row is None:
+            continue
+        _, _, po, thirds = row
+        rank = {r: pos for pos, r in enumerate(ev.order_before)}
+        left = ev.letter.index - 1  # where the pair's left robot stands
+        s1, s2 = BraidLetter(1, ev.letter.sign), BraidLetter(2, ev.letter.sign)
+        if (2, po) not in hits:
+            pairs[po], ok = update_pair(pairs[po], s1)
+            if not ok:
+                hits[2, po] = ((ev.i, ev.j), ev.time, pair_word_text(pairs[po]))
+        for t0, to in thirds:
+            pos = rank.get(t0 + 1)
+            if pos is None:
+                raise InputError(f"table robot {t0 + 1} is missing from a crossing's order")
+            if (3, to) not in hits:
+                trips[to], ok = update_triplet(trips[to], s2 if pos < left else s1)
+                if not ok:
+                    ids = tuple(sorted((ev.i, ev.j, t0 + 1)))
+                    hits[3, to] = (ids, ev.time, triplet_word_text(trips[to]))
+    forbidden = [hits[key] for key in sorted(hits)]
+    return BraidTable(table.n, tuple(pairs), tuple(trips)), forbidden
+
+
 def verify(
     team: LiftedTeam,
     angles: tuple[float, ...],
@@ -238,6 +291,25 @@ def verify(
         violations.extend(Violation(culprits, angle, t, word) for culprits, t, word in forbidden)
     report = EntanglementReport(not violations, tuple(violations), tuple(ties))
     return report, tuple(new_tables)
+
+
+def carry_over_braids(
+    executed: list[Trajectory] | tuple[Trajectory, ...],
+    previous: tuple[BraidTable, BraidTable],
+) -> tuple[BraidTable, BraidTable]:
+    """Fold an executed episode into the planner's (table at pi/2, table at
+    0) pair: ``verify`` on the grid angles.
+
+    Raises ``EntanglementAlarm`` on the report's first violation (which a
+    correctly planned and executed episode cannot produce).  Both angles
+    are extracted first, so a degenerate one raises ``DegenerateInputError``
+    even when the other is entangled.
+    """
+    report, tables = verify(build_space_time(executed), AXIS_ANGLES, previous)
+    if not report.ok:
+        first = report.violations[0]
+        raise EntanglementAlarm(first.ids, first.axis_angle, first.time, first.word)
+    return tables
 
 
 def random_targets(

@@ -22,6 +22,10 @@ from .geometry import ProjectionAxis, Trajectory, build_space_time, extract_cros
 
 __all__ = ["strand_palette", "render_paths_svg", "render_braid_svg"]
 
+# Canvas sizes in pixels: the longer side of the paths view, and the braid view.
+PATHS_SIZE = 640
+BRAID_WIDTH, BRAID_HEIGHT = 640, 480
+
 
 def strand_palette(n: int) -> list[str]:
     """n visually spread hex colors, stable across calls."""
@@ -42,7 +46,6 @@ def render_paths_svg(
     workspace: tuple[float, float, float, float] | None = None,
     bases: Sequence[tuple[float, float]] | None = None,
     targets: Sequence[tuple[float, float]] | None = None,
-    size: int = 640,
 ) -> str:
     """Top-down view: workspace rectangle, paths, bases, and targets."""
     if not trajectories:
@@ -65,7 +68,7 @@ def render_paths_svg(
     span_x, span_y = xmax - xmin, ymax - ymin
 
     pad = 20.0
-    scale = (size - 2 * pad) / max(span_x, span_y)
+    scale = (PATHS_SIZE - 2 * pad) / max(span_x, span_y)
     width = 2 * pad + span_x * scale
     height = 2 * pad + span_y * scale
 
@@ -126,13 +129,7 @@ def render_paths_svg(
     return "\n".join(parts)
 
 
-def render_braid_svg(
-    trajectories: Sequence[Trajectory],
-    angle: float,
-    *,
-    width: int = 640,
-    height: int = 480,
-) -> str:
+def render_braid_svg(trajectories: Sequence[Trajectory], angle: float) -> str:
     """Braid diagram on one projection plane: strands by rank, time upward."""
     if not trajectories:
         raise InputError("nothing to plot")
@@ -157,17 +154,17 @@ def render_braid_svg(
     pad = 40.0
 
     def px(u: float) -> float:
-        return pad + (u - umin) / span_u * (width - 2 * pad)
+        return pad + (u - umin) / span_u * (BRAID_WIDTH - 2 * pad)
 
     def py(t: float) -> float:
-        return height - pad - (t / horizon) * (height - 2 * pad)
+        return BRAID_HEIGHT - pad - (t / horizon) * (BRAID_HEIGHT - 2 * pad)
 
     colors = strand_palette(len(trajs))
     id_row = {t.robot_id: k for k, t in enumerate(trajs)}
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">',
-        f'<rect x="0" y="0" width="{width}" height="{height}" fill="white"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{BRAID_WIDTH}" height="{BRAID_HEIGHT}" '
+        f'viewBox="0 0 {BRAID_WIDTH} {BRAID_HEIGHT}">',
+        f'<rect x="0" y="0" width="{BRAID_WIDTH}" height="{BRAID_HEIGHT}" fill="white"/>',
         f'<text class="axis-label" x="{pad:.0f}" y="{pad / 2:.0f}" font-size="12" '
         f'fill="#222222">projection angle {angle:.4g} rad, time upward</text>',
     ]

@@ -15,43 +15,25 @@ timed trajectories in three phases:
 Phases A and C cannot create crossings on the grid axes because each
 pair's projected order is the same at both window ends and interpolation
 is linear.  Phase B swaps keep at least one full cell of separation on
-the perpendicular axis.
-
-``fold_crossings`` is the one place where the crossings an executed
-episode actually produced become braid state: it folds one angle's
-crossings into that angle's table.  The verifier folds every check angle
-with it, and a task sequence hands the planner the verifier's own tables
-at the two grid angles, so the next plan starts from the true cable state.
-``carry_over_braids`` folds one episode on both grid axes for a caller
-that holds only the planner's pair of tables.
+the perpendicular axis.  The braids an executed episode weaves are folded
+by ``harness``.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .braid import pair_word_text, triplet_word_text, update_pair, update_triplet
-from .errors import ConfigurationError, EntanglementAlarm, InputError
-from .geometry import (
-    CrossingEvent,
-    ProjectionAxis,
-    Trajectory,
-    build_space_time,
-    extract_crossings,
-    sub_events,
-)
-from .planner import (
-    AXIS_ANGLES,
-    BraidTable,
-    PermutationState,
-    SwapAction,
-    pair_slot,
-    triplet_slot,
-)
+from .errors import ConfigurationError, InputError
+from .geometry import ProjectionAxis, Trajectory
+from .planner import AXIS_ANGLES, PermutationState, SwapAction
+
+# Not called here; the benchmark's tracer (bench/tracing.py) wraps these names
+# in this module, so they stay importable from it.
+from .braid import update_pair, update_triplet  # noqa: F401
+from .geometry import build_space_time, extract_crossings, sub_events  # noqa: F401
 
 __all__ = [
     "GRID_AXES",
@@ -59,8 +41,6 @@ __all__ = [
     "ranks_from_positions",
     "grid_cells",
     "map_path",
-    "fold_crossings",
-    "carry_over_braids",
 ]
 
 GRID_AXES: tuple[ProjectionAxis, ProjectionAxis] = (
@@ -231,60 +211,3 @@ def map_path(
         trajectories.append(Trajectory(robot_id=r0 + 1, waypoints=tuple(waypoints)))
     return trajectories
 
-
-def fold_crossings(
-    events: list[CrossingEvent], table: BraidTable
-) -> tuple[BraidTable, list[tuple[tuple[int, ...], float, str]]]:
-    """Fold one angle's crossing events into that angle's braid table.
-
-    Returns the new table and the first forbidden pattern of each pair,
-    then of each triplet, as (ids, time, word).  A pair's entry is its
-    crossing count, so its word is the doubled crossing that reached +-2.
-    A flagged entry keeps the letter that flagged it and folds no later
-    ones.
-    """
-    n = table.n
-    pairs, trips = list(table.pairs), list(table.triplets)
-    forbidden = []
-    for states, size, slot_of, update, word_of in (
-        (pairs, 2, pair_slot, update_pair, pair_word_text),
-        (trips, 3, triplet_slot, update_triplet, triplet_word_text),
-    ):
-        for ids in itertools.combinations(range(1, n + 1), size):
-            folded = sub_events(events, ids)
-            if not folded:
-                continue
-            slot = slot_of(n, *ids)
-            state = states[slot]
-            for time, letter in folded:
-                state, ok = update(state, letter)
-                if not ok:
-                    forbidden.append((ids, time, word_of(state)))
-                    break
-            states[slot] = state
-    return BraidTable(n, tuple(pairs), tuple(trips)), forbidden
-
-
-def carry_over_braids(
-    executed: list[Trajectory] | tuple[Trajectory, ...],
-    previous: tuple[BraidTable, BraidTable],
-) -> tuple[BraidTable, BraidTable]:
-    """Fold an executed episode's crossings into the planner's (table at
-    pi/2, table at 0) pair.
-
-    The episode is lifted once and projected on each grid axis.  Raises
-    ``EntanglementAlarm`` on the first forbidden pattern (which a correctly
-    planned and executed episode cannot produce).
-    """
-    ids = sorted(t.robot_id for t in executed)
-    if len(previous) != len(GRID_AXES) or any(ids != list(range(1, t.n + 1)) for t in previous):
-        raise InputError("carry-over needs one table per grid axis over the executed robots 1..n")
-    lifted = build_space_time(executed)
-    tables = []
-    for axis, table in zip(GRID_AXES, previous):
-        table, forbidden = fold_crossings(extract_crossings(lifted, axis), table)
-        if forbidden:
-            culprits, time, word = forbidden[0]
-            raise EntanglementAlarm(culprits, axis.angle, time, word)
-        tables.append(table)
-    return tuple(tables)

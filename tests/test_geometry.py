@@ -26,6 +26,7 @@ from braidplan.geometry import (
     extract_crossings,
     sub_events,
 )
+from sampling import LATTICE_ANGLES, LATTICE_PATH, lattice_team
 
 # ---------------------------------------------------------------------------
 # Oracle helpers: piecewise-linear interpolation and pairwise crossings.
@@ -210,25 +211,17 @@ def test_exact_tie_crossing_downward():
     assert ties == [(1, 2, 0.0)]
 
 
-_LATTICE_PATH = st.lists(
-    st.tuples(st.integers(-2, 2), st.integers(-2, 2)), min_size=2, max_size=5
-)
-
-
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(
-    paths=st.lists(_LATTICE_PATH, min_size=2, max_size=5),
-    angle=st.sampled_from((0.0, math.pi / 4, math.pi / 2, 3 * math.pi / 4, math.pi, 1.0)),
+    paths=st.lists(LATTICE_PATH, min_size=2, max_size=5),
+    angle=st.sampled_from(LATTICE_ANGLES),
 )
 def test_extract_crossings_lattice_property(paths, angle):
     """Integer waypoints at integer times make exact ties and simultaneous
     crossings common.  Extraction either replays the start order into the
     final order by adjacent swaps or refuses the input as degenerate, and
     the tie records are exactly the zero-difference grid samples."""
-    team = [
-        Trajectory(rid, tuple((float(x), float(y), float(t)) for t, (x, y) in enumerate(path)))
-        for rid, path in enumerate(paths, start=1)
-    ]
+    team = lattice_team(paths)
     ids = range(1, len(team) + 1)
     horizon = max(p.arrival_time for p in team)
     grid = [float(t) for t in range(int(horizon) + 1)]

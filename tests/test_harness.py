@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 import importlib.util
+import itertools
 import json
 import math
 import random
@@ -22,13 +23,29 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from braidplan import harness, workspace
-from braidplan.braid import _VIOLATED
-from braidplan.errors import ConfigurationError, InputError
-from braidplan.geometry import Trajectory, build_space_time
+from braidplan.braid import (
+    _VIOLATED,
+    BraidWord,
+    pair_word_text,
+    triplet_state_from_word,
+    triplet_word_text,
+    update_pair,
+    update_triplet,
+)
+from braidplan.errors import ConfigurationError, DegenerateInputError, InputError
+from braidplan.geometry import (
+    ProjectionAxis,
+    Trajectory,
+    build_space_time,
+    extract_crossings,
+    sub_events,
+)
 from braidplan.harness import (
     DEFAULT_GAMMA_BAR,
     MAX_M,
     Scenario,
+    carry_over_braids,
+    fold_crossings,
     make_scenario,
     random_targets,
     run_task_sequence,
@@ -38,20 +55,17 @@ from braidplan.harness import (
 from braidplan.planner import (
     AXIS_ANGLES,
     BraidTable,
+    GridNode,
     PermutationState,
     PlanResult,
     SearchTrace,
+    expand,
     pair_slot,
     plan,
     triplet_slot,
 )
-from braidplan.workspace import (
-    WorkspaceConfig,
-    carry_over_braids,
-    grid_cells,
-    map_path,
-    ranks_from_positions,
-)
+from braidplan.workspace import WorkspaceConfig, grid_cells, map_path, ranks_from_positions
+from sampling import LATTICE_ANGLES, LATTICE_PATH, lattice_team
 
 
 def _config(side: float = 12.0) -> WorkspaceConfig:
@@ -232,6 +246,98 @@ def test_verify_validation():
     with pytest.raises(InputError):
         verify(build_space_time([r1, r2]), (0.0,), (BraidTable.identity(3),))
 
+
+# ---------------------------------------------------------------------------
+# fold_crossings against one sub_events pass per pair and per triplet.
+# ---------------------------------------------------------------------------
+
+
+def _fold_by_subsets(events, table):
+    """The reference fold: each pair's and each triplet's letters from their
+    own ``sub_events`` pass, folded until the entry is flagged."""
+    n = table.n
+    pairs, trips = list(table.pairs), list(table.triplets)
+    forbidden = []
+    for states, size, slot_of, update, word_of in (
+        (pairs, 2, pair_slot, update_pair, pair_word_text),
+        (trips, 3, triplet_slot, update_triplet, triplet_word_text),
+    ):
+        for ids in itertools.combinations(range(1, n + 1), size):
+            slot = slot_of(n, *ids)
+            state = states[slot]
+            for time, letter in sub_events(events, ids):
+                state, ok = update(state, letter)
+                if not ok:
+                    forbidden.append((ids, time, word_of(state)))
+                    break
+            states[slot] = state
+    return BraidTable(n, tuple(pairs), tuple(trips)), forbidden
+
+
+def _outcome(fold, events, table):
+    try:
+        return fold(events, table)
+    except InputError:
+        return "InputError"
+
+
+def _walked_table(rng: random.Random, n: int) -> BraidTable:
+    """One grid axis's table after a random walk of planner moves."""
+    def perms():
+        return PermutationState(tuple(rng.sample(range(1, n + 1), n)),
+                                tuple(rng.sample(range(1, n + 1), n)))
+
+    target = perms()
+    node = GridNode.root(perms(), (BraidTable.identity(n),) * 2, target)
+    for _ in range(rng.randrange(40)):
+        node = rng.choice(expand(node, target) or [node])
+    return node.braids[rng.randrange(2)]
+
+
+_WEAVE = triplet_state_from_word(BraidWord.from_text("s1 S2 s1", 3))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    paths=st.lists(LATTICE_PATH, min_size=2, max_size=6),
+    angle=st.sampled_from(LATTICE_ANGLES),
+    start=st.sampled_from(("clean", "carried", "violated")),
+    extra=st.sampled_from((0, 0, 0, -1, 1)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_fold_crossings_matches_subset_fold(paths, angle, start, extra, seed):
+    """One pass over the events gives the reference fold's table, forbidden
+    list in its order, or ``InputError``.  Lattice teams make ties and
+    simultaneous crossings common.  Tables start clean, carried over a
+    planner walk, or carried with one entry already violated, and a table
+    one robot smaller or larger than the team covers both mismatches."""
+    try:
+        events = extract_crossings(build_space_time(lattice_team(paths)), ProjectionAxis(angle))
+    except DegenerateInputError:
+        return
+    rng = random.Random(seed)
+    n = max(2, len(paths) + extra)
+    table = BraidTable.identity(n) if start == "clean" else _walked_table(rng, n)
+    if start == "violated":
+        entries = list(table.pairs + table.triplets)
+        slot = rng.randrange(len(entries))
+        entries[slot] = rng.choice((-2, 2)) if slot < len(table.pairs) else _WEAVE
+        k = len(table.pairs)
+        table = BraidTable(n, tuple(entries[:k]), tuple(entries[k:]))
+    assert _outcome(fold_crossings, events, table) == _outcome(_fold_by_subsets, events, table)
+
+
+def test_fold_crossings_mismatched_team():
+    events = extract_crossings(build_space_time(_weave_fixture()), ProjectionAxis(0.0))
+    # robot 3 is outside a two-robot table: only the pair (1, 2) folds
+    table, forbidden = fold_crossings(events, BraidTable.identity(2))
+    assert (table, forbidden) == _fold_by_subsets(events, BraidTable.identity(2))
+    assert table.pairs != (0,) and forbidden == []
+    # table robot 4 never appears in the crossings' order
+    for fold in (fold_crossings, _fold_by_subsets):
+        with pytest.raises(InputError):
+            fold(events, BraidTable.identity(4))
+    assert fold_crossings([], BraidTable.identity(4)) == (BraidTable.identity(4), [])
 
 # ---------------------------------------------------------------------------
 # Scenario construction.
@@ -415,7 +521,9 @@ def test_run_task_sequence_odd_m_carries_grid_angle_tables(monkeypatch):
     executed = [r for r in metrics.results if r.reason not in ("max_expansions", "exhausted")]
     assert len(executed) == len(calls)
 
-    # replay the successful episodes through the grid-axis carry-over
+    # replay the successful episodes through the grid-axis carry-over, which
+    # calls verify itself, so the recording stops first
+    monkeypatch.undo()
     carried = (BraidTable.identity(4),) * 2
     for result, (trajectories, angles, tables) in zip(executed, calls):
         if result.success:
@@ -514,15 +622,25 @@ def test_run_task_sequence_degenerate_episode_fails_and_continues(monkeypatch):
             assert after.xy[:, 0].tolist() == before.xy[:, 0].tolist()
 
 
-def test_bench_tracer_hooks_name_callables():
-    # bench/run.py --trace 1 wraps these names by getattr; a missing one
-    # would fail only there
+def test_bench_tracer_hooks_name_callables(monkeypatch):
+    # bench/run.py --trace 1 wraps these names by getattr on the modules its
+    # worker installs the tracer on; a missing one would fail only there
     path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
     spec = importlib.util.spec_from_file_location("bench_tracing", path)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
-    assert tracing.HOOKS
+    modules = {key: importlib.import_module(f"braidplan.{key}")
+               for key in ("harness", "workspace", "planner")}
+    assert set(tracing.HOOKS) == set(modules)
     for key, hooks in tracing.HOOKS.items():
-        module = importlib.import_module(f"braidplan.{key}")
         for attr, _span in hooks:
-            assert callable(getattr(module, attr, None)), f"braidplan.{key}.{attr}"
+            assert callable(getattr(modules[key], attr, None)), f"braidplan.{key}.{attr}"
+            # registers the original, so teardown undoes the tracer's wraps
+            monkeypatch.setattr(modules[key], attr, getattr(modules[key], attr))
+    tracer = tracing.Tracer()
+    tracer.install(modules)
+    metrics = run_task_sequence(make_scenario(3, 4, 0))
+    assert metrics.success_rate == 1.0
+    assert tracer.calls["harness.verify"] == metrics.sets_total
+    assert tracer.calls["braid.update_pair"] > 0
+    assert tracer.calls["braid.update_triplet"] > 0

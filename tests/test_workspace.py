@@ -15,11 +15,11 @@ import pytest
 
 from braidplan.errors import ConfigurationError, EntanglementAlarm, InputError
 from braidplan.geometry import Trajectory
+from braidplan.harness import carry_over_braids
 from braidplan.planner import BraidTable, PermutationState, plan
 from braidplan.workspace import (
     GRID_AXES,
     WorkspaceConfig,
-    carry_over_braids,
     grid_cells,
     map_path,
     ranks_from_positions,
