@@ -27,11 +27,10 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
-from heapq import heappop, heappush, heapreplace
+from heapq import heappop, heappush
 from typing import Iterator
 
 from .braid import (
-    _FORBIDDEN_WORDS,
     _NEXT,
     _VIOLATED,
     _WORD,
@@ -409,21 +408,24 @@ class GridNode:
     node's table at pi/2 and at 0, so a child rebuilds only the tuples of
     the axis it swaps on and shares the other axis's with its parent.
     ``hsum`` is the pair-automaton lower bound on remaining actions (see
-    ``_build_pair_automaton``), maintained incrementally: each action
-    changes exactly one pair's term.  Nodes are their own closed-list keys:
-    pair entries are crossing counts and triplet entries are state ids, so
-    a node hashes and compares tuples of small ints.
+    ``_build_pair_automaton``) and ``xsum`` the summed triplet excess (see
+    ``_excess_columns``), both maintained incrementally: each action
+    changes exactly one pair's term and the terms of the n - 2 triplets
+    that hold that pair.  Nodes are their own closed-list keys: pair
+    entries are crossing counts and triplet entries are state ids, so a
+    node hashes and compares tuples of small ints.
     """
 
-    __slots__ = ("pi1", "pi2", "pairs", "trips", "g", "hsum", "parent", "action", "_kh")
+    __slots__ = ("pi1", "pi2", "pairs", "trips", "g", "hsum", "xsum", "parent", "action", "_kh")
 
-    def __init__(self, pi1, pi2, pairs, trips, g, hsum, parent, action):
+    def __init__(self, pi1, pi2, pairs, trips, g, hsum, xsum, parent, action):
         self.pi1 = pi1
         self.pi2 = pi2
         self.pairs = pairs
         self.trips = trips
         self.g = g
         self.hsum = hsum
+        self.xsum = xsum
         self.parent = parent
         self.action = action
         self._kh = hash((pi1, pi2, pairs, trips))
@@ -459,16 +461,20 @@ class GridNode:
         table1, table2 = braids
         if not (table1.is_clean and table2.is_clean):
             raise InputError("initial braid tables already hold a violated state")
+        pi1, pi2 = perms.pi1, perms.pi2
         pairs1, pairs2 = table1.pairs, table2.pairs
-        hsum = 0
-        for (a, b), o in _pair_ord(perms.n).items():
-            o1 = 1 if perms.pi1[a - 1] < perms.pi1[b - 1] else -1
-            o2 = 1 if perms.pi2[a - 1] < perms.pi2[b - 1] else -1
-            t1 = 1 if target.pi1[a - 1] < target.pi1[b - 1] else -1
-            t2 = 1 if target.pi2[a - 1] < target.pi2[b - 1] else -1
-            hsum += _PAIR_DIST[(o1, o2, pairs1[o], pairs2[o], t1, t2)]
-        trips = (table1.triplets, table2.triplets)
-        return cls(perms.pi1, perms.pi2, (pairs1, pairs2), trips, 0, hsum, None, None)
+        trips1, trips2 = table1.triplets, table2.triplets
+        rows = _target_rows(target)
+        # Each triplet once, as (a, b, t) with a < b < t; the excess is 0
+        # wherever one axis's braid is trivial.
+        xsum = sum(
+            column.get((trips1[to], trips2[to], _code(pi1, a0, b0, t0), _code(pi2, a0, b0, t0)), 0)
+            for a0, b0, _, _, _, thirds in rows.values()
+            for t0, to, column in thirds
+            if t0 > b0 and trips1[to] and trips2[to]
+        )
+        hsum = _pair_bound(pi1, pi2, pairs1, pairs2, rows)
+        return cls(pi1, pi2, (pairs1, pairs2), (trips1, trips2), 0, hsum, xsum, None, None)
 
 
 def expand(node: GridNode, target: PermutationState) -> list[GridNode]:
@@ -477,7 +483,7 @@ def expand(node: GridNode, target: PermutationState) -> list[GridNode]:
     Every child's braid tables share all entries with its parent's except
     the one pair and the n-2 triplet states touched on the swap axis.
     """
-    return _expand(node, target, False)[0]
+    return _expand(node, _target_rows(target), False)[0]
 
 
 @lru_cache(maxsize=None)
@@ -498,26 +504,64 @@ def _rows(n: int) -> dict[tuple[int, int], tuple]:
     }
 
 
-def _target_orders(target: PermutationState) -> tuple[tuple[int, int], ...]:
-    """Per pair, in pair order: +1 or -1 for whether the lower id ranks
-    first on axis 1 and on axis 2 of ``target``."""
+def _code(ranks: tuple[int, ...], a0: int, b0: int, t0: int) -> int:
+    """The order of robots a, b and t on one axis, as three bits: a before
+    b, a before t, b before t."""
+    ra, rb, rt = ranks[a0], ranks[b0], ranks[t0]
+    return (ra < rb) + 2 * (ra < rt) + 4 * (rb < rt)
+
+
+@lru_cache(maxsize=8)
+def _target_rows(target: PermutationState) -> dict[tuple[int, int], tuple]:
+    """``_rows`` for one target, with the excess columns of ``_excess_columns``."""
+    return _rows_for(target, _excess_columns())
+
+
+def _rows_for(target: PermutationState, columns: list[dict]) -> dict[tuple[int, int], tuple]:
+    """One row per pair (a, b), a < b, in pair order: ``(a - 1, b - 1, pair
+    ord, o1, o2, ((t - 1, triplet ord, column), ...))``.  o1 and o2 are +1
+    or -1 for whether a ranks before b on axis 1 and on axis 2 of
+    ``target``, and each third robot t gets the column of ``columns`` for
+    the target's orders of (a, b, t)."""
     tg1, tg2 = target.pi1, target.pi2
-    return tuple(
-        (1 if tg1[a0] < tg1[b0] else -1, 1 if tg2[a0] < tg2[b0] else -1)
-        for a0, b0, _, _ in _rows(len(tg1)).values()
-    )
+    return {
+        pair: (
+            a0, b0, po,
+            1 if tg1[a0] < tg1[b0] else -1,
+            1 if tg2[a0] < tg2[b0] else -1,
+            tuple(
+                (t0, to, columns[8 * _code(tg1, a0, b0, t0) + _code(tg2, a0, b0, t0)])
+                for t0, to in thirds
+            ),
+        )
+        for pair, (a0, b0, po, thirds) in _rows(len(tg1)).items()
+    }
 
 
-def _expand(node: GridNode, target: PermutationState, prune: bool) -> tuple[list[GridNode], int]:
+def _pair_bound(pi1, pi2, pairs1, pairs2, rows: dict[tuple[int, int], tuple]) -> int:
+    """The pair-automaton lower bound: the summed distances of every pair's
+    state to its target orders, which ``rows`` gives."""
+    total = 0
+    for a0, b0, po, to1, to2, _ in rows.values():
+        o1 = 1 if pi1[a0] < pi1[b0] else -1
+        o2 = 1 if pi2[a0] < pi2[b0] else -1
+        total += _PAIR_DIST[(o1, o2, pairs1[po], pairs2[po], to1, to2)]
+    return total
+
+
+def _expand(
+    node: GridNode, rows: dict[tuple[int, int], tuple], prune: bool
+) -> tuple[list[GridNode], int]:
     """Expansion core; returns (children, braid-rejected action count).
 
-    With ``prune`` set, two kinds of provably redundant successors are
-    skipped.  Swaps of disjoint robot pairs commute exactly: neither changes
-    the other's rank adjacency, crossing letters, or touched braid slots, so
-    both orders reach the identical state and only the canonically ordered
-    one is generated.  A swap that exactly undoes the arriving action is
-    skipped too: its letters cancel under free reduction, so it recreates
-    the already-closed parent state.
+    ``rows`` is ``_target_rows(target)``.  With ``prune`` set, two kinds of
+    provably redundant successors are skipped.  Swaps of disjoint robot
+    pairs commute exactly: neither changes the other's rank adjacency,
+    crossing letters, or touched braid slots, so both orders reach the
+    identical state and only the canonically ordered one is generated.  A
+    swap that exactly undoes the arriving action is skipped too: its letters
+    cancel under free reduction, so it recreates the already-closed parent
+    state.
     """
     n = len(node.pi1)
     children: list[GridNode] = []
@@ -542,7 +586,7 @@ def _expand(node: GridNode, target: PermutationState, prune: bool) -> tuple[list
                 elif a != pa_a and a != pa_b and b != pa_a and b != pa_b:
                     if (axis, a, b) < pa_key:
                         continue
-            child = _child(node, target, axis, k, i, j)
+            child = _child(node, rows, axis, k, i, j)
             if child is None:
                 braid_rejected += 1
             else:
@@ -551,7 +595,7 @@ def _expand(node: GridNode, target: PermutationState, prune: bool) -> tuple[list
 
 
 def _child(
-    node: GridNode, target: PermutationState, axis: int, k: int, i: int, j: int
+    node: GridNode, rows: dict[tuple[int, int], tuple], axis: int, k: int, i: int, j: int
 ) -> GridNode | None:
     """The node reached by swapping robots i and j, ranked k and k + 1 on
     ``axis``, or None when a braid check rejects the move: the pair's
@@ -566,21 +610,21 @@ def _child(
     pi1, pi2 = node.pi1, node.pi2
     pairs1, pairs2 = node.pairs
     trips1, trips2 = node.trips
-    a0, b0, po, thirds = _rows(len(pi1))[(i, j) if i < j else (j, i)]
+    a0, b0, po, to1, to2, thirds = rows[(i, j) if i < j else (j, i)]
+    o1 = 1 if pi1[a0] < pi1[b0] else -1
+    o2 = 1 if pi2[a0] < pi2[b0] else -1
     if axis == 1:
         ranks, node_pairs, node_trips = pi1, pairs1, trips1
+        other_ranks, other_trips, ab, other_ab = pi2, trips2, o1 > 0, o2 > 0
         sign = 1 if pi2[i - 1] > pi2[j - 1] else -1
     else:
         ranks, node_pairs, node_trips = pi2, pairs2, trips2
+        other_ranks, other_trips, ab, other_ab = pi1, trips1, o2 > 0, o1 > 0
         sign = 1 if pi1[i - 1] < pi1[j - 1] else -1
 
     new_pair = node_pairs[po] + sign
     if abs(new_pair) > 1:
         return None
-    o1 = 1 if pi1[a0] < pi1[b0] else -1
-    o2 = 1 if pi2[a0] < pi2[b0] else -1
-    to1 = 1 if target.pi1[a0] < target.pi1[b0] else -1
-    to2 = 1 if target.pi2[a0] < target.pi2[b0] else -1
     s1 = pairs1[po]
     s2 = pairs2[po]
     before = _PAIR_DIST[(o1, o2, s1, s2, to1, to2)]
@@ -592,16 +636,34 @@ def _child(
     # The letter's slot in ``braid._NEXT``: s2 when the third robot ranks
     # below the pair, else s1; its inverse for a negative crossing.
     neg = sign < 0
+    xsum = node.xsum
+    other_a, other_b = other_ranks[a0], other_ranks[b0]
     trip_changes: list[tuple[int, int]] = []
-    for t0, to in thirds:
+    for t0, to, column in thirds:
         st = node_trips[to]
-        index = 2 if ranks[t0] < k else 1
+        above = ranks[t0] > k
+        index = 1 if above else 2
         new_trip = _NEXT[4 * st + 2 * index - 2 + neg]
         if new_trip < 0:
             new_trip, _ = update_triplet(st, BraidLetter(index, sign))
         if _VIOLATED[new_trip]:
             return None
         trip_changes.append((to, new_trip))
+        other = other_trips[to]
+        if other:
+            # The excess is 0 wherever one axis's braid is trivial.  ``_code``
+            # of (a, b, t) on each axis; the swap flips a and b on its own.
+            code = ab + (6 if above else 0)
+            rt = other_ranks[t0]
+            other_code = other_ab + 2 * (other_a < rt) + 4 * (other_b < rt)
+            if axis == 1:
+                xsum += column.get((new_trip, other, code ^ 1, other_code), 0) - column.get(
+                    (st, other, code, other_code), 0
+                )
+            else:
+                xsum += column.get((other, new_trip, other_code, code ^ 1), 0) - column.get(
+                    (other, st, other_code, code), 0
+                )
 
     pairs = list(node_pairs)
     pairs[po] = new_pair
@@ -617,120 +679,80 @@ def _child(
         pi2, pairs2, trips2 = tuple(new_ranks), tuple(pairs), tuple(trips)
     return GridNode(
         pi1, pi2, (pairs1, pairs2), (trips1, trips2),
-        node.g + 1, node.hsum - before + after, node, SwapAction(axis, i, j),
+        node.g + 1, node.hsum - before + after, xsum, node, SwapAction(axis, i, j),
     )
 
 
-def _build_blockers() -> dict[int, tuple[int, int]]:
-    """The triplet states that block some crossing letter, with what they block.
+@lru_cache(maxsize=None)
+def _excess_columns() -> list[dict[tuple[int, int, int, int], int]]:
+    """Exact triplet guidance: a pattern database (Culberson & Schaeffer,
+    Computational Intelligence, 1998) of the n = 3 grid graph, built on
+    first use.
 
-    A state blocks letter L exactly when state * L is one of the four
-    forbidden braids F, that is when the state is F * L^-1, so only these
-    16 states can block anything.  They are distinct, so each blocks
-    exactly one letter.  Each maps to what it blocks under a crossing of
-    sign -1 and of sign +1 (indices 0 and 1): 1 for s1, 2 for s2, 0 for
-    neither.  All 16 are interned here, at import; only the four of two
-    letters (s1 S2, S1 s2, s2 S1, S2 s1) are states a plan can hold.
+    Inside a team a triplet moves as an n = 3 team would: only swaps within
+    it change its orders and braids, and robots adjacent in the team are
+    adjacent in the triplet.  A triplet state's *excess* is its exact
+    distance to the target orders in the n = 3 graph minus the
+    pair-automaton distances of its three pairs, the detours that the pair
+    bound cannot see: 0, 2 or 4.
+
+    Column ``8 * t1 + t2`` is for the target orders t1 and t2 of a
+    triplet's robots (a, b, t) on axes 1 and 2, coded by ``_code``.  It maps
+    a state's (braid id on axis 1, braid id on axis 2, order on axis 1,
+    order on axis 2) to its excess and omits zeros, so a state outside the
+    graph, one no plan from clean tables reaches, reads 0.  Relabelling the
+    robots maps the graph onto itself, so every triplet of every team reads
+    one table, with its robots in any order.
+
+    The graph holds 2,316 states, reached from the 36 clean roots by 7,392
+    moves.  Each move's reverse is a move, so one breadth-first search from
+    the target's states per target order pair gives every distance.  The
+    excess is 0 wherever one axis's braid is trivial, so only states with
+    two nontrivial braids are stored.
     """
-    blockers: dict[int, tuple[int, int]] = {}
-    for text in _FORBIDDEN_WORDS:
-        forbidden = BraidWord.from_text(text, 3).letters
-        for index in (1, 2):
-            for sign in (-1, 1):
-                state = triplet_state_from_word(
-                    BraidWord(3, forbidden + (BraidLetter(index, -sign),))
-                )
-                blockers[state] = (0, index) if sign > 0 else (index, 0)
-    return blockers
+    perms = list(itertools.permutations((1, 2, 3)))
+    no_excess: list[dict] = [{}] * 64
+    rows = _rows_for(PermutationState.identity(3), no_excess)
+    pairs, trips = ((0, 0, 0),) * 2, ((0,),) * 2
+    nodes = [GridNode(p1, p2, pairs, trips, 0, 0, 0, None, None) for p1 in perms for p2 in perms]
+    index = {node: k for k, node in enumerate(nodes)}
+    edges: list[list[int]] = []
+    for node in nodes:  # the list grows as the search meets new states
+        out = []
+        for child in _expand(node, rows, False)[0]:
+            if child not in index:
+                index[child] = len(nodes)
+                nodes.append(child)
+            out.append(index[child])
+        edges.append(out)
 
-
-_BLOCKERS = _build_blockers()
-
-
-def _transport_penalty(node: GridNode, orders: tuple[tuple[int, int], ...]) -> int:
-    """Rank transport needed before blocked-but-required crossings can happen.
-
-    ``orders`` is ``_target_orders(target)``.  Two blockage patterns hide
-    from the per-pair automaton bound, and both stall the search on a
-    plateau because the detour that fixes them raises the bound before the
-    required crossing can lower it.  First, a crossing whose geometric sign
-    would push the pair's own exponent sum out of bounds: the route must
-    first flip the pair's order on the other axis, and making the pair
-    adjacent over there costs twice its rank gap in crossings of
-    otherwise-ordered pairs.  Second, a crossing forbidden by a triplet
-    constraint while a third robot sits on one side of the pair: that robot
-    must travel to the allowed side first.  Summing the corresponding rank
-    distances gives those detours a downhill gradient.  Guidance only, not
-    a lower bound.
-
-    A triplet state can block a letter only if it is one of the 16 states
-    in ``_BLOCKERS``, and none blocks both sides of a pair, so each probe is
-    one lookup of the state's id there.
-    """
-    pi1, pi2 = node.pi1, node.pi2
-    pairs1, pairs2 = node.pairs
-    trips1, trips2 = node.trips
-    n = len(pi1)
-    blockers = _BLOCKERS
-    pen = 0
-    for (a0, b0, po, thirds), (t1, t2) in zip(_rows(n).values(), orders):
-        o1 = 1 if pi1[a0] < pi1[b0] else -1
-        o2 = 1 if pi2[a0] < pi2[b0] else -1
-        d1 = o1 != t1
-        d2 = o2 != t2
-        if not (d1 or d2):
-            continue
-        s1 = pairs1[po]
-        s2 = pairs2[po]
-        if _PAIR_DIST[(o1, o2, s1, s2, t1, t2)] > d1 + d2:
-            # The shortest route includes auxiliary crossings on an axis
-            # that is already ordered, so the pair must become adjacent
-            # there first and separate again afterwards.
-            if d1 and not d2:
-                gap = abs(pi2[a0] - pi2[b0]) - 1
-            elif d2 and not d1:
-                gap = abs(pi1[a0] - pi1[b0]) - 1
-            else:
-                gap = min(abs(pi1[a0] - pi1[b0]), abs(pi2[a0] - pi2[b0])) - 1
-            pen += 2 * gap
-        for axis in (1, 2):
-            if axis == 1:
-                if not d1:
-                    continue
-                sign = -o1 * o2
-                if abs(s1 + sign) > 1:
-                    # The direct sign is unusable; the route flips the
-                    # other axis first and crosses with the sign negated.
-                    sign = -sign
-                ranks = pi1
-                trips = trips1
-            else:
-                if not d2:
-                    continue
-                sign = o1 * o2
-                if abs(s2 + sign) > 1:
-                    sign = -sign
-                ranks = pi2
-                trips = trips2
-            positive = sign > 0
-            ra, rb = ranks[a0], ranks[b0]
-            lo, hi = (ra, rb) if ra < rb else (rb, ra)
-            for t0, to in thirds:
-                blocks = blockers.get(trips[to])
-                if blocks is None:
-                    continue
-                blocked = blocks[positive]
-                if blocked == 1:
-                    # s1, the letter with the third robot above the pair,
-                    # is blocked: the robot must move below it.
-                    rt = ranks[t0]
-                    if rt > lo:
-                        pen += rt - lo
-                elif blocked == 2:
-                    rt = ranks[t0]
-                    if rt < hi:
-                        pen += hi - rt
-    return pen
+    tangled = [k for k, node in enumerate(nodes) if node.trips[0][0] and node.trips[1][0]]
+    columns: list[dict] = [{} for _ in range(64)]
+    for t1 in perms:
+        for t2 in perms:
+            dist = [-1] * len(nodes)
+            frontier = [k for k, node in enumerate(nodes) if node.pi1 == t1 and node.pi2 == t2]
+            for k in frontier:
+                dist[k] = 0
+            d = 0
+            while frontier:
+                d += 1
+                reached = []
+                for k in frontier:
+                    for m in edges[k]:
+                        if dist[m] < 0:
+                            dist[m] = d
+                            reached.append(m)
+                frontier = reached
+            target_rows = _rows_for(PermutationState(t1, t2), no_excess)
+            column = columns[8 * _code(t1, 0, 1, 2) + _code(t2, 0, 1, 2)]
+            for k in tangled:
+                node = nodes[k]
+                excess = dist[k] - _pair_bound(node.pi1, node.pi2, *node.pairs, target_rows)
+                if excess:
+                    (s1,), (s2,) = node.trips
+                    column[(s1, s2, _code(node.pi1, 0, 1, 2), _code(node.pi2, 0, 1, 2))] = excess
+    return columns
 
 
 @dataclass(frozen=True)
@@ -753,10 +775,12 @@ class PlanResult:
 # One search stage's outcome: the node it reached (None if it gave up) and its trace.
 _Stage = tuple[GridNode | None, SearchTrace]
 
-# The direct search orders nodes by g + _WEIGHT * (hsum + _transport_penalty)
-# and gets _DIRECT_BUDGET expansions before a query counts as stuck against
-# carried cable tangle; the unwind stage then gets _UNWIND_BUDGET more.
-_WEIGHT = 3.0
+# The direct search orders nodes by g + _WEIGHT * (hsum + xsum); 2 expanded
+# fewest nodes and gave the shortest plans on the heavy bench queries of the
+# weights 2, 3 and 5.  It gets _DIRECT_BUDGET expansions before a query
+# counts as stuck against carried cable tangle; the unwind stage then gets
+# _UNWIND_BUDGET more.
+_WEIGHT = 2.0
 _DIRECT_BUDGET = 20_000
 _UNWIND_BUDGET = 30_000
 
@@ -774,9 +798,7 @@ def _tangle(node: GridNode) -> int:
     return total
 
 
-def _best_first(
-    root: GridNode, target: PermutationState, key, done, budget: int, refine=None
-) -> _Stage:
+def _best_first(root: GridNode, target: PermutationState, key, done, budget: int) -> _Stage:
     """Expand nodes in ascending ``key(node)`` order until one is ``done``.
 
     Ties on the key pop the newest node first, diving across plateaus, so
@@ -784,21 +806,9 @@ def _best_first(
     on the best g seen for its state.  Stops with the done node (reason
     "goal"), with None after ``budget`` expansions ("max_expansions"), or
     with None once the queue runs dry ("exhausted").
-
-    With ``refine``, nodes are ordered by ``refine(node)`` instead, but
-    computed lazily: a node is queued under the cheap ``key(node)``, which
-    must never exceed ``refine(node)``, and only when that entry reaches
-    the front is ``refine`` called and the node queued again under the full
-    key, with the same sequence number.  Only a full-key entry is checked
-    against the closed set and expanded.  A full-key entry at the front is
-    no larger than any other entry's full key, and sequence numbers are
-    unique, so nodes pop in exactly the order an eager queue of full keys
-    gives.  An entry whose node was closed meanwhile is refined and queued
-    again all the same, so the queue holds as many entries as the eager one
-    at every expansion and ``peak_open`` is the eager count.
     """
-    lazy = refine is not None
-    heap: list[tuple] = [(*key(root), 0, lazy, root)]
+    rows = _target_rows(target)
+    heap: list[tuple] = [(*key(root), 0, root)]
     g_best = {root: root.g}
     closed: set[GridNode] = set()
     seq = 0
@@ -806,11 +816,7 @@ def _best_first(
     peak_open = 1
 
     while heap:
-        _, _, order, pending, node = heap[0]
-        if pending:
-            heapreplace(heap, (*refine(node), order, False, node))
-            continue
-        heappop(heap)
+        node = heappop(heap)[-1]
         if node in closed:
             continue
         closed.add(node)
@@ -819,7 +825,7 @@ def _best_first(
             return node, SearchTrace(expanded, generated, rejected, peak_open, "goal")
         if expanded >= budget:
             return None, SearchTrace(expanded, generated, rejected, peak_open, "max_expansions")
-        children, braid_rejected = _expand(node, target, True)
+        children, braid_rejected = _expand(node, rows, True)
         rejected += braid_rejected
         generated += len(children)
         for child in children:
@@ -827,7 +833,7 @@ def _best_first(
                 continue
             g_best[child] = child.g
             seq += 1
-            heappush(heap, (*key(child), -seq, lazy, child))
+            heappush(heap, (*key(child), -seq, child))
         if len(heap) > peak_open:
             peak_open = len(heap)
 
@@ -837,29 +843,18 @@ def _best_first(
 def _search(root: GridNode, target: PermutationState, budget: int) -> _Stage:
     """The direct stage: best-first to the target by f = g + h, ties on lower h.
 
-    h is ``_WEIGHT * (hsum + _transport_penalty)``, refined lazily: a child
-    is queued under the pair bound alone, h = ``_WEIGHT * hsum``, and gets
-    its penalty only if it reaches the front of the queue (see
-    ``_best_first``).  Most queued children never do.
+    h is ``_WEIGHT * (hsum + xsum)``: the pair-automaton bound plus the
+    summed triplet excess, each triplet's exact n = 3 distance beyond its
+    pairs' (see ``_excess_columns``).  At n = 3 that sum is the exact
+    distance, so the search walks down a shortest path.
     """
 
-    orders = _target_orders(target)
-
-    def bound(node: GridNode) -> tuple[float, float]:
-        h = _WEIGHT * node.hsum
-        return node.g + h, h
-
     def key(node: GridNode) -> tuple[float, float]:
-        h = _WEIGHT * (node.hsum + _transport_penalty(node, orders))
+        h = _WEIGHT * (node.hsum + node.xsum)
         return node.g + h, h
 
     return _best_first(
-        root,
-        target,
-        bound,
-        lambda node: node.pi1 == target.pi1 and node.pi2 == target.pi2,
-        budget,
-        refine=key,
+        root, target, key, lambda node: node.pi1 == target.pi1 and node.pi2 == target.pi2, budget
     )
 
 
@@ -886,6 +881,7 @@ def _axis_sort(root: GridNode, target: PermutationState) -> _Stage:
     ``plan``).
     """
     n = len(root.pi1)
+    rows = _target_rows(target)
     node = root
     expanded = 0
     for axis, goal in ((1, target.pi1), (2, target.pi2)):
@@ -897,7 +893,7 @@ def _axis_sort(root: GridNode, target: PermutationState) -> _Stage:
             if k is None:
                 break
             expanded += 1
-            child = _child(node, target, axis, k, inv[k], inv[k + 1])
+            child = _child(node, rows, axis, k, inv[k], inv[k + 1])
             if child is None:
                 return None, SearchTrace(expanded, expanded - 1, 1, 0, "max_expansions")
             node = child
@@ -929,29 +925,23 @@ def plan(
     was found), the pair of tables predicted at the goal, and search
     statistics summed over the stages that ran.
 
-    The direct best-first search orders nodes by g + 3 * (pair-automaton
-    bound + ``_transport_penalty``) and stops after ``_DIRECT_BUDGET``
-    expansions.  A query it cannot solve within that is taken to be stuck
-    against heavily tangled carried-over braids: up to ``_UNWIND_BUDGET``
-    expansions then go to unwinding the recorded words to the identity,
-    and from there ``_axis_sort`` sorts axis 1, then axis 2, by swapping
-    rank-adjacent robots that are out of target order.  From a zero-tangle
-    table that sort cannot fail: each pair crosses at most once per axis,
-    so no pair sum leaves +-1; while one axis is sorted the other axis's
-    ranks stay fixed, so every crossing sign is a comparison under one
-    fixed order, and each forbidden triplet word would need those
+    The direct best-first search orders nodes by g + 2 * (pair-automaton
+    bound + summed triplet excess; see ``_search``) and stops after
+    ``_DIRECT_BUDGET`` expansions.  A query it cannot solve within that is
+    taken to be stuck against heavily tangled carried-over braids: up to
+    ``_UNWIND_BUDGET`` expansions then go to unwinding the recorded words
+    to the identity, and from there ``_axis_sort`` sorts axis 1, then axis
+    2, by swapping rank-adjacent robots that are out of target order.  From
+    a zero-tangle table that sort cannot fail: each pair crosses at most
+    once per axis, so no pair sum leaves +-1; while one axis is sorted the
+    other axis's ranks stay fixed, so every crossing sign is a comparison
+    under one fixed order, and each forbidden triplet word would need those
     comparisons to form a cycle (a > b > c > a).  That leg's length is the
     inversion count, the shortest possible.  So every plan spends at most
     ``_DIRECT_BUDGET + _UNWIND_BUDGET`` expansions plus the inversion
     count.  When the unwind does not reach zero tangle within its budget
     the plan fails with the direct search's reason, "max_expansions"; a
     direct search that runs dry fails with "exhausted".
-
-    The direct search queues each child under g + 3 * bound and computes
-    the penalty only when the child reaches the front of the queue.  The
-    penalty is never negative, so nodes still pop in the full key's order,
-    and the path and the trace, ``peak_open`` included, are those of
-    computing it for every child (see ``_best_first``).
 
     With ``check_braids`` off, ``braids`` is ignored: the plan is that
     axis sort from a clean table, a shortest path on the bare permutation

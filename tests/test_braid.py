@@ -1,7 +1,7 @@
 """Braid-layer tests cross-checked by an independent Burau oracle.
 
-The oracle below recomputes reduced Burau images over integer Laurent
-polynomials using plain dicts and tuples.  The Burau representation is
+The oracle (``burau_oracle``) recomputes reduced Burau images over integer
+Laurent polynomials using plain dicts and tuples.  The Burau representation is
 faithful on three strands, so the oracle decides word equivalence on its
 own, sharing no code with the package's integer key (the matrix at
 t = -1 plus the exponent sum).  The frozen literals were produced by the
@@ -27,56 +27,7 @@ from braidplan.braid import (
 )
 from braidplan.errors import InputError
 from braidplan.planner import BraidTable, to_serializable
-
-# ---------------------------------------------------------------------------
-# Independent oracle: Laurent polys as {exponent: coeff}, matrices as nested
-# tuples of rows.  Letters are (index, sign) pairs acting left to right.
-# ---------------------------------------------------------------------------
-
-
-def _padd(p, q):
-    out = dict(p)
-    for e, c in q.items():
-        out[e] = out.get(e, 0) + c
-    return {e: c for e, c in out.items() if c}
-
-
-def _pmul(p, q):
-    out = {}
-    for e1, c1 in p.items():
-        for e2, c2 in q.items():
-            out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
-    return {e: c for e, c in out.items() if c}
-
-
-def _mmul(A, B):
-    (a, b), (c, d) = A
-    (e, f), (g, h) = B
-    return (
-        (_padd(_pmul(a, e), _pmul(b, g)), _padd(_pmul(a, f), _pmul(b, h))),
-        (_padd(_pmul(c, e), _pmul(d, g)), _padd(_pmul(c, f), _pmul(d, h))),
-    )
-
-
-_ORACLE_GEN = {
-    (1, 1): (({1: -1}, {0: 1}), ({}, {0: 1})),
-    (1, -1): (({-1: -1}, {-1: 1}), ({}, {0: 1})),
-    (2, 1): (({0: 1}, {}), ({1: 1}, {1: -1})),
-    (2, -1): (({0: 1}, {}), ({0: 1}, {-1: -1})),
-}
-_ORACLE_ID = (({0: 1}, {}), ({}, {0: 1}))
-
-
-def _oracle_burau(keys):
-    m = _ORACLE_ID
-    for key in keys:
-        m = _mmul(m, _ORACLE_GEN[key])
-    return m
-
-
-def _frozen(m):
-    """Canonical comparable form of an oracle matrix."""
-    return tuple(tuple(tuple(sorted(p.items())) for p in row) for row in m)
+from burau_oracle import ORACLE_GEN, ORACLE_ID, freeze, mmul, oracle_burau, parse_keys
 
 
 def _at_minus_one(m):
@@ -90,20 +41,28 @@ def _keys(word: BraidWord):
 
 def _oracle_element(keys):
     """The package's key for a word, recomputed from the oracle."""
-    return _at_minus_one(_oracle_burau(keys)) + (sum(sign for _, sign in keys),)
-
-
-def _parse_keys(text: str):
-    return [(int(tok[1]), 1 if tok[0] == "s" else -1) for tok in text.split()]
+    return _at_minus_one(oracle_burau(keys)) + (sum(sign for _, sign in keys),)
 
 
 # Frozen oracle values for the four entangling triplet patterns and for the
 # braid relation word.
 _FORBIDDEN_FROZEN = {
-    "s1 S2 s1": ((((1, -1), (2, 1)), ((-1, -1), (0, 1), (1, -1))), (((1, -1),), ((-1, -1), (0, 1)))),
-    "s2 S1 s2": ((((-1, -1), (0, 1)), ((0, -1),)), (((0, -1), (1, 1), (2, -1)), ((1, -1), (2, 1)))),
-    "S1 s2 S1": ((((-2, 1), (-1, -1)), ((-2, -1), (-1, 1), (0, -1))), (((0, -1),), ((0, 1), (1, -1)))),
-    "S2 s1 S2": ((((0, 1), (1, -1)), ((-1, -1),)), (((-1, -1), (0, 1), (1, -1)), ((-2, 1), (-1, -1)))),
+    "s1 S2 s1": (
+        (((1, -1), (2, 1)), ((-1, -1), (0, 1), (1, -1))),
+        (((1, -1),), ((-1, -1), (0, 1))),
+    ),
+    "s2 S1 s2": (
+        (((-1, -1), (0, 1)), ((0, -1),)),
+        (((0, -1), (1, 1), (2, -1)), ((1, -1), (2, 1))),
+    ),
+    "S1 s2 S1": (
+        (((-2, 1), (-1, -1)), ((-2, -1), (-1, 1), (0, -1))),
+        (((0, -1),), ((0, 1), (1, -1))),
+    ),
+    "S2 s1 S2": (
+        (((0, 1), (1, -1)), ((-1, -1),)),
+        (((-1, -1), (0, 1), (1, -1)), ((-2, 1), (-1, -1))),
+    ),
 }
 _RELATION_FROZEN = (((), ((1, -1),)), (((2, -1),), ()))
 _IDENTITY_FROZEN = ((((0, 1),), ()), ((), ((0, 1),)))
@@ -138,15 +97,15 @@ def _word(state: int) -> BraidWord:
 
 def test_oracle_self_check():
     for i in (1, 2):
-        assert _frozen(_mmul(_ORACLE_GEN[(i, 1)], _ORACLE_GEN[(i, -1)])) == _IDENTITY_FROZEN
-        assert _frozen(_mmul(_ORACLE_GEN[(i, -1)], _ORACLE_GEN[(i, 1)])) == _IDENTITY_FROZEN
-    left = _oracle_burau(_parse_keys("s1 s2 s1"))
-    right = _oracle_burau(_parse_keys("s2 s1 s2"))
-    assert _frozen(left) == _frozen(right) == _RELATION_FROZEN
+        assert freeze(mmul(ORACLE_GEN[(i, 1)], ORACLE_GEN[(i, -1)])) == _IDENTITY_FROZEN
+        assert freeze(mmul(ORACLE_GEN[(i, -1)], ORACLE_GEN[(i, 1)])) == _IDENTITY_FROZEN
+    left = oracle_burau(parse_keys("s1 s2 s1"))
+    right = oracle_burau(parse_keys("s2 s1 s2"))
+    assert freeze(left) == freeze(right) == _RELATION_FROZEN
 
 
 def test_generator_images_match_oracle():
-    for key in _ORACLE_GEN:
+    for key in ORACLE_GEN:
         word = BraidWord(3, (BraidLetter(*key),))
         assert triplet_element(word) == _oracle_element([key])
     assert triplet_element(BraidWord.from_text("s1", 3)) == (1, 1, 0, 1, 1)
@@ -157,7 +116,7 @@ def test_braid_relation_exact():
     left = triplet_element(BraidWord.from_text("s1 s2 s1", 3))
     right = triplet_element(BraidWord.from_text("s2 s1 s2", 3))
     assert left == right == (0, 1, -1, 0, 3)
-    assert _at_minus_one(_oracle_burau(_parse_keys("s1 s2 s1"))) == left[:4]
+    assert _at_minus_one(oracle_burau(parse_keys("s1 s2 s1"))) == left[:4]
 
 
 def test_random_words_match_oracle():
@@ -171,16 +130,16 @@ def test_element_classes_match_oracle_exhaustively():
     """Every word of length <= 6 falls into the same classes under both keys."""
     by_oracle: dict = {}
     by_element: dict = {}
-    layer = [((), _ORACLE_ID)]
+    layer = [((), ORACLE_ID)]
     for _ in range(7):
         for keys, matrix in layer:
             word = BraidWord(3, tuple(BraidLetter(i, s) for i, s in keys))
-            by_oracle.setdefault(_frozen(matrix), set()).add(keys)
+            by_oracle.setdefault(freeze(matrix), set()).add(keys)
             by_element.setdefault(triplet_element(word), set()).add(keys)
         layer = [
-            (keys + (key,), _mmul(matrix, gen))
+            (keys + (key,), mmul(matrix, gen))
             for keys, matrix in layer
-            for key, gen in _ORACLE_GEN.items()
+            for key, gen in ORACLE_GEN.items()
         ]
     classes = {frozenset(c) for c in by_oracle.values()}
     assert classes == {frozenset(c) for c in by_element.values()}
@@ -194,8 +153,8 @@ def test_full_twist_is_not_the_identity():
     assert triplet_element(half) == (-1, 0, 0, -1, 6)
     assert triplet_element(full) == (1, 0, 0, 1, 12)
     assert triplet_element(full) != triplet_element(BraidWord(3))
-    assert _at_minus_one(_oracle_burau(_keys(full))) == (1, 0, 0, 1)
-    assert _frozen(_oracle_burau(_keys(full))) != _IDENTITY_FROZEN
+    assert _at_minus_one(oracle_burau(_keys(full))) == (1, 0, 0, 1)
+    assert freeze(oracle_burau(_keys(full))) != _IDENTITY_FROZEN
     assert triplet_state_from_word(full) != 0
 
 
@@ -218,8 +177,8 @@ def test_inverse_cancellation():
 def test_forbidden_matrices_frozen_distinct_nonidentity():
     elements = set()
     for text, frozen in _FORBIDDEN_FROZEN.items():
-        keys = _parse_keys(text)
-        assert _frozen(_oracle_burau(keys)) == frozen != _IDENTITY_FROZEN
+        keys = parse_keys(text)
+        assert freeze(oracle_burau(keys)) == frozen != _IDENTITY_FROZEN
         word = BraidWord.from_text(text, 3)
         assert triplet_element(word) == _oracle_element(keys)
         assert _flagged(word)
@@ -264,14 +223,14 @@ def test_bounded_rewrites_stay_flagged():
     for seed_text, frozen in _FORBIDDEN_FROZEN.items():
         seen = set()
         for _ in range(120):
-            keys = _parse_keys(seed_text)
+            keys = parse_keys(seed_text)
             for _ in range(rng.randrange(1, 7)):
                 keys = _rewrite_once(rng, keys)
             seen.add(tuple(keys))
         for keys in seen:
             assert len(keys) <= 12
             # each rewrite preserved the group element
-            assert _frozen(_oracle_burau(keys)) == frozen
+            assert freeze(oracle_burau(keys)) == frozen
             word = BraidWord(3, tuple(BraidLetter(i, s) for i, s in keys))
             assert _flagged(word)
 
@@ -305,7 +264,7 @@ def test_free_reduce_properties():
         for a, b in zip(reduced.letters, reduced.letters[1:]):
             assert not (a.index == b.index and a.sign == -b.sign)
         assert free_reduce(reduced) == reduced
-        assert _frozen(_oracle_burau(_keys(reduced))) == _frozen(_oracle_burau(_keys(word)))
+        assert freeze(oracle_burau(_keys(reduced))) == freeze(oracle_burau(_keys(word)))
 
 
 # ---------------------------------------------------------------------------
@@ -402,7 +361,7 @@ def test_incremental_matches_batch_small():
             st, ok = update_triplet(st, letter)
             if not ok:
                 prefix = _keys(word)[: k + 1]
-                assert _frozen(_oracle_burau(prefix)) in forbidden
+                assert freeze(oracle_burau(prefix)) in forbidden
                 tripped = True
                 break
         if tripped:
@@ -413,7 +372,7 @@ def test_incremental_matches_batch_small():
         # the stored word is one freely reduced witness of the same element
         witness = _word(st)
         assert free_reduce(witness) == witness
-        assert _frozen(_oracle_burau(_keys(witness))) == _frozen(_oracle_burau(_keys(word)))
+        assert freeze(oracle_burau(_keys(witness))) == freeze(oracle_burau(_keys(word)))
 
 
 def test_interning_canonicalizes_equal_elements():
@@ -428,15 +387,15 @@ def _shortlex_geodesics(max_len):
     keys), for every braid of at most ``max_len`` letters, in shortlex
     order of those words."""
     letters = ((1, 1), (1, -1), (2, 1), (2, -1))  # s1 < S1 < s2 < S2
-    best = {_frozen(_ORACLE_ID): ()}
-    layer = [((), _ORACLE_ID)]
+    best = {freeze(ORACLE_ID): ()}
+    layer = [((), ORACLE_ID)]
     for _ in range(max_len):
         nxt = []
         for keys, matrix in layer:
             for key in letters:
-                m = _mmul(matrix, _ORACLE_GEN[key])
-                if _frozen(m) not in best:
-                    best[_frozen(m)] = keys + (key,)
+                m = mmul(matrix, ORACLE_GEN[key])
+                if freeze(m) not in best:
+                    best[freeze(m)] = keys + (key,)
                     nxt.append((keys + (key,), m))
         layer = nxt
     return best
@@ -451,23 +410,23 @@ def test_seeded_braids_cover_every_plannable_state():
     forbidden = set(_FORBIDDEN_FROZEN.values())
     # BFS over braids; the strand order and the pair counts follow from the
     # braid, so a braid met once need not be met again.
-    start = ((), _ORACLE_ID, (0, 1, 2), {(0, 1): 0, (0, 2): 0, (1, 2): 0})
-    seen = {_frozen(_ORACLE_ID): ()}
+    start = ((), ORACLE_ID, (0, 1, 2), {(0, 1): 0, (0, 2): 0, (1, 2): 0})
+    seen = {freeze(ORACLE_ID): ()}
     layer = [start]
     while layer:
         nxt = []
         for keys, matrix, strands, counts in layer:
-            if _frozen(matrix) in forbidden:
+            if freeze(matrix) in forbidden:
                 continue
             for index, sign in ((1, 1), (1, -1), (2, 1), (2, -1)):
                 a, b = strands[index - 1], strands[index]
                 pair = (min(a, b), max(a, b))
                 if abs(counts[pair] + sign) > 1:
                     continue
-                m = _mmul(matrix, _ORACLE_GEN[(index, sign)])
-                if _frozen(m) in seen:
+                m = mmul(matrix, ORACLE_GEN[(index, sign)])
+                if freeze(m) in seen:
                     continue
-                seen[_frozen(m)] = keys + ((index, sign),)
+                seen[freeze(m)] = keys + ((index, sign),)
                 swapped = list(strands)
                 swapped[index - 1], swapped[index] = b, a
                 nxt.append((

@@ -73,7 +73,8 @@ def test_plan_budget_exhausted_exits_2(tmp_path, capsys, monkeypatch):
 
 def test_input_errors_exit_1(tmp_path, capsys):
     out = str(tmp_path / "x.json")
-    assert main(["plan", "--scenario", str(tmp_path / "absent.json"), "--out", out]) == EXIT_INPUT_ERROR
+    absent = str(tmp_path / "absent.json")
+    assert main(["plan", "--scenario", absent, "--out", out]) == EXIT_INPUT_ERROR
 
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -133,11 +134,13 @@ def test_usage_errors_exit_1(tmp_path, capsys):
     # exit code 2 means "no path found"; a malformed command line is bad input
     sc_path, _ = _write_scenario(tmp_path)
     out = str(tmp_path / "report.json")
-    assert main(["run", "--scenario", str(sc_path), "--out", out, "--jobs", "2"]) == EXIT_INPUT_ERROR
-    assert main(["run", "--scenario", str(sc_path), "--out", out, "--seed-override", "99"]) == EXIT_INPUT_ERROR
-    assert main(["run", "--scenario", str(sc_path), "--out", out, "--bogus"]) == EXIT_INPUT_ERROR
+    run_cmd = ["run", "--scenario", str(sc_path), "--out", out]
+    assert main([*run_cmd, "--jobs", "2"]) == EXIT_INPUT_ERROR
+    assert main([*run_cmd, "--seed-override", "99"]) == EXIT_INPUT_ERROR
+    assert main([*run_cmd, "--bogus"]) == EXIT_INPUT_ERROR
     assert main([]) == EXIT_INPUT_ERROR
-    assert main(["plan", "--scenario", str(sc_path), "--set-index", "abc", "--out", out]) == EXIT_INPUT_ERROR
+    plan_cmd = ["plan", "--scenario", str(sc_path), "--set-index", "abc", "--out", out]
+    assert main(plan_cmd) == EXIT_INPUT_ERROR
     capsys.readouterr()
     assert main(["--help"]) == EXIT_OK
     assert "plan" in capsys.readouterr().out

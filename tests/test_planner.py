@@ -32,7 +32,13 @@ from braidplan.braid import (
 )
 from braidplan.errors import InputError
 from braidplan.harness import verify
-from braidplan.geometry import ProjectionAxis, Trajectory, build_space_time, extract_crossings, sub_events
+from braidplan.geometry import (
+    ProjectionAxis,
+    Trajectory,
+    build_space_time,
+    extract_crossings,
+    sub_events,
+)
 from braidplan.planner import (
     AXIS_ANGLES,
     BraidTable,
@@ -272,7 +278,8 @@ def _folded_child_table(node: GridNode, action: SwapAction, target: PermutationS
         if t not in (a, b):
             ids = tuple(sorted((a, b, t)))
             slot = triplet_slot(n, *ids)
-            trips[slot], ok = update_triplet(trips[slot], braid_letter_for_action(action, perms, ids))
+            letter = braid_letter_for_action(action, perms, ids)
+            trips[slot], ok = update_triplet(trips[slot], letter)
             if not ok:
                 return None
     folded = list(tables)
@@ -303,6 +310,7 @@ def _check_expansion(node: GridNode, target: PermutationState) -> list[GridNode]
         # the incremental bound and the closed-set key match a from-scratch root
         fresh = GridNode.root(PermutationState(child.pi1, child.pi2), table, target)
         assert child.hsum == fresh.hsum
+        assert child.xsum == fresh.xsum
         assert child == fresh
         assert hash(child) == hash(fresh)
         kept.append(child)
@@ -438,138 +446,47 @@ def test_slot_layout():
 # ---------------------------------------------------------------------------
 
 
-def _reference_transport_penalty(node: GridNode, target: PermutationState) -> int:
-    """The guidance term as first written: every probe folds the letter into
-    the triplet state with ``update_triplet`` (which interns the successor)
-    and reads its flag.  Oracle for ``planner._transport_penalty``."""
-    from braidplan.planner import _PAIR_DIST, _pair_ord, _trip_ord
-
-    n = len(node.pi1)
-    pord = _pair_ord(n)
-    tord = _trip_ord(n)
-    pi1, pi2 = node.pi1, node.pi2
-    tg1, tg2 = target.pi1, target.pi2
-    pairs1, pairs2 = node.pairs
-    pen = 0
-    for (a, b), po in pord.items():
-        o1 = 1 if pi1[a - 1] < pi1[b - 1] else -1
-        o2 = 1 if pi2[a - 1] < pi2[b - 1] else -1
-        d1 = o1 != (1 if tg1[a - 1] < tg1[b - 1] else -1)
-        d2 = o2 != (1 if tg2[a - 1] < tg2[b - 1] else -1)
-        if not (d1 or d2):
-            continue
-        s1 = pairs1[po]
-        s2 = pairs2[po]
-        to1 = -o1 if d1 else o1
-        to2 = -o2 if d2 else o2
-        if _PAIR_DIST[(o1, o2, s1, s2, to1, to2)] > d1 + d2:
-            if d1 and not d2:
-                gap = abs(pi2[a - 1] - pi2[b - 1]) - 1
-            elif d2 and not d1:
-                gap = abs(pi1[a - 1] - pi1[b - 1]) - 1
-            else:
-                gap = min(abs(pi1[a - 1] - pi1[b - 1]),
-                          abs(pi2[a - 1] - pi2[b - 1])) - 1
-            pen += 2 * gap
-        for axis in (1, 2):
-            if axis == 1:
-                if not d1:
-                    continue
-                sign = -o1 * o2
-                if abs(s1 + sign) > 1:
-                    sign = -sign
-                ranks = pi1
-            else:
-                if not d2:
-                    continue
-                sign = o1 * o2
-                if abs(s2 + sign) > 1:
-                    sign = -sign
-                ranks = pi2
-            ra, rb = ranks[a - 1], ranks[b - 1]
-            lo, hi = (ra, rb) if ra < rb else (rb, ra)
-            for t in range(1, n + 1):
-                if t == a or t == b:
-                    continue
-                ids = (t, a, b) if t < a else (a, t, b) if t < b else (a, b, t)
-                st = node.trips[axis - 1][tord[ids]]
-                ok_above = update_triplet(st, BraidLetter(1, sign))[1]
-                ok_below = update_triplet(st, BraidLetter(2, sign))[1]
-                if ok_above and ok_below:
-                    continue
-                if not ok_above and not ok_below:
-                    pen += 2 * n
-                elif ok_below:
-                    rt = ranks[t - 1]
-                    if rt > lo:
-                        pen += rt - lo
-                else:
-                    rt = ranks[t - 1]
-                    if rt < hi:
-                        pen += hi - rt
-    return pen
-
-
-def _assert_penalty_matches(node: GridNode, target: PermutationState) -> None:
-    orders = planner._target_orders(target)
-    assert planner._transport_penalty(node, orders) == _reference_transport_penalty(node, target)
+def _assert_excess_as_root(node: GridNode, target: PermutationState) -> None:
+    fresh = GridNode.root(PermutationState(node.pi1, node.pi2), node.braids, target)
+    assert node.xsum == fresh.xsum
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(n=st.integers(3, 8), seed=st.integers(0, 2**32 - 1))
-def test_transport_penalty_matches_reference(n, seed):
-    """The blocker-table guidance equals the folding reference on every node
-    of a random walk from a clean table, and of a second walk that starts
-    from the first one's carried table towards a new target."""
+def test_incremental_excess_matches_root(n, seed):
+    """The triplet excess a child updates for the n - 2 triplets it touches
+    equals ``GridNode.root``'s sum over every triplet, on every node of a
+    random walk from a clean table and of a second walk that starts from
+    the first one's carried table towards a new target."""
     rng = random.Random(seed)
     target = _random_perms(rng, n)
     node = GridNode.root(_random_perms(rng, n), _clean(n), target)
     for _ in range(2):
         for _ in range(rng.randrange(40)):
-            _assert_penalty_matches(node, target)
+            _assert_excess_as_root(node, target)
             node = rng.choice(expand(node, target) or [node])
-        _assert_penalty_matches(node, target)
+        _assert_excess_as_root(node, target)
         target = _random_perms(rng, n)
         node = GridNode.root(PermutationState(node.pi1, node.pi2), node.braids, target)
 
 
-def test_transport_penalty_matches_reference_on_stalled_query():
+def test_incremental_excess_matches_root_on_stalled_query():
     data = json.loads((DATA / "stalled_n9_query.json").read_text())
     start = PermutationState(tuple(data["start"]["pi1"]), tuple(data["start"]["pi2"]))
     target = PermutationState(tuple(data["target"]["pi1"]), tuple(data["target"]["pi2"]))
     root = GridNode.root(start, from_serializable(data["carried"]), target)
     children = expand(root, target)
-    assert children
+    assert root.xsum > 0 and {child.xsum for child in children} != {root.xsum}
     for node in [root, *children]:
-        _assert_penalty_matches(node, target)
+        _assert_excess_as_root(node, target)
 
 
-def test_blocker_table_matches_brute_force():
-    """For every 3-strand word of up to 6 letters and every letter L, the
-    word followed by L is forbidden exactly when ``_BLOCKERS`` says the
-    word's state blocks L's generator under L's sign.  The 16 blockers are
-    interned, so a braid with no state blocks nothing."""
-    from braidplan.braid import _FORBIDDEN3, _ID
-    from braidplan.planner import _BLOCKERS
-
-    letters = [BraidLetter(index, sign) for index in (1, 2) for sign in (-1, 1)]
-    words = 0
-    for length in range(7):
-        for word in itertools.product(letters, repeat=length):
-            words += 1
-            blocks = _BLOCKERS.get(_ID.get(triplet_element(BraidWord(3, word))), (0, 0))
-            for letter in letters:
-                blocked = blocks[letter.sign > 0] == letter.index
-                assert blocked == (triplet_element(BraidWord(3, word + (letter,))) in _FORBIDDEN3)
-    assert words == 5461
-    assert len(_BLOCKERS) == 16
-
-
-def test_transport_penalty_interns_nothing():
-    """Guidance on a tangled table leaves the triplet intern table as it was,
-    although the folding reference would add the successors it probes."""
+def test_guidance_reads_zero_outside_the_table():
+    """Triplet braids that no plan from clean tables reaches, here those of
+    long random words, lie outside the n = 3 table: their excess reads 0,
+    ``GridNode.root`` interns no braid, and ``plan()`` still returns a clean
+    swap chain or an explained failure."""
     from braidplan import braid
-    from braidplan.braid import _times
 
     rng = random.Random(23)
     n = 5
@@ -582,176 +499,28 @@ def test_transport_penalty_interns_nothing():
         state = triplet_state_from_word(BraidWord(3, letters))
         if not braid._VIOLATED[state]:
             trips.append(state)
+    in_table = {key[ax] for column in planner._excess_columns() for key in column for ax in (0, 1)}
+    assert in_table.isdisjoint(trips)
     start = PermutationState.identity(n)
     target = PermutationState((5, 4, 3, 2, 1), (5, 4, 3, 2, 1))
-    tables = (BraidTable(n, (0,) * 10, tuple(trips[:10])), BraidTable(n, (0,) * 10, tuple(trips[10:])))
-    node = GridNode.root(start, tables, target)
-    successors = {
-        _times(braid._KEY[state], (index, sign))
-        for state in trips for index in (1, 2) for sign in (-1, 1)
-    }
-    assert not successors <= braid._ID.keys()
+    tables = (
+        BraidTable(n, (0,) * 10, tuple(trips[:10])),
+        BraidTable(n, (0,) * 10, tuple(trips[10:])),
+    )
     before = len(braid._KEY)
-    planner._transport_penalty(node, planner._target_orders(target))
+    root = GridNode.root(start, tables, target)
     assert len(braid._KEY) == before
-    _reference_transport_penalty(node, target)
-    assert len(braid._KEY) > before
-
-
-def _eager_best_first(root: GridNode, target: PermutationState, key, done, budget: int):
-    """``planner._best_first`` as it was before guidance became lazy: every
-    child is queued under its full key.  Oracle for the lazy queue."""
-    from heapq import heappop, heappush
-
-    from braidplan.planner import _INF, SearchTrace, _expand
-
-    heap: list[tuple] = [(*key(root), 0, root)]
-    g_best = {root: root.g}
-    closed: set[GridNode] = set()
-    seq = 0
-    expanded = generated = rejected = 0
-    peak_open = 1
-
-    while heap:
-        node = heappop(heap)[-1]
-        if node in closed:
-            continue
-        closed.add(node)
-        expanded += 1
-        if done(node):
-            return node, SearchTrace(expanded, generated, rejected, peak_open, "goal")
-        if expanded >= budget:
-            return None, SearchTrace(expanded, generated, rejected, peak_open, "max_expansions")
-        children, braid_rejected = _expand(node, target, True)
-        rejected += braid_rejected
-        generated += len(children)
-        for child in children:
-            if child in closed or g_best.get(child, _INF) <= child.g:
-                continue
-            g_best[child] = child.g
-            seq += 1
-            heappush(heap, (*key(child), -seq, child))
-        if len(heap) > peak_open:
-            peak_open = len(heap)
-
-    return None, SearchTrace(expanded, generated, rejected, peak_open, "exhausted")
-
-
-def _eager_search(root: GridNode, target: PermutationState, budget: int):
-    """The direct stage with the transport penalty computed for every child."""
-    orders = planner._target_orders(target)
-
-    def key(node: GridNode) -> tuple[float, float]:
-        h = planner._WEIGHT * (node.hsum + planner._transport_penalty(node, orders))
-        return node.g + h, h
-
-    def done(node: GridNode) -> bool:
-        return node.pi1 == target.pi1 and node.pi2 == target.pi2
-
-    return _eager_best_first(root, target, key, done, budget)
-
-
-def _walk(node: GridNode | None) -> list:
-    """A stage's result node as comparable values: its path and tables."""
-    steps = []
-    while node is not None:
-        steps.append((node.pi1, node.pi2, node.braids))
-        node = node.parent
-    return steps
-
-
-def _lazy_queries() -> list[tuple[PermutationState, PermutationState, tuple]]:
-    """Two queries per team size n = 7..10, one from clean tables and one
-    from tables carried over a random walk of expansions.  The direct search
-    takes 19 to 194 expansions on them."""
-    rng = random.Random(32)
-    queries = []
-    for n in range(7, 11):
-        target = _random_perms(rng, n)
-        queries.append((_random_perms(rng, n), target, _clean(n)))
-        node = GridNode.root(_random_perms(rng, n), _clean(n), target)
-        for _ in range(rng.randrange(10, 30)):
-            node = rng.choice(expand(node, target) or [node])
-        queries.append((PermutationState(node.pi1, node.pi2), _random_perms(rng, n), node.braids))
-    return queries
-
-
-def test_lazy_guidance_matches_eager_order(monkeypatch):
-    """Queuing children on the pair bound and computing the penalty at the
-    front of the queue expands the nodes an eager queue of full keys does:
-    the same stage results and traces, ``peak_open`` included, when the
-    search stops mid-plateau after 1, 2 or 50 expansions, and the same
-    plans, also through the unwind once the direct budget is cut to 50."""
-    from braidplan.planner import _search
-
-    for start, target, braids in _lazy_queries():
-        root = GridNode.root(start, braids, target)
-        for budget in (1, 2, 50):
-            lazy, eager = _search(root, target, budget), _eager_search(root, target, budget)
-            assert _walk(lazy[0]) == _walk(eager[0])
-            assert lazy[1] == eager[1]
-        runs = []
-        for search in (_search, _eager_search):
-            for direct_budget in (planner._DIRECT_BUDGET, 50):
-                with monkeypatch.context() as mp:
-                    mp.setattr(planner, "_search", search)
-                    mp.setattr(planner, "_DIRECT_BUDGET", direct_budget)
-                    result = plan(start, target, braids)
-                runs.append((result.path, dataclasses.asdict(result.trace), result.final_braids))
-        assert runs[:2] == runs[2:]
-
-
-def test_lazy_queue_matches_eager_on_inconsistent_keys():
-    """``_best_first`` pops in the full key's order for any cheap key that
-    never exceeds it.  These pseudo-random keys reopen states often, so a
-    cheap entry can reach the front after its state was closed through a
-    shorter path; it must still be refined and queued again, or the queue
-    shrinks early and ``peak_open`` drops below the eager count."""
-    from braidplan.planner import _best_first
-
-    def mix(node: GridNode, m: int, mod: int) -> int:
-        return sum((k + m) * r for k, r in enumerate(node.pi1 + node.pi2)) % mod
-
-    def cheap(node: GridNode) -> tuple[float, float]:
-        h = 3.0 * mix(node, 1, 11)
-        return node.g + h, h
-
-    def full(node: GridNode) -> tuple[float, float]:
-        h = 3.0 * (mix(node, 1, 11) + mix(node, 2, 2))
-        return node.g + h, h
-
-    rng = random.Random(5)
-    for n in (4, 5, 6):
-        for _ in range(3):
-            start, target = _random_perms(rng, n), _random_perms(rng, n)
-            root = GridNode.root(start, _clean(n), target)
-
-            def done(node: GridNode) -> bool:
-                return node.pi1 == target.pi1 and node.pi2 == target.pi2
-
-            for budget in (10, 100, 1000):
-                lazy = _best_first(root, target, cheap, done, budget, refine=full)
-                eager = _eager_best_first(root, target, full, done, budget)
-                assert _walk(lazy[0]) == _walk(eager[0])
-                assert lazy[1] == eager[1]
-
-
-def test_guidance_is_lazy(monkeypatch):
-    """On a clean n = 10 query the penalty is computed for fewer than half
-    of the children the search generates (44 of 441 here)."""
-    calls = 0
-    penalty = planner._transport_penalty
-
-    def counted(node, orders):
-        nonlocal calls
-        calls += 1
-        return penalty(node, orders)
-
-    monkeypatch.setattr(planner, "_transport_penalty", counted)
-    rng = random.Random(32)
-    result = plan(_random_perms(rng, 10), _random_perms(rng, 10))
-    assert result.trace.reason == "goal"
-    assert 0 < calls < result.trace.generated / 2
+    assert root.xsum == 0
+    children = expand(root, target)
+    assert children and all(child.xsum == 0 for child in children)
+    result = plan(start, target, tables)
+    if result.path:
+        assert result.trace.reason == "goal"
+        _assert_swap_chain(result.path, start, target)
+        assert _all_clean(result.final_braids)
+    else:
+        assert result.trace.reason in ("exhausted", "max_expansions")
+        assert result.final_braids is None
 
 
 # ---------------------------------------------------------------------------
@@ -825,12 +594,11 @@ def test_recorded_plans_replay():
     the same path, the same ``SearchTrace`` and equal predicted tables.
 
     The file holds 64 calls at n = 3..6, per team size 8 from clean tables
-    and 8 from tables carried over a random walk of expansions, each with
-    its serialized input and predicted tables.  They were recorded while
-    the planner still kept both grid axes in one table.  All of them finish
-    in the direct search, because the unwind's order reads stored witness
-    words, which depend on what the process interned before; for the same
-    reason tables are compared as loaded values, not as text.
+    and 8 from tables carried over a random walk of expansions.  Each
+    record holds the start and target rank vectors, the input tables and
+    the predicted tables, each pair of tables (at pi/2 and at 0) as one
+    ``to_serializable`` object, and the path and trace.  All of them finish
+    in the direct search.
     """
     records = json.loads((DATA / "recorded_plans.json").read_text())
     assert len(records) == 64
@@ -1190,6 +958,26 @@ def test_plan_stalled_query_recovers_by_axis_sort():
     assert result.trace.expanded < 30_000
     _assert_swap_chain(result.path, start, target)
     assert _all_clean(result.final_braids)
+
+
+def test_search_from_unwound_stalled_query():
+    """The guidance finds its way from the zero-tangle state that the unwind
+    reaches on the pinned query: the direct search gets there within a
+    budget of 1,000 expansions (56 at the time of writing, for 52 swaps),
+    and no shorter than the inversion count."""
+    from braidplan.planner import _search, _tangle, _unwind
+
+    data = json.loads((DATA / "stalled_n9_query.json").read_text())
+    start = PermutationState(tuple(data["start"]["pi1"]), tuple(data["start"]["pi2"]))
+    target = PermutationState(tuple(data["target"]["pi1"]), tuple(data["target"]["pi2"]))
+    root = GridNode.root(start, from_serializable(data["carried"]), target)
+    unwound, _ = _unwind(root, target, planner._UNWIND_BUDGET)
+    assert unwound is not None and _tangle(unwound) == 0
+    node, trace = _search(unwound, target, 1000)
+    assert trace.reason == "goal"
+    assert (node.pi1, node.pi2) == (target.pi1, target.pi2)
+    optimum = _inversions(unwound.pi1, target.pi1) + _inversions(unwound.pi2, target.pi2)
+    assert node.g - unwound.g >= optimum
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
