@@ -870,21 +870,24 @@ def _unwind(root: GridNode, target: PermutationState, budget: int) -> _Stage:
     )
 
 
-def _axis_sort(root: GridNode, target: PermutationState) -> _Stage:
-    """Bubble-sort axis 1, then axis 2, into target order through ``_child``.
+def _axis_sort(
+    root: GridNode, target: PermutationState, axes: tuple[int, int] = (1, 2)
+) -> _Stage:
+    """Bubble-sort one axis, then the other (``axes`` gives the order), into
+    target order through ``_child``.
 
     Each step swaps the lowest rank-adjacent pair that is out of target
     order on the current axis, so every move keeps all braid checks and
-    the walk is at most the inversion count long.  Returns None when a
-    swap is rejected.  From a zero-tangle table no swap ever is, and the
-    path length is the inversion count, the shortest possible (see
-    ``plan``).
+    the walk is exactly the inversion count long, the length no legal path
+    can beat (see ``plan``).  Returns None when a swap is rejected.  From a
+    zero-tangle table no swap ever is, in either axis order.
     """
     n = len(root.pi1)
     rows = _target_rows(target)
     node = root
     expanded = 0
-    for axis, goal in ((1, target.pi1), (2, target.pi2)):
+    for axis in axes:
+        goal = target.pi1 if axis == 1 else target.pi2
         while True:
             inv = [0] * (n + 1)
             for robot0, r in enumerate(node.pi1 if axis == 1 else node.pi2):
@@ -925,49 +928,62 @@ def plan(
     was found), the pair of tables predicted at the goal, and search
     statistics summed over the stages that ran.
 
-    The direct best-first search orders nodes by g + 2 * (pair-automaton
-    bound + summed triplet excess; see ``_search``) and stops after
-    ``_DIRECT_BUDGET`` expansions.  A query it cannot solve within that is
-    taken to be stuck against heavily tangled carried-over braids: up to
-    ``_UNWIND_BUDGET`` expansions then go to unwinding the recorded words
-    to the identity, and from there ``_axis_sort`` sorts axis 1, then axis
-    2, by swapping rank-adjacent robots that are out of target order.  From
-    a zero-tangle table that sort cannot fail: each pair crosses at most
-    once per axis, so no pair sum leaves +-1; while one axis is sorted the
-    other axis's ranks stay fixed, so every crossing sign is a comparison
-    under one fixed order, and each forbidden triplet word would need those
-    comparisons to form a cycle (a > b > c > a).  That leg's length is the
-    inversion count, the shortest possible.  So every plan spends at most
-    ``_DIRECT_BUDGET + _UNWIND_BUDGET`` expansions plus the inversion
-    count.  When the unwind does not reach zero tangle within its budget
-    the plan fails with the direct search's reason, "max_expansions"; a
-    direct search that runs dry fails with "exhausted".
+    Sort first: ``_axis_sort`` sorts axis 1, then axis 2, from the root by
+    swapping rank-adjacent robots that are out of target order, and if a
+    braid check rejects a swap it tries axis 2, then axis 1.  A sort that
+    succeeds is returned at once, and it is a shortest legal path.  Its
+    length is the inversion count, and every pair must cross at least once
+    on each axis where its order is wrong, so the pair-automaton bound
+    ``hsum``, a lower bound on every path, is at least the inversion count.
 
-    With ``check_braids`` off, ``braids`` is ignored: the plan is that
-    axis sort from a clean table, a shortest path on the bare permutation
-    grid, and ``final_braids`` is the clean tables with the path's
-    crossings folded in.
+    Only when both sorts are rejected does the direct best-first search
+    run.  It orders nodes by g + 2 * (pair-automaton bound + summed triplet
+    excess; see ``_search``) and stops after ``_DIRECT_BUDGET`` expansions.
+    A query it cannot solve within that is taken to be stuck against
+    heavily tangled carried-over braids: up to ``_UNWIND_BUDGET``
+    expansions then go to unwinding the recorded words to the identity,
+    and from there ``_axis_sort`` sorts axis 1, then axis 2.  From a
+    zero-tangle table that sort cannot fail: each pair crosses at most once
+    per axis, so no pair sum leaves +-1; while one axis is sorted the other
+    axis's ranks stay fixed, so every crossing sign is a comparison under
+    one fixed order, and each forbidden triplet word would need those
+    comparisons to form a cycle (a > b > c > a).  So a plan from clean
+    tables is always the first sort, and every plan spends at most
+    ``_DIRECT_BUDGET + _UNWIND_BUDGET`` expansions plus three sorts of at
+    most n(n - 1) swaps each.  When the unwind does not reach zero tangle
+    within its budget the plan fails with the direct search's reason,
+    "max_expansions"; a direct search that runs dry fails with "exhausted".
+    The trace sums every stage that ran, rejected sorts included.
+
+    With ``check_braids`` off, ``braids`` is ignored: the plan is the first
+    sort from a clean table, a shortest path on the bare permutation grid,
+    and ``final_braids`` is the clean tables with the path's crossings
+    folded in.
     """
     if start.n != target.n:
         raise InputError("start and target describe different team sizes")
     if braids is None or not check_braids:
         braids = (BraidTable.identity(start.n),) * 2
     root = GridNode.root(start, braids, target)
-    if not check_braids:
-        node, trace = _axis_sort(root, target)
-    elif root.hsum >= _INF:
+    if root.hsum >= _INF:
         # Some pair's carried-over cable state makes its target order
         # provably unreachable; no amount of search can help.
         return PlanResult((), None, SearchTrace(0, 0, 0, 0, "exhausted"))
-    else:
-        node, trace = _search(root, target, _DIRECT_BUDGET)
-        if trace.reason == "max_expansions":
-            unwound, unwind_trace = _unwind(root, target, _UNWIND_BUDGET)
-            stages = [trace, unwind_trace]
-            if unwound is not None:
-                node, sort_trace = _axis_sort(unwound, target)
-                stages.append(sort_trace)
-            trace = _chain(stages, "goal" if node is not None else trace.reason)
+    node, trace = _axis_sort(root, target)
+    if node is None:
+        stages = [trace]
+        node, trace = _axis_sort(root, target, (2, 1))
+        stages.append(trace)
+        if node is None:
+            node, trace = _search(root, target, _DIRECT_BUDGET)
+            stages.append(trace)
+            if trace.reason == "max_expansions":
+                unwound, unwind_trace = _unwind(root, target, _UNWIND_BUDGET)
+                stages.append(unwind_trace)
+                if unwound is not None:
+                    node, sort_trace = _axis_sort(unwound, target)
+                    stages.append(sort_trace)
+        trace = _chain(stages, "goal" if node is not None else trace.reason)
 
     if node is None:
         return PlanResult((), None, trace)

@@ -50,6 +50,7 @@ from braidplan.geometry import build_space_time
 from braidplan.harness import make_scenario, run_task_sequence, simulate
 from braidplan.planner import BraidTable, PermutationState, plan
 from braidplan.workspace import map_path, ranks_from_positions
+from burau_oracle import ORACLE_GEN, ORACLE_ID, freeze, mmul, oracle_burau
 from sampling import position_at
 
 SEEDS = (11, 12, 13)
@@ -167,58 +168,9 @@ def test_criterion_3_verifier_agreement(sequence_runs):
 
 
 # ---------------------------------------------------------------------------
-# Criterion 4: an independent reduced-Burau oracle over dict Laurent
-# polynomials, sharing no code with the package.
+# Criterion 4: checked against the independent reduced-Burau oracle of
+# ``burau_oracle``, which shares no code with the package.
 # ---------------------------------------------------------------------------
-
-def _pnorm(p: dict) -> dict:
-    return {e: c for e, c in p.items() if c}
-
-
-def _padd(a: dict, b: dict) -> dict:
-    out = dict(a)
-    for e, c in b.items():
-        out[e] = out.get(e, 0) + c
-    return _pnorm(out)
-
-
-def _pmul(a: dict, b: dict) -> dict:
-    out: dict = {}
-    for ea, ca in a.items():
-        for eb, cb in b.items():
-            out[ea + eb] = out.get(ea + eb, 0) + ca * cb
-    return _pnorm(out)
-
-
-def _mmul(A, B):
-    return tuple(
-        tuple(
-            _padd(_pmul(A[i][0], B[0][j]), _pmul(A[i][1], B[1][j]))
-            for j in range(2)
-        )
-        for i in range(2)
-    )
-
-
-_ORACLE_ID = (({0: 1}, {}), ({}, {0: 1}))
-_ORACLE_GEN = {
-    (1, 1): (({1: -1}, {0: 1}), ({}, {0: 1})),
-    (1, -1): (({-1: -1}, {-1: 1}), ({}, {0: 1})),
-    (2, 1): (({0: 1}, {}), ({1: 1}, {1: -1})),
-    (2, -1): (({0: 1}, {}), ({0: 1}, {-1: -1})),
-}
-
-
-def _oracle_burau(letters) -> tuple:
-    m = _ORACLE_ID
-    for index, sign in letters:
-        m = _mmul(m, _ORACLE_GEN[(index, sign)])
-    return m
-
-
-def _frozen(m) -> tuple:
-    return tuple(tuple(tuple(sorted(p.items())) for p in row) for row in m)
-
 
 # burau(s1 s2 s1) worked out by hand: [[0, -t], [-t^2, 0]]
 _RELATION_FROZEN = (((), ((1, -1),)), (((2, -1),), ()))
@@ -268,11 +220,11 @@ def test_criterion_4_braid_algebra():
         rng = random.Random(41)
 
         # (a) the braid relation and inverse cancellation, exactly
-        lhs = _oracle_burau(_letters("s1 s2 s1"))
-        assert _frozen(lhs) == _RELATION_FROZEN
-        assert lhs == _oracle_burau(_letters("s2 s1 s2"))
+        lhs = oracle_burau(_letters("s1 s2 s1"))
+        assert freeze(lhs) == _RELATION_FROZEN
+        assert lhs == oracle_burau(_letters("s2 s1 s2"))
         for text in ("s1 S1", "S1 s1", "s2 S2", "S2 s2"):
-            assert _oracle_burau(_letters(text)) == _ORACLE_ID
+            assert oracle_burau(_letters(text)) == ORACLE_ID
         assert triplet_element(BraidWord.from_text("s1 s2 s1", 3)) == triplet_element(
             BraidWord.from_text("s2 s1 s2", 3)
         )
@@ -287,13 +239,13 @@ def test_criterion_4_braid_algebra():
             rewritten = list(start)
             for _ in range(rng.randint(1, 4)):
                 _rewrite_once(rng, rewritten, cap=12)
-            assert _oracle_burau(start) == _oracle_burau(rewritten)
+            assert oracle_burau(start) == oracle_burau(rewritten)
 
         # (c) the four forbidden patterns are pairwise distinct, not the
         # identity, and the package flags four distinct elements for them
-        oracle_forbidden = [_oracle_burau(_letters(t)) for t in _FORBIDDEN_WORDS]
+        oracle_forbidden = [oracle_burau(_letters(t)) for t in _FORBIDDEN_WORDS]
         for i, m in enumerate(oracle_forbidden):
-            assert m != _ORACLE_ID
+            assert m != ORACLE_ID
             for other in oracle_forbidden[i + 1:]:
                 assert m != other
         pkg_forbidden = {
@@ -307,7 +259,7 @@ def test_criterion_4_braid_algebra():
         # (d) incremental folding equals batch folding, 10^4 random words;
         # a forbidden prefix is terminal, so folding stops there
         oracle_budget = 1500
-        forbidden_set = [_frozen(m) for m in oracle_forbidden]
+        forbidden_set = [freeze(m) for m in oracle_forbidden]
         flagged_words = 0
         for trial in range(10_000):
             k = rng.randint(0, 50)
@@ -330,18 +282,18 @@ def test_criterion_4_braid_algebra():
             assert state == batch
             flagged_words += _VIOLATED[state]
             if trial < oracle_budget:
-                prefix = _ORACLE_ID
+                prefix = ORACLE_ID
                 for index, sign in (
                     (l.index, l.sign) for l in letters[:consumed]
                 ):
-                    prefix = _mmul(prefix, _ORACLE_GEN[(index, sign)])
-                assert (_frozen(prefix) in forbidden_set) == _VIOLATED[state]
+                    prefix = mmul(prefix, ORACLE_GEN[(index, sign)])
+                assert (freeze(prefix) in forbidden_set) == _VIOLATED[state]
                 for j in range(consumed - 1):
-                    partial = _oracle_burau(
+                    partial = oracle_burau(
                         (l.index, l.sign) for l in letters[: j + 1]
                     )
-                    assert _frozen(partial) not in forbidden_set
-                assert _oracle_burau(
+                    assert freeze(partial) not in forbidden_set
+                assert oracle_burau(
                     _letters(triplet_word_text(state))
                 ) == prefix
         assert flagged_words > 0

@@ -31,7 +31,7 @@ from braidplan.braid import (
     update_triplet,
 )
 from braidplan.errors import InputError
-from braidplan.harness import verify
+from braidplan.harness import make_scenario, verify
 from braidplan.geometry import (
     ProjectionAxis,
     Trajectory,
@@ -55,6 +55,7 @@ from braidplan.planner import (
     to_serializable,
     triplet_slot,
 )
+from braidplan.workspace import ranks_from_positions
 from hostile_json import hostile
 
 DATA = Path(__file__).parent / "data"
@@ -574,19 +575,102 @@ def test_plan_detects_unreachable_carried_state():
 
 
 def test_plan_budget_exhaustion(monkeypatch):
-    # a tangled carried table: neither the direct search nor the unwind
-    # finishes in one expansion, so the sort never runs
+    # a tangled carried table: both sorts from the root are rejected at
+    # their first swap, and neither the direct search nor the unwind
+    # finishes in one expansion, so the final sort never runs.  The trace
+    # counts all four: two rejected sort steps, one direct-search
+    # expansion and one unwind expansion.
     start = PermutationState.identity(4)
     mid = PermutationState((4, 3, 2, 1), (2, 1, 4, 3))
     carried = plan(start, mid).final_braids
     assert carried != _clean(4)
+    target = PermutationState((1, 2, 3, 4), (2, 1, 4, 3))
     monkeypatch.setattr(planner, "_DIRECT_BUDGET", 1)
     monkeypatch.setattr(planner, "_UNWIND_BUDGET", 1)
-    result = plan(mid, start, carried)
+    result = plan(mid, target, carried)
     assert result.trace.reason == "max_expansions"
     assert result.path == ()
     assert result.final_braids is None
-    assert result.trace.expanded == 2
+    assert result.trace.expanded == 4
+    assert result.trace.rejected_by_braid >= 2
+
+
+def _step_action(before: PermutationState, after: PermutationState) -> SwapAction:
+    """The swap that turns one path state into the next."""
+    for axis in (1, 2):
+        ranks, next_ranks = before.ranks(axis), after.ranks(axis)
+        moved = [r for r in range(1, before.n + 1) if ranks[r - 1] != next_ranks[r - 1]]
+        if moved:
+            i, j = sorted(moved, key=lambda r: ranks[r - 1])
+            return SwapAction(axis, i, j)
+    raise AssertionError("consecutive path states are equal")
+
+
+def _fold_path(path, tables, target: PermutationState):
+    """The start tables with every step's letters folded in slot by slot."""
+    for before, after in zip(path, path[1:]):
+        node = GridNode.root(before, tables, target)
+        tables = _folded_child_table(node, _step_action(before, after), target)
+        assert tables is not None
+    return tables
+
+
+def test_plan_returns_the_sort_from_the_root_when_it_succeeds(monkeypatch):
+    """Sort first: whenever an axis sort from the root passes every braid
+    check, ``plan`` returns it with no search.  Its path is exactly as long
+    as the root's pair-automaton bound and the inversion count, so no legal
+    path is shorter, and its predicted tables are the start tables with the
+    path's letters folded in one by one.  Seeded walks at n = 3..8 start
+    from clean tables and from tables carried over an earlier walk."""
+    from braidplan.planner import _INF, _axis_sort
+
+    # Small budgets keep the queries that both sorts refuse cheap.
+    monkeypatch.setattr(planner, "_DIRECT_BUDGET", 20)
+    monkeypatch.setattr(planner, "_UNWIND_BUDGET", 10)
+    rng = random.Random(19)
+    returns = {"clean": 0, "carried": 0, "search": 0}
+    for n in range(3, 9):
+        for kind in ("clean", "carried") * 25:
+            node = GridNode.root(_random_perms(rng, n), _clean(n), _random_perms(rng, n))
+            if kind == "carried":
+                for _ in range(rng.randrange(1, 25)):
+                    node = rng.choice(expand(node, PermutationState(node.pi1, node.pi2)) or [node])
+            start, tables = PermutationState(node.pi1, node.pi2), node.braids
+            target = _random_perms(rng, n)
+            root = GridNode.root(start, tables, target)
+            result = plan(start, target, tables)
+            sorts = [_axis_sort(root, target, axes)[0] for axes in ((1, 2), (2, 1))]
+            sort = next((s for s in sorts if s is not None), None)
+            if sort is None:
+                assert root.hsum >= _INF or result.trace.peak_open > 0
+                returns["search"] += 1
+                continue
+            returns[kind] += 1
+            path = []
+            while sort is not None:
+                path.append(PermutationState(sort.pi1, sort.pi2))
+                sort = sort.parent
+            assert result.path == tuple(reversed(path))
+            assert result.trace.reason == "goal" and result.trace.peak_open == 0
+            _assert_swap_chain(result.path, start, target)
+            optimum = _inversions(start.pi1, target.pi1) + _inversions(start.pi2, target.pi2)
+            assert len(result.path) - 1 == root.hsum == optimum
+            assert result.final_braids == _fold_path(result.path, tables, target)
+    assert returns["clean"] == 150
+    assert returns["carried"] > 0 and returns["search"] > 0
+
+
+def test_former_clean_table_stall_sorts_first():
+    """``make_scenario(10, 1, 1052)`` once ran the direct search to its
+    20,000-expansion budget from a clean table; the sort from the root now
+    plans it with one expansion per swap, the inversion count."""
+    scenario = make_scenario(10, 1, 1052)
+    start = ranks_from_positions(scenario.initial_positions)
+    target = ranks_from_positions(scenario.target_sets[0])
+    result = plan(start, target)
+    optimum = _inversions(start.pi1, target.pi1) + _inversions(start.pi2, target.pi2)
+    assert result.trace.reason == "goal"
+    assert result.trace.expanded == len(result.path) - 1 == optimum == 55
 
 
 def test_recorded_plans_replay():
@@ -597,8 +681,10 @@ def test_recorded_plans_replay():
     and 8 from tables carried over a random walk of expansions.  Each
     record holds the start and target rank vectors, the input tables and
     the predicted tables, each pair of tables (at pi/2 and at 0) as one
-    ``to_serializable`` object, and the path and trace.  All of them finish
-    in the direct search.
+    ``to_serializable`` object, and the path and trace.  All 32 plans from
+    clean tables and 14 of the carried ones end in the sort from the root
+    (39 sorting axis 1 first, 7 axis 2 first); the other 18 are rejected by
+    both sorts and finish in the direct search.
     """
     records = json.loads((DATA / "recorded_plans.json").read_text())
     assert len(records) == 64
@@ -903,18 +989,20 @@ def test_search_stops_at_its_budget():
 
 
 def test_axis_sort_from_clean_table_always_succeeds():
-    """From an untangled table, sorting axis 1 then axis 2 by adjacent
-    out-of-order swaps never trips a braid check and is shortest."""
+    """From an untangled table, sorting one axis then the other, in either
+    order, by adjacent out-of-order swaps never trips a braid check and is
+    shortest."""
     from braidplan.planner import _axis_sort
 
     def check(start: PermutationState, target: PermutationState) -> None:
         root = GridNode.root(start, _clean(start.n), target)
-        node, trace = _axis_sort(root, target)
-        assert node is not None and trace.reason == "goal"
-        assert (node.pi1, node.pi2) == (target.pi1, target.pi2)
         optimum = _inversions(start.pi1, target.pi1) + _inversions(start.pi2, target.pi2)
-        assert node.g == trace.expanded == optimum
-        assert _all_clean(node.braids)
+        for axes in ((1, 2), (2, 1)):
+            node, trace = _axis_sort(root, target, axes)
+            assert node is not None and trace.reason == "goal"
+            assert (node.pi1, node.pi2) == (target.pi1, target.pi2)
+            assert node.g == trace.expanded == optimum
+            assert _all_clean(node.braids)
 
     perms3 = list(itertools.permutations((1, 2, 3)))
     states3 = [PermutationState(p1, p2) for p1 in perms3 for p2 in perms3]
@@ -985,8 +1073,9 @@ def test_search_from_unwound_stalled_query():
 def test_plan_effort_is_bounded(n, seed):
     """With budgets small enough that the fallback runs, every plan from a
     carried table is either a clean swap chain to the target or an explained
-    failure, and its expansions never exceed both budgets plus the longest
-    axis sort, n(n - 1) swaps."""
+    failure.  Its expansions never exceed the two rejected sorts from the
+    root, at most the inversion count each, plus both budgets, plus the
+    longest axis sort from the unwound state, n(n - 1) swaps."""
     rng = random.Random(seed)
     target = _random_perms(rng, n)
     node = GridNode.root(_random_perms(rng, n), _clean(n), target)
@@ -1005,4 +1094,5 @@ def test_plan_effort_is_bounded(n, seed):
     else:
         assert result.trace.reason in ("exhausted", "max_expansions")
         assert result.final_braids is None
-    assert result.trace.expanded <= 20 + 10 + n * (n - 1)
+    inversions = _inversions(start.pi1, target.pi1) + _inversions(start.pi2, target.pi2)
+    assert result.trace.expanded <= 2 * inversions + 20 + 10 + n * (n - 1)
