@@ -16,12 +16,13 @@ import json
 import math
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 from .errors import InputError
 from .geometry import Trajectory, build_space_time
-from .harness import DEFAULT_GAMMA_BAR, Scenario, run_task_sequence, verify
-from .planner import AXIS_ANGLES, BraidTable, plan, to_serializable
+from .harness import DEFAULT_GAMMA_BAR, Scenario, episode_json, run_task_sequence, verify
+from .planner import AXIS_ANGLES, plan, to_serializable
 from .plot import render_braid_svg, render_paths_svg
 from .workspace import WorkspaceConfig, map_path, ranks_from_positions
 
@@ -209,35 +210,6 @@ def load_trajectory_file(path: str | Path) -> tuple[list[Trajectory], dict | Non
     raise InputError(f"{label}: top level must be an object or a list")
 
 
-def _plan_file_dict(
-    scenario: Scenario,
-    set_index: int,
-    trajectories: list[Trajectory],
-    perm_path,
-    braids: tuple[BraidTable, BraidTable],
-    stats: dict,
-) -> dict:
-    c = scenario.config
-    return {
-        "trajectories": [
-            {"robot_id": t.robot_id, "waypoints": [list(w) for w in t.waypoints]}
-            for t in trajectories
-        ],
-        "permutation_path": [{"pi1": list(p.pi1), "pi2": list(p.pi2)} for p in perm_path],
-        "final_braids": to_serializable(braids),
-        "stats": stats,
-        "set_index": set_index,
-        "workspace": {
-            "xmin": c.xmin, "xmax": c.xmax, "ymin": c.ymin, "ymax": c.ymax,
-        },
-        "cell_size": c.cell_size,
-        "d_safe": c.d_safe,
-        "speed": c.speed,
-        "bases": [list(p) for p in scenario.bases],
-        "targets": [list(p) for p in scenario.target_sets[set_index]],
-    }
-
-
 # ---------------------------------------------------------------------------
 # Subcommands.
 # ---------------------------------------------------------------------------
@@ -263,18 +235,18 @@ def cmd_plan(args: argparse.Namespace) -> int:
               f"{outcome.trace.expanded} nodes expanded", file=sys.stderr)
         return EXIT_NO_PATH
     trajectories = map_path(outcome.path, config, scenario.initial_positions, targets)
-    stats = {
-        "actions": len(outcome.path) - 1,
-        "expanded": outcome.trace.expanded,
-        "generated": outcome.trace.generated,
-        "rejected_by_braid": outcome.trace.rejected_by_braid,
-        "peak_open": outcome.trace.peak_open,
-        "reason": outcome.trace.reason,
-        "plan_time_s": plan_time,
+    stats = {"actions": len(outcome.path) - 1, **asdict(outcome.trace), "plan_time_s": plan_time}
+    episode = episode_json(outcome.path, trajectories)
+    scene = scenario_to_dict(scenario)
+    doc = {
+        "trajectories": episode["trajectories"],
+        "permutation_path": episode["permutation_path"],
+        "final_braids": to_serializable(outcome.final_braids),
+        "stats": stats,
+        "set_index": args.set_index,
+        **{key: scene[key] for key in ("workspace", "cell_size", "d_safe", "speed", "bases")},
+        "targets": scene["target_sets"][args.set_index],
     }
-    doc = _plan_file_dict(
-        scenario, args.set_index, trajectories, outcome.path, outcome.final_braids, stats
-    )
     Path(args.out).write_text(json.dumps(doc, indent=2))
     horizon = max(t.arrival_time for t in trajectories)
     print(
@@ -307,7 +279,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             f"the scenario declares {scenario.n}"
         )
     report, _ = verify(build_space_time(trajectories), scenario.angles)
-    print(json.dumps(report.as_dict(), indent=2))
+    print(json.dumps(asdict(report), indent=2))
     return EXIT_OK if report.ok else EXIT_VIOLATION
 
 

@@ -29,7 +29,7 @@ import json
 import math
 import random
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from operator import itemgetter
 from pathlib import Path
 
@@ -39,7 +39,7 @@ from .braid import BraidLetter, pair_word_text, triplet_word_text, update_pair, 
 from .errors import ConfigurationError, DegenerateInputError, EntanglementAlarm, InputError
 from .geometry import CrossingEvent, LiftedTeam, ProjectionAxis, Trajectory
 from .geometry import build_space_time, extract_crossings
-from .planner import AXIS_ANGLES, BraidTable, _rows, plan, to_serializable
+from .planner import AXIS_ANGLES, BraidTable, PermutationState, _rows, plan, to_serializable
 from .workspace import WorkspaceConfig, map_path, ranks_from_positions
 
 # Not called here; the benchmark's tracer (bench/tracing.py) wraps this name
@@ -61,6 +61,7 @@ __all__ = [
     "carry_over_braids",
     "random_targets",
     "make_scenario",
+    "episode_json",
     "run_task_sequence",
 ]
 
@@ -145,14 +146,6 @@ class Violation:
     time: float
     word: str
 
-    def as_dict(self) -> dict:
-        return {
-            "ids": list(self.ids),
-            "axis_angle": self.axis_angle,
-            "time": self.time,
-            "word": self.word,
-        }
-
 
 @dataclass(frozen=True)
 class EntanglementReport:
@@ -162,13 +155,6 @@ class EntanglementReport:
     violations: tuple[Violation, ...]
     perturbations: tuple[tuple[float, int, int, float], ...]
     """Exact projection ties resolved by robot id, as (angle, i, j, time)."""
-
-    def as_dict(self) -> dict:
-        return {
-            "ok": self.ok,
-            "violations": [v.as_dict() for v in self.violations],
-            "perturbations": [list(p) for p in self.perturbations],
-        }
 
 
 @dataclass(frozen=True)
@@ -384,23 +370,6 @@ class SetResult:
     perturbations: int
     tables_consistent: bool
 
-    def as_dict(self) -> dict:
-        return {
-            "set_index": self.set_index,
-            "success": self.success,
-            "reason": self.reason,
-            "plan_time_s": self.plan_time_s,
-            "actions": self.actions,
-            "expanded": self.expanded,
-            "generated": self.generated,
-            "rejected_by_braid": self.rejected_by_braid,
-            "min_distance": self.min_distance,
-            "horizon": self.horizon,
-            "violations": [v.as_dict() for v in self.violations],
-            "perturbations": self.perturbations,
-            "tables_consistent": self.tables_consistent,
-        }
-
 
 @dataclass(frozen=True)
 class RunMetrics:
@@ -421,21 +390,24 @@ class RunMetrics:
     final_braids: tuple[BraidTable, BraidTable]  # at pi/2 and at 0
 
     def as_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "sets_total": self.sets_total,
-            "successes": self.successes,
-            "success_rate": self.success_rate,
-            "mean_plan_time_s": self.mean_plan_time_s,
-            "max_plan_time_s": self.max_plan_time_s,
-            "mean_actions": self.mean_actions,
-            "mean_min_distance": self.mean_min_distance,
-            "total_violations": self.total_violations,
-            "all_tables_consistent": self.all_tables_consistent,
-            "results": [r.as_dict() for r in self.results],
-            "final_positions": [list(p) for p in self.final_positions],
-            "final_braids": to_serializable(self.final_braids),
-        }
+        """The fields in order, ready for ``json.dumps``.  Read shallowly:
+        ``asdict`` would deep-copy the braid tables it cannot serialize."""
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out["results"] = [asdict(r) for r in self.results]
+        out["final_braids"] = to_serializable(self.final_braids)
+        return out
+
+
+def episode_json(path: tuple[PermutationState, ...], trajectories: list[Trajectory]) -> dict:
+    """An episode's permutation path and timed trajectories as JSON values:
+    the part of a per-set dump and of a plan file that describes the motion."""
+    return {
+        "permutation_path": [{"pi1": list(p.pi1), "pi2": list(p.pi2)} for p in path],
+        "trajectories": [
+            {"robot_id": t.robot_id, "waypoints": [list(w) for w in t.waypoints]}
+            for t in trajectories
+        ],
+    }
 
 
 def run_task_sequence(scenario: Scenario, *, dump_dir: str | Path | None = None) -> RunMetrics:
@@ -498,18 +470,9 @@ def run_task_sequence(scenario: Scenario, *, dump_dir: str | Path | None = None)
         )
         results.append(result)
         if dump_dir is not None:
-            payload = result.as_dict()
-            payload["targets"] = [list(p) for p in targets]
-            payload["permutation_path"] = [
-                {"pi1": list(p.pi1), "pi2": list(p.pi2)} for p in outcome.path
-            ]
-            payload["trajectories"] = [
-                {"robot_id": t.robot_id, "waypoints": [list(w) for w in t.waypoints]}
-                for t in trajectories
-            ]
-            (dump_dir / f"set_{set_index:03d}.json").write_text(
-                json.dumps(payload, indent=2)
-            )
+            episode = episode_json(outcome.path, trajectories)
+            payload = {**asdict(result), "targets": targets, **episode}
+            (dump_dir / f"set_{set_index:03d}.json").write_text(json.dumps(payload, indent=2))
 
         if success:
             positions = targets

@@ -864,6 +864,19 @@ def _unwind(root: GridNode, target: PermutationState, budget: int) -> _Stage:
     Carried braid words accumulated over earlier episodes can make the
     direct search intractable; retracing crossings so the words cancel is
     cheap because every recorded letter keeps its undo move available.
+
+    On tables that plans produced, the unwind fails only by its budget.
+    Every move's reverse is a move, so the team's planned history walked
+    backwards is a legal walk from the root to clean tables.  Every pair
+    count stays within +-1, and each triplet moves as an n = 3 team does,
+    so its braid is one of the finitely many of the n = 3 grid graph (see
+    ``_excess_columns``): the states reachable from the root are finite
+    and include a zero-tangle one.  A move that ``_expand``'s pruning skips
+    either undoes the arriving action or commutes with it, and then the
+    parent reaches the same state with the two moves swapped; induction on
+    the move order and the expansion order shows that a search with no
+    budget closes every reachable state.  Tables loaded by hand carry no
+    such history and no such guarantee.
     """
     return _best_first(
         root, target, lambda node: (_tangle(node), node.g), lambda node: _tangle(node) == 0, budget
@@ -918,8 +931,6 @@ def plan(
     start: PermutationState,
     target: PermutationState,
     braids: tuple[BraidTable, BraidTable] | None = None,
-    *,
-    check_braids: bool = True,
 ) -> PlanResult:
     """Search for an entanglement-free swap sequence from start to target.
 
@@ -935,12 +946,13 @@ def plan(
     length is the inversion count, and every pair must cross at least once
     on each axis where its order is wrong, so the pair-automaton bound
     ``hsum``, a lower bound on every path, is at least the inversion count.
+    When ``hsum`` exceeds it, both sorts must fail, and neither runs.
 
-    Only when both sorts are rejected does the direct best-first search
-    run.  It orders nodes by g + 2 * (pair-automaton bound + summed triplet
-    excess; see ``_search``) and stops after ``_DIRECT_BUDGET`` expansions.
-    A query it cannot solve within that is taken to be stuck against
-    heavily tangled carried-over braids: up to ``_UNWIND_BUDGET``
+    Only when both sorts are rejected or skipped does the direct best-first
+    search run.  It orders nodes by g + 2 * (pair-automaton bound + summed
+    triplet excess; see ``_search``) and stops after ``_DIRECT_BUDGET``
+    expansions.  A query it cannot solve within that is taken to be stuck
+    against heavily tangled carried-over braids: up to ``_UNWIND_BUDGET``
     expansions then go to unwinding the recorded words to the identity,
     and from there ``_axis_sort`` sorts axis 1, then axis 2.  From a
     zero-tangle table that sort cannot fail: each pair crosses at most once
@@ -954,35 +966,40 @@ def plan(
     within its budget the plan fails with the direct search's reason,
     "max_expansions"; a direct search that runs dry fails with "exhausted".
     The trace sums every stage that ran, rejected sorts included.
-
-    With ``check_braids`` off, ``braids`` is ignored: the plan is the first
-    sort from a clean table, a shortest path on the bare permutation grid,
-    and ``final_braids`` is the clean tables with the path's crossings
-    folded in.
     """
     if start.n != target.n:
         raise InputError("start and target describe different team sizes")
-    if braids is None or not check_braids:
+    if braids is None:
         braids = (BraidTable.identity(start.n),) * 2
     root = GridNode.root(start, braids, target)
     if root.hsum >= _INF:
         # Some pair's carried-over cable state makes its target order
         # provably unreachable; no amount of search can help.
         return PlanResult((), None, SearchTrace(0, 0, 0, 0, "exhausted"))
-    node, trace = _axis_sort(root, target)
-    if node is None:
-        stages = [trace]
-        node, trace = _axis_sort(root, target, (2, 1))
-        stages.append(trace)
-        if node is None:
-            node, trace = _search(root, target, _DIRECT_BUDGET)
+    # Pairs out of target order on each axis: a successful sort's length.
+    inversions = sum(
+        (p[a] < p[b]) != (q[a] < q[b])
+        for p, q in ((start.pi1, target.pi1), (start.pi2, target.pi2))
+        for a, b in itertools.combinations(range(start.n), 2)
+    )
+    stages: list[SearchTrace] = []
+    node = None
+    if root.hsum <= inversions:
+        for axes in ((1, 2), (2, 1)):
+            node, trace = _axis_sort(root, target, axes)
             stages.append(trace)
-            if trace.reason == "max_expansions":
-                unwound, unwind_trace = _unwind(root, target, _UNWIND_BUDGET)
-                stages.append(unwind_trace)
-                if unwound is not None:
-                    node, sort_trace = _axis_sort(unwound, target)
-                    stages.append(sort_trace)
+            if node is not None:
+                break
+    if node is None:
+        node, trace = _search(root, target, _DIRECT_BUDGET)
+        stages.append(trace)
+        if trace.reason == "max_expansions":
+            unwound, unwind_trace = _unwind(root, target, _UNWIND_BUDGET)
+            stages.append(unwind_trace)
+            if unwound is not None:
+                node, sort_trace = _axis_sort(unwound, target)
+                stages.append(sort_trace)
+    if len(stages) > 1:
         trace = _chain(stages, "goal" if node is not None else trace.reason)
 
     if node is None:

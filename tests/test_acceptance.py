@@ -15,9 +15,9 @@ tests/test_acceptance.py -s`` to watch them stream):
     bounded-rewriting equivalence property, distinctness of the four
     forbidden 3-strand patterns, and incremental == batch folding over
     10^4 random words.
-5.  With the braid checks disabled and an admissible heuristic the
-    planner returns shortest paths: exhaustive comparison against
-    breadth-first search for n<=4 and an inversion-count oracle at n=6.
+5.  From clean tables the planner returns shortest paths: exhaustive
+    comparison against breadth-first search for n<=4 and an
+    inversion-count oracle at n=6.
 6.  Minimum pairwise separation stays at or above d_safe on every
     executed plan, cross-checked against the per-swap geometric bound.
 7.  Scope note: hardware distance plots and comparisons against other
@@ -306,7 +306,7 @@ def test_criterion_4_braid_algebra():
 
 
 # ---------------------------------------------------------------------------
-# Criterion 5: optimality with braid checks disabled.
+# Criterion 5: optimality from clean tables.
 # ---------------------------------------------------------------------------
 
 def _neighbors(state: tuple, n: int):
@@ -343,7 +343,7 @@ def _inversions(p: tuple, q: tuple) -> int:
 
 
 def _plan_length(start: tuple, target: tuple) -> int:
-    result = plan(PermutationState(*start), PermutationState(*target), check_braids=False)
+    result = plan(PermutationState(*start), PermutationState(*target))
     assert result.trace.reason == "goal"
     return len(result.path) - 1
 

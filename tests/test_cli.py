@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import shutil
 import subprocess
@@ -21,7 +22,7 @@ from braidplan.cli import (
     scenario_to_dict,
 )
 from braidplan.errors import ConfigurationError
-from braidplan.harness import MAX_M, make_scenario
+from braidplan.harness import MAX_M, RunMetrics, SetResult, make_scenario
 from braidplan.planner import PlanResult, SearchTrace, from_serializable
 from hostile_json import hostile
 
@@ -130,6 +131,44 @@ def test_run_dump_dir(tmp_path):
     assert sorted(p.name for p in dump.iterdir()) == ["set_000.json", "set_001.json"]
 
 
+def test_record_layout(tmp_path, capsys):
+    """The keys of every record, in order.  The run report is the
+    ``RunMetrics`` fields plus ``seed``, each result the ``SetResult``
+    fields, and a dump the result plus the targets and the episode; the
+    plan file and the ``verify`` verdict are pinned by name."""
+    sc_path, doc = _write_scenario(tmp_path)
+    out, dump, plan_path = tmp_path / "report.json", tmp_path / "dumps", tmp_path / "plan.json"
+    run_cmd = ["run", "--scenario", str(sc_path), "--out", str(out), "--dump-dir", str(dump)]
+    assert main(run_cmd) == EXIT_OK
+    report = json.loads(out.read_text())
+    assert list(report) == [f.name for f in dataclasses.fields(RunMetrics)] + ["seed"]
+    result_keys = [f.name for f in dataclasses.fields(SetResult)]
+    episode_keys = ["permutation_path", "trajectories"]
+    for result in report["results"]:
+        assert list(result) == result_keys
+        payload = json.loads((dump / f"set_{result['set_index']:03d}.json").read_text())
+        assert list(payload) == [*result_keys, "targets", *episode_keys]
+        assert {key: payload[key] for key in result_keys} == result
+        assert payload["targets"] == doc["target_sets"][result["set_index"]]
+
+    assert main(["plan", "--scenario", str(sc_path), "--out", str(plan_path)]) == EXIT_OK
+    plan_doc = json.loads(plan_path.read_text())
+    assert list(plan_doc) == [
+        "trajectories", "permutation_path", "final_braids", "stats", "set_index",
+        "workspace", "cell_size", "d_safe", "speed", "bases", "targets",
+    ]
+    assert list(plan_doc["stats"]) == [
+        "actions", "expanded", "generated", "rejected_by_braid", "peak_open", "reason",
+        "plan_time_s",
+    ]
+    assert list(plan_doc["workspace"]) == ["xmin", "xmax", "ymin", "ymax"]
+    assert list(plan_doc["permutation_path"][0]) == ["pi1", "pi2"]
+    assert list(plan_doc["trajectories"][0]) == ["robot_id", "waypoints"]
+    capsys.readouterr()
+    assert main(["verify", str(plan_path), "--scenario", str(sc_path)]) == EXIT_OK
+    assert list(json.loads(capsys.readouterr().out)) == ["ok", "violations", "perturbations"]
+
+
 def test_usage_errors_exit_1(tmp_path, capsys):
     # exit code 2 means "no path found"; a malformed command line is bad input
     sc_path, _ = _write_scenario(tmp_path)
@@ -175,6 +214,7 @@ def test_verify_entangled_trajectories_exit_3(tmp_path, capsys):
     words = {v["word"] for v in verdict["violations"]}
     assert "s1 S2 s1" in words
     assert all(v["ids"] == [1, 2, 3] for v in verdict["violations"])
+    assert all(list(v) == ["ids", "axis_angle", "time", "word"] for v in verdict["violations"])
 
 
 def test_verify_robot_count_mismatch_exits_1(tmp_path, capsys):

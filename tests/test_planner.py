@@ -575,24 +575,46 @@ def test_plan_detects_unreachable_carried_state():
 
 
 def test_plan_budget_exhaustion(monkeypatch):
-    # a tangled carried table: both sorts from the root are rejected at
-    # their first swap, and neither the direct search nor the unwind
-    # finishes in one expansion, so the final sort never runs.  The trace
-    # counts all four: two rejected sort steps, one direct-search
-    # expansion and one unwind expansion.
-    start = PermutationState.identity(4)
-    mid = PermutationState((4, 3, 2, 1), (2, 1, 4, 3))
-    carried = plan(start, mid).final_braids
-    assert carried != _clean(4)
-    target = PermutationState((1, 2, 3, 4), (2, 1, 4, 3))
+    # a tangled carried table whose root bound equals the inversion count:
+    # both sorts from the root run and are rejected at their second swap,
+    # and neither the direct search nor the unwind finishes in one
+    # expansion, so the final sort never runs.  The trace counts all four
+    # stages: two steps of each sort, one direct-search expansion and one
+    # unwind expansion.  Both queries keep axis 2 in target order, so the
+    # inversion count is axis 1's.
+    from braidplan.planner import _axis_sort
+
     monkeypatch.setattr(planner, "_DIRECT_BUDGET", 1)
     monkeypatch.setattr(planner, "_UNWIND_BUDGET", 1)
+    start = PermutationState.identity(4)
+    mid = PermutationState((1, 2, 4, 3), (1, 3, 4, 2))
+    carried = plan(start, mid).final_braids
+    assert carried != _clean(4)
+    target = PermutationState((1, 4, 3, 2), (1, 3, 4, 2))
+    assert GridNode.root(mid, carried, target).hsum == 2 == _inversions(mid.pi1, target.pi1)
     result = plan(mid, target, carried)
     assert result.trace.reason == "max_expansions"
     assert result.path == ()
     assert result.final_braids is None
-    assert result.trace.expanded == 4
-    assert result.trace.rejected_by_braid >= 2
+    assert result.trace.expanded == 6
+    assert result.trace.rejected_by_braid == 2
+
+    # a root whose bound exceeds the inversion count runs no sort step
+    mid = PermutationState((4, 3, 2, 1), (2, 1, 4, 3))
+    carried = plan(start, mid).final_braids
+    target = PermutationState((1, 2, 3, 4), (2, 1, 4, 3))
+    assert GridNode.root(mid, carried, target).hsum == 10 > 6 == _inversions(mid.pi1, target.pi1)
+    sorts = []
+
+    def counted_sort(*args):
+        sorts.append(args)
+        return _axis_sort(*args)
+
+    monkeypatch.setattr(planner, "_axis_sort", counted_sort)
+    result = plan(mid, target, carried)
+    assert result.trace.reason == "max_expansions"
+    assert result.trace.expanded == 2
+    assert sorts == []
 
 
 def _step_action(before: PermutationState, after: PermutationState) -> SwapAction:
@@ -683,8 +705,9 @@ def test_recorded_plans_replay():
     the predicted tables, each pair of tables (at pi/2 and at 0) as one
     ``to_serializable`` object, and the path and trace.  All 32 plans from
     clean tables and 14 of the carried ones end in the sort from the root
-    (39 sorting axis 1 first, 7 axis 2 first); the other 18 are rejected by
-    both sorts and finish in the direct search.
+    (39 sorting axis 1 first, 7 axis 2 first); the other 18 finish in the
+    direct search, 6 after both sorts are rejected and 12 with no sort
+    run, their root bound above the inversion count.
     """
     records = json.loads((DATA / "recorded_plans.json").read_text())
     assert len(records) == 64
@@ -736,7 +759,7 @@ def test_plan_lengths_match_bfs_n3():
     for p1 in perms3:
         for p2 in perms3:
             target = PermutationState(p1, p2)
-            result = plan(start, target, check_braids=False)
+            result = plan(start, target)
             assert result.trace.reason == "goal"
             assert len(result.path) - 1 == _bfs_distance(start, target)
             assert result.trace.rejected_by_braid == 0
@@ -748,7 +771,7 @@ def test_plan_lengths_match_bfs_random_starts():
         n = rng.choice((3, 4))
         start = _random_perms(rng, n)
         target = _random_perms(rng, n)
-        result = plan(start, target, check_braids=False)
+        result = plan(start, target)
         assert len(result.path) - 1 == _bfs_distance(start, target)
 
 
@@ -958,15 +981,53 @@ def test_unwind_reaches_identity_table():
     assert (trace.expanded, trace.reason) == (1, "max_expansions")
 
 
-def test_plan_without_braid_checks_is_the_axis_sort():
-    """Checks off, the plan is the axis sort from a clean table: one
-    expansion per action, nothing rejected, and the inversion count long."""
+def test_planned_history_walks_back_to_clean_tables():
+    """Every move's reverse is a move, so a team's planned history, walked
+    backwards with ``expand``, is a legal walk back to clean tables: a
+    zero-tangle node is reachable from every carried root, and ``_unwind``
+    reaches one.  The history chains ``plan()`` over the carried sets of
+    ``make_scenario(6, 30, 2)``."""
+    from braidplan.planner import _UNWIND_BUDGET, _tangle, _unwind
+
+    def step(node: GridNode, perms: PermutationState) -> GridNode:
+        return next(c for c in expand(node, perms) if (c.pi1, c.pi2) == (perms.pi1, perms.pi2))
+
+    scenario = make_scenario(6, 30, 2)
+    start = ranks_from_positions(scenario.initial_positions)
+    node = GridNode.root(start, _clean(6), start)
+    history = [(start, node.braids)]
+    for targets in scenario.target_sets:
+        target = ranks_from_positions(targets)
+        result = plan(start, target, node.braids)
+        assert result.trace.reason == "goal"
+        for perms in result.path[1:]:
+            node = step(node, perms)
+            history.append((perms, node.braids))
+        assert node.braids == result.final_braids
+        start = target
+    assert len(history) > 100
+
+    last = GridNode.root(start, node.braids, start)
+    assert _tangle(last) > 0
+    node = last
+    for perms, tables in reversed(history[:-1]):
+        node = step(node, perms)
+        assert node.braids == tables
+    assert node.braids == _clean(6)
+
+    best, trace = _unwind(last, start, _UNWIND_BUDGET)
+    assert trace.reason == "goal" and _tangle(best) == 0
+
+
+def test_plan_from_clean_tables_is_the_axis_sort():
+    """From clean tables the plan is the first axis sort: one expansion per
+    action, nothing rejected, and the inversion count long."""
     rng = random.Random(18)
     for n in range(7, 11):
         for _ in range(5):
             start = _random_perms(rng, n)
             target = _random_perms(rng, n)
-            result = plan(start, target, check_braids=False)
+            result = plan(start, target)
             assert result.trace.reason == "goal"
             _assert_swap_chain(result.path, start, target)
             optimum = _inversions(start.pi1, target.pi1) + _inversions(start.pi2, target.pi2)
