@@ -456,25 +456,34 @@ class GridNode:
         target: PermutationState,
     ) -> "GridNode":
         """The search root; ``braids`` is the (table at pi/2, table at 0) pair."""
-        if len(braids) != 2 or braids[0].n != perms.n or braids[1].n != perms.n:
-            raise InputError("the planner needs one braid table per grid axis for this team")
-        table1, table2 = braids
-        if not (table1.is_clean and table2.is_clean):
-            raise InputError("initial braid tables already hold a violated state")
-        pi1, pi2 = perms.pi1, perms.pi2
-        pairs1, pairs2 = table1.pairs, table2.pairs
-        trips1, trips2 = table1.triplets, table2.triplets
-        rows = _target_rows(target)
-        # Each triplet once, as (a, b, t) with a < b < t; the excess is 0
-        # wherever one axis's braid is trivial.
-        xsum = sum(
-            column.get((trips1[to], trips2[to], _code(pi1, a0, b0, t0), _code(pi2, a0, b0, t0)), 0)
-            for a0, b0, _, _, _, thirds in rows.values()
-            for t0, to, column in thirds
-            if t0 > b0 and trips1[to] and trips2[to]
-        )
-        hsum = _pair_bound(pi1, pi2, pairs1, pairs2, rows)
-        return cls(pi1, pi2, (pairs1, pairs2), (trips1, trips2), 0, hsum, xsum, None, None)
+        return _root(perms, braids, target)[0]
+
+
+def _root(
+    perms: PermutationState, braids: tuple[BraidTable, BraidTable], target: PermutationState
+) -> tuple[GridNode, int]:
+    """``GridNode.root`` and, from the same pass over the pairs, the number
+    of pairs out of target order on each axis: a successful sort's length."""
+    if len(braids) != 2 or braids[0].n != perms.n or braids[1].n != perms.n:
+        raise InputError("the planner needs one braid table per grid axis for this team")
+    table1, table2 = braids
+    if not (table1.is_clean and table2.is_clean):
+        raise InputError("initial braid tables already hold a violated state")
+    pi1, pi2 = perms.pi1, perms.pi2
+    pairs1, pairs2 = table1.pairs, table2.pairs
+    trips1, trips2 = table1.triplets, table2.triplets
+    rows = _target_rows(target)
+    # Each triplet once, as (a, b, t) with a < b < t; the excess is 0
+    # wherever one axis's braid is trivial.
+    xsum = sum(
+        column.get((trips1[to], trips2[to], _code(pi1, a0, b0, t0), _code(pi2, a0, b0, t0)), 0)
+        for a0, b0, _, _, _, thirds in rows.values()
+        for t0, to, column in thirds
+        if t0 > b0 and trips1[to] and trips2[to]
+    )
+    hsum, inversions = _pair_bound(pi1, pi2, pairs1, pairs2, rows)
+    root = GridNode(pi1, pi2, (pairs1, pairs2), (trips1, trips2), 0, hsum, xsum, None, None)
+    return root, inversions
 
 
 def expand(node: GridNode, target: PermutationState) -> list[GridNode]:
@@ -538,15 +547,19 @@ def _rows_for(target: PermutationState, columns: list[dict]) -> dict[tuple[int, 
     }
 
 
-def _pair_bound(pi1, pi2, pairs1, pairs2, rows: dict[tuple[int, int], tuple]) -> int:
-    """The pair-automaton lower bound: the summed distances of every pair's
-    state to its target orders, which ``rows`` gives."""
-    total = 0
+def _pair_bound(
+    pi1, pi2, pairs1, pairs2, rows: dict[tuple[int, int], tuple]
+) -> tuple[int, int]:
+    """The pair-automaton lower bound, the summed distances of every pair's
+    state to its target orders, which ``rows`` gives; and the number of
+    pairs out of those orders, counted once per axis."""
+    total = inversions = 0
     for a0, b0, po, to1, to2, _ in rows.values():
         o1 = 1 if pi1[a0] < pi1[b0] else -1
         o2 = 1 if pi2[a0] < pi2[b0] else -1
         total += _PAIR_DIST[(o1, o2, pairs1[po], pairs2[po], to1, to2)]
-    return total
+        inversions += (o1 != to1) + (o2 != to2)
+    return total, inversions
 
 
 def _expand(
@@ -748,7 +761,7 @@ def _excess_columns() -> list[dict[tuple[int, int, int, int], int]]:
             column = columns[8 * _code(t1, 0, 1, 2) + _code(t2, 0, 1, 2)]
             for k in tangled:
                 node = nodes[k]
-                excess = dist[k] - _pair_bound(node.pi1, node.pi2, *node.pairs, target_rows)
+                excess = dist[k] - _pair_bound(node.pi1, node.pi2, *node.pairs, target_rows)[0]
                 if excess:
                     (s1,), (s2,) = node.trips
                     column[(s1, s2, _code(node.pi1, 0, 1, 2), _code(node.pi2, 0, 1, 2))] = excess
@@ -779,9 +792,15 @@ _Stage = tuple[GridNode | None, SearchTrace]
 # fewest nodes and gave the shortest plans on the heavy bench queries of the
 # weights 2, 3 and 5.  It gets _DIRECT_BUDGET expansions before a query
 # counts as stuck against carried cable tangle; the unwind stage then gets
-# _UNWIND_BUDGET more.
+# _UNWIND_BUDGET more.  On tables that plans produced the unwind fails only
+# by its budget (see _unwind), so the direct budget buys only the chance of
+# a shorter plan.  2,000 is the knee measured on carried n = 8 and n = 10
+# tables: against 20,000 it cut plan CPU by a factor of 5 to 7 and the
+# longest plan tenfold, for 1.5-3% more swaps; 5,000 doubled the CPU of
+# 2,000 for at most 1.7% fewer swaps, and 1,000 doubled the swap cost at
+# n = 8.
 _WEIGHT = 2.0
-_DIRECT_BUDGET = 20_000
+_DIRECT_BUDGET = 2_000
 _UNWIND_BUDGET = 30_000
 
 
@@ -951,19 +970,22 @@ def plan(
     Only when both sorts are rejected or skipped does the direct best-first
     search run.  It orders nodes by g + 2 * (pair-automaton bound + summed
     triplet excess; see ``_search``) and stops after ``_DIRECT_BUDGET``
-    expansions.  A query it cannot solve within that is taken to be stuck
-    against heavily tangled carried-over braids: up to ``_UNWIND_BUDGET``
-    expansions then go to unwinding the recorded words to the identity,
-    and from there ``_axis_sort`` sorts axis 1, then axis 2.  From a
-    zero-tangle table that sort cannot fail: each pair crosses at most once
-    per axis, so no pair sum leaves +-1; while one axis is sorted the other
-    axis's ranks stay fixed, so every crossing sign is a comparison under
-    one fixed order, and each forbidden triplet word would need those
-    comparisons to form a cycle (a > b > c > a).  So a plan from clean
-    tables is always the first sort, and every plan spends at most
-    ``_DIRECT_BUDGET + _UNWIND_BUDGET`` expansions plus three sorts of at
-    most n(n - 1) swaps each.  When the unwind does not reach zero tangle
-    within its budget the plan fails with the direct search's reason,
+    (2,000) expansions.  A query it cannot solve within that is taken to be
+    stuck against heavily tangled carried-over braids: up to
+    ``_UNWIND_BUDGET`` (30,000) expansions then go to unwinding the
+    recorded words to the identity, and from there ``_axis_sort`` sorts
+    axis 1, then axis 2.  From a zero-tangle table that sort cannot fail:
+    each pair crosses at most once per axis, so no pair sum leaves +-1;
+    while one axis is sorted the other axis's ranks stay fixed, so every
+    crossing sign is a comparison under one fixed order, and each
+    forbidden triplet word would need those comparisons to form a cycle
+    (a > b > c > a).  So a plan from clean tables is always the first
+    sort, and every plan spends at most ``_DIRECT_BUDGET + _UNWIND_BUDGET``
+    = 32,000 expansions plus three sorts of at most n(n - 1) swaps each.
+    On tables that plans produced the unwind fails only by its budget (see
+    ``_unwind``), so the direct stage is there for shorter plans, not for
+    reaching the goal.  When the unwind does not reach zero tangle within
+    its budget the plan fails with the direct search's reason,
     "max_expansions"; a direct search that runs dry fails with "exhausted".
     The trace sums every stage that ran, rejected sorts included.
     """
@@ -971,17 +993,11 @@ def plan(
         raise InputError("start and target describe different team sizes")
     if braids is None:
         braids = (BraidTable.identity(start.n),) * 2
-    root = GridNode.root(start, braids, target)
+    root, inversions = _root(start, braids, target)
     if root.hsum >= _INF:
         # Some pair's carried-over cable state makes its target order
         # provably unreachable; no amount of search can help.
         return PlanResult((), None, SearchTrace(0, 0, 0, 0, "exhausted"))
-    # Pairs out of target order on each axis: a successful sort's length.
-    inversions = sum(
-        (p[a] < p[b]) != (q[a] < q[b])
-        for p, q in ((start.pi1, target.pi1), (start.pi2, target.pi2))
-        for a, b in itertools.combinations(range(start.n), 2)
-    )
     stages: list[SearchTrace] = []
     node = None
     if root.hsum <= inversions:

@@ -101,6 +101,14 @@ def _random_perms(rng: random.Random, n: int) -> PermutationState:
     return PermutationState(tuple(p1), tuple(p2))
 
 
+def _pinned_query(name: str) -> tuple[PermutationState, PermutationState, tuple]:
+    """The start, target and carried tables of a query pinned in ``data/``."""
+    data = json.loads((DATA / name).read_text())
+    start = PermutationState(tuple(data["start"]["pi1"]), tuple(data["start"]["pi2"]))
+    target = PermutationState(tuple(data["target"]["pi1"]), tuple(data["target"]["pi2"]))
+    return start, target, from_serializable(data["carried"])
+
+
 def _assert_swap_chain(path, start: PermutationState, target: PermutationState) -> None:
     """Each step of ``path`` swaps two rank-adjacent robots on one axis."""
     n = start.n
@@ -472,10 +480,8 @@ def test_incremental_excess_matches_root(n, seed):
 
 
 def test_incremental_excess_matches_root_on_stalled_query():
-    data = json.loads((DATA / "stalled_n9_query.json").read_text())
-    start = PermutationState(tuple(data["start"]["pi1"]), tuple(data["start"]["pi2"]))
-    target = PermutationState(tuple(data["target"]["pi1"]), tuple(data["target"]["pi2"]))
-    root = GridNode.root(start, from_serializable(data["carried"]), target)
+    start, target, carried = _pinned_query("stalled_n9_query.json")
+    root = GridNode.root(start, carried, target)
     children = expand(root, target)
     assert root.xsum > 0 and {child.xsum for child in children} != {root.xsum}
     for node in [root, *children]:
@@ -1096,15 +1102,31 @@ def test_plan_stalled_query_recovers_by_axis_sort():
     The fixture holds the episode's start and target permutations and the
     carried braid tables (``to_serializable``) after sets 0-4 of
     ``make_scenario(9, 11, 191)`` ran through ``run_task_sequence``; the
-    query is that scenario's set 5.
+    query is that scenario's set 5.  The direct search gives up at its
+    budget, and unwind + sort finish within 1,000 more expansions (2,128 in
+    all at the time of writing).
     """
-    data = json.loads((DATA / "stalled_n9_query.json").read_text())
-    start = PermutationState(tuple(data["start"]["pi1"]), tuple(data["start"]["pi2"]))
-    target = PermutationState(tuple(data["target"]["pi1"]), tuple(data["target"]["pi2"]))
-    carried = from_serializable(data["carried"])
+    start, target, carried = _pinned_query("stalled_n9_query.json")
     result = plan(start, target, carried)
     assert result.trace.reason == "goal"
-    assert result.trace.expanded < 30_000
+    assert result.trace.expanded <= planner._DIRECT_BUDGET + 1_000
+    _assert_swap_chain(result.path, start, target)
+    assert _all_clean(result.final_braids)
+
+
+def test_plan_carried_n8_stall_recovers_within_budget():
+    """The one ``team8-carry`` query whose direct search stalls: set 16 of
+    ``make_scenario(8, 33, 12)``, with the tables carried after sets 0-15
+    ran through ``run_task_sequence``.  The direct search gives up at its
+    budget, and unwind + sort return a 76-swap plan within 1,000 more
+    expansions (2,117 in all at the time of writing).  Under a 20,000
+    budget the direct search reached no goal either, and the plan was the
+    same length."""
+    start, target, carried = _pinned_query("stalled_n8_query.json")
+    result = plan(start, target, carried)
+    assert result.trace.reason == "goal"
+    assert result.trace.expanded <= planner._DIRECT_BUDGET + 1_000
+    assert len(result.path) - 1 == 76
     _assert_swap_chain(result.path, start, target)
     assert _all_clean(result.final_braids)
 
@@ -1116,10 +1138,8 @@ def test_search_from_unwound_stalled_query():
     and no shorter than the inversion count."""
     from braidplan.planner import _search, _tangle, _unwind
 
-    data = json.loads((DATA / "stalled_n9_query.json").read_text())
-    start = PermutationState(tuple(data["start"]["pi1"]), tuple(data["start"]["pi2"]))
-    target = PermutationState(tuple(data["target"]["pi1"]), tuple(data["target"]["pi2"]))
-    root = GridNode.root(start, from_serializable(data["carried"]), target)
+    start, target, carried = _pinned_query("stalled_n9_query.json")
+    root = GridNode.root(start, carried, target)
     unwound, _ = _unwind(root, target, planner._UNWIND_BUDGET)
     assert unwound is not None and _tangle(unwound) == 0
     node, trace = _search(unwound, target, 1000)
