@@ -340,10 +340,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_plot = sub.add_parser("plot", help="render a plan or trajectory file to SVG")
     p_plot.add_argument("input", help="plan or trajectory JSON file")
     p_plot.add_argument("--out", required=True, help="output SVG file")
-    group = p_plot.add_mutually_exclusive_group()
-    group.add_argument("--paths", action="store_true", help="top-down workspace view (default)")
-    group.add_argument("--braid", type=int, default=None, metavar="AXIS",
-                       help="braid diagram on grid axis 1 or 2")
+    p_plot.add_argument("--braid", type=int, default=None, metavar="AXIS",
+                        help="braid diagram on grid axis 1 or 2, not the top-down view")
     p_plot.set_defaults(func=cmd_plot)
 
     return parser

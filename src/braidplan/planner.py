@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import deque
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from heapq import heappop, heappush
@@ -334,66 +334,8 @@ def _check_flag(entry: dict, violated: bool) -> None:
         )
 
 
-# ---------------------------------------------------------------------------
-# Pair-automaton lower bound used by the search.
-#
-# Each swap action changes the relative order of exactly one robot pair,
-# and the sign of a pair's crossing depends only on that pair's own
-# relative orders: an axis-1 crossing appends sign -o1*o2 and flips o1,
-# an axis-2 crossing appends +o1*o2 and flips o2 (o_k = +1 when the
-# lower-id robot ranks first on axis k).  With prefix sums capped at
-# |s| <= 1, each pair therefore walks a 36-state automaton independently
-# of the rest of the team, and the sum of per-pair shortest automaton
-# walks is an admissible, consistent lower bound on remaining actions.
-# Unlike the rank-Manhattan bound it sees the braid constraints, which
-# keeps the search from flooding plateaus that carried-over cable states
-# have made expensive, and an unreachable pair target (_INF) proves the
-# whole query infeasible.
-# ---------------------------------------------------------------------------
-
+# The distance of a state from which no walk reaches the target orders.
 _INF = 1 << 30
-
-
-def _build_pair_automaton() -> dict[tuple[int, int, int, int, int, int], int]:
-    states = [
-        (o1, o2, s1, s2)
-        for o1 in (-1, 1)
-        for o2 in (-1, 1)
-        for s1 in (-1, 0, 1)
-        for s2 in (-1, 0, 1)
-    ]
-
-    def moves(st: tuple[int, int, int, int]) -> list[tuple[int, int, int, int]]:
-        o1, o2, s1, s2 = st
-        out = []
-        sg = -o1 * o2
-        if abs(s1 + sg) <= 1:
-            out.append((-o1, o2, s1 + sg, s2))
-        sg = o1 * o2
-        if abs(s2 + sg) <= 1:
-            out.append((o1, -o2, s1, s2 + sg))
-        return out
-
-    dist: dict[tuple[int, int, int, int, int, int], int] = {}
-    for src in states:
-        seen = {src: 0}
-        queue = deque([src])
-        while queue:
-            cur = queue.popleft()
-            for nxt in moves(cur):
-                if nxt not in seen:
-                    seen[nxt] = seen[cur] + 1
-                    queue.append(nxt)
-        for t1 in (-1, 1):
-            for t2 in (-1, 1):
-                dist[src + (t1, t2)] = min(
-                    (d for st, d in seen.items() if st[0] == t1 and st[1] == t2),
-                    default=_INF,
-                )
-    return dist
-
-
-_PAIR_DIST = _build_pair_automaton()
 
 
 # ---------------------------------------------------------------------------
@@ -407,8 +349,8 @@ class GridNode:
     ``pairs`` and ``trips`` hold one tuple per grid axis, the entries of the
     node's table at pi/2 and at 0, so a child rebuilds only the tuples of
     the axis it swaps on and shares the other axis's with its parent.
-    ``hsum`` is the pair-automaton lower bound on remaining actions (see
-    ``_build_pair_automaton``) and ``xsum`` the summed triplet excess (see
+    ``hsum`` is the pair lower bound on remaining actions (see
+    ``_pair_distances``) and ``xsum`` the summed triplet excess (see
     ``_excess_columns``), both maintained incrementally: each action
     changes exactly one pair's term and the terms of the n - 2 triplets
     that hold that pair.  Nodes are their own closed-list keys: pair
@@ -477,11 +419,16 @@ def _root(
     # wherever one axis's braid is trivial.
     xsum = sum(
         column.get((trips1[to], trips2[to], _code(pi1, a0, b0, t0), _code(pi2, a0, b0, t0)), 0)
-        for a0, b0, _, _, _, thirds in rows.values()
+        for a0, b0, _, _, _, _, thirds in rows.values()
         for t0, to, column in thirds
         if t0 > b0 and trips1[to] and trips2[to]
     )
-    hsum, inversions = _pair_bound(pi1, pi2, pairs1, pairs2, rows)
+    # The pair bound sums every pair's distance to its target orders.
+    hsum = inversions = 0
+    for a0, b0, po, to1, to2, table, _ in rows.values():
+        o1, o2 = _order(pi1, a0, b0), _order(pi2, a0, b0)
+        hsum += table[(o1, o2, pairs1[po], pairs2[po])]
+        inversions += (o1 != to1) + (o2 != to2)
     root = GridNode(pi1, pi2, (pairs1, pairs2), (trips1, trips2), 0, hsum, xsum, None, None)
     return root, inversions
 
@@ -513,6 +460,11 @@ def _rows(n: int) -> dict[tuple[int, int], tuple]:
     }
 
 
+def _order(ranks: tuple[int, ...], a0: int, b0: int) -> int:
+    """The order of robots a and b on one axis: +1 when a ranks first, else -1."""
+    return 1 if ranks[a0] < ranks[b0] else -1
+
+
 def _code(ranks: tuple[int, ...], a0: int, b0: int, t0: int) -> int:
     """The order of robots a, b and t on one axis, as three bits: a before
     b, a before t, b before t."""
@@ -522,44 +474,31 @@ def _code(ranks: tuple[int, ...], a0: int, b0: int, t0: int) -> int:
 
 @lru_cache(maxsize=8)
 def _target_rows(target: PermutationState) -> dict[tuple[int, int], tuple]:
-    """``_rows`` for one target, with the excess columns of ``_excess_columns``."""
-    return _rows_for(target, _excess_columns())
+    """``_rows`` for one target, with the tables of ``_pair_distances`` and
+    ``_excess_columns``."""
+    return _rows_for(target, _pair_distances(), _excess_columns())
 
 
-def _rows_for(target: PermutationState, columns: list[dict]) -> dict[tuple[int, int], tuple]:
+def _rows_for(
+    target: PermutationState, pair_tables: dict, columns: list[dict]
+) -> dict[tuple[int, int], tuple]:
     """One row per pair (a, b), a < b, in pair order: ``(a - 1, b - 1, pair
-    ord, o1, o2, ((t - 1, triplet ord, column), ...))``.  o1 and o2 are +1
-    or -1 for whether a ranks before b on axis 1 and on axis 2 of
-    ``target``, and each third robot t gets the column of ``columns`` for
-    the target's orders of (a, b, t)."""
+    ord, o1, o2, table, ((t - 1, triplet ord, column), ...))``.  o1 and o2
+    are the ``_order`` of a and b on axes 1 and 2 of ``target``, ``table``
+    is ``pair_tables[(o1, o2)]``, and each third robot t gets the column of
+    ``columns`` for the target's orders of (a, b, t)."""
     tg1, tg2 = target.pi1, target.pi2
-    return {
-        pair: (
-            a0, b0, po,
-            1 if tg1[a0] < tg1[b0] else -1,
-            1 if tg2[a0] < tg2[b0] else -1,
+    rows = {}
+    for pair, (a0, b0, po, thirds) in _rows(len(tg1)).items():
+        o1, o2 = _order(tg1, a0, b0), _order(tg2, a0, b0)
+        rows[pair] = (
+            a0, b0, po, o1, o2, pair_tables[(o1, o2)],
             tuple(
                 (t0, to, columns[8 * _code(tg1, a0, b0, t0) + _code(tg2, a0, b0, t0)])
                 for t0, to in thirds
             ),
         )
-        for pair, (a0, b0, po, thirds) in _rows(len(tg1)).items()
-    }
-
-
-def _pair_bound(
-    pi1, pi2, pairs1, pairs2, rows: dict[tuple[int, int], tuple]
-) -> tuple[int, int]:
-    """The pair-automaton lower bound, the summed distances of every pair's
-    state to its target orders, which ``rows`` gives; and the number of
-    pairs out of those orders, counted once per axis."""
-    total = inversions = 0
-    for a0, b0, po, to1, to2, _ in rows.values():
-        o1 = 1 if pi1[a0] < pi1[b0] else -1
-        o2 = 1 if pi2[a0] < pi2[b0] else -1
-        total += _PAIR_DIST[(o1, o2, pairs1[po], pairs2[po], to1, to2)]
-        inversions += (o1 != to1) + (o2 != to2)
-    return total, inversions
+    return rows
 
 
 def _expand(
@@ -616,14 +555,13 @@ def _child(
     forbidden.
 
     A move the pair check allows never strands the pair: the reverse swap
-    undoes every automaton step, so a pair with a finite distance to its
-    target orders keeps one, and ``plan`` refuses roots with an
-    unreachable pair.
+    is a move too, so a pair with a finite distance to its target orders
+    keeps one, and ``plan`` refuses roots with an unreachable pair.
     """
     pi1, pi2 = node.pi1, node.pi2
     pairs1, pairs2 = node.pairs
     trips1, trips2 = node.trips
-    a0, b0, po, to1, to2, thirds = rows[(i, j) if i < j else (j, i)]
+    a0, b0, po, _, _, table, thirds = rows[(i, j) if i < j else (j, i)]
     o1 = 1 if pi1[a0] < pi1[b0] else -1
     o2 = 1 if pi2[a0] < pi2[b0] else -1
     if axis == 1:
@@ -640,11 +578,11 @@ def _child(
         return None
     s1 = pairs1[po]
     s2 = pairs2[po]
-    before = _PAIR_DIST[(o1, o2, s1, s2, to1, to2)]
+    before = table[(o1, o2, s1, s2)]
     if axis == 1:
-        after = _PAIR_DIST[(-o1, o2, new_pair, s2, to1, to2)]
+        after = table[(-o1, o2, new_pair, s2)]
     else:
-        after = _PAIR_DIST[(o1, -o2, s1, new_pair, to1, to2)]
+        after = table[(o1, -o2, s1, new_pair)]
 
     # The letter's slot in ``braid._NEXT``: s2 when the third robot ranks
     # below the pair, else s1; its inverse for a negative crossing.
@@ -696,38 +634,22 @@ def _child(
     )
 
 
-@lru_cache(maxsize=None)
-def _excess_columns() -> list[dict[tuple[int, int, int, int], int]]:
-    """Exact triplet guidance: a pattern database (Culberson & Schaeffer,
-    Computational Intelligence, 1998) of the n = 3 grid graph, built on
-    first use.
+def _grid_distances(roots: list[GridNode]) -> tuple[list[GridNode], dict[tuple, list[int]]]:
+    """Exact distances in the grid graph of a small team, the pattern
+    databases (Culberson & Schaeffer, Computational Intelligence, 1998)
+    that guide the search.
 
-    Inside a team a triplet moves as an n = 3 team would: only swaps within
-    it change its orders and braids, and robots adjacent in the team are
-    adjacent in the triplet.  A triplet state's *excess* is its exact
-    distance to the target orders in the n = 3 graph minus the
-    pair-automaton distances of its three pairs, the detours that the pair
-    bound cannot see: 0, 2 or 4.
-
-    Column ``8 * t1 + t2`` is for the target orders t1 and t2 of a
-    triplet's robots (a, b, t) on axes 1 and 2, coded by ``_code``.  It maps
-    a state's (braid id on axis 1, braid id on axis 2, order on axis 1,
-    order on axis 2) to its excess and omits zeros, so a state outside the
-    graph, one no plan from clean tables reaches, reads 0.  Relabelling the
-    robots maps the graph onto itself, so every triplet of every team reads
-    one table, with its robots in any order.
-
-    The graph holds 2,316 states, reached from the 36 clean roots by 7,392
-    moves.  Each move's reverse is a move, so one breadth-first search from
-    the target's states per target order pair gives every distance.  The
-    excess is 0 wherever one axis's braid is trivial, so only states with
-    two nontrivial braids are stored.
+    Returns the states that ``_expand`` reaches from ``roots``, in the
+    order met, and for each target order pair ``(pi1, pi2)`` every state's
+    fewest moves to those orders, ``_INF`` where none reach them.  Each
+    move's reverse is a move, so one breadth-first search from the target's
+    states gives every distance.  The walk's rows carry guidance tables
+    that read 0, since it builds the guidance.
     """
-    perms = list(itertools.permutations((1, 2, 3)))
-    no_excess: list[dict] = [{}] * 64
-    rows = _rows_for(PermutationState.identity(3), no_excess)
-    pairs, trips = ((0, 0, 0),) * 2, ((0,),) * 2
-    nodes = [GridNode(p1, p2, pairs, trips, 0, 0, 0, None, None) for p1 in perms for p2 in perms]
+    n = len(roots[0].pi1)
+    no_pairs = dict.fromkeys(itertools.product((-1, 1), repeat=2), Counter())
+    rows = _rows_for(PermutationState.identity(n), no_pairs, [{}] * 64)
+    nodes = list(roots)
     index = {node: k for k, node in enumerate(nodes)}
     edges: list[list[int]] = []
     for node in nodes:  # the list grows as the search meets new states
@@ -739,32 +661,98 @@ def _excess_columns() -> list[dict[tuple[int, int, int, int], int]]:
             out.append(index[child])
         edges.append(out)
 
-    tangled = [k for k, node in enumerate(nodes) if node.trips[0][0] and node.trips[1][0]]
-    columns: list[dict] = [{} for _ in range(64)]
-    for t1 in perms:
-        for t2 in perms:
-            dist = [-1] * len(nodes)
-            frontier = [k for k, node in enumerate(nodes) if node.pi1 == t1 and node.pi2 == t2]
+    distances = {}
+    for t1, t2 in itertools.product(itertools.permutations(range(1, n + 1)), repeat=2):
+        dist = [_INF] * len(nodes)
+        frontier = {k for k, node in enumerate(nodes) if node.pi1 == t1 and node.pi2 == t2}
+        d = 0
+        while frontier:
             for k in frontier:
-                dist[k] = 0
-            d = 0
-            while frontier:
-                d += 1
-                reached = []
-                for k in frontier:
-                    for m in edges[k]:
-                        if dist[m] < 0:
-                            dist[m] = d
-                            reached.append(m)
-                frontier = reached
-            target_rows = _rows_for(PermutationState(t1, t2), no_excess)
-            column = columns[8 * _code(t1, 0, 1, 2) + _code(t2, 0, 1, 2)]
-            for k in tangled:
-                node = nodes[k]
-                excess = dist[k] - _pair_bound(node.pi1, node.pi2, *node.pairs, target_rows)[0]
-                if excess:
-                    (s1,), (s2,) = node.trips
-                    column[(s1, s2, _code(node.pi1, 0, 1, 2), _code(node.pi2, 0, 1, 2))] = excess
+                dist[k] = d
+            d += 1
+            frontier = {m for k in frontier for m in edges[k] if dist[m] == _INF}
+        distances[(t1, t2)] = dist
+    return nodes, distances
+
+
+@lru_cache(maxsize=None)
+def _pair_distances() -> dict[tuple[int, int], dict[tuple[int, int, int, int], int]]:
+    """Exact pair guidance: the distances of the n = 2 grid graph.
+
+    Each move changes the orders of exactly one robot pair, and its crossing
+    sign depends only on that pair's orders, so inside a team a pair moves
+    as an n = 2 team would.  Table ``(t1, t2)``, for target orders t1 and
+    t2 (``_order``), maps each pair state (o1, o2, s1, s2), its orders and
+    crossing counts on the two axes, to its distance.  All 36 states are
+    roots: the 4 clean ones reach only 20, and hand-loaded tables can hold
+    the other 16.  Summed over a team's pairs, this is a consistent lower
+    bound that sees the braid checks, and one ``_INF`` pair proves a query
+    infeasible.
+    """
+    perms, counts = ((1, 2), (2, 1)), (-1, 0, 1)
+    nodes, distances = _grid_distances([
+        GridNode(p1, p2, ((s1,), (s2,)), ((), ()), 0, 0, 0, None, None)
+        for p1 in perms for p2 in perms for s1 in counts for s2 in counts
+    ])
+    keys = [
+        (_order(node.pi1, 0, 1), _order(node.pi2, 0, 1), *node.pairs[0], *node.pairs[1])
+        for node in nodes
+    ]
+    return {
+        (_order(t1, 0, 1), _order(t2, 0, 1)): dict(zip(keys, dist))
+        for (t1, t2), dist in distances.items()
+    }
+
+
+@lru_cache(maxsize=None)
+def _excess_columns() -> list[dict[tuple[int, int, int, int], int]]:
+    """Exact triplet guidance: the distances of the n = 3 grid graph beyond
+    the pair bound.
+
+    Inside a team a triplet moves as an n = 3 team would: only swaps within
+    it change its orders and braids, and robots adjacent in the team are
+    adjacent in the triplet.  A triplet state's *excess* is its exact
+    distance to the target orders in the n = 3 graph minus the
+    ``_pair_distances`` of its three pairs, the detours that the pair bound
+    cannot see: 0, 2 or 4.
+
+    Column ``8 * t1 + t2`` is for the target orders t1 and t2 of a
+    triplet's robots (a, b, t) on axes 1 and 2, coded by ``_code``.  It maps
+    a state's (braid id on axis 1, braid id on axis 2, order on axis 1,
+    order on axis 2) to its excess and omits zeros, so a state outside the
+    graph, one no plan from clean tables reaches, reads 0.  Relabelling the
+    robots maps the graph onto itself, so every triplet of every team reads
+    one table, with its robots in any order.
+
+    The graph holds 2,316 states, reached from the 36 clean roots by 7,392
+    moves.  The excess is 0 wherever one axis's braid is trivial, so only
+    states with two nontrivial braids are stored.
+    """
+    perms = list(itertools.permutations((1, 2, 3)))
+    pairs, trips = ((0, 0, 0),) * 2, ((0,),) * 2
+    nodes, distances = _grid_distances(
+        [GridNode(p1, p2, pairs, trips, 0, 0, 0, None, None) for p1 in perms for p2 in perms]
+    )
+    # Each state with two nontrivial braids: its index, its key in a column
+    # and its three pairs' keys in their tables.
+    tangled = []
+    for k, node in enumerate(nodes):
+        pi1, pi2, (pairs1, pairs2), ((s1,), (s2,)) = node.pi1, node.pi2, node.pairs, node.trips
+        if s1 and s2:
+            key = (s1, s2, _code(pi1, 0, 1, 2), _code(pi2, 0, 1, 2))
+            tangled.append((k, key, *(
+                (_order(pi1, a0, b0), _order(pi2, a0, b0), pairs1[po], pairs2[po])
+                for a0, b0, po, _ in _rows(3).values()
+            )))
+    columns: list[dict] = [{} for _ in range(64)]
+    for (t1, t2), dist in distances.items():
+        rows = _rows_for(PermutationState(t1, t2), _pair_distances(), [{}] * 64)
+        table12, table13, table23 = (row[5] for row in rows.values())
+        column = columns[8 * _code(t1, 0, 1, 2) + _code(t2, 0, 1, 2)]
+        for k, key, pair12, pair13, pair23 in tangled:
+            excess = dist[k] - table12[pair12] - table13[pair13] - table23[pair23]
+            if excess:
+                column[key] = excess
     return columns
 
 
@@ -862,10 +850,11 @@ def _best_first(root: GridNode, target: PermutationState, key, done, budget: int
 def _search(root: GridNode, target: PermutationState, budget: int) -> _Stage:
     """The direct stage: best-first to the target by f = g + h, ties on lower h.
 
-    h is ``_WEIGHT * (hsum + xsum)``: the pair-automaton bound plus the
-    summed triplet excess, each triplet's exact n = 3 distance beyond its
-    pairs' (see ``_excess_columns``).  At n = 3 that sum is the exact
-    distance, so the search walks down a shortest path.
+    h is ``_WEIGHT * (hsum + xsum)``: the pair bound (see
+    ``_pair_distances``) plus the summed triplet excess, each triplet's
+    exact n = 3 distance beyond its pairs' (see ``_excess_columns``).  At
+    n = 3 that sum is the exact distance, so the search walks down a
+    shortest path.
     """
 
     def key(node: GridNode) -> tuple[float, float]:
@@ -963,15 +952,16 @@ def plan(
     braid check rejects a swap it tries axis 2, then axis 1.  A sort that
     succeeds is returned at once, and it is a shortest legal path.  Its
     length is the inversion count, and every pair must cross at least once
-    on each axis where its order is wrong, so the pair-automaton bound
-    ``hsum``, a lower bound on every path, is at least the inversion count.
-    When ``hsum`` exceeds it, both sorts must fail, and neither runs.
+    on each axis where its order is wrong, so the pair bound ``hsum``, a
+    lower bound on every path, is at least the inversion count.  When
+    ``hsum`` exceeds it, both sorts must fail, and neither runs.
 
     Only when both sorts are rejected or skipped does the direct best-first
-    search run.  It orders nodes by g + 2 * (pair-automaton bound + summed
-    triplet excess; see ``_search``) and stops after ``_DIRECT_BUDGET``
-    (2,000) expansions.  A query it cannot solve within that is taken to be
-    stuck against heavily tangled carried-over braids: up to
+    search run.  It orders nodes by g + 2 * (pair bound + summed triplet
+    excess, from the exact distances of two- and three-robot teams; see
+    ``_search``) and stops after ``_DIRECT_BUDGET`` (2,000) expansions.  A
+    query it cannot solve within that is taken to be stuck against heavily
+    tangled carried-over braids: up to
     ``_UNWIND_BUDGET`` (30,000) expansions then go to unwinding the
     recorded words to the identity, and from there ``_axis_sort`` sorts
     axis 1, then axis 2.  From a zero-tangle table that sort cannot fail:

@@ -38,6 +38,8 @@ ORACLE_GEN = {
     (2, -1): (({0: 1}, {}), ({0: 1}, {-1: -1})),
 }
 ORACLE_ID = (({0: 1}, {}), ({}, {0: 1}))
+# freeze(burau(s1 s2 s1)), worked out by hand: [[0, -t], [-t^2, 0]]
+RELATION_FROZEN = (((), ((1, -1),)), (((2, -1),), ()))
 
 
 def oracle_burau(keys):

@@ -33,7 +33,6 @@ import itertools
 import math
 import random
 import time
-from collections import deque
 
 import pytest
 
@@ -50,7 +49,8 @@ from braidplan.geometry import build_space_time
 from braidplan.harness import make_scenario, run_task_sequence, simulate
 from braidplan.planner import BraidTable, PermutationState, plan
 from braidplan.workspace import map_path, ranks_from_positions
-from burau_oracle import ORACLE_GEN, ORACLE_ID, freeze, mmul, oracle_burau
+from burau_oracle import ORACLE_GEN, ORACLE_ID, RELATION_FROZEN, freeze, mmul, oracle_burau
+from grid import grid_distances, inversions
 from sampling import position_at
 
 SEEDS = (11, 12, 13)
@@ -172,9 +172,6 @@ def test_criterion_3_verifier_agreement(sequence_runs):
 # ``burau_oracle``, which shares no code with the package.
 # ---------------------------------------------------------------------------
 
-# burau(s1 s2 s1) worked out by hand: [[0, -t], [-t^2, 0]]
-_RELATION_FROZEN = (((), ((1, -1),)), (((2, -1),), ()))
-
 _FORBIDDEN_WORDS = ("s1 S2 s1", "s2 S1 s2", "S1 s2 S1", "S2 s1 S2")
 
 
@@ -221,7 +218,7 @@ def test_criterion_4_braid_algebra():
 
         # (a) the braid relation and inverse cancellation, exactly
         lhs = oracle_burau(_letters("s1 s2 s1"))
-        assert freeze(lhs) == _RELATION_FROZEN
+        assert freeze(lhs) == RELATION_FROZEN
         assert lhs == oracle_burau(_letters("s2 s1 s2"))
         for text in ("s1 S1", "S1 s1", "s2 S2", "S2 s2"):
             assert oracle_burau(_letters(text)) == ORACLE_ID
@@ -309,39 +306,6 @@ def test_criterion_4_braid_algebra():
 # Criterion 5: optimality from clean tables.
 # ---------------------------------------------------------------------------
 
-def _neighbors(state: tuple, n: int):
-    pi1, pi2 = state
-    for axis, pi in ((1, pi1), (2, pi2)):
-        for r in range(1, n):
-            swapped = tuple(
-                r + 1 if v == r else (r if v == r + 1 else v) for v in pi
-            )
-            yield (swapped, pi2) if axis == 1 else (pi1, swapped)
-
-
-def _bfs_distances(start: tuple, n: int) -> dict:
-    dist = {start: 0}
-    queue = deque([start])
-    while queue:
-        s = queue.popleft()
-        for t in _neighbors(s, n):
-            if t not in dist:
-                dist[t] = dist[s] + 1
-                queue.append(t)
-    return dist
-
-
-def _inversions(p: tuple, q: tuple) -> int:
-    """Adjacent swaps needed to re-rank p into q (Kendall tau)."""
-    seq = [p[r] for r in sorted(range(len(p)), key=lambda r: q[r])]
-    return sum(
-        1
-        for i in range(len(seq))
-        for j in range(i + 1, len(seq))
-        if seq[i] > seq[j]
-    )
-
-
 def _plan_length(start: tuple, target: tuple) -> int:
     result = plan(PermutationState(*start), PermutationState(*target))
     assert result.trace.reason == "goal"
@@ -355,12 +319,12 @@ def test_criterion_5_optimal_when_unconstrained():
         perms3 = [tuple(p) for p in itertools.permutations((1, 2, 3))]
         states3 = [(p1, p2) for p1 in perms3 for p2 in perms3]
         for start in states3:
-            dist = _bfs_distances(start, 3)
+            dist = grid_distances(start)
             for target in states3:
                 optimal = dist[target]
                 assert optimal == (
-                    _inversions(start[0], target[0])
-                    + _inversions(start[1], target[1])
+                    inversions(start[0], target[0])
+                    + inversions(start[1], target[1])
                 )
                 assert _plan_length(start, target) == optimal
                 checked += 1
@@ -368,13 +332,13 @@ def test_criterion_5_optimal_when_unconstrained():
         # n=4: identity start against the whole state space
         perms4 = [tuple(p) for p in itertools.permutations((1, 2, 3, 4))]
         identity4 = ((1, 2, 3, 4), (1, 2, 3, 4))
-        dist4 = _bfs_distances(identity4, 4)
+        dist4 = grid_distances(identity4)
         for p1 in perms4:
             for p2 in perms4:
                 target = (p1, p2)
                 optimal = dist4[target]
                 assert optimal == (
-                    _inversions(identity4[0], p1) + _inversions(identity4[1], p2)
+                    inversions(identity4[0], p1) + inversions(identity4[1], p2)
                 )
                 assert _plan_length(identity4, target) == optimal
                 checked += 1
@@ -387,7 +351,7 @@ def test_criterion_5_optimal_when_unconstrained():
         for _ in range(200):
             start = (rng.choice(perms6), rng.choice(perms6))
             target = (rng.choice(perms6), rng.choice(perms6))
-            optimal = _inversions(start[0], target[0]) + _inversions(
+            optimal = inversions(start[0], target[0]) + inversions(
                 start[1], target[1]
             )
             assert _plan_length(start, target) == optimal

@@ -27,7 +27,15 @@ from braidplan.braid import (
 )
 from braidplan.errors import InputError
 from braidplan.planner import BraidTable, to_serializable
-from burau_oracle import ORACLE_GEN, ORACLE_ID, freeze, mmul, oracle_burau, parse_keys
+from burau_oracle import (
+    ORACLE_GEN,
+    ORACLE_ID,
+    RELATION_FROZEN,
+    freeze,
+    mmul,
+    oracle_burau,
+    parse_keys,
+)
 
 
 def _at_minus_one(m):
@@ -64,7 +72,6 @@ _FORBIDDEN_FROZEN = {
         (((-1, -1), (0, 1), (1, -1)), ((-2, 1), (-1, -1))),
     ),
 }
-_RELATION_FROZEN = (((), ((1, -1),)), (((2, -1),), ()))
 _IDENTITY_FROZEN = ((((0, 1),), ()), ((), ((0, 1),)))
 
 
@@ -101,7 +108,7 @@ def test_oracle_self_check():
         assert freeze(mmul(ORACLE_GEN[(i, -1)], ORACLE_GEN[(i, 1)])) == _IDENTITY_FROZEN
     left = oracle_burau(parse_keys("s1 s2 s1"))
     right = oracle_burau(parse_keys("s2 s1 s2"))
-    assert freeze(left) == freeze(right) == _RELATION_FROZEN
+    assert freeze(left) == freeze(right) == RELATION_FROZEN
 
 
 def test_generator_images_match_oracle():

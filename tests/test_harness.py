@@ -65,14 +65,8 @@ from braidplan.planner import (
     triplet_slot,
 )
 from braidplan.workspace import WorkspaceConfig, grid_cells, map_path, ranks_from_positions
+from grid import workspace_config
 from sampling import LATTICE_ANGLES, LATTICE_PATH, lattice_team
-
-
-def _config(side: float = 12.0) -> WorkspaceConfig:
-    return WorkspaceConfig(
-        xmin=0.0, xmax=side, ymin=0.0, ymax=side,
-        cell_size=1.0, d_safe=1.0, speed=1.0,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -149,7 +143,7 @@ def _planned_trajectories(rng: random.Random, n: int, config: WorkspaceConfig):
 
 def test_verify_clean_episode_agrees_with_planner():
     rng = random.Random(30)
-    config = _config()
+    config = workspace_config()
     angles = (0.0, math.pi / 2, math.pi)
     result, trajectories = _planned_trajectories(rng, 4, config)
     report, tables = verify(build_space_time(trajectories), angles)
@@ -345,7 +339,7 @@ def test_fold_crossings_mismatched_team():
 
 
 def test_random_targets_spacing_and_determinism():
-    config = _config()
+    config = workspace_config()
     a = random_targets(config, 6, random.Random(31))
     b = random_targets(config, 6, random.Random(31))
     assert a == b
@@ -397,7 +391,7 @@ def test_scenario_angles_hold_the_grid_angles_exactly(monkeypatch):
 
 
 def test_scenario_validation():
-    config = _config()
+    config = workspace_config()
     pts = ((2.0, 2.0), (6.0, 6.0))
     with pytest.raises(ConfigurationError):
         Scenario(config, ((2.0, 2.0),), pts, (pts,))

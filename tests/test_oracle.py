@@ -169,6 +169,43 @@ def _distances3(target: PermutationState) -> tuple[int, ...]:
     return tuple(dist)
 
 
+def test_pair_table_matches_oracle():
+    """The planner's n = 2 table is exact: for each of the 36 pair states,
+    both orders and crossing counts -1, 0 or 1 on both axes, and each of the
+    4 target order pairs, the root's pair bound is the oracle's distance, and
+    it is ``_INF`` or more exactly where the oracle finds no path.  The 4
+    clean roots reach only 20 of the states; the rest come from hand-loaded
+    tables."""
+    perms2 = [(1, 2), (2, 1)]
+    counts = (-1, 0, 1)
+    states = [
+        (PermutationState(p1, p2), ((s1,), (s2,)), ((), ()))
+        for p1, p2, s1, s2 in itertools.product(perms2, perms2, counts, counts)
+    ]
+    seen = {s for s in states if s[1] == ((0,), (0,))}
+    queue = deque(seen)
+    while queue:
+        for nxt in _moves(queue.popleft()):
+            if nxt not in seen:
+                seen.add(nxt)
+                queue.append(nxt)
+    assert len(seen) == 20
+    targets = [PermutationState(q1, q2) for q1 in perms2 for q2 in perms2]
+    unreachable = 0
+    for perms, pairs, _ in states:
+        tables = tuple(BraidTable(2, pairs[ax], ()) for ax in (0, 1))
+        for target in targets:
+            root = GridNode.root(perms, tables, target)
+            d = _shortest(_oracle_state(perms, tables), target)
+            assert root.xsum == 0
+            if d is None:
+                assert root.hsum >= planner._INF
+                unreachable += 1
+            else:
+                assert root.hsum == d
+    assert unreachable == 24
+
+
 def test_excess_table_matches_oracle():
     """The planner's n = 3 table is exact: on each of the 2,316 states of the
     n = 3 graph and each of the 36 target order pairs, the root's pair bound

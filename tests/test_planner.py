@@ -13,7 +13,6 @@ import itertools
 import json
 import math
 import random
-from collections import deque
 from pathlib import Path
 
 import pytest
@@ -56,6 +55,7 @@ from braidplan.planner import (
     triplet_slot,
 )
 from braidplan.workspace import ranks_from_positions
+from grid import grid_distances, inversions, random_perms
 from hostile_json import hostile
 
 DATA = Path(__file__).parent / "data"
@@ -93,14 +93,6 @@ def _pair_tables(count1: int, count2: int) -> tuple[BraidTable, BraidTable]:
     return BraidTable(2, (count1,), ()), BraidTable(2, (count2,), ())
 
 
-def _random_perms(rng: random.Random, n: int) -> PermutationState:
-    p1 = list(range(1, n + 1))
-    p2 = list(range(1, n + 1))
-    rng.shuffle(p1)
-    rng.shuffle(p2)
-    return PermutationState(tuple(p1), tuple(p2))
-
-
 def _pinned_query(name: str) -> tuple[PermutationState, PermutationState, tuple]:
     """The start, target and carried tables of a query pinned in ``data/``."""
     data = json.loads((DATA / name).read_text())
@@ -123,12 +115,6 @@ def _assert_swap_chain(path, start: PermutationState, target: PermutationState) 
         ranks = sorted(pi_a[r - 1] for r in robots)
         assert len(robots) == 2
         assert ranks[1] == ranks[0] + 1
-
-
-def _inversions(p: tuple[int, ...], q: tuple[int, ...]) -> int:
-    """Adjacent swaps needed to re-rank p into q."""
-    seq = [p[r] for r in sorted(range(len(p)), key=lambda r: q[r])]
-    return sum(1 for x in range(len(seq)) for y in range(x + 1, len(seq)) if seq[x] > seq[y])
 
 
 def _cells(perms: PermutationState) -> dict[int, tuple[float, float]]:
@@ -157,7 +143,7 @@ def _swap_trajectories(perms: PermutationState, action: SwapAction) -> list[Traj
 def test_action_space_size_and_adjacency():
     rng = random.Random(10)
     for n in (2, 3, 5, 8):
-        perms = _random_perms(rng, n)
+        perms = random_perms(rng, n)
         actions = action_space(perms)
         assert len(actions) == 2 * (n - 1)
         seen = set()
@@ -174,7 +160,7 @@ def test_letters_match_geometric_extraction():
     rng = random.Random(11)
     for _ in range(40):
         n = rng.choice((3, 4, 5))
-        perms = _random_perms(rng, n)
+        perms = random_perms(rng, n)
         action = rng.choice(action_space(perms))
         lifted = build_space_time(_swap_trajectories(perms, action))
         same = extract_crossings(lifted, ProjectionAxis(AXIS_ANGLES[action.axis - 1]))
@@ -228,8 +214,8 @@ def test_heuristic_pinned_values():
 def test_expand_full_child_set_and_sharing():
     rng = random.Random(12)
     for n in (3, 5):
-        perms = _random_perms(rng, n)
-        target = _random_perms(rng, n)
+        perms = random_perms(rng, n)
+        target = random_perms(rng, n)
         root = GridNode.root(perms, _clean(n), target)
         children = expand(root, target)
         # from a clean table no first move can violate anything
@@ -270,8 +256,8 @@ def _folded_child_table(node: GridNode, action: SwapAction, target: PermutationS
     """Oracle for one move: the node's tables with the action's letters folded
     into the swap axis's table slot by slot, or None when a letter trips a
     forbidden pattern or the pair's target orders become unreachable under
-    the pair automaton."""
-    from braidplan.planner import _INF, _PAIR_DIST
+    the pair table."""
+    from braidplan.planner import _INF, _pair_distances
 
     perms = PermutationState(node.pi1, node.pi2)
     n = perms.n
@@ -298,7 +284,7 @@ def _folded_child_table(node: GridNode, action: SwapAction, target: PermutationS
         1 if p[a - 1] < p[b - 1] else -1 for p in (after.pi1, after.pi2, target.pi1, target.pi2)
     )
     s1, s2 = (t.pairs[pair_slot(n, a, b)] for t in folded)
-    if _PAIR_DIST[(o1, o2, s1, s2, t1, t2)] >= _INF:
+    if _pair_distances()[(t1, t2)][(o1, o2, s1, s2)] >= _INF:
         return None
     return tuple(folded)
 
@@ -331,16 +317,16 @@ def _check_expansion(node: GridNode, target: PermutationState) -> list[GridNode]
 @given(n=st.integers(2, 6), seed=st.integers(0, 2**32 - 1))
 def test_expand_matches_letter_by_letter_fold(n, seed):
     """Every child of ``expand`` carries exactly the letters of its move, and
-    every dropped move is one a forbidden pattern or the pair automaton
+    every dropped move is one a forbidden pattern or the pair table
     refuses.  The walks start from tables carried over an earlier walk."""
     from braidplan.planner import _INF
 
     rng = random.Random(seed)
-    target = _random_perms(rng, n)
-    node = GridNode.root(_random_perms(rng, n), _clean(n), target)
+    target = random_perms(rng, n)
+    node = GridNode.root(random_perms(rng, n), _clean(n), target)
     for _ in range(rng.randrange(12)):
         node = rng.choice(expand(node, target) or [node])
-    target = _random_perms(rng, n)
+    target = random_perms(rng, n)
     node = GridNode.root(PermutationState(node.pi1, node.pi2), node.braids, target)
     if node.hsum >= _INF:
         return  # plan() refuses such a root before expanding it
@@ -362,8 +348,8 @@ def test_interned_states_are_canonical(n, seed):
     and through a JSON round trip of the table.  Pair counts agree with the
     same folds."""
     rng = random.Random(seed)
-    target = _random_perms(rng, n)
-    node = GridNode.root(_random_perms(rng, n), _clean(n), target)
+    target = random_perms(rng, n)
+    node = GridNode.root(random_perms(rng, n), _clean(n), target)
     for _ in range(rng.randrange(1, 20)):
         children = expand(node, target)
         if not children:
@@ -468,14 +454,14 @@ def test_incremental_excess_matches_root(n, seed):
     random walk from a clean table and of a second walk that starts from
     the first one's carried table towards a new target."""
     rng = random.Random(seed)
-    target = _random_perms(rng, n)
-    node = GridNode.root(_random_perms(rng, n), _clean(n), target)
+    target = random_perms(rng, n)
+    node = GridNode.root(random_perms(rng, n), _clean(n), target)
     for _ in range(2):
         for _ in range(rng.randrange(40)):
             _assert_excess_as_root(node, target)
             node = rng.choice(expand(node, target) or [node])
         _assert_excess_as_root(node, target)
-        target = _random_perms(rng, n)
+        target = random_perms(rng, n)
         node = GridNode.root(PermutationState(node.pi1, node.pi2), node.braids, target)
 
 
@@ -597,7 +583,7 @@ def test_plan_budget_exhaustion(monkeypatch):
     carried = plan(start, mid).final_braids
     assert carried != _clean(4)
     target = PermutationState((1, 4, 3, 2), (1, 3, 4, 2))
-    assert GridNode.root(mid, carried, target).hsum == 2 == _inversions(mid.pi1, target.pi1)
+    assert GridNode.root(mid, carried, target).hsum == 2 == inversions(mid.pi1, target.pi1)
     result = plan(mid, target, carried)
     assert result.trace.reason == "max_expansions"
     assert result.path == ()
@@ -609,7 +595,7 @@ def test_plan_budget_exhaustion(monkeypatch):
     mid = PermutationState((4, 3, 2, 1), (2, 1, 4, 3))
     carried = plan(start, mid).final_braids
     target = PermutationState((1, 2, 3, 4), (2, 1, 4, 3))
-    assert GridNode.root(mid, carried, target).hsum == 10 > 6 == _inversions(mid.pi1, target.pi1)
+    assert GridNode.root(mid, carried, target).hsum == 10 > 6 == inversions(mid.pi1, target.pi1)
     sorts = []
 
     def counted_sort(*args):
@@ -646,7 +632,7 @@ def _fold_path(path, tables, target: PermutationState):
 def test_plan_returns_the_sort_from_the_root_when_it_succeeds(monkeypatch):
     """Sort first: whenever an axis sort from the root passes every braid
     check, ``plan`` returns it with no search.  Its path is exactly as long
-    as the root's pair-automaton bound and the inversion count, so no legal
+    as the root's pair bound and the inversion count, so no legal
     path is shorter, and its predicted tables are the start tables with the
     path's letters folded in one by one.  Seeded walks at n = 3..8 start
     from clean tables and from tables carried over an earlier walk."""
@@ -659,12 +645,12 @@ def test_plan_returns_the_sort_from_the_root_when_it_succeeds(monkeypatch):
     returns = {"clean": 0, "carried": 0, "search": 0}
     for n in range(3, 9):
         for kind in ("clean", "carried") * 25:
-            node = GridNode.root(_random_perms(rng, n), _clean(n), _random_perms(rng, n))
+            node = GridNode.root(random_perms(rng, n), _clean(n), random_perms(rng, n))
             if kind == "carried":
                 for _ in range(rng.randrange(1, 25)):
                     node = rng.choice(expand(node, PermutationState(node.pi1, node.pi2)) or [node])
             start, tables = PermutationState(node.pi1, node.pi2), node.braids
-            target = _random_perms(rng, n)
+            target = random_perms(rng, n)
             root = GridNode.root(start, tables, target)
             result = plan(start, target, tables)
             sorts = [_axis_sort(root, target, axes)[0] for axes in ((1, 2), (2, 1))]
@@ -681,7 +667,7 @@ def test_plan_returns_the_sort_from_the_root_when_it_succeeds(monkeypatch):
             assert result.path == tuple(reversed(path))
             assert result.trace.reason == "goal" and result.trace.peak_open == 0
             _assert_swap_chain(result.path, start, target)
-            optimum = _inversions(start.pi1, target.pi1) + _inversions(start.pi2, target.pi2)
+            optimum = inversions(start.pi1, target.pi1) + inversions(start.pi2, target.pi2)
             assert len(result.path) - 1 == root.hsum == optimum
             assert result.final_braids == _fold_path(result.path, tables, target)
     assert returns["clean"] == 150
@@ -696,7 +682,7 @@ def test_former_clean_table_stall_sorts_first():
     start = ranks_from_positions(scenario.initial_positions)
     target = ranks_from_positions(scenario.target_sets[0])
     result = plan(start, target)
-    optimum = _inversions(start.pi1, target.pi1) + _inversions(start.pi2, target.pi2)
+    optimum = inversions(start.pi1, target.pi1) + inversions(start.pi2, target.pi2)
     assert result.trace.reason == "goal"
     assert result.trace.expanded == len(result.path) - 1 == optimum == 55
 
@@ -730,44 +716,16 @@ def test_plan_validates_team_sizes():
         plan(PermutationState.identity(3), PermutationState.identity(4))
 
 
-def _bfs_distance(start: PermutationState, target: PermutationState) -> int:
-    """From-scratch BFS over (pi1, pi2) with adjacent rank transpositions."""
-
-    def neighbors(state):
-        pi1, pi2 = state
-        n = len(pi1)
-        for axis, pi in ((1, pi1), (2, pi2)):
-            inv = {r: idx for idx, r in enumerate(pi)}
-            for k in range(1, n):
-                u, v = inv[k], inv[k + 1]
-                new = list(pi)
-                new[u], new[v] = k + 1, k
-                yield (tuple(new), pi2) if axis == 1 else (pi1, tuple(new))
-
-    src = (start.pi1, start.pi2)
-    dst = (target.pi1, target.pi2)
-    dist = {src: 0}
-    queue = deque([src])
-    while queue:
-        state = queue.popleft()
-        if state == dst:
-            return dist[state]
-        for nxt in neighbors(state):
-            if nxt not in dist:
-                dist[nxt] = dist[state] + 1
-                queue.append(nxt)
-    raise AssertionError("permutation grid is connected; unreachable")
-
-
 def test_plan_lengths_match_bfs_n3():
     start = PermutationState.identity(3)
+    dist = grid_distances((start.pi1, start.pi2))
     perms3 = list(itertools.permutations((1, 2, 3)))
     for p1 in perms3:
         for p2 in perms3:
             target = PermutationState(p1, p2)
             result = plan(start, target)
             assert result.trace.reason == "goal"
-            assert len(result.path) - 1 == _bfs_distance(start, target)
+            assert len(result.path) - 1 == dist[(p1, p2)]
             assert result.trace.rejected_by_braid == 0
 
 
@@ -775,16 +733,18 @@ def test_plan_lengths_match_bfs_random_starts():
     rng = random.Random(13)
     for _ in range(25):
         n = rng.choice((3, 4))
-        start = _random_perms(rng, n)
-        target = _random_perms(rng, n)
+        start = random_perms(rng, n)
+        target = random_perms(rng, n)
         result = plan(start, target)
-        assert len(result.path) - 1 == _bfs_distance(start, target)
+        assert len(result.path) - 1 == grid_distances((start.pi1, start.pi2))[
+            (target.pi1, target.pi2)
+        ]
 
 
 def test_plan_deterministic():
     rng = random.Random(14)
-    start = _random_perms(rng, 6)
-    target = _random_perms(rng, 6)
+    start = random_perms(rng, 6)
+    target = random_perms(rng, 6)
     first = plan(start, target)
     second = plan(start, target)
     assert first.path == second.path
@@ -796,8 +756,8 @@ def test_plan_path_is_valid_swap_sequence():
     rng = random.Random(15)
     for _ in range(10):
         n = rng.choice((4, 5, 6))
-        start = _random_perms(rng, n)
-        target = _random_perms(rng, n)
+        start = random_perms(rng, n)
+        target = random_perms(rng, n)
         result = plan(start, target)
         assert result.trace.reason == "goal"
         _assert_swap_chain(result.path, start, target)
@@ -808,8 +768,8 @@ def test_plan_path_is_valid_swap_sequence():
 def test_serialization_round_trip():
     assert from_serializable(to_serializable(_clean(4))) == _clean(4)
     rng = random.Random(16)
-    start = _random_perms(rng, 5)
-    target = _random_perms(rng, 5)
+    start = random_perms(rng, 5)
+    target = random_perms(rng, 5)
     tables = plan(start, target).final_braids
     again = from_serializable(to_serializable(tables))
     assert again == tables
@@ -875,8 +835,8 @@ def test_hostile_table_loads_or_raises_input_error(n, seed, data):
     JSON loads as a table that survives its own round trip, or is refused
     with ``InputError``; no other exception escapes."""
     rng = random.Random(seed)
-    target = _random_perms(rng, n)
-    node = GridNode.root(_random_perms(rng, n), _clean(n), target)
+    target = random_perms(rng, n)
+    node = GridNode.root(random_perms(rng, n), _clean(n), target)
     for _ in range(rng.randrange(1, 10)):
         node = rng.choice(expand(node, target) or [node])
     doc = json.loads(json.dumps(to_serializable(node.braids)))
@@ -1031,12 +991,12 @@ def test_plan_from_clean_tables_is_the_axis_sort():
     rng = random.Random(18)
     for n in range(7, 11):
         for _ in range(5):
-            start = _random_perms(rng, n)
-            target = _random_perms(rng, n)
+            start = random_perms(rng, n)
+            target = random_perms(rng, n)
             result = plan(start, target)
             assert result.trace.reason == "goal"
             _assert_swap_chain(result.path, start, target)
-            optimum = _inversions(start.pi1, target.pi1) + _inversions(start.pi2, target.pi2)
+            optimum = inversions(start.pi1, target.pi1) + inversions(start.pi2, target.pi2)
             assert len(result.path) - 1 == optimum
             assert result.trace.rejected_by_braid == 0
             assert result.trace.expanded == len(result.path) - 1
@@ -1063,7 +1023,7 @@ def test_axis_sort_from_clean_table_always_succeeds():
 
     def check(start: PermutationState, target: PermutationState) -> None:
         root = GridNode.root(start, _clean(start.n), target)
-        optimum = _inversions(start.pi1, target.pi1) + _inversions(start.pi2, target.pi2)
+        optimum = inversions(start.pi1, target.pi1) + inversions(start.pi2, target.pi2)
         for axes in ((1, 2), (2, 1)):
             node, trace = _axis_sort(root, target, axes)
             assert node is not None and trace.reason == "goal"
@@ -1079,7 +1039,7 @@ def test_axis_sort_from_clean_table_always_succeeds():
     rng = random.Random(17)
     for n in range(4, 11):
         for _ in range(30):
-            check(_random_perms(rng, n), _random_perms(rng, n))
+            check(random_perms(rng, n), random_perms(rng, n))
 
 
 def test_axis_sort_stops_on_rejected_step():
@@ -1145,7 +1105,7 @@ def test_search_from_unwound_stalled_query():
     node, trace = _search(unwound, target, 1000)
     assert trace.reason == "goal"
     assert (node.pi1, node.pi2) == (target.pi1, target.pi2)
-    optimum = _inversions(unwound.pi1, target.pi1) + _inversions(unwound.pi2, target.pi2)
+    optimum = inversions(unwound.pi1, target.pi1) + inversions(unwound.pi2, target.pi2)
     assert node.g - unwound.g >= optimum
 
 
@@ -1158,12 +1118,12 @@ def test_plan_effort_is_bounded(n, seed):
     root, at most the inversion count each, plus both budgets, plus the
     longest axis sort from the unwound state, n(n - 1) swaps."""
     rng = random.Random(seed)
-    target = _random_perms(rng, n)
-    node = GridNode.root(_random_perms(rng, n), _clean(n), target)
+    target = random_perms(rng, n)
+    node = GridNode.root(random_perms(rng, n), _clean(n), target)
     for _ in range(rng.randrange(20)):
         node = rng.choice(expand(node, target) or [node])
     start = PermutationState(node.pi1, node.pi2)
-    target = _random_perms(rng, n)
+    target = random_perms(rng, n)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(planner, "_DIRECT_BUDGET", 20)
         mp.setattr(planner, "_UNWIND_BUDGET", 10)
@@ -1175,5 +1135,5 @@ def test_plan_effort_is_bounded(n, seed):
     else:
         assert result.trace.reason in ("exhausted", "max_expansions")
         assert result.final_braids is None
-    inversions = _inversions(start.pi1, target.pi1) + _inversions(start.pi2, target.pi2)
-    assert result.trace.expanded <= 2 * inversions + 20 + 10 + n * (n - 1)
+    sort_length = inversions(start.pi1, target.pi1) + inversions(start.pi2, target.pi2)
+    assert result.trace.expanded <= 2 * sort_length + 20 + 10 + n * (n - 1)

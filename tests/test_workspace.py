@@ -24,22 +24,8 @@ from braidplan.workspace import (
     map_path,
     ranks_from_positions,
 )
+from grid import random_perms, workspace_config
 from sampling import position_at
-
-
-def _config(side: float = 12.0) -> WorkspaceConfig:
-    return WorkspaceConfig(
-        xmin=0.0, xmax=side, ymin=0.0, ymax=side,
-        cell_size=1.0, d_safe=1.0, speed=1.0,
-    )
-
-
-def _random_perms(rng: random.Random, n: int) -> PermutationState:
-    p1 = list(range(1, n + 1))
-    p2 = list(range(1, n + 1))
-    rng.shuffle(p1)
-    rng.shuffle(p2)
-    return PermutationState(tuple(p1), tuple(p2))
 
 
 # ---------------------------------------------------------------------------
@@ -79,10 +65,10 @@ def test_ranks_validation():
 
 def test_grid_cells_round_trip_and_spacing():
     rng = random.Random(21)
-    config = _config()
+    config = workspace_config()
     for _ in range(20):
         n = rng.randrange(2, 9)
-        perms = _random_perms(rng, n)
+        perms = random_perms(rng, n)
         cells = grid_cells(perms, config)
         assert ranks_from_positions([tuple(c) for c in cells]) == perms
         for a in range(n):
@@ -92,21 +78,21 @@ def test_grid_cells_round_trip_and_spacing():
 
 
 def test_grid_cells_pinned():
-    config = _config(4.0)
+    config = workspace_config(4.0)
     cells = grid_cells(PermutationState.identity(3), config)
     # center (2, 2); rank 1 on axis 1 is the largest x
     assert np.allclose(cells, [(3.0, 1.0), (2.0, 2.0), (1.0, 3.0)])
 
 
 def test_grid_must_fit_workspace():
-    config = _config(4.0)
+    config = workspace_config(4.0)
     with pytest.raises(ConfigurationError):
         grid_cells(PermutationState.identity(5), config)
 
 
 def test_config_validation():
     with pytest.raises(ConfigurationError):
-        _config(-1.0)
+        workspace_config(-1.0)
     with pytest.raises(ConfigurationError):
         WorkspaceConfig(0, 10, 0, 10, cell_size=0.5, d_safe=1.0, speed=1)
     with pytest.raises(ConfigurationError):
@@ -121,8 +107,8 @@ def test_config_validation():
 
 
 def _planned_episode(rng: random.Random, n: int, config: WorkspaceConfig):
-    start = _random_perms(rng, n)
-    target = _random_perms(rng, n)
+    start = random_perms(rng, n)
+    target = random_perms(rng, n)
     result = plan(start, target)
     assert result.trace.reason == "goal"
     start_positions = [tuple(c) for c in grid_cells(start, config)]
@@ -133,7 +119,7 @@ def _planned_episode(rng: random.Random, n: int, config: WorkspaceConfig):
 
 def test_map_path_endpoints_and_sync():
     rng = random.Random(22)
-    config = _config()
+    config = workspace_config()
     result, trajectories, starts, targets = _planned_episode(rng, 5, config)
     horizon = max(t.arrival_time for t in trajectories)
     for traj, s, g in zip(trajectories, starts, targets):
@@ -145,7 +131,7 @@ def test_map_path_endpoints_and_sync():
 
 def test_map_path_swap_windows_move_two_robots():
     rng = random.Random(23)
-    config = _config()
+    config = workspace_config()
     result, trajectories, starts, targets = _planned_episode(rng, 4, config)
     n_actions = len(result.path) - 1
     times = [w[2] for w in trajectories[0].waypoints]
@@ -164,7 +150,7 @@ def test_map_path_swap_windows_move_two_robots():
 
 def test_map_path_clearance_sampled():
     rng = random.Random(24)
-    config = _config()
+    config = workspace_config()
     for n in (3, 5):
         _, trajectories, _, _ = _planned_episode(rng, n, config)
         horizon = max(t.arrival_time for t in trajectories)
@@ -177,7 +163,7 @@ def test_map_path_clearance_sampled():
 
 def test_map_path_offgrid_endpoints():
     # start and target positions off the cell centers exercise phases A and C
-    config = _config()
+    config = workspace_config()
     start_positions = [(9.5, 2.2), (5.0, 5.1), (1.5, 8.0)]
     target_positions = [(8.0, 1.0), (6.0, 6.0), (2.5, 9.5)]
     start = ranks_from_positions(start_positions)
@@ -192,7 +178,7 @@ def test_map_path_offgrid_endpoints():
 
 
 def test_map_path_stationary_holds_in_place():
-    config = _config()
+    config = workspace_config()
     positions = [(2.0, 2.0), (6.0, 6.0)]
     perms = ranks_from_positions(positions)
     trajectories = map_path([perms], config, positions, positions)
@@ -227,7 +213,7 @@ def test_map_path_sub_tick_moves_take_one_tick():
 
 
 def test_map_path_validation():
-    config = _config()
+    config = workspace_config()
     positions = [(2.0, 2.0), (6.0, 6.0)]
     perms = ranks_from_positions(positions)
     with pytest.raises(InputError):
@@ -252,7 +238,7 @@ def test_map_path_validation():
 
 def test_carry_over_matches_planner_prediction():
     rng = random.Random(25)
-    config = _config()
+    config = workspace_config()
     for n in (3, 4, 5):
         result, trajectories, _, _ = _planned_episode(rng, n, config)
         folded = carry_over_braids(trajectories, (BraidTable.identity(n),) * 2)
@@ -261,11 +247,11 @@ def test_carry_over_matches_planner_prediction():
 
 def test_carry_over_chains_across_episodes():
     rng = random.Random(26)
-    config = _config()
+    config = workspace_config()
     n = 4
-    start = _random_perms(rng, n)
-    mid = _random_perms(rng, n)
-    end = _random_perms(rng, n)
+    start = random_perms(rng, n)
+    mid = random_perms(rng, n)
+    end = random_perms(rng, n)
     first = plan(start, mid)
     table1 = carry_over_braids(
         map_path(first.path, config,
