@@ -19,9 +19,12 @@ and its depth (signed distance along the plane normal) is
     d = x * cos(alpha) + y * sin(alpha).
 
 The view from ``alpha + pi`` negates both u and d and therefore produces
-the mirror braid.  Exact coordinate ties are broken symbolically: the
-robot with the smaller id counts as infinitesimally smaller in u, which
-makes extraction deterministic without ever perturbing stored data.
+the mirror braid: generator k becomes n - k with the same sign.  The
+forbidden pair and triplet patterns are closed under that map, which is
+why the verifier's check set stops short of pi.  Exact coordinate ties
+are broken symbolically: the robot with the smaller id counts as
+infinitesimally smaller in u, which makes extraction deterministic
+without ever perturbing stored data.
 """
 
 from __future__ import annotations

@@ -19,7 +19,11 @@ pair's entry and the n - 2 triplet entries that hold the pair.
 
 The number of check angles m must satisfy m > pi / gamma_bar, where
 gamma_bar is the largest projected crossing gap the cable model tolerates;
-the check set A(m) = {i*pi/m : i = 0..m} then leaves no blind direction.
+the check set A(m) = {i*pi/m : i = 0..m-1} then leaves no blind direction.
+It stops short of pi: the view from alpha + pi is the mirror braid of the
+view from alpha, and the forbidden patterns are closed under the mirror,
+so pi would only repeat 0.  The gap from (m-1)*pi/m to pi is still pi/m,
+and through the mirror it wraps to 0, so the bound on m is unchanged.
 """
 
 from __future__ import annotations
@@ -69,9 +73,9 @@ Point = tuple[float, float]
 
 DEFAULT_GAMMA_BAR = 0.51 * math.pi
 
-# Largest accepted number of check angles.  Every angle of A(m) costs one
-# crossing extraction and one table fold per episode, so an unbounded m makes
-# a run linear in m; at this bound neighbouring angles are one degree apart.
+# Largest accepted number of check angles.  Each of the m angles of A(m) costs
+# one crossing extraction and one table fold per episode, so an unbounded m
+# makes a run linear in m; at this bound neighbouring angles are one degree apart.
 MAX_M = 180
 
 
@@ -129,11 +133,12 @@ class Scenario:
 
     @property
     def angles(self) -> tuple[float, ...]:
-        """The projection check set A(m): m + 1 evenly spaced angles."""
+        """The projection check set A(m): m evenly spaced angles in [0, pi),
+        each direction once (pi would see the mirror braid of 0)."""
         # i * pi / m misses the grid angle pi/2 at i = m/2 by one ulp for some m.
         return tuple(
             AXIS_ANGLES[0] if 2 * i == self.m else i * math.pi / self.m
-            for i in range(self.m + 1)
+            for i in range(self.m)
         )
 
 
@@ -367,6 +372,8 @@ class SetResult:
     min_distance: float
     horizon: float
     violations: tuple[Violation, ...]
+    # exact projection ties resolved by robot id, counted on the m angles of
+    # A(m) in [0, pi): a tie at 0 would repeat at pi, which is left out
     perturbations: int
     tables_consistent: bool
 

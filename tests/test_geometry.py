@@ -26,7 +26,7 @@ from braidplan.geometry import (
     extract_crossings,
     sub_events,
 )
-from sampling import LATTICE_ANGLES, LATTICE_PATH, lattice_team
+from sampling import LATTICE_ANGLES, LATTICE_PATH, float_team, lattice_team
 
 # ---------------------------------------------------------------------------
 # Oracle helpers: piecewise-linear interpolation and pairwise crossings.
@@ -73,16 +73,6 @@ def _oracle_pair_crossings(paths, a, b, angle):
     return times
 
 
-def _random_team(rng, n, waypoints=4, horizon=8.0):
-    paths = []
-    for rid in range(1, n + 1):
-        times = sorted(rng.uniform(0.5, horizon) for _ in range(waypoints - 1))
-        ts = [0.0] + times
-        pts = [(rng.uniform(0, 10), rng.uniform(0, 10), t) for t in ts]
-        paths.append(Trajectory(rid, tuple(pts)))
-    return paths
-
-
 # ---------------------------------------------------------------------------
 # Pinned single-crossing fixture (axis angle 0: u = y, depth = x).
 # ---------------------------------------------------------------------------
@@ -127,7 +117,7 @@ def test_mirror_axis_flips_strand_indices():
     (on three strands, s1 and s2 swap)."""
     rng = random.Random(7)
     for n in (2, 3, 4, 5, 6) * 20:
-        paths = _random_team(rng, n)
+        paths = float_team(rng, n)
         lifted = build_space_time(paths)
         axis = ProjectionAxis(rng.uniform(0, math.pi))
         fwd = extract_crossings(lifted, axis)
@@ -146,7 +136,7 @@ def test_crossings_match_oracle_random_teams():
     rng = random.Random(8)
     for trial in range(30):
         n = rng.randrange(2, 6)
-        paths = _random_team(rng, n)
+        paths = float_team(rng, n)
         lifted = build_space_time(paths)
         angle = rng.uniform(0, math.pi)
         axis = ProjectionAxis(angle)
@@ -301,7 +291,7 @@ def test_sub_events_validation():
 
 def test_sub_events_triplet_counts():
     rng = random.Random(9)
-    paths = _random_team(rng, 4)
+    paths = float_team(rng, 4)
     lifted = build_space_time(paths)
     events = extract_crossings(lifted, ProjectionAxis(1.0))
     for subset in ((1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4)):

@@ -25,6 +25,7 @@ from hypothesis import strategies as st
 from braidplan import harness, workspace
 from braidplan.braid import (
     _VIOLATED,
+    BraidLetter,
     BraidWord,
     pair_word_text,
     triplet_state_from_word,
@@ -34,6 +35,7 @@ from braidplan.braid import (
 )
 from braidplan.errors import ConfigurationError, DegenerateInputError, InputError
 from braidplan.geometry import (
+    CrossingEvent,
     ProjectionAxis,
     Trajectory,
     build_space_time,
@@ -66,7 +68,7 @@ from braidplan.planner import (
 )
 from braidplan.workspace import WorkspaceConfig, grid_cells, map_path, ranks_from_positions
 from grid import workspace_config
-from sampling import LATTICE_ANGLES, LATTICE_PATH, lattice_team
+from sampling import LATTICE_ANGLES, LATTICE_PATH, float_team, lattice_team
 
 
 # ---------------------------------------------------------------------------
@@ -197,6 +199,42 @@ def test_verify_mirror_angle_sees_flipped_weave():
     report, _ = verify(build_space_time(_weave_fixture()), (math.pi,))
     assert not report.ok
     assert report.violations[0].word == "s2 S1 s2"
+
+
+def _mirrored(event: CrossingEvent, n: int) -> CrossingEvent:
+    """The crossing as the plane at angle + pi sees it: generator k becomes
+    n - k with the same sign, and the order before it reverses."""
+    return dataclasses.replace(
+        event,
+        letter=BraidLetter(n - event.letter.index, event.letter.sign),
+        order_before=tuple(reversed(event.order_before)),
+    )
+
+
+def _at(report, angle: float) -> list[tuple[tuple[int, ...], float]]:
+    return [(v.ids, v.time) for v in report.violations if v.axis_angle == angle]
+
+
+def _same_violations(first, second) -> bool:
+    return [ids for ids, _ in first] == [ids for ids, _ in second] and all(
+        abs(t1 - t2) < 1e-9 for (_, t1), (_, t2) in zip(first, second)
+    )
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(n=st.integers(2, 6), waypoints=st.integers(2, 8), seed=st.integers(0, 2**32 - 1))
+def test_verify_mirror_angle_repeats_angle_zero(n, waypoints, seed):
+    """The plane at pi sees the mirror braid of the plane at 0, and the
+    forbidden patterns are closed under the mirror, which is why the check
+    set stops short of pi.  On float teams in general position the pi
+    table's pairs are the 0 table's, its triplets are the 0 events folded
+    mirrored, and both angles flag the same robots at the same times."""
+    team = build_space_time(float_team(random.Random(seed), n, waypoints))
+    report, (at_zero, at_pi) = verify(team, (0.0, math.pi))
+    mirrored = [_mirrored(ev, n) for ev in extract_crossings(team, ProjectionAxis(0.0))]
+    assert at_pi.pairs == at_zero.pairs
+    assert at_pi.triplets == fold_crossings(mirrored, BraidTable.identity(n))[0].triplets
+    assert _same_violations(_at(report, 0.0), _at(report, math.pi))
 
 
 def test_verify_carries_tables_between_episodes():
@@ -362,7 +400,7 @@ def test_make_scenario_reproducible():
     assert sc1 == sc2
     assert sc1.n == 4
     assert len(sc1.target_sets) == 3
-    assert sc1.angles == (0.0, math.pi / 2, math.pi)
+    assert sc1.angles == (0.0, math.pi / 2)
 
 
 def test_scenario_angles_hold_the_grid_angles_exactly(monkeypatch):
@@ -371,13 +409,14 @@ def test_scenario_angles_hold_the_grid_angles_exactly(monkeypatch):
     base = make_scenario(3, 1, 33)
     for m in range(2, MAX_M + 1):
         angles = dataclasses.replace(base, m=m, gamma_bar=math.pi).angles
-        assert len(angles) == m + 1
+        assert len(angles) == m
+        assert angles[-1] < math.pi
         assert angles[0] == AXIS_ANGLES[1]
         assert (AXIS_ANGLES[0] in angles) == (m % 2 == 0)
         for i, angle in enumerate(angles):
             if 2 * i != m:
                 assert angle == i * math.pi / m
-    # so an even-m run folds exactly the m + 1 angles of its check set
+    # so an even-m run folds exactly the m angles of its check set
     folded = []
     inner = harness.verify
 
@@ -387,7 +426,7 @@ def test_scenario_angles_hold_the_grid_angles_exactly(monkeypatch):
 
     monkeypatch.setattr(harness, "verify", recording_verify)
     run_task_sequence(dataclasses.replace(base, m=22))
-    assert [len(angles) for angles in folded] == [23]
+    assert [len(angles) for angles in folded] == [22]
 
 
 def test_scenario_validation():
@@ -405,7 +444,7 @@ def test_scenario_validation():
     with pytest.raises(ConfigurationError):
         Scenario(config, pts, pts, (((2.0, 2.0), (2.2, 2.0)),))
     # pi / gamma_bar just under 2 admits m = 2
-    assert Scenario(config, pts, pts, (pts,), m=2).angles == (0.0, math.pi / 2, math.pi)
+    assert Scenario(config, pts, pts, (pts,), m=2).angles == (0.0, math.pi / 2)
 
 
 # ---------------------------------------------------------------------------
@@ -472,8 +511,8 @@ def test_run_metrics_as_dict_round_trips_json():
 
 
 def test_run_task_sequence_folds_each_episode_once(monkeypatch):
-    # m = 2: one lift per episode and one extraction per angle of A(2),
-    # which already holds both grid angles
+    # m = 2: one lift per episode and one extraction per angle of A(2) =
+    # (0, pi/2), which holds both grid angles and not the mirror angle pi
     counts = {"lift": 0, "extract": 0}
     for module in (harness, workspace):
         for name, key in (("build_space_time", "lift"), ("extract_crossings", "extract")):
@@ -485,7 +524,7 @@ def test_run_task_sequence_folds_each_episode_once(monkeypatch):
     metrics = run_task_sequence(make_scenario(3, 5, 0))
     assert metrics.success_rate == 1.0
     episodes = len(metrics.results)
-    assert counts == {"lift": episodes, "extract": 3 * episodes}
+    assert counts == {"lift": episodes, "extract": 2 * episodes}
 
 
 def test_run_task_sequence_odd_m_carries_grid_angle_tables(monkeypatch):
@@ -527,6 +566,42 @@ def test_run_task_sequence_odd_m_carries_grid_angle_tables(monkeypatch):
     assert metrics.final_braids == from_verifier
     assert metrics.final_braids == carried
     assert carried != (BraidTable.identity(4),) * 2
+
+
+def _mirror_table(table: BraidTable) -> BraidTable:
+    """The table the plane at angle + pi folds where the plane at angle
+    folded ``table``: the same pair counts, each triplet's s1 and s2 swapped."""
+    def mirror(state: int) -> int:
+        word = BraidWord.from_text(triplet_word_text(state), 3)
+        letters = tuple(BraidLetter(3 - x.index, x.sign) for x in word.letters)
+        return triplet_state_from_word(BraidWord(3, letters))
+
+    return BraidTable(table.n, table.pairs, tuple(map(mirror, table.triplets)))
+
+
+@pytest.mark.parametrize("m", (2, 3, 4))
+def test_run_episodes_reach_the_same_verdict_at_pi_as_at_zero(monkeypatch, m):
+    """The check set stops short of pi, and no planned episode loses a
+    verdict by it.  A verify that also folds pi, into a table of its own
+    that follows the tables the run carries, flags at pi what it flags at
+    0 on every episode, and its pi table stays the mirror of the 0 table."""
+    real_verify = harness.verify
+    carried = []  # (tables returned to the run, the pi table folded with them)
+
+    def verify_with_pi(team, angles, tables):
+        report, new_tables = real_verify(team, angles, tables)
+        at_pi = next((pi for held, pi in carried if held is tables), BraidTable.identity(4))
+        pi_report, (pi_table,) = real_verify(team, (math.pi,), (at_pi,))
+        assert _same_violations(_at(report, 0.0), _at(pi_report, math.pi))
+        assert pi_table == _mirror_table(new_tables[angles.index(0.0)])
+        carried.append((new_tables, pi_table))
+        return report, new_tables
+
+    monkeypatch.setattr(harness, "verify", verify_with_pi)
+    for seed in range(3):
+        carried.clear()
+        run_task_sequence(make_scenario(4, 20, seed, m=m))
+        assert any(pi != BraidTable.identity(4) for _, pi in carried)
 
 
 def _back_to_back(episodes: list[list[Trajectory]]) -> list[Trajectory]:
