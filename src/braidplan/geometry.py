@@ -9,22 +9,21 @@ order, yields a braid word per plane; the pair and triplet sub-words of
 that braid are what the planner and the verifier test for entangling
 patterns.
 
-Projection convention, fixed package-wide: for a plane at angle ``alpha``
-the projected horizontal coordinate of a point (x, y) is
+Projection convention, fixed package-wide: a plane is a plain angle
+``alpha`` in radians.  ``project`` maps a point (x, y) to its horizontal
+coordinate on the plane, u = -x sin(alpha) + y cos(alpha), and ``depth``
+to its signed distance along the plane normal, larger nearer the viewer:
+d = x cos(alpha) + y sin(alpha).  The view from ``alpha + pi`` negates
+both u and d and therefore produces the mirror braid: generator k
+becomes n - k with the same sign.  The forbidden pair and triplet
+patterns are closed under that map, which is why the verifier's check
+set stops short of pi.
 
-    u = -x * sin(alpha) + y * cos(alpha)
-
-and its depth (signed distance along the plane normal) is
-
-    d = x * cos(alpha) + y * sin(alpha).
-
-The view from ``alpha + pi`` negates both u and d and therefore produces
-the mirror braid: generator k becomes n - k with the same sign.  The
-forbidden pair and triplet patterns are closed under that map, which is
-why the verifier's check set stops short of pi.  Exact coordinate ties
-are broken symbolically: the robot with the smaller id counts as
-infinitesimally smaller in u, which makes extraction deterministic
-without ever perturbing stored data.
+``projected_order`` is the one left-to-right order of a team on a plane,
+for the planner's ranks and the verifier's sweep alike.  Its tie rule:
+an exact tie in u puts the smaller robot id first, as if that robot
+stood infinitesimally to the left, so every order is deterministic and
+no stored data is ever perturbed.
 """
 
 from __future__ import annotations
@@ -41,8 +40,10 @@ from .errors import DegenerateInputError, InputError
 __all__ = [
     "Trajectory",
     "LiftedTeam",
-    "ProjectionAxis",
     "CrossingEvent",
+    "project",
+    "depth",
+    "projected_order",
     "build_space_time",
     "extract_crossings",
     "sub_events",
@@ -127,21 +128,27 @@ def build_space_time(paths: Sequence[Trajectory]) -> LiftedTeam:
     return LiftedTeam(ids, grid, xy, float(horizon))
 
 
-@dataclass(frozen=True)
-class ProjectionAxis:
-    """A vertical projection plane, identified by its angle in radians."""
+def _check_angle(angle: float) -> None:
+    if not math.isfinite(angle):
+        raise InputError(f"projection angle must be finite, got {angle!r}")
 
-    angle: float
 
-    def u(self, xy: np.ndarray) -> np.ndarray:
-        """Projected horizontal coordinate(s) of points shaped (..., 2)."""
-        xy = np.asarray(xy)
-        return -xy[..., 0] * math.sin(self.angle) + xy[..., 1] * math.cos(self.angle)
+def project(xy: np.ndarray, angle: float) -> np.ndarray:
+    """Projected horizontal coordinate(s) u of points shaped (..., 2)."""
+    _check_angle(angle)
+    return -xy[..., 0] * math.sin(angle) + xy[..., 1] * math.cos(angle)
 
-    def depth(self, xy: np.ndarray) -> np.ndarray:
-        """Signed distance(s) along the plane normal; larger is nearer the viewer."""
-        xy = np.asarray(xy)
-        return xy[..., 0] * math.cos(self.angle) + xy[..., 1] * math.sin(self.angle)
+
+def depth(xy: np.ndarray, angle: float) -> np.ndarray:
+    """Signed distance(s) along the plane normal; larger is nearer the viewer."""
+    _check_angle(angle)
+    return xy[..., 0] * math.cos(angle) + xy[..., 1] * math.sin(angle)
+
+
+def projected_order(u: np.ndarray) -> list[int]:
+    """Rows of ``u`` (one value per robot, ids ascending) from left to
+    right; an exact tie keeps the lower row first (module docstring)."""
+    return sorted(range(len(u)), key=u.tolist().__getitem__)
 
 
 @dataclass(frozen=True)
@@ -162,14 +169,14 @@ class CrossingEvent:
 
 
 def _perturbed_signs(diff: np.ndarray) -> np.ndarray:
-    # Tie rule: for a pair (i, j) with i < j, a tied u counts robot i as
-    # smaller, so zero difference takes the negative sign.
+    # ``projected_order``'s tie rule pair by pair: for rows i < j, a tied u
+    # counts row i as left, so zero difference takes the negative sign.
     return np.where(diff > 0.0, 1, -1)
 
 
 def extract_crossings(
     team: LiftedTeam,
-    axis: ProjectionAxis,
+    angle: float,
     ties_out: list[tuple[int, int, float]] | None = None,
 ) -> list[CrossingEvent]:
     """All rank swaps of the projected strands, ordered by time.
@@ -180,8 +187,8 @@ def extract_crossings(
     perturbation are appended to it as (i, j, time), pair by pair.
     """
     ids, grid = team.ids, team.grid
-    U = axis.u(team.xy)       # (n, G)
-    D = axis.depth(team.xy)   # (n, G)
+    U = project(team.xy, angle)   # (n, G)
+    D = depth(team.xy, angle)     # (n, G)
     tol = TIME_TOLERANCE * team.horizon
 
     rows_a, rows_b = np.triu_indices(len(ids), 1)
@@ -199,9 +206,9 @@ def extract_crossings(
         [ids[r] for r in rows_b[p].tolist()],
     ))
 
-    # Running left-to-right order, seeded from the perturbed start ordering.
+    # Running left-to-right order, seeded from the start order.
     id_row = {r: idx for idx, r in enumerate(ids)}
-    order = sorted(ids, key=lambda r: (U[id_row[r], 0], r))
+    order = [ids[row] for row in projected_order(U[:, 0])]
     rank = {r: order.index(r) for r in order}
 
     events: list[CrossingEvent] = []
@@ -240,8 +247,7 @@ def extract_crossings(
             rank[left], rank[right] = rank[right], rank[left]
         pos = end
 
-    final = sorted(ids, key=lambda r: (U[id_row[r], -1], r))
-    if final != order:
+    if [ids[row] for row in projected_order(U[:, -1])] != order:
         raise DegenerateInputError("crossing sequence does not reproduce the final ordering")
     return events
 

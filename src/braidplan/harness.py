@@ -41,7 +41,7 @@ import numpy as np
 
 from .braid import BraidLetter, pair_word_text, triplet_word_text, update_pair, update_triplet
 from .errors import ConfigurationError, DegenerateInputError, EntanglementAlarm, InputError
-from .geometry import CrossingEvent, LiftedTeam, ProjectionAxis, Trajectory
+from .geometry import CrossingEvent, LiftedTeam, Trajectory
 from .geometry import build_space_time, extract_crossings
 from .planner import AXIS_ANGLES, BraidTable, PermutationState, _rows, plan, to_serializable
 from .workspace import WorkspaceConfig, map_path, ranks_from_positions
@@ -275,7 +275,7 @@ def verify(
     new_tables = []
     for angle, table in zip(angles, tables):
         tie_records: list[tuple[int, int, float]] = []
-        events = extract_crossings(team, ProjectionAxis(angle), ties_out=tie_records)
+        events = extract_crossings(team, angle, ties_out=tie_records)
         ties.extend((angle, i, j, t) for i, j, t in tie_records)
         table, forbidden = fold_crossings(events, table)
         new_tables.append(table)
@@ -372,8 +372,8 @@ class SetResult:
     min_distance: float
     horizon: float
     violations: tuple[Violation, ...]
-    # exact projection ties resolved by robot id, counted on the m angles of
-    # A(m) in [0, pi): a tie at 0 would repeat at pi, which is left out
+    # exact projection ties resolved by robot id, counted on every angle the
+    # episode was verified on: A(m), plus pi/2 at odd m
     perturbations: int
     tables_consistent: bool
 
@@ -437,8 +437,8 @@ def run_task_sequence(scenario: Scenario, *, dump_dir: str | Path | None = None)
         dump_dir.mkdir(parents=True, exist_ok=True)
     results: list[SetResult] = []
 
+    start_perms = ranks_from_positions(positions)
     for set_index, targets in enumerate(scenario.target_sets):
-        start_perms = ranks_from_positions(positions)
         target_perms = ranks_from_positions(targets)
         t0 = time.perf_counter()
         outcome = plan(start_perms, target_perms, at_grid(verifier_tables))
@@ -467,8 +467,7 @@ def run_task_sequence(scenario: Scenario, *, dump_dir: str | Path | None = None)
             success = report.ok and clearance_ok
             reason = "ok" if success else ("violation" if not report.ok else "clearance")
             violations = report.violations
-            # Ties count on the check set only, not on grid angles it lacks.
-            ties = sum(p[0] in scenario.angles for p in report.perturbations)
+            ties = len(report.perturbations)
 
         result = SetResult(
             set_index, success, reason, plan_time, len(outcome.path) - 1,
@@ -482,7 +481,7 @@ def run_task_sequence(scenario: Scenario, *, dump_dir: str | Path | None = None)
             (dump_dir / f"set_{set_index:03d}.json").write_text(json.dumps(payload, indent=2))
 
         if success:
-            positions = targets
+            positions, start_perms = targets, target_perms
             verifier_tables = new_tables
 
     successes = [r for r in results if r.success]

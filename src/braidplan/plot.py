@@ -12,13 +12,12 @@ element structure.
 from __future__ import annotations
 
 import colorsys
-import math
 from typing import Sequence
 
 import numpy as np
 
 from .errors import InputError
-from .geometry import ProjectionAxis, Trajectory, build_space_time, extract_crossings
+from .geometry import Trajectory, build_space_time, extract_crossings, project
 
 __all__ = ["strand_palette", "render_paths_svg", "render_braid_svg"]
 
@@ -133,15 +132,12 @@ def render_braid_svg(trajectories: Sequence[Trajectory], angle: float) -> str:
     """Braid diagram on one projection plane: strands by rank, time upward."""
     if not trajectories:
         raise InputError("nothing to plot")
-    if not math.isfinite(angle):
-        raise InputError("projection angle must be finite")
     trajs = sorted(trajectories, key=lambda t: t.robot_id)
-    axis = ProjectionAxis(angle)
     lifted = build_space_time(trajs)
-    U = axis.u(lifted.xy)
+    U = project(lifted.xy, angle)
     if lifted.horizon > 0:
         grid = lifted.grid
-        events = extract_crossings(lifted, axis)
+        events = extract_crossings(lifted, angle)
     else:
         # A stationary team is drawn as straight strands over a unit time span.
         grid = np.array([0.0, 1.0])

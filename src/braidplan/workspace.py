@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, InputError
-from .geometry import ProjectionAxis, Trajectory
+from .geometry import Trajectory, project, projected_order
 from .planner import AXIS_ANGLES, PermutationState, SwapAction
 
 # Not called here; the benchmark's tracer (bench/tracing.py) wraps these names
@@ -36,17 +36,11 @@ from .braid import update_pair, update_triplet  # noqa: F401
 from .geometry import build_space_time, extract_crossings, sub_events  # noqa: F401
 
 __all__ = [
-    "GRID_AXES",
     "WorkspaceConfig",
     "ranks_from_positions",
     "grid_cells",
     "map_path",
 ]
-
-GRID_AXES: tuple[ProjectionAxis, ProjectionAxis] = (
-    ProjectionAxis(AXIS_ANGLES[0]),
-    ProjectionAxis(AXIS_ANGLES[1]),
-)
 
 Point = tuple[float, float]
 
@@ -96,20 +90,18 @@ class WorkspaceConfig:
 
 
 def ranks_from_positions(positions: tuple[Point, ...] | list[Point]) -> PermutationState:
-    """Rank the team along both grid axes; ties go to the smaller robot id."""
+    """Rank the team on the plane at each grid angle: the inverse of
+    ``projected_order``, so ranks follow the verifier's order, ties included."""
     pts = np.asarray(positions, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] == 0:
         raise InputError("positions must be a non-empty list of (x, y) points")
-    n = pts.shape[0]
     vectors = []
-    for axis in GRID_AXES:
-        u = axis.u(pts)
-        order = sorted(range(n), key=lambda r: (u[r], r))
-        ranks = [0] * n
-        for pos, robot0 in enumerate(order):
-            ranks[robot0] = pos + 1
+    for angle in AXIS_ANGLES:
+        ranks = [0] * len(pts)
+        for rank, row in enumerate(projected_order(project(pts, angle)), 1):
+            ranks[row] = rank
         vectors.append(tuple(ranks))
-    return PermutationState(vectors[0], vectors[1])
+    return PermutationState(*vectors)
 
 
 def grid_cells(perms: PermutationState, config: WorkspaceConfig) -> np.ndarray:
@@ -185,18 +177,17 @@ def map_path(
             for r0 in range(n)
         ]
 
-    entry_cells = grid_cells(perm_path[0], config)
-    dist = float(np.max(np.hypot(*(entry_cells - starts).T)))
+    cells = [grid_cells(perms, config) for perms in perm_path]
+    dist = float(np.max(np.hypot(*(cells[0] - starts).T)))
     if dist > 0.0:
-        windows.append((dist / config.speed, entry_cells))
+        windows.append((dist / config.speed, cells[0]))
 
     swap_duration = config.cell_size / config.speed
-    for prev, cur in zip(perm_path, perm_path[1:]):
+    for prev, cur, ends in zip(perm_path, perm_path[1:], cells[1:]):
         _step_action(prev, cur)  # validates the step shape
-        windows.append((swap_duration, grid_cells(cur, config)))
+        windows.append((swap_duration, ends))
 
-    exit_cells = grid_cells(perm_path[-1], config)
-    dist = float(np.max(np.hypot(*(targets - exit_cells).T)))
+    dist = float(np.max(np.hypot(*(targets - cells[-1]).T)))
     if dist > 0.0:
         windows.append((dist / config.speed, targets))
 

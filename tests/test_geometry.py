@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,10 +21,11 @@ from braidplan.errors import DegenerateInputError, InputError
 from braidplan.geometry import (
     CrossingEvent,
     TIME_TOLERANCE,
-    ProjectionAxis,
     Trajectory,
     build_space_time,
+    depth,
     extract_crossings,
+    project,
     sub_events,
 )
 from sampling import LATTICE_ANGLES, LATTICE_PATH, float_team, lattice_team
@@ -85,7 +87,7 @@ def _two_robot_fixture():
 
 
 def test_single_crossing_pinned():
-    events = extract_crossings(_two_robot_fixture(), ProjectionAxis(0.0))
+    events = extract_crossings(_two_robot_fixture(), 0.0)
     assert len(events) == 1
     ev = events[0]
     assert ev.i == 1 and ev.j == 2
@@ -99,7 +101,7 @@ def test_single_crossing_swapped_depth():
     # same picture with x coordinates exchanged: the left strand is in front
     r1 = Trajectory(1, ((1.0, 0.0, 0.0), (1.0, 1.0, 1.0)))
     r2 = Trajectory(2, ((0.0, 1.0, 0.0), (0.0, 0.0, 1.0)))
-    events = extract_crossings(build_space_time([r1, r2]), ProjectionAxis(0.0))
+    events = extract_crossings(build_space_time([r1, r2]), 0.0)
     assert len(events) == 1
     assert events[0].letter.index == 1 and events[0].letter.sign == 1
 
@@ -107,7 +109,7 @@ def test_single_crossing_swapped_depth():
 def test_no_crossing_parallel():
     r1 = Trajectory(1, ((0.0, 0.0, 0.0), (1.0, 0.0, 1.0)))
     r2 = Trajectory(2, ((0.0, 2.0, 0.0), (1.0, 2.0, 1.0)))
-    events = extract_crossings(build_space_time([r1, r2]), ProjectionAxis(0.0))
+    events = extract_crossings(build_space_time([r1, r2]), 0.0)
     assert events == []
 
 
@@ -119,10 +121,10 @@ def test_mirror_axis_flips_strand_indices():
     for n in (2, 3, 4, 5, 6) * 20:
         paths = float_team(rng, n)
         lifted = build_space_time(paths)
-        axis = ProjectionAxis(rng.uniform(0, math.pi))
-        fwd = extract_crossings(lifted, axis)
+        angle = rng.uniform(0, math.pi)
+        fwd = extract_crossings(lifted, angle)
         # the same plane viewed from the other side: u and depth negated
-        back = extract_crossings(lifted, ProjectionAxis(axis.angle + math.pi))
+        back = extract_crossings(lifted, angle + math.pi)
         assert len(fwd) == len(back)
         for e1, e2 in zip(fwd, back):
             assert abs(e1.time - e2.time) < 1e-9
@@ -139,8 +141,7 @@ def test_crossings_match_oracle_random_teams():
         paths = float_team(rng, n)
         lifted = build_space_time(paths)
         angle = rng.uniform(0, math.pi)
-        axis = ProjectionAxis(angle)
-        events = extract_crossings(lifted, axis)
+        events = extract_crossings(lifted, angle)
 
         # pairwise times agree with the oracle
         got = {}
@@ -185,7 +186,7 @@ def test_exact_tie_perturbation():
     r1 = Trajectory(1, ((0.0, 0.0, 0.0), (0.0, 1.0, 1.0)))
     r2 = Trajectory(2, ((1.0, 0.0, 0.0), (1.0, 2.0, 1.0)))
     ties: list[tuple[int, int, float]] = []
-    events = extract_crossings(build_space_time([r1, r2]), ProjectionAxis(0.0), ties)
+    events = extract_crossings(build_space_time([r1, r2]), 0.0, ties)
     assert events == []
     assert ties == [(1, 2, 0.0)]
 
@@ -195,7 +196,7 @@ def test_exact_tie_crossing_downward():
     r1 = Trajectory(1, ((0.0, 0.0, 0.0), (0.0, 2.0, 1.0)))
     r2 = Trajectory(2, ((1.0, 0.0, 0.0), (1.0, 1.0, 1.0)))
     ties: list[tuple[int, int, float]] = []
-    events = extract_crossings(build_space_time([r1, r2]), ProjectionAxis(0.0), ties)
+    events = extract_crossings(build_space_time([r1, r2]), 0.0, ties)
     assert len(events) == 1
     assert events[0].time == 0.0
     assert ties == [(1, 2, 0.0)]
@@ -217,7 +218,7 @@ def test_extract_crossings_lattice_property(paths, angle):
     grid = [float(t) for t in range(int(horizon) + 1)]
     ties: list[tuple[int, int, float]] = []
     try:
-        events = extract_crossings(build_space_time(team), ProjectionAxis(angle), ties)
+        events = extract_crossings(build_space_time(team), angle, ties)
     except DegenerateInputError:
         return
 
@@ -258,7 +259,7 @@ def _three_robot_fixture():
 
 
 def test_sub_events_reindex_to_pair_rank():
-    events = extract_crossings(_three_robot_fixture(), ProjectionAxis(0.0))
+    events = extract_crossings(_three_robot_fixture(), 0.0)
     assert [(ev.i, ev.j) for ev in events] == [(1, 3), (1, 3)]
     # within the team, robot 2 sits below both, so the crossing is at rank 2
     assert [ev.letter.index for ev in events] == [2, 2]
@@ -273,7 +274,7 @@ def test_sub_events_reindex_to_pair_rank():
 
 
 def test_sub_events_validation():
-    events = extract_crossings(_three_robot_fixture(), ProjectionAxis(0.0))
+    events = extract_crossings(_three_robot_fixture(), 0.0)
     with pytest.raises(InputError):
         sub_events(events, (1,))
     with pytest.raises(InputError):
@@ -293,7 +294,7 @@ def test_sub_events_triplet_counts():
     rng = random.Random(9)
     paths = float_team(rng, 4)
     lifted = build_space_time(paths)
-    events = extract_crossings(lifted, ProjectionAxis(1.0))
+    events = extract_crossings(lifted, 1.0)
     for subset in ((1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4)):
         members = set(subset)
         internal = [ev for ev in events if {ev.i, ev.j} <= members]
@@ -349,9 +350,8 @@ def test_build_space_time_validation():
 
 
 def test_projection_convention():
-    axis = ProjectionAxis(0.0)
-    assert axis.u([2.0, 5.0]) == 5.0
-    assert axis.depth([2.0, 5.0]) == 2.0
-    quarter = ProjectionAxis(math.pi / 2)
-    assert abs(quarter.u([2.0, 5.0]) - (-2.0)) < 1e-12
-    assert abs(quarter.depth([2.0, 5.0]) - 5.0) < 1e-12
+    point = np.array([2.0, 5.0])
+    assert project(point, 0.0) == 5.0
+    assert depth(point, 0.0) == 2.0
+    assert abs(project(point, math.pi / 2) - (-2.0)) < 1e-12
+    assert abs(depth(point, math.pi / 2) - 5.0) < 1e-12

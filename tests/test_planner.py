@@ -32,7 +32,6 @@ from braidplan.braid import (
 from braidplan.errors import InputError
 from braidplan.harness import make_scenario, verify
 from braidplan.geometry import (
-    ProjectionAxis,
     Trajectory,
     build_space_time,
     extract_crossings,
@@ -163,8 +162,8 @@ def test_letters_match_geometric_extraction():
         perms = random_perms(rng, n)
         action = rng.choice(action_space(perms))
         lifted = build_space_time(_swap_trajectories(perms, action))
-        same = extract_crossings(lifted, ProjectionAxis(AXIS_ANGLES[action.axis - 1]))
-        other = extract_crossings(lifted, ProjectionAxis(AXIS_ANGLES[2 - action.axis]))
+        same = extract_crossings(lifted, AXIS_ANGLES[action.axis - 1])
+        other = extract_crossings(lifted, AXIS_ANGLES[2 - action.axis])
         assert other == []
         assert len(same) == 1
         ev = same[0]

@@ -16,14 +16,8 @@ import pytest
 from braidplan.errors import ConfigurationError, EntanglementAlarm, InputError
 from braidplan.geometry import Trajectory
 from braidplan.harness import carry_over_braids
-from braidplan.planner import BraidTable, PermutationState, plan
-from braidplan.workspace import (
-    GRID_AXES,
-    WorkspaceConfig,
-    grid_cells,
-    map_path,
-    ranks_from_positions,
-)
+from braidplan.planner import AXIS_ANGLES, BraidTable, PermutationState, plan
+from braidplan.workspace import WorkspaceConfig, grid_cells, map_path, ranks_from_positions
 from grid import random_perms, workspace_config
 from sampling import position_at
 
@@ -281,7 +275,7 @@ def test_carry_over_pair_alarm_names_pair_and_word():
     alarm = err.value
     assert alarm.ids == (1, 2)
     assert alarm.word == "S1 S1"
-    assert alarm.axis_angle == GRID_AXES[1].angle
+    assert alarm.axis_angle == AXIS_ANGLES[1]
 
 
 def test_carry_over_validation():
