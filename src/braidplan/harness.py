@@ -42,7 +42,7 @@ import numpy as np
 from .braid import BraidLetter, pair_word_text, triplet_word_text, update_pair, update_triplet
 from .errors import ConfigurationError, DegenerateInputError, EntanglementAlarm, InputError
 from .geometry import CrossingEvent, LiftedTeam, Trajectory
-from .geometry import build_space_time, extract_crossings
+from .geometry import _check_angle, build_space_time, extract_crossings
 from .planner import AXIS_ANGLES, BraidTable, PermutationState, _rows, plan, to_serializable
 from .workspace import WorkspaceConfig, map_path, ranks_from_positions
 
@@ -261,6 +261,8 @@ def verify(
         raise InputError("trajectories must cover robot ids 1..n exactly")
     if not angles:
         raise InputError("at least one check angle is required")
+    for angle in angles:
+        _check_angle(angle)
     if tables is None:
         tables = (BraidTable.identity(n),) * len(angles)
     if len(tables) != len(angles):

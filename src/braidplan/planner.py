@@ -10,6 +10,9 @@ braids into an entangling pattern is silently discarded, so any returned
 path is entanglement-free by construction.  A ``BraidTable`` holds one
 projection angle's states, the kind the verifier keeps per check angle,
 and the planner's braid state is the pair (table at pi/2, table at 0).
+A node holds it as one joint state per pair and per triplet, its braids
+and orders on both axes, so that a move is one table lookup for each
+state it touches (see ``GridNode``).
 
 The two grid axes default to projection angles (pi/2, 0): the axis-1 rank
 of a robot determines its x cell (descending, so that the projected
@@ -24,14 +27,13 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from heapq import heappop, heappush
 from typing import Iterator
 
 from .braid import (
-    _NEXT,
     _VIOLATED,
     _WORD,
     BraidLetter,
@@ -203,8 +205,7 @@ def triplet_slot(n: int, i: int, j: int, k: int) -> int:
 class BraidTable:
     """Braid state of every robot pair and triplet on one projection angle.
 
-    Immutable; planner nodes share unchanged tuples structurally.  Pairs and
-    triplets are stored in combination order.  A pair's entry is its signed
+    Immutable.  Pairs and triplets are stored in combination order.  A pair's entry is its signed
     crossing count (B2 is infinite cyclic), violated at +-2; a triplet's is
     its state id from ``braid``, one id per braid, so tables are tuples of
     small ints that compare and hash by value.
@@ -339,6 +340,119 @@ _INF = 1 << 30
 
 
 # ---------------------------------------------------------------------------
+# Joint pair and triplet states.
+#
+# Each move changes the orders of exactly one robot pair, and its crossing
+# sign depends only on that pair's orders, so inside a team a pair moves as
+# an n = 2 team would.  A triplet moves as an n = 3 team would: only swaps
+# within it change its orders and braids, and robots adjacent in the team
+# are adjacent in the triplet.  A search node therefore holds one joint
+# state per pair and one per triplet, each covering both grid axes, and a
+# move is one transition lookup per pair and triplet it touches.
+# ---------------------------------------------------------------------------
+
+# A pair state is one of 36 small ints: ``_PAIR_KEYS[p]`` is (o1, o2, s1,
+# s2), the pair's order (see ``_orders``) and crossing count on axes 1 and
+# 2, and ``_PAIR_STATE`` maps it back to p.
+_PAIR_KEYS = tuple(itertools.product((1, -1), (1, -1), (-1, 0, 1), (-1, 0, 1)))
+_PAIR_STATE = {key: p for p, key in enumerate(_PAIR_KEYS)}
+# Letters recorded in each pair state's two crossing counts.
+_PAIR_LETTERS = tuple(abs(s1) + abs(s2) for _, _, s1, s2 in _PAIR_KEYS)
+
+
+@lru_cache(maxsize=None)
+def _pair_next() -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Per axis, each pair state's successor when the pair swaps on that
+    axis, -1 when the crossing count would leave [-1, 1].
+
+    Robots a < b swap on axis 1 from order o1, and the lower ranked one
+    passes in front exactly when its axis-2 rank is larger, so the crossing
+    sign is -o1 * o2.  On axis 2 in front means a smaller axis-1 rank, and
+    the sign is o1 * o2.
+    """
+    steps: tuple[list[int], list[int]] = ([], [])
+    for o1, o2, s1, s2 in _PAIR_KEYS:
+        t1, t2 = s1 - o1 * o2, s2 + o1 * o2
+        steps[0].append(_PAIR_STATE[(-o1, o2, t1, s2)] if abs(t1) <= 1 else -1)
+        steps[1].append(_PAIR_STATE[(o1, -o2, s1, t2)] if abs(t2) <= 1 else -1)
+    return tuple(steps[0]), tuple(steps[1])
+
+
+# A triplet state is a small int interned on first use: ``_TRIP_KEYS[q]`` is
+# (braid id on axis 1, braid id on axis 2, code on axis 1, code on axis 2),
+# with the orders coded by ``_codes``.  The triplet's moving pair is c = 0
+# for its lower two ids, 1 for its lowest and highest and 2 for its upper
+# two, and ``_TRIP_NEXT[axis - 1][3 * q + c]`` is the state after that pair
+# swaps on that axis: ``_UNSET`` until first used, ``_REJECT`` when the
+# swap's letter makes a forbidden braid.  ``_TRIP_EXCESS[q]`` is the state's
+# row of ``_excess_columns``, all 0 until that table is built and for states
+# outside it, and ``_TRIP_LETTERS[q]`` the letters of its two braid words.
+# The lists only grow and are never rebound.
+_UNSET, _REJECT = -1, -2
+_TRIP_KEYS: list[tuple[int, int, int, int]] = []
+_TRIP_IDS: dict[tuple[int, int, int, int], int] = {}
+_TRIP_NEXT: tuple[list[int], list[int]] = ([], [])
+_TRIP_EXCESS: list[tuple[int, ...]] = []
+_TRIP_LETTERS: list[int] = []
+_NO_EXCESS = (0,) * 64
+# Whether the third robot ranks above moving pair c, read from a code as
+# (mask, value): with the triplet's ids 1 < 2 < 3, robot 3 after 1 and 2 for
+# pair 0, robot 2 after 1 and 3 for pair 1, robot 1 after 2 and 3 for pair 2.
+_ABOVE = ((6, 6), (5, 1), (3, 0))
+
+
+def _trip_state(key: tuple[int, int, int, int]) -> int:
+    q = _TRIP_IDS.get(key)
+    if q is None:
+        q = _TRIP_IDS[key] = len(_TRIP_KEYS)
+        _TRIP_KEYS.append(key)
+        for step in _TRIP_NEXT:
+            step.extend((_UNSET,) * 3)
+        _TRIP_EXCESS.append(_NO_EXCESS)
+        _TRIP_LETTERS.append(len(_WORD[key[0]]) + len(_WORD[key[1]]))
+    return q
+
+
+def _trip_next(axis: int, s: int) -> int:
+    """Fills and returns ``_TRIP_NEXT[axis - 1][s]``.
+
+    The moving pair's order bit flips in the swap axis's code, and that
+    axis's braid takes the letter ``harness.fold_crossings`` would: s1 when
+    the third robot ranks above the pair, else s2, with the pair's crossing
+    sign (see ``_pair_next``).
+    """
+    q, c = divmod(s, 3)
+    st1, st2, c1, c2 = _TRIP_KEYS[q]
+    bit = 1 << c
+    o12 = 1 if bool(c1 & bit) == bool(c2 & bit) else -1
+    mask, value = _ABOVE[c]
+    index = 1 if ((c1 if axis == 1 else c2) & mask) == value else 2
+    if axis == 1:
+        new, ok = update_triplet(st1, BraidLetter(index, -o12))
+        key = (new, st2, c1 ^ bit, c2)
+    else:
+        new, ok = update_triplet(st2, BraidLetter(index, o12))
+        key = (st1, new, c1, c2 ^ bit)
+    nq = _TRIP_NEXT[axis - 1][s] = _trip_state(key) if ok else _REJECT
+    return nq
+
+
+def _orders(ranks: tuple[int, ...]) -> list[int]:
+    """Each pair (a, b)'s order on one axis, in pair order: +1 when a ranks
+    first, else -1."""
+    return [1 if ra < rb else -1 for ra, rb in itertools.combinations(ranks, 2)]
+
+
+def _codes(ranks: tuple[int, ...]) -> list[int]:
+    """Each triplet (a, b, t)'s order on one axis, in triplet order, as three
+    bits: a before b, a before t, b before t."""
+    return [
+        (ra < rb) + 2 * (ra < rt) + 4 * (rb < rt)
+        for ra, rb, rt in itertools.combinations(ranks, 3)
+    ]
+
+
+# ---------------------------------------------------------------------------
 # Search nodes and expansion.
 # ---------------------------------------------------------------------------
 
@@ -346,21 +460,23 @@ _INF = 1 << 30
 class GridNode:
     """One search node: a configuration with its accumulated braid state.
 
-    ``pairs`` and ``trips`` hold one tuple per grid axis, the entries of the
-    node's table at pi/2 and at 0, so a child rebuilds only the tuples of
-    the axis it swaps on and shares the other axis's with its parent.
-    ``hsum`` is the pair lower bound on remaining actions (see
-    ``_pair_distances``) and ``xsum`` the summed triplet excess (see
-    ``_excess_columns``), both maintained incrementally: each action
-    changes exactly one pair's term and the terms of the n - 2 triplets
-    that hold that pair.  Nodes are their own closed-list keys: pair
-    entries are crossing counts and triplet entries are state ids, so a
-    node hashes and compares tuples of small ints.
+    ``pairs`` holds one joint state per robot pair and ``trips`` one per
+    triplet, in slot order (see ``_PAIR_KEYS`` and ``_TRIP_KEYS``): the
+    braids of both grid axes with the orders of their robots, so that a
+    move is one transition per state it touches.  ``braids`` decodes them
+    into the (table at pi/2, table at 0) pair.  ``hsum`` is the pair lower
+    bound on remaining actions (see ``_pair_distances``) and ``xsum`` the
+    summed triplet excess (see ``_excess_columns``), both maintained
+    incrementally: each action changes exactly one pair's term and the
+    terms of the n - 2 triplets that hold that pair.  ``move`` is the
+    arriving swap as (axis, i, j), ``action`` as a ``SwapAction``.  Nodes
+    are their own closed-list keys: a node hashes and compares tuples of
+    small ints.
     """
 
-    __slots__ = ("pi1", "pi2", "pairs", "trips", "g", "hsum", "xsum", "parent", "action", "_kh")
+    __slots__ = ("pi1", "pi2", "pairs", "trips", "g", "hsum", "xsum", "parent", "move", "_kh")
 
-    def __init__(self, pi1, pi2, pairs, trips, g, hsum, xsum, parent, action):
+    def __init__(self, pi1, pi2, pairs, trips, g, hsum, xsum, parent, move):
         self.pi1 = pi1
         self.pi2 = pi2
         self.pairs = pairs
@@ -369,7 +485,7 @@ class GridNode:
         self.hsum = hsum
         self.xsum = xsum
         self.parent = parent
-        self.action = action
+        self.move = move
         self._kh = hash((pi1, pi2, pairs, trips))
 
     def __hash__(self) -> int:
@@ -386,11 +502,20 @@ class GridNode:
         )
 
     @property
+    def action(self) -> SwapAction | None:
+        """The arriving swap; None at a root."""
+        return None if self.move is None else SwapAction(*self.move)
+
+    @property
     def braids(self) -> tuple[BraidTable, BraidTable]:
         """The node's (table at pi/2, table at 0)."""
         n = len(self.pi1)
-        (pairs1, pairs2), (trips1, trips2) = self.pairs, self.trips
-        return BraidTable(n, pairs1, trips1), BraidTable(n, pairs2, trips2)
+        pairs = [_PAIR_KEYS[p] for p in self.pairs]
+        trips = [_TRIP_KEYS[q] for q in self.trips]
+        return (
+            BraidTable(n, tuple(key[2] for key in pairs), tuple(key[0] for key in trips)),
+            BraidTable(n, tuple(key[3] for key in pairs), tuple(key[1] for key in trips)),
+        )
 
     @classmethod
     def root(
@@ -404,42 +529,33 @@ class GridNode:
 def _root(
     perms: PermutationState, braids: tuple[BraidTable, BraidTable], target: PermutationState
 ) -> tuple[GridNode, int]:
-    """``GridNode.root`` and, from the same pass over the pairs, the number
-    of pairs out of target order on each axis: a successful sort's length."""
+    """``GridNode.root`` and the number of pairs out of target order on each
+    axis: a successful sort's length."""
     if len(braids) != 2 or braids[0].n != perms.n or braids[1].n != perms.n:
         raise InputError("the planner needs one braid table per grid axis for this team")
     table1, table2 = braids
     if not (table1.is_clean and table2.is_clean):
         raise InputError("initial braid tables already hold a violated state")
-    pi1, pi2 = perms.pi1, perms.pi2
-    pairs1, pairs2 = table1.pairs, table2.pairs
-    trips1, trips2 = table1.triplets, table2.triplets
-    rows = _target_rows(target)
-    # Each triplet once, as (a, b, t) with a < b < t; the excess is 0
-    # wherever one axis's braid is trivial.
-    xsum = sum(
-        column.get((trips1[to], trips2[to], _code(pi1, a0, b0, t0), _code(pi2, a0, b0, t0)), 0)
-        for a0, b0, _, _, _, _, thirds in rows.values()
-        for t0, to, column in thirds
-        if t0 > b0 and trips1[to] and trips2[to]
-    )
-    # The pair bound sums every pair's distance to its target orders.
-    hsum = inversions = 0
-    for a0, b0, po, to1, to2, table, _ in rows.values():
-        o1, o2 = _order(pi1, a0, b0), _order(pi2, a0, b0)
-        hsum += table[(o1, o2, pairs1[po], pairs2[po])]
-        inversions += (o1 != to1) + (o2 != to2)
-    root = GridNode(pi1, pi2, (pairs1, pairs2), (trips1, trips2), 0, hsum, xsum, None, None)
-    return root, inversions
+    _, dists, cols, target_orders = _target_rows(target)
+    orders1, orders2 = _orders(perms.pi1), _orders(perms.pi2)
+    pairs = tuple(map(_PAIR_STATE.__getitem__, zip(orders1, orders2, table1.pairs, table2.pairs)))
+    keys = list(zip(table1.triplets, table2.triplets, _codes(perms.pi1), _codes(perms.pi2)))
+    trips = tuple(map(_TRIP_IDS.get, keys))
+    if None in trips:
+        trips = tuple(map(_trip_state, keys))
+    hsum = sum(map(operator.getitem, dists, pairs))
+    xsum = sum(map(operator.getitem, map(_TRIP_EXCESS.__getitem__, trips), cols))
+    inversions = sum(map(operator.ne, orders1 + orders2, target_orders))
+    return GridNode(perms.pi1, perms.pi2, pairs, trips, 0, hsum, xsum, None, None), inversions
 
 
 def expand(node: GridNode, target: PermutationState) -> list[GridNode]:
     """Children of a node, silently dropping braid-violating moves.
 
-    Every child's braid tables share all entries with its parent's except
-    the one pair and the n-2 triplet states touched on the swap axis.
+    Every child's states equal its parent's except those of the one pair
+    and the n - 2 triplets that hold the swapped robots.
     """
-    return _expand(node, _target_rows(target), False)[0]
+    return _expand(node, _target_rows(target)[0], False)[0]
 
 
 @lru_cache(maxsize=None)
@@ -460,54 +576,54 @@ def _rows(n: int) -> dict[tuple[int, int], tuple]:
     }
 
 
-def _order(ranks: tuple[int, ...], a0: int, b0: int) -> int:
-    """The order of robots a and b on one axis: +1 when a ranks first, else -1."""
-    return 1 if ranks[a0] < ranks[b0] else -1
-
-
-def _code(ranks: tuple[int, ...], a0: int, b0: int, t0: int) -> int:
-    """The order of robots a, b and t on one axis, as three bits: a before
-    b, a before t, b before t."""
-    ra, rb, rt = ranks[a0], ranks[b0], ranks[t0]
-    return (ra < rb) + 2 * (ra < rt) + 4 * (rb < rt)
-
-
 @lru_cache(maxsize=8)
-def _target_rows(target: PermutationState) -> dict[tuple[int, int], tuple]:
-    """``_rows`` for one target, with the tables of ``_pair_distances`` and
-    ``_excess_columns``."""
-    return _rows_for(target, _pair_distances(), _excess_columns())
+def _target_rows(target: PermutationState) -> tuple[list, list[list[int]], list[int], list[int]]:
+    """The guidance towards one target: ``(moves, dists, cols, orders)``.
+
+    ``dists[po]`` is pair po's ``_pair_distances`` by pair state, ``cols[to]``
+    triplet to's column of ``_excess_columns``, an index into the rows of
+    ``_TRIP_EXCESS``, ``orders`` the target's ``_orders`` on axis 1, then on
+    axis 2, and ``moves`` is ``_rows_for`` of the dists and cols.
+    """
+    _excess_columns()  # fills _TRIP_EXCESS
+    lists = _pair_distance_lists()
+    orders1, orders2 = _orders(target.pi1), _orders(target.pi2)
+    dists = list(map(lists.__getitem__, zip(orders1, orders2)))
+    cols = [8 * c1 + c2 for c1, c2 in zip(_codes(target.pi1), _codes(target.pi2))]
+    return _rows_for(target.n, dists, cols), dists, cols, orders1 + orders2
 
 
-def _rows_for(
-    target: PermutationState, pair_tables: dict, columns: list[dict]
-) -> dict[tuple[int, int], tuple]:
-    """One row per pair (a, b), a < b, in pair order: ``(a - 1, b - 1, pair
-    ord, o1, o2, table, ((t - 1, triplet ord, column), ...))``.  o1 and o2
-    are the ``_order`` of a and b on axes 1 and 2 of ``target``, ``table``
-    is ``pair_tables[(o1, o2)]``, and each third robot t gets the column of
-    ``columns`` for the target's orders of (a, b, t)."""
-    tg1, tg2 = target.pi1, target.pi2
-    rows = {}
-    for pair, (a0, b0, po, thirds) in _rows(len(tg1)).items():
-        o1, o2 = _order(tg1, a0, b0), _order(tg2, a0, b0)
-        rows[pair] = (
-            a0, b0, po, o1, o2, pair_tables[(o1, o2)],
-            tuple(
-                (t0, to, columns[8 * _code(tg1, a0, b0, t0) + _code(tg2, a0, b0, t0)])
-                for t0, to in thirds
-            ),
-        )
-    return rows
+def _rows_for(n: int, dists: list[list[int]], cols: list[int]) -> list[list]:
+    """The moves of an n-robot team towards one target.
+
+    ``moves[i][j]`` is, for robots i and j swapping, ``(pair ord,
+    dists[pair ord], ((triplet ord, moving pair, column), ...))`` over every
+    third robot in ascending order, where ``cols[to]`` is triplet to's column.
+    """
+    moves = [[None] * (n + 1) for _ in range(n + 1)]
+    for (a, b), (a0, b0, po, thirds) in _rows(n).items():
+        # The moving pair is the triplet's upper two ids when the third
+        # robot's id is the lowest, its outer two when it lies between.
+        thirds = tuple([
+            (to, 2 if t0 < a0 else 1 if t0 < b0 else 0, cols[to]) for t0, to in thirds
+        ])
+        moves[a][b] = moves[b][a] = (po, dists[po], thirds)
+    return moves
 
 
-def _expand(
-    node: GridNode, rows: dict[tuple[int, int], tuple], prune: bool
-) -> tuple[list[GridNode], int]:
+@lru_cache(maxsize=None)
+def _pair_distance_lists() -> dict[tuple[int, int], list[int]]:
+    """``_pair_distances`` as lists indexed by pair state."""
+    return {
+        orders: [table[key] for key in _PAIR_KEYS] for orders, table in _pair_distances().items()
+    }
+
+
+def _expand(node: GridNode, moves: list[list], prune: bool) -> tuple[list[GridNode], int]:
     """Expansion core; returns (children, braid-rejected action count).
 
-    ``rows`` is ``_target_rows(target)``.  With ``prune`` set, two kinds of
-    provably redundant successors are skipped.  Swaps of disjoint robot
+    ``moves`` is ``_target_rows(target)[0]``.  With ``prune`` set, two kinds
+    of provably redundant successors are skipped.  Swaps of disjoint robot
     pairs commute exactly: neither changes the other's rank adjacency,
     crossing letters, or touched braid slots, so both orders reach the
     identical state and only the canonically ordered one is generated.  A
@@ -516,15 +632,18 @@ def _expand(
     state.
     """
     n = len(node.pi1)
+    pair_next = _pair_next()
     children: list[GridNode] = []
     braid_rejected = 0
 
-    pa = node.action if prune else None
+    pa = node.move if prune else None
     if pa is not None:
-        pa_a, pa_b = (pa.i, pa.j) if pa.i < pa.j else (pa.j, pa.i)
-        pa_key = (pa.axis, pa_a, pa_b)
+        pa_axis, pa_i, pa_j = pa
+        pa_a, pa_b = (pa_i, pa_j) if pa_i < pa_j else (pa_j, pa_i)
+        pa_key = (pa_axis, pa_a, pa_b)
 
     for axis in (1, 2):
+        axis_pairs, axis_trips = pair_next[axis - 1], _TRIP_NEXT[axis - 1]
         inv = [0] * (n + 1)
         for robot0, r in enumerate(node.pi1 if axis == 1 else node.pi2):
             inv[r] = robot0 + 1
@@ -533,12 +652,12 @@ def _expand(
             if pa is not None:
                 a, b = (i, j) if i < j else (j, i)
                 if a == pa_a and b == pa_b:
-                    if axis == pa.axis:
+                    if axis == pa_axis:
                         continue
                 elif a != pa_a and a != pa_b and b != pa_a and b != pa_b:
                     if (axis, a, b) < pa_key:
                         continue
-            child = _child(node, rows, axis, k, i, j)
+            child = _child(node, moves[i][j], axis_pairs, axis_trips, axis, k, i, j)
             if child is None:
                 braid_rejected += 1
             else:
@@ -547,91 +666,55 @@ def _expand(
 
 
 def _child(
-    node: GridNode, rows: dict[tuple[int, int], tuple], axis: int, k: int, i: int, j: int
+    node: GridNode, move: tuple, pair_next: tuple[int, ...], step: list[int],
+    axis: int, k: int, i: int, j: int,
 ) -> GridNode | None:
     """The node reached by swapping robots i and j, ranked k and k + 1 on
     ``axis``, or None when a braid check rejects the move: the pair's
     crossing count would leave [-1, 1] or a triplet word would become
-    forbidden.
+    forbidden.  ``move`` is the swap's entry of ``_rows_for``, and
+    ``pair_next`` and ``step`` are the axis's transitions of pair and
+    triplet states.
 
     A move the pair check allows never strands the pair: the reverse swap
     is a move too, so a pair with a finite distance to its target orders
     keeps one, and ``plan`` refuses roots with an unreachable pair.
     """
-    pi1, pi2 = node.pi1, node.pi2
-    pairs1, pairs2 = node.pairs
-    trips1, trips2 = node.trips
-    a0, b0, po, _, _, table, thirds = rows[(i, j) if i < j else (j, i)]
-    o1 = 1 if pi1[a0] < pi1[b0] else -1
-    o2 = 1 if pi2[a0] < pi2[b0] else -1
-    if axis == 1:
-        ranks, node_pairs, node_trips = pi1, pairs1, trips1
-        other_ranks, other_trips, ab, other_ab = pi2, trips2, o1 > 0, o2 > 0
-        sign = 1 if pi2[i - 1] > pi2[j - 1] else -1
-    else:
-        ranks, node_pairs, node_trips = pi2, pairs2, trips2
-        other_ranks, other_trips, ab, other_ab = pi1, trips1, o2 > 0, o1 > 0
-        sign = 1 if pi1[i - 1] < pi1[j - 1] else -1
-
-    new_pair = node_pairs[po] + sign
-    if abs(new_pair) > 1:
+    po, dist, thirds = move
+    p = node.pairs[po]
+    new_p = pair_next[p]
+    if new_p < 0:
         return None
-    s1 = pairs1[po]
-    s2 = pairs2[po]
-    before = table[(o1, o2, s1, s2)]
-    if axis == 1:
-        after = table[(-o1, o2, new_pair, s2)]
-    else:
-        after = table[(o1, -o2, s1, new_pair)]
-
-    # The letter's slot in ``braid._NEXT``: s2 when the third robot ranks
-    # below the pair, else s1; its inverse for a negative crossing.
-    neg = sign < 0
+    trips = list(node.trips)
     xsum = node.xsum
-    other_a, other_b = other_ranks[a0], other_ranks[b0]
-    trip_changes: list[tuple[int, int]] = []
-    for t0, to, column in thirds:
-        st = node_trips[to]
-        above = ranks[t0] > k
-        index = 1 if above else 2
-        new_trip = _NEXT[4 * st + 2 * index - 2 + neg]
-        if new_trip < 0:
-            new_trip, _ = update_triplet(st, BraidLetter(index, sign))
-        if _VIOLATED[new_trip]:
-            return None
-        trip_changes.append((to, new_trip))
-        other = other_trips[to]
-        if other:
-            # The excess is 0 wherever one axis's braid is trivial.  ``_code``
-            # of (a, b, t) on each axis; the swap flips a and b on its own.
-            code = ab + (6 if above else 0)
-            rt = other_ranks[t0]
-            other_code = other_ab + 2 * (other_a < rt) + 4 * (other_b < rt)
-            if axis == 1:
-                xsum += column.get((new_trip, other, code ^ 1, other_code), 0) - column.get(
-                    (st, other, code, other_code), 0
-                )
-            else:
-                xsum += column.get((other, new_trip, other_code, code ^ 1), 0) - column.get(
-                    (other, st, other_code, code), 0
-                )
-
-    pairs = list(node_pairs)
-    pairs[po] = new_pair
-    trips = list(node_trips)
-    for to, st in trip_changes:
-        trips[to] = st
-    new_ranks = list(ranks)
-    new_ranks[i - 1], new_ranks[j - 1] = k + 1, k
-    # Only the swap axis's tuples are rebuilt; the other axis's are shared.
+    excess = _TRIP_EXCESS
+    for to, c, col in thirds:
+        q = trips[to]
+        nq = step[3 * q + c]
+        if nq < 0:
+            if nq == _UNSET:
+                nq = _trip_next(axis, 3 * q + c)
+            if nq < 0:
+                return None
+        xsum += excess[nq][col] - excess[q][col]
+        trips[to] = nq
+    pairs = list(node.pairs)
+    pairs[po] = new_p
+    pi1, pi2 = node.pi1, node.pi2
+    ranks = list(pi1 if axis == 1 else pi2)
+    ranks[i - 1], ranks[j - 1] = k + 1, k
     if axis == 1:
-        pi1, pairs1, trips1 = tuple(new_ranks), tuple(pairs), tuple(trips)
+        pi1 = tuple(ranks)
     else:
-        pi2, pairs2, trips2 = tuple(new_ranks), tuple(pairs), tuple(trips)
+        pi2 = tuple(ranks)
     return GridNode(
-        pi1, pi2, (pairs1, pairs2), (trips1, trips2),
-        node.g + 1, node.hsum - before + after, xsum, node, SwapAction(axis, i, j),
+        pi1, pi2, tuple(pairs), tuple(trips),
+        node.g + 1, node.hsum - dist[p] + dist[new_p], xsum, node, (axis, i, j),
     )
+
+
+# No orders have code 2 or 5 (a cycle), so column 8 * 2 + 2 reads 0.
+_ZERO_COLUMN = 18
 
 
 def _grid_distances(roots: list[GridNode]) -> tuple[list[GridNode], dict[tuple, list[int]]]:
@@ -643,18 +726,18 @@ def _grid_distances(roots: list[GridNode]) -> tuple[list[GridNode], dict[tuple, 
     order met, and for each target order pair ``(pi1, pi2)`` every state's
     fewest moves to those orders, ``_INF`` where none reach them.  Each
     move's reverse is a move, so one breadth-first search from the target's
-    states gives every distance.  The walk's rows carry guidance tables
-    that read 0, since it builds the guidance.
+    states gives every distance.  The walk's moves carry guidance that
+    reads 0, since it builds the guidance.
     """
     n = len(roots[0].pi1)
-    no_pairs = dict.fromkeys(itertools.product((-1, 1), repeat=2), Counter())
-    rows = _rows_for(PermutationState.identity(n), no_pairs, [{}] * 64)
+    no_pairs = [[0] * len(_PAIR_KEYS)] * math.comb(n, 2)
+    moves = _rows_for(n, no_pairs, [_ZERO_COLUMN] * math.comb(n, 3))
     nodes = list(roots)
     index = {node: k for k, node in enumerate(nodes)}
     edges: list[list[int]] = []
     for node in nodes:  # the list grows as the search meets new states
         out = []
-        for child in _expand(node, rows, False)[0]:
+        for child in _expand(node, moves, False)[0]:
             if child not in index:
                 index[child] = len(nodes)
                 nodes.append(child)
@@ -679,27 +762,21 @@ def _grid_distances(roots: list[GridNode]) -> tuple[list[GridNode], dict[tuple, 
 def _pair_distances() -> dict[tuple[int, int], dict[tuple[int, int, int, int], int]]:
     """Exact pair guidance: the distances of the n = 2 grid graph.
 
-    Each move changes the orders of exactly one robot pair, and its crossing
-    sign depends only on that pair's orders, so inside a team a pair moves
-    as an n = 2 team would.  Table ``(t1, t2)``, for target orders t1 and
-    t2 (``_order``), maps each pair state (o1, o2, s1, s2), its orders and
-    crossing counts on the two axes, to its distance.  All 36 states are
-    roots: the 4 clean ones reach only 20, and hand-loaded tables can hold
-    the other 16.  Summed over a team's pairs, this is a consistent lower
-    bound that sees the braid checks, and one ``_INF`` pair proves a query
-    infeasible.
+    Table ``(t1, t2)``, for target orders t1 and t2 (``_orders``), maps each
+    pair state (o1, o2, s1, s2), its orders and crossing counts on the two
+    axes, to its distance.  All 36 states are roots: the 4 clean ones reach
+    only 20, and hand-loaded tables can hold the other 16.  Summed over a
+    team's pairs, this is a consistent lower bound that sees the braid
+    checks, and one ``_INF`` pair proves a query infeasible.
     """
-    perms, counts = ((1, 2), (2, 1)), (-1, 0, 1)
+    perms = {1: (1, 2), -1: (2, 1)}
     nodes, distances = _grid_distances([
-        GridNode(p1, p2, ((s1,), (s2,)), ((), ()), 0, 0, 0, None, None)
-        for p1 in perms for p2 in perms for s1 in counts for s2 in counts
+        GridNode(perms[key[0]], perms[key[1]], (p,), (), 0, 0, 0, None, None)
+        for p, key in enumerate(_PAIR_KEYS)
     ])
-    keys = [
-        (_order(node.pi1, 0, 1), _order(node.pi2, 0, 1), *node.pairs[0], *node.pairs[1])
-        for node in nodes
-    ]
+    keys = [_PAIR_KEYS[node.pairs[0]] for node in nodes]
     return {
-        (_order(t1, 0, 1), _order(t2, 0, 1)): dict(zip(keys, dist))
+        (_orders(t1)[0], _orders(t2)[0]): dict(zip(keys, dist))
         for (t1, t2), dist in distances.items()
     }
 
@@ -709,50 +786,54 @@ def _excess_columns() -> list[dict[tuple[int, int, int, int], int]]:
     """Exact triplet guidance: the distances of the n = 3 grid graph beyond
     the pair bound.
 
-    Inside a team a triplet moves as an n = 3 team would: only swaps within
-    it change its orders and braids, and robots adjacent in the team are
-    adjacent in the triplet.  A triplet state's *excess* is its exact
-    distance to the target orders in the n = 3 graph minus the
-    ``_pair_distances`` of its three pairs, the detours that the pair bound
-    cannot see: 0, 2 or 4.
+    A triplet state's *excess* is its exact distance to the target orders
+    in the n = 3 graph minus the ``_pair_distances`` of its three pairs,
+    the detours that the pair bound cannot see: 0, 2 or 4.
 
     Column ``8 * t1 + t2`` is for the target orders t1 and t2 of a
-    triplet's robots (a, b, t) on axes 1 and 2, coded by ``_code``.  It maps
-    a state's (braid id on axis 1, braid id on axis 2, order on axis 1,
-    order on axis 2) to its excess and omits zeros, so a state outside the
-    graph, one no plan from clean tables reaches, reads 0.  Relabelling the
-    robots maps the graph onto itself, so every triplet of every team reads
-    one table, with its robots in any order.
+    triplet's robots on axes 1 and 2, coded by ``_codes``.  It maps a
+    state's key (see ``_TRIP_KEYS``) to its excess and omits zeros, so a
+    state outside the graph, one no plan from clean tables reaches, reads
+    0.  Relabelling the robots maps the graph onto itself, so every triplet
+    of every team reads one table.  Building it interns every state of the
+    graph and fills their rows of ``_TRIP_EXCESS``.
 
     The graph holds 2,316 states, reached from the 36 clean roots by 7,392
     moves.  The excess is 0 wherever one axis's braid is trivial, so only
     states with two nontrivial braids are stored.
     """
     perms = list(itertools.permutations((1, 2, 3)))
-    pairs, trips = ((0, 0, 0),) * 2, ((0,),) * 2
-    nodes, distances = _grid_distances(
-        [GridNode(p1, p2, pairs, trips, 0, 0, 0, None, None) for p1 in perms for p2 in perms]
-    )
+    roots = []
+    for p1, p2 in itertools.product(perms, repeat=2):
+        orders1, orders2 = _orders(p1), _orders(p2)
+        pairs = tuple(_PAIR_STATE[(o1, o2, 0, 0)] for o1, o2 in zip(orders1, orders2))
+        trips = (_trip_state((0, 0, _codes(p1)[0], _codes(p2)[0])),)
+        roots.append(GridNode(p1, p2, pairs, trips, 0, 0, 0, None, None))
+    nodes, distances = _grid_distances(roots)
     # Each state with two nontrivial braids: its index, its key in a column
     # and its three pairs' keys in their tables.
     tangled = []
     for k, node in enumerate(nodes):
-        pi1, pi2, (pairs1, pairs2), ((s1,), (s2,)) = node.pi1, node.pi2, node.pairs, node.trips
-        if s1 and s2:
-            key = (s1, s2, _code(pi1, 0, 1, 2), _code(pi2, 0, 1, 2))
-            tangled.append((k, key, *(
-                (_order(pi1, a0, b0), _order(pi2, a0, b0), pairs1[po], pairs2[po])
-                for a0, b0, po, _ in _rows(3).values()
-            )))
+        key = _TRIP_KEYS[node.trips[0]]
+        if key[0] and key[1]:
+            tangled.append((k, key, *(_PAIR_KEYS[p] for p in node.pairs)))
+    tables = _pair_distances()
     columns: list[dict] = [{} for _ in range(64)]
     for (t1, t2), dist in distances.items():
-        rows = _rows_for(PermutationState(t1, t2), _pair_distances(), [{}] * 64)
-        table12, table13, table23 = (row[5] for row in rows.values())
-        column = columns[8 * _code(t1, 0, 1, 2) + _code(t2, 0, 1, 2)]
+        orders1, orders2 = _orders(t1), _orders(t2)
+        table12, table13, table23 = (tables[orders] for orders in zip(orders1, orders2))
+        column = columns[8 * _codes(t1)[0] + _codes(t2)[0]]
         for k, key, pair12, pair13, pair23 in tangled:
             excess = dist[k] - table12[pair12] - table13[pair13] - table23[pair23]
             if excess:
                 column[key] = excess
+    rows: dict[int, list[int]] = {}
+    for col, column in enumerate(columns):
+        for key, excess in column.items():
+            rows.setdefault(_trip_state(key), [0] * 64)[col] = excess
+    shared: dict[tuple[int, ...], tuple[int, ...]] = {}
+    for q, row in rows.items():
+        _TRIP_EXCESS[q] = shared.setdefault(tuple(row), tuple(row))
     return columns
 
 
@@ -794,15 +875,11 @@ _UNWIND_BUDGET = 30_000
 
 def _tangle(node: GridNode) -> int:
     """Letters recorded across the node's braid tables: each pair's crossing
-    count and each triplet's word length, the shortest for every braid a
+    counts and each triplet's word lengths, the shortest for every braid a
     plan can hold."""
-    total = 0
-    for pairs, trips in zip(node.pairs, node.trips):
-        for st in trips:
-            total += len(_WORD[st])
-        for c in pairs:
-            total += abs(c)
-    return total
+    return sum(map(_PAIR_LETTERS.__getitem__, node.pairs)) + sum(
+        map(_TRIP_LETTERS.__getitem__, node.trips)
+    )
 
 
 def _best_first(root: GridNode, target: PermutationState, key, done, budget: int) -> _Stage:
@@ -814,7 +891,7 @@ def _best_first(root: GridNode, target: PermutationState, key, done, budget: int
     "goal"), with None after ``budget`` expansions ("max_expansions"), or
     with None once the queue runs dry ("exhausted").
     """
-    rows = _target_rows(target)
+    moves = _target_rows(target)[0]
     heap: list[tuple] = [(*key(root), 0, root)]
     g_best = {root: root.g}
     closed: set[GridNode] = set()
@@ -832,7 +909,7 @@ def _best_first(root: GridNode, target: PermutationState, key, done, budget: int
             return node, SearchTrace(expanded, generated, rejected, peak_open, "goal")
         if expanded >= budget:
             return None, SearchTrace(expanded, generated, rejected, peak_open, "max_expansions")
-        children, braid_rejected = _expand(node, rows, True)
+        children, braid_rejected = _expand(node, moves, True)
         rejected += braid_rejected
         generated += len(children)
         for child in children:
@@ -904,23 +981,29 @@ def _axis_sort(
     zero-tangle table no swap ever is, in either axis order.
     """
     n = len(root.pi1)
-    rows = _target_rows(target)
+    moves, pair_next = _target_rows(target)[0], _pair_next()
     node = root
     expanded = 0
     for axis in axes:
         goal = target.pi1 if axis == 1 else target.pi2
-        while True:
-            inv = [0] * (n + 1)
-            for robot0, r in enumerate(node.pi1 if axis == 1 else node.pi2):
-                inv[r] = robot0 + 1
-            k = next((k for k in range(1, n) if goal[inv[k] - 1] > goal[inv[k + 1] - 1]), None)
-            if k is None:
-                break
+        axis_pairs, axis_trips = pair_next[axis - 1], _TRIP_NEXT[axis - 1]
+        inv = [0] * (n + 1)
+        for robot0, r in enumerate(node.pi1 if axis == 1 else node.pi2):
+            inv[r] = robot0 + 1
+        # A swap of ranks k and k + 1 changes no pair below rank k - 1, so
+        # the next lowest pair out of order is at k - 1 or above.
+        k = 1
+        while k < n:
+            i, j = inv[k], inv[k + 1]
+            if goal[i - 1] < goal[j - 1]:
+                k += 1
+                continue
             expanded += 1
-            child = _child(node, rows, axis, k, inv[k], inv[k + 1])
-            if child is None:
+            node = _child(node, moves[i][j], axis_pairs, axis_trips, axis, k, i, j)
+            if node is None:
                 return None, SearchTrace(expanded, expanded - 1, 1, 0, "max_expansions")
-            node = child
+            inv[k], inv[k + 1] = j, i
+            k = max(k - 1, 1)
     return node, SearchTrace(expanded, expanded, 0, 0, "goal")
 
 

@@ -278,9 +278,14 @@ def test_verify_validation():
     with pytest.raises(InputError):
         verify(build_space_time([r1, r2]), (0.0,), (BraidTable.identity(3),))
     # no plane has a non-finite angle: at NaN every u is NaN and no crossing shows
+    still = build_space_time([Trajectory(1, ((0.0, 0.0, 0.0),)), Trajectory(2, ((2.0, 0.0, 0.0),))])
+    assert still.horizon == 0.0
     for angle in (math.nan, math.inf, -math.inf):
         with pytest.raises(InputError):
             verify(build_space_time([r1, r2]), (angle,))
+        # a stationary team has no crossing to extract, but its angles are checked too
+        with pytest.raises(InputError):
+            verify(still, (angle,))
         with pytest.raises(InputError):
             render_braid_svg([r1, r2], angle)
 

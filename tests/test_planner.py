@@ -222,19 +222,22 @@ def test_expand_full_child_set_and_sharing():
         for child in children:
             assert child.g == 1
             assert child.parent is root
-            # the swap axis's tuples change in one pair and n - 2 triplets;
-            # the other axis's are the parent's own
-            ax, other = child.action.axis - 1, 2 - child.action.axis
-            pair_diffs = [
-                k for k, (a, b) in enumerate(zip(root.pairs[ax], child.pairs[ax])) if a != b
-            ]
-            trip_diffs = [
-                k for k, (a, b) in enumerate(zip(root.trips[ax], child.trips[ax])) if a is not b
-            ]
+            # a move changes the joint state of one pair and of the n - 2
+            # triplets that hold it, and on the swap axis their braids; the
+            # other axis's table is the parent's
+            pair_diffs = [k for k, (a, b) in enumerate(zip(root.pairs, child.pairs)) if a != b]
+            trip_diffs = [k for k, (a, b) in enumerate(zip(root.trips, child.trips)) if a != b]
             assert len(pair_diffs) == 1
             assert len(trip_diffs) == n - 2
-            assert child.pairs[other] is root.pairs[other]
-            assert child.trips[other] is root.trips[other]
+            ax, other = child.action.axis - 1, 2 - child.action.axis
+            swapped, before = child.braids[ax], root.braids[ax]
+            assert [k for k, (a, b) in enumerate(zip(before.pairs, swapped.pairs)) if a != b] == (
+                pair_diffs
+            )
+            assert [
+                k for k, (a, b) in enumerate(zip(before.triplets, swapped.triplets)) if a != b
+            ] == trip_diffs
+            assert child.braids[other] == root.braids[other]
 
 
 def test_expand_drops_pair_violating_move():
@@ -355,8 +358,8 @@ def test_interned_states_are_canonical(n, seed):
             break
         child = rng.choice(children)
         folded = _folded_child_table(node, child.action, target)
-        assert child.pairs == tuple(t.pairs for t in folded)
-        assert child.trips == tuple(t.triplets for t in folded)
+        assert tuple(t.pairs for t in child.braids) == tuple(t.pairs for t in folded)
+        assert tuple(t.triplets for t in child.braids) == tuple(t.triplets for t in folded)
         node = child
     tables = node.braids
 
@@ -405,11 +408,11 @@ def test_nodes_with_different_braids_do_not_merge():
         layer = nxt
     split = 0
     for nodes in by_perm.values():
-        tables = {(n.pairs, n.trips) for n in nodes}
+        tables = {n.braids for n in nodes}
         if len(tables) > 1:
             split += 1
             a = next(iter(nodes))
-            b = next(n for n in nodes if (n.pairs, n.trips) != (a.pairs, a.trips))
+            b = next(n for n in nodes if n.braids != a.braids)
             assert a != b
     assert split > 0
 
@@ -513,6 +516,56 @@ def test_guidance_reads_zero_outside_the_table():
     else:
         assert result.trace.reason in ("exhausted", "max_expansions")
         assert result.final_braids is None
+
+
+def _outside_braids(rng: random.Random, count: int) -> list[int]:
+    """Clean triplet braids of long random words that lie outside the n = 3
+    table, so that no plan from clean tables reaches them."""
+    from braidplan import braid
+
+    in_table = {key[ax] for column in planner._excess_columns() for key in column for ax in (0, 1)}
+    states = []
+    while len(states) < count:
+        letters = tuple(
+            BraidLetter(rng.choice((1, 2)), rng.choice((1, -1))) for _ in range(30)
+        )
+        state = triplet_state_from_word(BraidWord(3, letters))
+        if not braid._VIOLATED[state] and state not in in_table:
+            states.append(state)
+    return states
+
+
+def test_expand_matches_fold_outside_the_table():
+    """Moves from triplet braids outside the n = 3 table take transitions
+    that no walk from clean tables fills: from roots carrying such braids
+    and random pair counts, every child of a few plies carries exactly the
+    letters of its move, as ``test_expand_matches_letter_by_letter_fold``
+    checks on walks from clean tables."""
+    from braidplan.planner import _INF
+
+    rng = random.Random(29)
+    checked = 0
+    for n in (3, 4, 5, 6):
+        for _ in range(4):
+            pairs, trips = math.comb(n, 2), math.comb(n, 3)
+            tables = tuple(
+                BraidTable(
+                    n, tuple(rng.choice((-1, 0, 1)) for _ in range(pairs)),
+                    tuple(_outside_braids(rng, trips)),
+                )
+                for _ in range(2)
+            )
+            target = random_perms(rng, n)
+            node = GridNode.root(random_perms(rng, n), tables, target)
+            if node.hsum >= _INF:
+                continue  # plan() refuses such a root before expanding it
+            for _ in range(4):
+                kept = _check_expansion(node, target)
+                checked += len(kept)
+                if not kept:
+                    break
+                node = rng.choice(kept)
+    assert checked > 0
 
 
 # ---------------------------------------------------------------------------
