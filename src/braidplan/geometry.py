@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -174,6 +175,15 @@ def _perturbed_signs(diff: np.ndarray) -> np.ndarray:
     return np.where(diff > 0.0, 1, -1)
 
 
+@lru_cache(maxsize=None)
+def _pair_rows(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``np.triu_indices(n, 1)``, read-only: the rows of each pair, in pair order."""
+    rows = np.triu_indices(n, 1)
+    for r in rows:
+        r.flags.writeable = False
+    return rows
+
+
 def extract_crossings(
     team: LiftedTeam,
     angle: float,
@@ -191,7 +201,7 @@ def extract_crossings(
     D = depth(team.xy, angle)     # (n, G)
     tol = TIME_TOLERANCE * team.horizon
 
-    rows_a, rows_b = np.triu_indices(len(ids), 1)
+    rows_a, rows_b = _pair_rows(len(ids))
     diff = U[rows_a] - U[rows_b]   # (pairs, G)
     if ties_out is not None:
         for p, k in zip(*np.nonzero(diff == 0.0)):

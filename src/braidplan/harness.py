@@ -43,7 +43,7 @@ from .braid import BraidLetter, pair_word_text, triplet_word_text, update_pair, 
 from .errors import ConfigurationError, DegenerateInputError, EntanglementAlarm, InputError
 from .geometry import CrossingEvent, LiftedTeam, Trajectory
 from .geometry import _check_angle, build_space_time, extract_crossings
-from .planner import AXIS_ANGLES, BraidTable, PermutationState, _rows, plan, to_serializable
+from .planner import AXIS_ANGLES, BraidTable, PermutationState, _moves, plan, to_serializable
 from .workspace import WorkspaceConfig, map_path, ranks_from_positions
 
 # Not called here; the benchmark's tracer (bench/tracing.py) wraps this name
@@ -213,15 +213,14 @@ def fold_crossings(
     reached +-2.  A flagged entry keeps the letter that flagged it and
     folds no later ones.
     """
-    rows = _rows(table.n)
+    n, moves = table.n, _moves(table.n)
     pairs, trips = list(table.pairs), list(table.triplets)
     # keyed (2, pair slot) or (3, triplet slot), so sorted keys give the report order
     hits: dict[tuple[int, int], tuple[tuple[int, ...], float, str]] = {}
     for ev in events:
-        row = rows.get((ev.i, ev.j))
-        if row is None:
+        if not 0 < ev.i < ev.j <= n:
             continue
-        _, _, po, thirds = row
+        po, thirds = moves[ev.i][ev.j]
         rank = {r: pos for pos, r in enumerate(ev.order_before)}
         left = ev.letter.index - 1  # where the pair's left robot stands
         s1, s2 = BraidLetter(1, ev.letter.sign), BraidLetter(2, ev.letter.sign)
@@ -229,7 +228,7 @@ def fold_crossings(
             pairs[po], ok = update_pair(pairs[po], s1)
             if not ok:
                 hits[2, po] = ((ev.i, ev.j), ev.time, pair_word_text(pairs[po]))
-        for t0, to in thirds:
+        for t0, to, _ in thirds:
             pos = rank.get(t0 + 1)
             if pos is None:
                 raise InputError(f"table robot {t0 + 1} is missing from a crossing's order")

@@ -12,7 +12,10 @@ projection angle's states, the kind the verifier keeps per check angle,
 and the planner's braid state is the pair (table at pi/2, table at 0).
 A node holds it as one joint state per pair and per triplet, its braids
 and orders on both axes, so that a move is one table lookup for each
-state it touches (see ``GridNode``).
+state it touches (see ``GridNode``), as listed by the one move table per
+team size, ``_moves(n)``, that the verifier's fold reads too.  Pair and
+triplet guidance is read alike: each state has one row with a column per
+target order, and ``_columns`` picks each slot's column for a query.
 
 The two grid axes default to projection angles (pi/2, 0): the axis-1 rank
 of a robot determines its x cell (descending, so that the projected
@@ -358,6 +361,10 @@ _PAIR_KEYS = tuple(itertools.product((1, -1), (1, -1), (-1, 0, 1), (-1, 0, 1)))
 _PAIR_STATE = {key: p for p, key in enumerate(_PAIR_KEYS)}
 # Letters recorded in each pair state's two crossing counts.
 _PAIR_LETTERS = tuple(abs(s1) + abs(s2) for _, _, s1, s2 in _PAIR_KEYS)
+# ``_PAIR_DIST[p]`` is pair state p's row of ``_pair_distances``, all 0 until
+# that table is built: its distance to target orders (t1, t2) in column
+# 2 * (t1 > 0) + (t2 > 0).  The list is never rebound.
+_PAIR_DIST: list[tuple[int, ...]] = [(0,) * 4] * len(_PAIR_KEYS)
 
 
 @lru_cache(maxsize=None)
@@ -452,6 +459,39 @@ def _codes(ranks: tuple[int, ...]) -> list[int]:
     ]
 
 
+@lru_cache(maxsize=None)
+def _moves(n: int) -> tuple[tuple, ...]:
+    """The move table of an n-robot team.
+
+    ``_moves(n)[a][b]``, for robots a and b swapping, is ``(pair ord, ((t -
+    1, triplet ord, moving pair), ...))`` over every third robot t in
+    ascending order, with the triplet's moving pair coded as in
+    ``_TRIP_KEYS``.  The search and ``harness.fold_crossings`` read it.
+    """
+    tord = _trip_ord(n)
+    moves = [[None] * (n + 1) for _ in range(n + 1)]
+    for (a, b), po in _pair_ord(n).items():
+        # The moving pair is the triplet's upper two ids when the third
+        # robot's id is the lowest, its outer two when it lies between.
+        thirds = tuple(
+            (t - 1, tord[tuple(sorted((a, b, t)))], 2 if t < a else 1 if t < b else 0)
+            for t in range(1, n + 1) if t != a and t != b
+        )
+        moves[a][b] = moves[b][a] = (po, thirds)
+    return tuple(map(tuple, moves))
+
+
+def _columns(target: PermutationState) -> tuple[list[int], list[int]]:
+    """The guidance towards one target: each pair slot's column of
+    ``_PAIR_DIST`` and each triplet slot's column of ``_TRIP_EXCESS``, for
+    the target orders of its robots on axes 1 and 2.  Builds the guidance
+    tables on first use."""
+    _excess_columns()  # fills _PAIR_DIST and _TRIP_EXCESS
+    orders = zip(_orders(target.pi1), _orders(target.pi2))
+    codes = zip(_codes(target.pi1), _codes(target.pi2))
+    return [2 * (t1 > 0) + (t2 > 0) for t1, t2 in orders], [8 * c1 + c2 for c1, c2 in codes]
+
+
 # ---------------------------------------------------------------------------
 # Search nodes and expansion.
 # ---------------------------------------------------------------------------
@@ -466,12 +506,14 @@ class GridNode:
     move is one transition per state it touches.  ``braids`` decodes them
     into the (table at pi/2, table at 0) pair.  ``hsum`` is the pair lower
     bound on remaining actions (see ``_pair_distances``) and ``xsum`` the
-    summed triplet excess (see ``_excess_columns``), both maintained
-    incrementally: each action changes exactly one pair's term and the
-    terms of the n - 2 triplets that hold that pair.  ``move`` is the
-    arriving swap as (axis, i, j), ``action`` as a ``SwapAction``.  Nodes
-    are their own closed-list keys: a node hashes and compares tuples of
-    small ints.
+    summed triplet excess (see ``_excess_columns``): each the sum of its
+    states' guidance rows at the query's columns (see ``_columns``), both
+    maintained incrementally, since each action changes exactly one pair's
+    term and the terms of the n - 2 triplets that hold that pair.  ``move``
+    is the arriving swap as (axis, i, j), ``action`` as a ``SwapAction``.
+    Nodes are their own closed-list keys: a node hashes and compares its
+    ``pairs`` and ``trips``, tuples of small ints.  The pair states' orders
+    fix both permutations, so ``pi1`` and ``pi2`` add nothing to that key.
     """
 
     __slots__ = ("pi1", "pi2", "pairs", "trips", "g", "hsum", "xsum", "parent", "move", "_kh")
@@ -486,7 +528,7 @@ class GridNode:
         self.xsum = xsum
         self.parent = parent
         self.move = move
-        self._kh = hash((pi1, pi2, pairs, trips))
+        self._kh = hash((pairs, trips))
 
     def __hash__(self) -> int:
         return self._kh
@@ -494,12 +536,7 @@ class GridNode:
     def __eq__(self, other: object) -> bool:
         if type(other) is not GridNode:
             return NotImplemented
-        return (
-            self.pi1 == other.pi1
-            and self.pi2 == other.pi2
-            and self.pairs == other.pairs
-            and self.trips == other.trips
-        )
+        return self.pairs == other.pairs and self.trips == other.trips
 
     @property
     def action(self) -> SwapAction | None:
@@ -523,28 +560,30 @@ class GridNode:
         target: PermutationState,
     ) -> "GridNode":
         """The search root; ``braids`` is the (table at pi/2, table at 0) pair."""
-        return _root(perms, braids, target)[0]
+        return _root(perms, braids, target, _columns(target))[0]
 
 
 def _root(
-    perms: PermutationState, braids: tuple[BraidTable, BraidTable], target: PermutationState
+    perms: PermutationState, braids: tuple[BraidTable, BraidTable], target: PermutationState,
+    cols: tuple,
 ) -> tuple[GridNode, int]:
-    """``GridNode.root`` and the number of pairs out of target order on each
-    axis: a successful sort's length."""
+    """``GridNode.root``, given the target's ``_columns``, and the number of
+    pairs out of target order on each axis: a successful sort's length."""
     if len(braids) != 2 or braids[0].n != perms.n or braids[1].n != perms.n:
         raise InputError("the planner needs one braid table per grid axis for this team")
     table1, table2 = braids
     if not (table1.is_clean and table2.is_clean):
         raise InputError("initial braid tables already hold a violated state")
-    _, dists, cols, target_orders = _target_rows(target)
     orders1, orders2 = _orders(perms.pi1), _orders(perms.pi2)
     pairs = tuple(map(_PAIR_STATE.__getitem__, zip(orders1, orders2, table1.pairs, table2.pairs)))
     keys = list(zip(table1.triplets, table2.triplets, _codes(perms.pi1), _codes(perms.pi2)))
     trips = tuple(map(_TRIP_IDS.get, keys))
     if None in trips:
         trips = tuple(map(_trip_state, keys))
-    hsum = sum(map(operator.getitem, dists, pairs))
-    xsum = sum(map(operator.getitem, map(_TRIP_EXCESS.__getitem__, trips), cols))
+    pair_cols, trip_cols = cols
+    hsum = sum(map(operator.getitem, map(_PAIR_DIST.__getitem__, pairs), pair_cols))
+    xsum = sum(map(operator.getitem, map(_TRIP_EXCESS.__getitem__, trips), trip_cols))
+    target_orders = _orders(target.pi1) + _orders(target.pi2)
     inversions = sum(map(operator.ne, orders1 + orders2, target_orders))
     return GridNode(perms.pi1, perms.pi2, pairs, trips, 0, hsum, xsum, None, None), inversions
 
@@ -555,74 +594,14 @@ def expand(node: GridNode, target: PermutationState) -> list[GridNode]:
     Every child's states equal its parent's except those of the one pair
     and the n - 2 triplets that hold the swapped robots.
     """
-    return _expand(node, _target_rows(target)[0], False)[0]
+    return _expand(node, _moves(len(node.pi1)), _columns(target), False)[0]
 
 
-@lru_cache(maxsize=None)
-def _rows(n: int) -> dict[tuple[int, int], tuple]:
-    """One row per pair (a, b), a < b, in pair order: ``(a - 1, b - 1, pair
-    ord, ((t - 1, triplet ord of {a, b, t}), ...))`` over every third robot
-    t in ascending order."""
-    tord = _trip_ord(n)
-    return {
-        (a, b): (
-            a - 1, b - 1, po,
-            tuple(
-                (t - 1, tord[tuple(sorted((a, b, t)))])
-                for t in range(1, n + 1) if t != a and t != b
-            ),
-        )
-        for (a, b), po in _pair_ord(n).items()
-    }
-
-
-@lru_cache(maxsize=8)
-def _target_rows(target: PermutationState) -> tuple[list, list[list[int]], list[int], list[int]]:
-    """The guidance towards one target: ``(moves, dists, cols, orders)``.
-
-    ``dists[po]`` is pair po's ``_pair_distances`` by pair state, ``cols[to]``
-    triplet to's column of ``_excess_columns``, an index into the rows of
-    ``_TRIP_EXCESS``, ``orders`` the target's ``_orders`` on axis 1, then on
-    axis 2, and ``moves`` is ``_rows_for`` of the dists and cols.
-    """
-    _excess_columns()  # fills _TRIP_EXCESS
-    lists = _pair_distance_lists()
-    orders1, orders2 = _orders(target.pi1), _orders(target.pi2)
-    dists = list(map(lists.__getitem__, zip(orders1, orders2)))
-    cols = [8 * c1 + c2 for c1, c2 in zip(_codes(target.pi1), _codes(target.pi2))]
-    return _rows_for(target.n, dists, cols), dists, cols, orders1 + orders2
-
-
-def _rows_for(n: int, dists: list[list[int]], cols: list[int]) -> list[list]:
-    """The moves of an n-robot team towards one target.
-
-    ``moves[i][j]`` is, for robots i and j swapping, ``(pair ord,
-    dists[pair ord], ((triplet ord, moving pair, column), ...))`` over every
-    third robot in ascending order, where ``cols[to]`` is triplet to's column.
-    """
-    moves = [[None] * (n + 1) for _ in range(n + 1)]
-    for (a, b), (a0, b0, po, thirds) in _rows(n).items():
-        # The moving pair is the triplet's upper two ids when the third
-        # robot's id is the lowest, its outer two when it lies between.
-        thirds = tuple([
-            (to, 2 if t0 < a0 else 1 if t0 < b0 else 0, cols[to]) for t0, to in thirds
-        ])
-        moves[a][b] = moves[b][a] = (po, dists[po], thirds)
-    return moves
-
-
-@lru_cache(maxsize=None)
-def _pair_distance_lists() -> dict[tuple[int, int], list[int]]:
-    """``_pair_distances`` as lists indexed by pair state."""
-    return {
-        orders: [table[key] for key in _PAIR_KEYS] for orders, table in _pair_distances().items()
-    }
-
-
-def _expand(node: GridNode, moves: list[list], prune: bool) -> tuple[list[GridNode], int]:
+def _expand(node: GridNode, moves: tuple, cols: tuple, prune: bool) -> tuple[list[GridNode], int]:
     """Expansion core; returns (children, braid-rejected action count).
 
-    ``moves`` is ``_target_rows(target)[0]``.  With ``prune`` set, two kinds
+    ``moves`` is the team's ``_moves`` and ``cols`` the target's
+    ``_columns``, both passed on to ``_child``.  With ``prune`` set, two kinds
     of provably redundant successors are skipped.  Swaps of disjoint robot
     pairs commute exactly: neither changes the other's rank adjacency,
     crossing letters, or touched braid slots, so both orders reach the
@@ -657,7 +636,7 @@ def _expand(node: GridNode, moves: list[list], prune: bool) -> tuple[list[GridNo
                 elif a != pa_a and a != pa_b and b != pa_a and b != pa_b:
                     if (axis, a, b) < pa_key:
                         continue
-            child = _child(node, moves[i][j], axis_pairs, axis_trips, axis, k, i, j)
+            child = _child(node, moves[i][j], cols, axis_pairs, axis_trips, axis, k, i, j)
             if child is None:
                 braid_rejected += 1
             else:
@@ -666,21 +645,23 @@ def _expand(node: GridNode, moves: list[list], prune: bool) -> tuple[list[GridNo
 
 
 def _child(
-    node: GridNode, move: tuple, pair_next: tuple[int, ...], step: list[int],
+    node: GridNode, move: tuple, cols: tuple, pair_next: tuple[int, ...], step: list[int],
     axis: int, k: int, i: int, j: int,
 ) -> GridNode | None:
     """The node reached by swapping robots i and j, ranked k and k + 1 on
     ``axis``, or None when a braid check rejects the move: the pair's
     crossing count would leave [-1, 1] or a triplet word would become
-    forbidden.  ``move`` is the swap's entry of ``_rows_for``, and
-    ``pair_next`` and ``step`` are the axis's transitions of pair and
-    triplet states.
+    forbidden.  ``move`` is the swap's entry of ``_moves``, ``cols`` the
+    target's ``_columns``, and ``pair_next`` and ``step`` are the axis's
+    transitions of pair and triplet states.  Each touched state's term of
+    ``hsum`` or ``xsum`` changes by its new row's entry minus its old one's.
 
     A move the pair check allows never strands the pair: the reverse swap
     is a move too, so a pair with a finite distance to its target orders
     keeps one, and ``plan`` refuses roots with an unreachable pair.
     """
-    po, dist, thirds = move
+    po, thirds = move
+    pair_cols, trip_cols = cols
     p = node.pairs[po]
     new_p = pair_next[p]
     if new_p < 0:
@@ -688,7 +669,7 @@ def _child(
     trips = list(node.trips)
     xsum = node.xsum
     excess = _TRIP_EXCESS
-    for to, c, col in thirds:
+    for _, to, c in thirds:
         q = trips[to]
         nq = step[3 * q + c]
         if nq < 0:
@@ -696,8 +677,11 @@ def _child(
                 nq = _trip_next(axis, 3 * q + c)
             if nq < 0:
                 return None
+        col = trip_cols[to]
         xsum += excess[nq][col] - excess[q][col]
         trips[to] = nq
+    col = pair_cols[po]
+    hsum = node.hsum + _PAIR_DIST[new_p][col] - _PAIR_DIST[p][col]
     pairs = list(node.pairs)
     pairs[po] = new_p
     pi1, pi2 = node.pi1, node.pi2
@@ -709,12 +693,8 @@ def _child(
         pi2 = tuple(ranks)
     return GridNode(
         pi1, pi2, tuple(pairs), tuple(trips),
-        node.g + 1, node.hsum - dist[p] + dist[new_p], xsum, node, (axis, i, j),
+        node.g + 1, hsum, xsum, node, (axis, i, j),
     )
-
-
-# No orders have code 2 or 5 (a cycle), so column 8 * 2 + 2 reads 0.
-_ZERO_COLUMN = 18
 
 
 def _grid_distances(roots: list[GridNode]) -> tuple[list[GridNode], dict[tuple, list[int]]]:
@@ -726,18 +706,18 @@ def _grid_distances(roots: list[GridNode]) -> tuple[list[GridNode], dict[tuple, 
     order met, and for each target order pair ``(pi1, pi2)`` every state's
     fewest moves to those orders, ``_INF`` where none reach them.  Each
     move's reverse is a move, so one breadth-first search from the target's
-    states gives every distance.  The walk's moves carry guidance that
-    reads 0, since it builds the guidance.
+    states gives every distance.  The walk reads the team's ``_moves`` and
+    no guidance, which it builds: any columns serve, and its nodes' ``hsum``
+    and ``xsum`` go unread.
     """
     n = len(roots[0].pi1)
-    no_pairs = [[0] * len(_PAIR_KEYS)] * math.comb(n, 2)
-    moves = _rows_for(n, no_pairs, [_ZERO_COLUMN] * math.comb(n, 3))
+    moves, cols = _moves(n), ([0] * math.comb(n, 2), [0] * math.comb(n, 3))
     nodes = list(roots)
     index = {node: k for k, node in enumerate(nodes)}
     edges: list[list[int]] = []
     for node in nodes:  # the list grows as the search meets new states
         out = []
-        for child in _expand(node, moves, False)[0]:
+        for child in _expand(node, moves, cols, False)[0]:
             if child not in index:
                 index[child] = len(nodes)
                 nodes.append(child)
@@ -767,7 +747,9 @@ def _pair_distances() -> dict[tuple[int, int], dict[tuple[int, int, int, int], i
     axes, to its distance.  All 36 states are roots: the 4 clean ones reach
     only 20, and hand-loaded tables can hold the other 16.  Summed over a
     team's pairs, this is a consistent lower bound that sees the braid
-    checks, and one ``_INF`` pair proves a query infeasible.
+    checks, and one ``_INF`` pair proves a query infeasible.  Building it
+    fills each pair state's row of ``_PAIR_DIST``, as ``_excess_columns``
+    fills the triplet states' rows of ``_TRIP_EXCESS``.
     """
     perms = {1: (1, 2), -1: (2, 1)}
     nodes, distances = _grid_distances([
@@ -775,10 +757,13 @@ def _pair_distances() -> dict[tuple[int, int], dict[tuple[int, int, int, int], i
         for p, key in enumerate(_PAIR_KEYS)
     ])
     keys = [_PAIR_KEYS[node.pairs[0]] for node in nodes]
-    return {
+    tables = {
         (_orders(t1)[0], _orders(t2)[0]): dict(zip(keys, dist))
         for (t1, t2), dist in distances.items()
     }
+    for p, key in enumerate(_PAIR_KEYS):
+        _PAIR_DIST[p] = tuple(tables[t][key] for t in itertools.product((-1, 1), repeat=2))
+    return tables
 
 
 @lru_cache(maxsize=None)
@@ -882,8 +867,9 @@ def _tangle(node: GridNode) -> int:
     )
 
 
-def _best_first(root: GridNode, target: PermutationState, key, done, budget: int) -> _Stage:
-    """Expand nodes in ascending ``key(node)`` order until one is ``done``.
+def _best_first(root: GridNode, cols: tuple, key, done, budget: int) -> _Stage:
+    """Expand nodes in ascending ``key(node)`` order until one is ``done``;
+    ``cols`` is the target's ``_columns``.
 
     Ties on the key pop the newest node first, diving across plateaus, so
     the result is deterministic.  A child is queued only when it improves
@@ -891,7 +877,7 @@ def _best_first(root: GridNode, target: PermutationState, key, done, budget: int
     "goal"), with None after ``budget`` expansions ("max_expansions"), or
     with None once the queue runs dry ("exhausted").
     """
-    moves = _target_rows(target)[0]
+    moves = _moves(len(root.pi1))
     heap: list[tuple] = [(*key(root), 0, root)]
     g_best = {root: root.g}
     closed: set[GridNode] = set()
@@ -909,7 +895,7 @@ def _best_first(root: GridNode, target: PermutationState, key, done, budget: int
             return node, SearchTrace(expanded, generated, rejected, peak_open, "goal")
         if expanded >= budget:
             return None, SearchTrace(expanded, generated, rejected, peak_open, "max_expansions")
-        children, braid_rejected = _expand(node, moves, True)
+        children, braid_rejected = _expand(node, moves, cols, True)
         rejected += braid_rejected
         generated += len(children)
         for child in children:
@@ -924,7 +910,7 @@ def _best_first(root: GridNode, target: PermutationState, key, done, budget: int
     return None, SearchTrace(expanded, generated, rejected, peak_open, "exhausted")
 
 
-def _search(root: GridNode, target: PermutationState, budget: int) -> _Stage:
+def _search(root: GridNode, target: PermutationState, cols: tuple, budget: int) -> _Stage:
     """The direct stage: best-first to the target by f = g + h, ties on lower h.
 
     h is ``_WEIGHT * (hsum + xsum)``: the pair bound (see
@@ -939,11 +925,11 @@ def _search(root: GridNode, target: PermutationState, budget: int) -> _Stage:
         return node.g + h, h
 
     return _best_first(
-        root, target, key, lambda node: node.pi1 == target.pi1 and node.pi2 == target.pi2, budget
+        root, cols, key, lambda node: node.pi1 == target.pi1 and node.pi2 == target.pi2, budget
     )
 
 
-def _unwind(root: GridNode, target: PermutationState, budget: int) -> _Stage:
+def _unwind(root: GridNode, cols: tuple, budget: int) -> _Stage:
     """Best-first descent on recorded letters to a zero-tangle node.
 
     Carried braid words accumulated over earlier episodes can make the
@@ -964,12 +950,12 @@ def _unwind(root: GridNode, target: PermutationState, budget: int) -> _Stage:
     such history and no such guarantee.
     """
     return _best_first(
-        root, target, lambda node: (_tangle(node), node.g), lambda node: _tangle(node) == 0, budget
+        root, cols, lambda node: (_tangle(node), node.g), lambda node: _tangle(node) == 0, budget
     )
 
 
 def _axis_sort(
-    root: GridNode, target: PermutationState, axes: tuple[int, int] = (1, 2)
+    root: GridNode, target: PermutationState, cols: tuple, axes: tuple[int, int] = (1, 2)
 ) -> _Stage:
     """Bubble-sort one axis, then the other (``axes`` gives the order), into
     target order through ``_child``.
@@ -981,7 +967,7 @@ def _axis_sort(
     zero-tangle table no swap ever is, in either axis order.
     """
     n = len(root.pi1)
-    moves, pair_next = _target_rows(target)[0], _pair_next()
+    moves, pair_next = _moves(n), _pair_next()
     node = root
     expanded = 0
     for axis in axes:
@@ -999,7 +985,7 @@ def _axis_sort(
                 k += 1
                 continue
             expanded += 1
-            node = _child(node, moves[i][j], axis_pairs, axis_trips, axis, k, i, j)
+            node = _child(node, moves[i][j], cols, axis_pairs, axis_trips, axis, k, i, j)
             if node is None:
                 return None, SearchTrace(expanded, expanded - 1, 1, 0, "max_expansions")
             inv[k], inv[k + 1] = j, i
@@ -1066,7 +1052,8 @@ def plan(
         raise InputError("start and target describe different team sizes")
     if braids is None:
         braids = (BraidTable.identity(start.n),) * 2
-    root, inversions = _root(start, braids, target)
+    cols = _columns(target)
+    root, inversions = _root(start, braids, target, cols)
     if root.hsum >= _INF:
         # Some pair's carried-over cable state makes its target order
         # provably unreachable; no amount of search can help.
@@ -1075,18 +1062,18 @@ def plan(
     node = None
     if root.hsum <= inversions:
         for axes in ((1, 2), (2, 1)):
-            node, trace = _axis_sort(root, target, axes)
+            node, trace = _axis_sort(root, target, cols, axes)
             stages.append(trace)
             if node is not None:
                 break
     if node is None:
-        node, trace = _search(root, target, _DIRECT_BUDGET)
+        node, trace = _search(root, target, cols, _DIRECT_BUDGET)
         stages.append(trace)
         if trace.reason == "max_expansions":
-            unwound, unwind_trace = _unwind(root, target, _UNWIND_BUDGET)
+            unwound, unwind_trace = _unwind(root, cols, _UNWIND_BUDGET)
             stages.append(unwind_trace)
             if unwound is not None:
-                node, sort_trace = _axis_sort(unwound, target)
+                node, sort_trace = _axis_sort(unwound, target, cols)
                 stages.append(sort_trace)
     if len(stages) > 1:
         trace = _chain(stages, "goal" if node is not None else trace.reason)

@@ -417,6 +417,34 @@ def test_nodes_with_different_braids_do_not_merge():
     assert split > 0
 
 
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(n=st.integers(2, 6), seed=st.integers(0, 2**32 - 1))
+def test_pair_states_fix_the_permutations(n, seed):
+    """A node hashes and compares its pair and triplet states alone: the
+    orders held in its pair states give back ``pi1`` and ``pi2``, on every
+    node that ``expand`` reaches along a random walk from a random root."""
+    from braidplan.planner import _PAIR_KEYS
+
+    def decoded(node: GridNode) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        ranks = ([1] * n, [1] * n)
+        for (a, b), p in zip(itertools.combinations(range(n), 2), node.pairs):
+            for axis, order in enumerate(_PAIR_KEYS[p][:2]):
+                ranks[axis][b if order > 0 else a] += 1  # +1: a ranks first
+        return tuple(ranks[0]), tuple(ranks[1])
+
+    rng = random.Random(seed)
+    target = random_perms(rng, n)
+    node = GridNode.root(random_perms(rng, n), _clean(n), target)
+    assert decoded(node) == (node.pi1, node.pi2)
+    for _ in range(rng.randrange(1, 20)):
+        children = expand(node, target)
+        for child in children:
+            assert decoded(child) == (child.pi1, child.pi2)
+        if not children:
+            break
+        node = rng.choice(children)
+
+
 def test_root_rejects_bad_tables():
     perms = PermutationState.identity(3)
     with pytest.raises(InputError):
@@ -438,9 +466,46 @@ def test_slot_layout():
             assert [slot_of(n, *ids) for ids in combos] == list(range(len(combos)))
 
 
+def test_move_table_layout():
+    """``_moves(n)[a][b]`` is symmetric: the pair's slot, then the n - 2
+    triplets that hold {a, b} by ascending third robot, each with its slot
+    and its moving pair's code as in ``_TRIP_KEYS``: 0 for the triplet's
+    lower two ids, 1 for its outer two, 2 for its upper two."""
+    from braidplan.planner import _moves
+
+    for n in range(2, 7):
+        moves = _moves(n)
+        for a, b in itertools.permutations(range(1, n + 1), 2):
+            assert moves[a][b] == moves[b][a]
+            lo, hi = min(a, b), max(a, b)
+            po, thirds = moves[a][b]
+            assert po == pair_slot(n, lo, hi)
+            third_ids = [t0 + 1 for t0, _, _ in thirds]
+            assert third_ids == [t for t in range(1, n + 1) if t not in (a, b)]
+            for t, (_, to, c) in zip(third_ids, thirds):
+                ids = tuple(sorted((a, b, t)))
+                assert to == triplet_slot(n, *ids)
+                assert ((ids[0], ids[1]), (ids[0], ids[2]), (ids[1], ids[2]))[c] == (lo, hi)
+
+
 # ---------------------------------------------------------------------------
 # Guidance.
 # ---------------------------------------------------------------------------
+
+
+def test_pair_guidance_rows_match_pair_distances():
+    """Each pair state's row of ``_PAIR_DIST`` holds its ``_pair_distances``
+    entry for all 4 target orders, at the column that ``_columns`` gives a
+    pair with those target orders."""
+    from braidplan.planner import _PAIR_DIST, _PAIR_KEYS, _columns, _pair_distances
+
+    tables = _pair_distances()
+    assert len(_PAIR_KEYS) == 36 and len(tables) == 4
+    perms = {1: (1, 2), -1: (2, 1)}
+    for (t1, t2), table in tables.items():
+        pair_cols, _ = _columns(PermutationState(perms[t1], perms[t2]))
+        for p, key in enumerate(_PAIR_KEYS):
+            assert _PAIR_DIST[p][pair_cols[0]] == table[key]
 
 
 def _assert_excess_as_root(node: GridNode, target: PermutationState) -> None:
@@ -688,7 +753,7 @@ def test_plan_returns_the_sort_from_the_root_when_it_succeeds(monkeypatch):
     path is shorter, and its predicted tables are the start tables with the
     path's letters folded in one by one.  Seeded walks at n = 3..8 start
     from clean tables and from tables carried over an earlier walk."""
-    from braidplan.planner import _INF, _axis_sort
+    from braidplan.planner import _INF, _axis_sort, _columns
 
     # Small budgets keep the queries that both sorts refuse cheap.
     monkeypatch.setattr(planner, "_DIRECT_BUDGET", 20)
@@ -705,7 +770,8 @@ def test_plan_returns_the_sort_from_the_root_when_it_succeeds(monkeypatch):
             target = random_perms(rng, n)
             root = GridNode.root(start, tables, target)
             result = plan(start, target, tables)
-            sorts = [_axis_sort(root, target, axes)[0] for axes in ((1, 2), (2, 1))]
+            cols = _columns(target)
+            sorts = [_axis_sort(root, target, cols, axes)[0] for axes in ((1, 2), (2, 1))]
             sort = next((s for s in sorts if s is not None), None)
             if sort is None:
                 assert root.hsum >= _INF or result.trace.peak_open > 0
@@ -979,7 +1045,7 @@ def test_words_do_not_depend_on_history():
 
 
 def test_unwind_reaches_identity_table():
-    from braidplan.planner import _tangle, _unwind
+    from braidplan.planner import _columns, _tangle, _unwind
 
     start = PermutationState.identity(4)
     mid = PermutationState((4, 3, 2, 1), (2, 1, 4, 3))
@@ -988,13 +1054,13 @@ def test_unwind_reaches_identity_table():
     carried = first.final_braids
     root = GridNode.root(mid, carried, start)
     assert _tangle(root) > 0
-    best, trace = _unwind(root, start, 5000)
+    best, trace = _unwind(root, _columns(start), 5000)
     assert trace.reason == "goal"
     assert _tangle(best) == 0
     assert trace.expanded <= 5000
     assert best.g >= 1
     # the budget stops the walk with tangle left
-    best, trace = _unwind(root, start, 1)
+    best, trace = _unwind(root, _columns(start), 1)
     assert best is None
     assert (trace.expanded, trace.reason) == (1, "max_expansions")
 
@@ -1005,7 +1071,7 @@ def test_planned_history_walks_back_to_clean_tables():
     zero-tangle node is reachable from every carried root, and ``_unwind``
     reaches one.  The history chains ``plan()`` over the carried sets of
     ``make_scenario(6, 30, 2)``."""
-    from braidplan.planner import _UNWIND_BUDGET, _tangle, _unwind
+    from braidplan.planner import _UNWIND_BUDGET, _columns, _tangle, _unwind
 
     def step(node: GridNode, perms: PermutationState) -> GridNode:
         return next(c for c in expand(node, perms) if (c.pi1, c.pi2) == (perms.pi1, perms.pi2))
@@ -1033,7 +1099,7 @@ def test_planned_history_walks_back_to_clean_tables():
         assert node.braids == tables
     assert node.braids == _clean(6)
 
-    best, trace = _unwind(last, start, _UNWIND_BUDGET)
+    best, trace = _unwind(last, _columns(start), _UNWIND_BUDGET)
     assert trace.reason == "goal" and _tangle(best) == 0
 
 
@@ -1055,15 +1121,15 @@ def test_plan_from_clean_tables_is_the_axis_sort():
 
 
 def test_search_stops_at_its_budget():
-    from braidplan.planner import _search
+    from braidplan.planner import _columns, _search
 
     start = PermutationState.identity(6)
     target = PermutationState((6, 5, 4, 3, 2, 1), (6, 5, 4, 3, 2, 1))
     root = GridNode.root(start, _clean(6), target)
-    node, trace = _search(root, target, 1)
+    node, trace = _search(root, target, _columns(target), 1)
     assert node is None and trace.expanded == 1
     assert trace.reason == "max_expansions"
-    node, trace = _search(root, target, 10_000)
+    node, trace = _search(root, target, _columns(target), 10_000)
     assert node is not None and trace.reason == "goal"
 
 
@@ -1071,13 +1137,13 @@ def test_axis_sort_from_clean_table_always_succeeds():
     """From an untangled table, sorting one axis then the other, in either
     order, by adjacent out-of-order swaps never trips a braid check and is
     shortest."""
-    from braidplan.planner import _axis_sort
+    from braidplan.planner import _axis_sort, _columns
 
     def check(start: PermutationState, target: PermutationState) -> None:
         root = GridNode.root(start, _clean(start.n), target)
         optimum = inversions(start.pi1, target.pi1) + inversions(start.pi2, target.pi2)
         for axes in ((1, 2), (2, 1)):
-            node, trace = _axis_sort(root, target, axes)
+            node, trace = _axis_sort(root, target, _columns(target), axes)
             assert node is not None and trace.reason == "goal"
             assert (node.pi1, node.pi2) == (target.pi1, target.pi2)
             assert node.g == trace.expanded == optimum
@@ -1096,13 +1162,13 @@ def test_axis_sort_from_clean_table_always_succeeds():
 
 def test_axis_sort_stops_on_rejected_step():
     # the only axis-1 swap has sign -1, which a carried -1 sum cannot take
-    from braidplan.planner import _axis_sort
+    from braidplan.planner import _axis_sort, _columns
 
     start = PermutationState.identity(2)
     target = PermutationState((2, 1), (1, 2))
     carried = _pair_tables(-1, 0)
     root = GridNode.root(start, carried, target)
-    node, trace = _axis_sort(root, target)
+    node, trace = _axis_sort(root, target, _columns(target))
     assert node is None
     assert (trace.expanded, trace.generated, trace.rejected_by_braid) == (1, 0, 1)
 
@@ -1148,13 +1214,14 @@ def test_search_from_unwound_stalled_query():
     reaches on the pinned query: the direct search gets there within a
     budget of 1,000 expansions (56 at the time of writing, for 52 swaps),
     and no shorter than the inversion count."""
-    from braidplan.planner import _search, _tangle, _unwind
+    from braidplan.planner import _columns, _search, _tangle, _unwind
 
     start, target, carried = _pinned_query("stalled_n9_query.json")
     root = GridNode.root(start, carried, target)
-    unwound, _ = _unwind(root, target, planner._UNWIND_BUDGET)
+    cols = _columns(target)
+    unwound, _ = _unwind(root, cols, planner._UNWIND_BUDGET)
     assert unwound is not None and _tangle(unwound) == 0
-    node, trace = _search(unwound, target, 1000)
+    node, trace = _search(unwound, target, cols, 1000)
     assert trace.reason == "goal"
     assert (node.pi1, node.pi2) == (target.pi1, target.pi2)
     optimum = inversions(unwound.pi1, target.pi1) + inversions(unwound.pi2, target.pi2)
