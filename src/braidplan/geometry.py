@@ -3,11 +3,13 @@
 A team's timed planar paths are lifted into space-time: each robot's
 cable is its path with time as the third, ascending coordinate.  The lift
 is only ever read in time order, so it needs no height: ``build_space_time``
-samples the whole team on one shared time grid.  Projecting the lifted
-strands onto a vertical plane and recording every order swap, in time
-order, yields a braid word per plane; the pair and triplet sub-words of
-that braid are what the planner and the verifier test for entangling
-patterns.
+samples the whole team on one shared time grid, copying the positions of
+a path whose times are the whole grid and interpolating the others.
+Projecting the lifted strands onto a vertical plane and recording every
+order swap, in time order, yields a braid word per plane; the pair and
+triplet sub-words of that braid are what the planner and the verifier
+test for entangling patterns.  ``extract_crossings`` finds every pair's
+swaps in one array step per plane.
 
 Projection convention, fixed package-wide: a plane is a plain angle
 ``alpha`` in radians.  ``project`` maps a point (x, y) to its horizontal
@@ -29,8 +31,11 @@ no stored data is ever perturbed.
 from __future__ import annotations
 
 import math
+import operator
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -71,12 +76,10 @@ class Trajectory:
         times = [w[2] for w in self.waypoints]
         if times[0] != 0.0:
             raise InputError(f"robot {self.robot_id}: first waypoint time must be 0")
-        for a, b in zip(times, times[1:]):
-            if not b > a:
-                raise InputError(f"robot {self.robot_id}: waypoint times must strictly increase")
-        for x, y, t in self.waypoints:
-            if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(t)):
-                raise InputError(f"robot {self.robot_id}: non-finite waypoint")
+        if not all(map(operator.lt, times, times[1:])):
+            raise InputError(f"robot {self.robot_id}: waypoint times must strictly increase")
+        if not all(map(math.isfinite, chain.from_iterable(self.waypoints))):
+            raise InputError(f"robot {self.robot_id}: non-finite waypoint")
 
     @property
     def arrival_time(self) -> float:
@@ -109,8 +112,13 @@ class LiftedTeam:
 def build_space_time(paths: Sequence[Trajectory]) -> LiftedTeam:
     """Sample every path on the union of all waypoint times.
 
-    Robots that arrive early are frozen at their final position.  A
-    stationary team lifts to one grid time and horizon 0.
+    A path with as many waypoints as the grid has times has the whole grid
+    as its times, so its positions are copied: at a knot ``np.interp``
+    returns the knot's value, so the copy is the interpolation.  That is
+    every path of a ``map_path`` episode, whose robots share one clock.
+    Other paths are interpolated; robots that arrive early are frozen at
+    their final position.  A stationary team lifts to one grid time and
+    horizon 0.
     """
     if not paths:
         raise InputError("no trajectories to lift")
@@ -119,13 +127,15 @@ def build_space_time(paths: Sequence[Trajectory]) -> LiftedTeam:
     if len(set(ids)) != len(ids):
         raise InputError("duplicate robot ids in trajectory list")
     horizon = max(p.arrival_time for p in paths)
-    grid = np.unique(np.concatenate([p.times() for p in paths]))
+    arrays = [np.array(p.waypoints) for p in paths]   # (waypoints, 3) each
+    grid = np.unique(np.concatenate([a[:, 2] for a in arrays]))
     xy = np.empty((len(paths), len(grid), 2))
-    for row, p in enumerate(paths):
-        ts = p.times()
-        pts = p.positions()
-        xy[row, :, 0] = np.interp(grid, ts, pts[:, 0])
-        xy[row, :, 1] = np.interp(grid, ts, pts[:, 1])
+    for row, a in enumerate(arrays):
+        if len(a) == len(grid):
+            xy[row] = a[:, :2]
+        else:
+            xy[row, :, 0] = np.interp(grid, a[:, 2], a[:, 0])
+            xy[row, :, 1] = np.interp(grid, a[:, 2], a[:, 1])
     return LiftedTeam(ids, grid, xy, float(horizon))
 
 
@@ -177,11 +187,33 @@ def _perturbed_signs(diff: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _pair_rows(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """``np.triu_indices(n, 1)``, read-only: the rows of each pair, in pair order."""
+    """``np.triu_indices(n, 1)``, read-only: the rows of each pair, in pair
+    order, for crossing extraction and ``harness.simulate`` alike."""
     rows = np.triu_indices(n, 1)
     for r in rows:
         r.flags.writeable = False
     return rows
+
+
+def _interp_at(x: float, xp: list[float], fp: list[float]) -> float:
+    """``float(np.interp(x, xp, fp))`` for one x, on lists, in numpy's own
+    float steps (its C loop), so the two agree bit for bit.  ``xp`` must
+    strictly increase and hold at least two knots, as a grid with crossings
+    does."""
+    if x != x:
+        return x
+    j = bisect_right(xp, x) - 1
+    if j < 0:
+        return fp[0]
+    if j == len(xp) - 1 or xp[j] == x:
+        return fp[j]
+    slope = (fp[j + 1] - fp[j]) / (xp[j + 1] - xp[j])
+    value = slope * (x - xp[j]) + fp[j]
+    if value != value:  # numpy retries from the right knot
+        value = slope * (x - xp[j + 1]) + fp[j + 1]
+        if value != value and fp[j] == fp[j + 1]:
+            value = fp[j]
+    return value
 
 
 def extract_crossings(
@@ -191,10 +223,14 @@ def extract_crossings(
 ) -> list[CrossingEvent]:
     """All rank swaps of the projected strands, ordered by time.
 
-    Simultaneous events (within ``TIME_TOLERANCE`` of the horizon) are
-    resolved pair-lexicographically, always as adjacent-rank swaps.  If
-    ``ties_out`` is given, exact coordinate ties that required the symbolic
-    perturbation are appended to it as (i, j, time), pair by pair.
+    Every pair's sign changes between grid times are found in one array
+    step; the two strands' depths at each crossing are read off the grid
+    with ``_interp_at``, ``np.interp``'s value without a numpy call per
+    crossing.  Simultaneous events (within ``TIME_TOLERANCE`` of the
+    horizon) are resolved pair-lexicographically, always as adjacent-rank
+    swaps.  If ``ties_out`` is given, exact coordinate ties that required
+    the symbolic perturbation are appended to it as (i, j, time), pair by
+    pair.
     """
     ids, grid = team.ids, team.grid
     U = project(team.xy, angle)   # (n, G)
@@ -216,8 +252,10 @@ def extract_crossings(
         [ids[r] for r in rows_b[p].tolist()],
     ))
 
-    # Running left-to-right order, seeded from the start order.
-    id_row = {r: idx for idx, r in enumerate(ids)}
+    # Running left-to-right order, seeded from the start order; each
+    # crossing reads its two strands' depths off these lists.
+    grid_list = grid.tolist()
+    depths = dict(zip(ids, D.tolist()))
     order = [ids[row] for row in projected_order(U[:, 0])]
     rank = {r: order.index(r) for r in order}
 
@@ -241,8 +279,8 @@ def extract_crossings(
                 )
             t, a, b = group.pop(pick)
             left, right = (a, b) if rank[a] < rank[b] else (b, a)
-            d_left = float(np.interp(t, grid, D[id_row[left]]))
-            d_right = float(np.interp(t, grid, D[id_row[right]]))
+            d_left = _interp_at(t, grid_list, depths[left])
+            d_right = _interp_at(t, grid_list, depths[right])
             sign = 1 if (d_left, -left) > (d_right, -right) else -1
             events.append(
                 CrossingEvent(

@@ -42,7 +42,7 @@ import numpy as np
 from .braid import BraidLetter, pair_word_text, triplet_word_text, update_pair, update_triplet
 from .errors import ConfigurationError, DegenerateInputError, EntanglementAlarm, InputError
 from .geometry import CrossingEvent, LiftedTeam, Trajectory
-from .geometry import _check_angle, build_space_time, extract_crossings
+from .geometry import _check_angle, _pair_rows, build_space_time, extract_crossings
 from .planner import AXIS_ANGLES, BraidTable, PermutationState, _moves, plan, to_serializable
 from .workspace import WorkspaceConfig, map_path, ranks_from_positions
 
@@ -182,7 +182,7 @@ def simulate(team: LiftedTeam) -> SimulationResult:
     if len(ts) == 1:
         # A stationary team has one grid time: one window of length zero.
         ts, xy = np.repeat(ts, 2), np.repeat(xy, 2, axis=1)
-    a, b = np.array(list(itertools.combinations(range(len(team.ids)), 2))).T
+    a, b = _pair_rows(len(team.ids))
     rel = xy[a] - xy[b]  # (pairs, times, 2)
     begin, step = rel[:, :-1], rel[:, 1:] - rel[:, :-1]
     sq = (step * step).sum(axis=2)

@@ -107,6 +107,15 @@ class PermutationState:
         raise InputError(f"axis must be 1 or 2, got {axis}")
 
 
+def _path_state(pi1: tuple[int, ...], pi2: tuple[int, ...]) -> PermutationState:
+    """A ``PermutationState`` built without its checks, for the states of a
+    found path: each is a swap of the validated start."""
+    state = object.__new__(PermutationState)
+    object.__setattr__(state, "pi1", pi1)
+    object.__setattr__(state, "pi2", pi2)
+    return state
+
+
 @dataclass(frozen=True)
 class SwapAction:
     """Swap the adjacently ranked robots i and j on one axis.
@@ -697,7 +706,9 @@ def _child(
     )
 
 
-def _grid_distances(roots: list[GridNode]) -> tuple[list[GridNode], dict[tuple, list[int]]]:
+def _grid_distances(
+    roots: list[GridNode], size: int
+) -> tuple[list[GridNode], dict[tuple, list[int]]]:
     """Exact distances in the grid graph of a small team, the pattern
     databases (Culberson & Schaeffer, Computational Intelligence, 1998)
     that guide the search.
@@ -708,7 +719,9 @@ def _grid_distances(roots: list[GridNode]) -> tuple[list[GridNode], dict[tuple, 
     move's reverse is a move, so one breadth-first search from the target's
     states gives every distance.  The walk reads the team's ``_moves`` and
     no guidance, which it builds: any columns serve, and its nodes' ``hsum``
-    and ``xsum`` go unread.
+    and ``xsum`` go unread.  ``size`` is the graph's known number of
+    states; a walk that meets more has a wrong move and raises
+    ``RuntimeError`` instead of running on.
     """
     n = len(roots[0].pi1)
     moves, cols = _moves(n), ([0] * math.comb(n, 2), [0] * math.comb(n, 3))
@@ -719,6 +732,11 @@ def _grid_distances(roots: list[GridNode]) -> tuple[list[GridNode], dict[tuple, 
         out = []
         for child in _expand(node, moves, cols, False)[0]:
             if child not in index:
+                if len(nodes) == size:
+                    raise RuntimeError(
+                        f"the n = {n} grid graph meets more than its {size:,} states: "
+                        "a move is wrong"
+                    )
                 index[child] = len(nodes)
                 nodes.append(child)
             out.append(index[child])
@@ -755,7 +773,7 @@ def _pair_distances() -> dict[tuple[int, int], dict[tuple[int, int, int, int], i
     nodes, distances = _grid_distances([
         GridNode(perms[key[0]], perms[key[1]], (p,), (), 0, 0, 0, None, None)
         for p, key in enumerate(_PAIR_KEYS)
-    ])
+    ], len(_PAIR_KEYS))
     keys = [_PAIR_KEYS[node.pairs[0]] for node in nodes]
     tables = {
         (_orders(t1)[0], _orders(t2)[0]): dict(zip(keys, dist))
@@ -794,7 +812,7 @@ def _excess_columns() -> list[dict[tuple[int, int, int, int], int]]:
         pairs = tuple(_PAIR_STATE[(o1, o2, 0, 0)] for o1, o2 in zip(orders1, orders2))
         trips = (_trip_state((0, 0, _codes(p1)[0], _codes(p2)[0])),)
         roots.append(GridNode(p1, p2, pairs, trips, 0, 0, 0, None, None))
-    nodes, distances = _grid_distances(roots)
+    nodes, distances = _grid_distances(roots, 2_316)
     # Each state with two nontrivial braids: its index, its key in a column
     # and its three pairs' keys in their tables.
     tangled = []
@@ -1083,7 +1101,7 @@ def plan(
     path = []
     cur = node
     while cur is not None:
-        path.append(PermutationState(cur.pi1, cur.pi2))
+        path.append(_path_state(cur.pi1, cur.pi2))
         cur = cur.parent
     path.reverse()
     return PlanResult(tuple(path), node.braids, trace)

@@ -17,6 +17,12 @@ pair's projected order is the same at both window ends and interpolation
 is linear.  Phase B swaps keep at least one full cell of separation on
 the perpendicular axis.  The braids an executed episode weaves are folded
 by ``harness``.
+
+``map_path`` works on whole arrays: one (states, 2, n) rank array of the
+path, every state's cell centres in one expression shared with
+``grid_cells``, and one window clock for the whole team, so every robot
+has the same waypoint times and ``geometry.build_space_time`` copies,
+rather than interpolates, its positions.
 """
 
 from __future__ import annotations
@@ -104,21 +110,25 @@ def ranks_from_positions(positions: tuple[Point, ...] | list[Point]) -> Permutat
     return PermutationState(*vectors)
 
 
+def _cell_centres(
+    pi1: tuple[int, ...] | np.ndarray, pi2: tuple[int, ...] | np.ndarray, config: WorkspaceConfig
+) -> np.ndarray:
+    """Theta on rank arrays of any shape (..., n): the (..., n, 2) cell centres."""
+    mid = (np.shape(pi1)[-1] + 1) / 2.0
+    cx, cy = config.center
+    x = cx + (mid - np.asarray(pi1)) * config.cell_size
+    y = cy + (np.asarray(pi2) - mid) * config.cell_size
+    return np.stack((x, y), axis=-1)
+
+
 def grid_cells(perms: PermutationState, config: WorkspaceConfig) -> np.ndarray:
     """Cell-center positions, theta: rank (a, b) -> the (a, b) grid cell.
 
     Axis-1 rank sets x (descending so the projected coordinate u = -x
     ascends with rank); axis-2 rank sets y (ascending).
     """
-    n = perms.n
-    config.validate_grid(n)
-    cx, cy = config.center
-    mid = (n + 1) / 2.0
-    out = np.empty((n, 2))
-    for r0 in range(n):
-        out[r0, 0] = cx + (mid - perms.pi1[r0]) * config.cell_size
-        out[r0, 1] = cy + (perms.pi2[r0] - mid) * config.cell_size
-    return out
+    config.validate_grid(perms.n)
+    return _cell_centres(perms.pi1, perms.pi2, config)
 
 
 def _step_action(prev: PermutationState, cur: PermutationState) -> SwapAction:
@@ -161,7 +171,6 @@ def map_path(
 
     starts = np.asarray(start_positions, dtype=float)
     targets = np.asarray(target_positions, dtype=float)
-    windows: list[tuple[float, np.ndarray]] = []
 
     if len(perm_path) == 1 and np.array_equal(starts, targets):
         # Nothing to do: hold in place instead of detouring through the grid.
@@ -177,28 +186,35 @@ def map_path(
             for r0 in range(n)
         ]
 
-    cells = [grid_cells(perms, config) for perms in perm_path]
+    for prev, cur in zip(perm_path, perm_path[1:]):
+        _step_action(prev, cur)  # validates the step shape
+    ranks = np.array([(perms.pi1, perms.pi2) for perms in perm_path])  # (states, 2, n)
+    cells = _cell_centres(ranks[:, 0], ranks[:, 1], config)  # (states, n, 2)
+
+    # Window ends, each (windows, n, 2), and durations: entry, one per swap, exit.
+    ends = [starts[None]]
+    durations = []
     dist = float(np.max(np.hypot(*(cells[0] - starts).T)))
     if dist > 0.0:
-        windows.append((dist / config.speed, cells[0]))
-
-    swap_duration = config.cell_size / config.speed
-    for prev, cur, ends in zip(perm_path, perm_path[1:], cells[1:]):
-        _step_action(prev, cur)  # validates the step shape
-        windows.append((swap_duration, ends))
-
+        ends.append(cells[:1])
+        durations.append(dist / config.speed)
+    ends.append(cells[1:])
+    durations += [config.cell_size / config.speed] * (len(perm_path) - 1)
     dist = float(np.max(np.hypot(*(targets - cells[-1]).T)))
     if dist > 0.0:
-        windows.append((dist / config.speed, targets))
+        ends.append(targets[None])
+        durations.append(dist / config.speed)
 
-    trajectories = []
-    for r0 in range(n):
-        t = 0.0
-        waypoints = [(float(starts[r0, 0]), float(starts[r0, 1]), 0.0)]
-        for dur, ends in windows:
-            # A move too short for the float clock still takes one tick.
-            t = max(t + dur, math.nextafter(t, math.inf))
-            waypoints.append((float(ends[r0, 0]), float(ends[r0, 1]), t))
-        trajectories.append(Trajectory(robot_id=r0 + 1, waypoints=tuple(waypoints)))
-    return trajectories
-
+    # One clock for the whole team.
+    t = 0.0
+    times = [t]
+    for dur in durations:
+        # A move too short for the float clock still takes one tick.
+        t = max(t + dur, math.nextafter(t, math.inf))
+        times.append(t)
+    xy = np.concatenate(ends).transpose(1, 0, 2)  # (n, windows + 1, 2)
+    xs, ys = xy[..., 0].tolist(), xy[..., 1].tolist()
+    return [
+        Trajectory(robot_id=r0 + 1, waypoints=tuple(zip(xs[r0], ys[r0], times)))
+        for r0 in range(n)
+    ]

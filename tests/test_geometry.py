@@ -22,12 +22,16 @@ from braidplan.geometry import (
     CrossingEvent,
     TIME_TOLERANCE,
     Trajectory,
+    _interp_at,
     build_space_time,
     depth,
     extract_crossings,
     project,
     sub_events,
 )
+from braidplan.planner import plan
+from braidplan.workspace import map_path, ranks_from_positions
+from grid import workspace_config
 from sampling import LATTICE_ANGLES, LATTICE_PATH, float_team, lattice_team
 
 # ---------------------------------------------------------------------------
@@ -324,15 +328,76 @@ def test_build_space_time_shared_grid_and_heights():
     assert [tuple(p) for p in lifted.xy[1, [0, 1, 3]]] == [(3.0, 3.0), (3.0, 4.0), (4.0, 4.0)]
 
 
+def _interp_lift(paths: list[Trajectory]) -> np.ndarray:
+    """Every robot interpolated on the union of all waypoint times, ids ascending."""
+    paths = sorted(paths, key=lambda p: p.robot_id)
+    grid = np.unique(np.concatenate([p.times() for p in paths]))
+    return np.array([
+        np.stack([np.interp(grid, p.times(), p.positions()[:, k]) for k in (0, 1)], axis=-1)
+        for p in paths
+    ])
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(paths=st.lists(LATTICE_PATH, min_size=1, max_size=5))
+def test_build_space_time_equals_interpolation_lattice(paths):
+    """Robots with as many waypoints as the grid has times are copied, the
+    others interpolated; either way the lift is ``np.interp``'s, bit for bit."""
+    team = lattice_team(paths)
+    assert build_space_time(team).xy.tobytes() == _interp_lift(team).tobytes()
+
+
+def test_build_space_time_equals_interpolation_mapped():
+    # map_path's robots share one clock, so every robot is copied.
+    rng = random.Random(31)
+    config = workspace_config()
+    for n in range(2, 9):
+        starts = [(rng.uniform(0, 12), rng.uniform(0, 12)) for _ in range(n)]
+        targets = [(rng.uniform(0, 12), rng.uniform(0, 12)) for _ in range(n)]
+        result = plan(ranks_from_positions(starts), ranks_from_positions(targets))
+        team = map_path(result.path, config, starts, targets)
+        assert build_space_time(team).xy.tobytes() == _interp_lift(team).tobytes()
+
+
+_KNOTS = st.lists(
+    st.floats(-1e6, 1e6, allow_nan=False), min_size=2, max_size=8, unique=True
+).map(sorted)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    xp=_KNOTS,
+    data=st.data(),
+    where=st.sampled_from(("knot", "inside", "last", "below", "above")),
+)
+def test_interp_at_equals_numpy_interp(xp, data, where):
+    """The depth read at a crossing is ``np.interp``'s value, bit for bit:
+    at a knot, inside an interval, at the last knot and past either end."""
+    fp = data.draw(st.lists(st.floats(-1e6, 1e6), min_size=len(xp), max_size=len(xp)))
+    if where == "knot":
+        x = data.draw(st.sampled_from(xp))
+    elif where == "inside":
+        j = data.draw(st.integers(0, len(xp) - 2))
+        x = xp[j] + data.draw(st.floats(0.0, 1.0)) * (xp[j + 1] - xp[j])
+    elif where == "last":
+        x = xp[-1]
+    else:
+        x = xp[0] - 1.0 if where == "below" else xp[-1] + 1.0
+    assert _interp_at(x, xp, fp).hex() == float(np.interp(x, xp, fp)).hex()
+
+
 def test_trajectory_validation():
     with pytest.raises(InputError):
         Trajectory(1, ())
     with pytest.raises(InputError):
         Trajectory(1, ((0.0, 0.0, 1.0),))
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="strictly increase"):
         Trajectory(1, ((0.0, 0.0, 0.0), (1.0, 1.0, 0.0)))
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="non-finite"):
         Trajectory(1, ((0.0, 0.0, 0.0), (math.inf, 1.0, 1.0)))
+    # times are checked before coordinates
+    with pytest.raises(InputError, match="strictly increase"):
+        Trajectory(1, ((0.0, 0.0, 0.0), (math.inf, 1.0, math.nan)))
 
 
 def test_build_space_time_validation():

@@ -488,6 +488,28 @@ def test_move_table_layout():
                 assert ((ids[0], ids[1]), (ids[0], ids[2]), (ids[1], ids[2]))[c] == (lo, hi)
 
 
+def test_corrupted_move_table_fails_fast(monkeypatch):
+    """A wrong move leads the guidance walk out of the n = 3 graph, which it
+    would never leave; the walk stops at the graph's 2,316 states."""
+    moves = planner._moves
+
+    def corrupted(n):
+        # Moving pairs 0 and 2 swapped: each swap updates the wrong triplet pair.
+        code = (2, 1, 0)
+        return tuple(
+            tuple(
+                entry if entry is None
+                else (entry[0], tuple((t0, to, code[c]) for t0, to, c in entry[1]))
+                for entry in row
+            )
+            for row in moves(n)
+        )
+
+    monkeypatch.setattr(planner, "_moves", corrupted)
+    with pytest.raises(RuntimeError, match="n = 3 grid graph meets more than its 2,316"):
+        planner._excess_columns.__wrapped__()
+
+
 # ---------------------------------------------------------------------------
 # Guidance.
 # ---------------------------------------------------------------------------

@@ -206,6 +206,49 @@ def test_map_path_sub_tick_moves_take_one_tick():
             assert all(t0 < t1 for t0, t1 in zip(times, times[1:]))
 
 
+def _window_oracle(path, config, starts, targets):
+    """Waypoints of ``map_path`` robot by robot: ``grid_cells`` of each
+    state and one clock tick per window (entry, swaps, exit)."""
+    starts, targets = np.asarray(starts), np.asarray(targets)
+    cells = [grid_cells(perms, config) for perms in path]
+    windows = [(config.cell_size / config.speed, ends) for ends in cells[1:]]
+    entry = float(np.max(np.hypot(*(cells[0] - starts).T)))
+    if entry > 0.0:
+        windows.insert(0, (entry / config.speed, cells[0]))
+    exit_ = float(np.max(np.hypot(*(targets - cells[-1]).T)))
+    if exit_ > 0.0:
+        windows.append((exit_ / config.speed, targets))
+    out = []
+    for r0 in range(len(starts)):
+        t = 0.0
+        waypoints = [(float(starts[r0, 0]), float(starts[r0, 1]), 0.0)]
+        for dur, ends in windows:
+            t = max(t + dur, math.nextafter(t, math.inf))
+            waypoints.append((float(ends[r0, 0]), float(ends[r0, 1]), t))
+        out.append(tuple(waypoints))
+    return out
+
+
+def test_map_path_matches_cells_and_clock():
+    """Random paths at n = 2..8, from cell centres and from off-grid points."""
+    rng = random.Random(27)
+    config = workspace_config()
+    for n in range(2, 9):
+        for off_grid in (False, True):
+            if off_grid:
+                starts = [(rng.uniform(0, 12), rng.uniform(0, 12)) for _ in range(n)]
+                targets = [(rng.uniform(0, 12), rng.uniform(0, 12)) for _ in range(n)]
+            else:
+                starts = [tuple(c) for c in grid_cells(random_perms(rng, n), config)]
+                targets = [tuple(c) for c in grid_cells(random_perms(rng, n), config)]
+            result = plan(ranks_from_positions(starts), ranks_from_positions(targets))
+            trajectories = map_path(result.path, config, starts, targets)
+            assert [t.robot_id for t in trajectories] == list(range(1, n + 1))
+            assert [t.waypoints for t in trajectories] == _window_oracle(
+                result.path, config, starts, targets
+            )
+
+
 def test_map_path_validation():
     config = workspace_config()
     positions = [(2.0, 2.0), (6.0, 6.0)]
