@@ -98,11 +98,6 @@ class BraidWord:
                     f"generator s{letter.index} does not exist on {self.strands} strands"
                 )
 
-    def to_text(self) -> str:
-        if not self.letters:
-            return "e"
-        return " ".join(str(l) for l in self.letters)
-
     @classmethod
     def from_text(cls, text: str, strands: int) -> "BraidWord":
         text = text.strip()

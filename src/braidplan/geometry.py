@@ -179,10 +179,19 @@ class CrossingEvent:
     order_before: tuple[int, ...] = field(repr=False)
 
 
-def _perturbed_signs(diff: np.ndarray) -> np.ndarray:
-    # ``projected_order``'s tie rule pair by pair: for rows i < j, a tied u
-    # counts row i as left, so zero difference takes the negative sign.
-    return np.where(diff > 0.0, 1, -1)
+def _right_of(diff: np.ndarray) -> np.ndarray:
+    """Where u[a] - u[b] = ``diff``, for rows a < b: whether row a stands
+    right of row b.  ``projected_order``'s tie rule pair by pair: a tied u
+    counts row a as left."""
+    return diff > 0.0
+
+
+@lru_cache(maxsize=None)
+def _letters(n: int) -> tuple[tuple[BraidLetter, BraidLetter], ...]:
+    """Entry k - 1 is (S_k, s_k): generator k's letters, indexed by whether
+    the left strand passes in front.  Letters are frozen, so events share
+    them."""
+    return tuple((BraidLetter(k, -1), BraidLetter(k, 1)) for k in range(1, n))
 
 
 @lru_cache(maxsize=None)
@@ -223,7 +232,7 @@ def extract_crossings(
 ) -> list[CrossingEvent]:
     """All rank swaps of the projected strands, ordered by time.
 
-    Every pair's sign changes between grid times are found in one array
+    Every pair's side changes between grid times are found in one array
     step; the two strands' depths at each crossing are read off the grid
     with ``_interp_at``, ``np.interp``'s value without a numpy call per
     crossing.  Simultaneous events (within ``TIME_TOLERANCE`` of the
@@ -234,31 +243,33 @@ def extract_crossings(
     """
     ids, grid = team.ids, team.grid
     U = project(team.xy, angle)   # (n, G)
-    D = depth(team.xy, angle)     # (n, G)
     tol = TIME_TOLERANCE * team.horizon
 
     rows_a, rows_b = _pair_rows(len(ids))
     diff = U[rows_a] - U[rows_b]   # (pairs, G)
-    if ties_out is not None:
+    if ties_out is not None and not diff.all():
         for p, k in zip(*np.nonzero(diff == 0.0)):
             ties_out.append((ids[rows_a[p]], ids[rows_b[p]], float(grid[k])))
-    signs = _perturbed_signs(diff)
-    p, k = np.nonzero(signs[:, :-1] != signs[:, 1:])
-    f0, f1 = diff[p, k], diff[p, k + 1]
-    times = grid[k] + (grid[k + 1] - grid[k]) * (f0 / (f0 - f1))
-    candidates = sorted(zip(
-        times.tolist(),
-        [ids[r] for r in rows_a[p].tolist()],
-        [ids[r] for r in rows_b[p].tolist()],
-    ))
+    a_right = _right_of(diff)
+    p, k = np.nonzero(a_right[:, :-1] != a_right[:, 1:])
+    candidates: list[tuple[float, int, int]] = []
+    if p.size:
+        f0, f1 = diff[p, k], diff[p, k + 1]
+        times = grid[k] + (grid[k + 1] - grid[k]) * (f0 / (f0 - f1))
+        # (time, a, b) with a < b: ids ascend with rows.
+        candidates = sorted(zip(
+            times.tolist(),
+            [ids[r] for r in rows_a[p].tolist()],
+            [ids[r] for r in rows_b[p].tolist()],
+        ))
+        # Each crossing reads its two strands' depths off these lists.
+        grid_list = grid.tolist()
+        depths = dict(zip(ids, depth(team.xy, angle).tolist()))
+        letters = _letters(len(ids))
 
-    # Running left-to-right order, seeded from the start order; each
-    # crossing reads its two strands' depths off these lists.
-    grid_list = grid.tolist()
-    depths = dict(zip(ids, D.tolist()))
+    # Running left-to-right order, seeded from the start order.
     order = [ids[row] for row in projected_order(U[:, 0])]
-    rank = {r: order.index(r) for r in order}
-
+    rank = {r: at for at, r in enumerate(order)}
     events: list[CrossingEvent] = []
     pos = 0
     while pos < len(candidates):
@@ -281,13 +292,13 @@ def extract_crossings(
             left, right = (a, b) if rank[a] < rank[b] else (b, a)
             d_left = _interp_at(t, grid_list, depths[left])
             d_right = _interp_at(t, grid_list, depths[right])
-            sign = 1 if (d_left, -left) > (d_right, -right) else -1
+            front = (d_left, -left) > (d_right, -right)
             events.append(
                 CrossingEvent(
                     time=t,
-                    i=min(a, b),
-                    j=max(a, b),
-                    letter=BraidLetter(rank[left] + 1, sign),
+                    i=a,
+                    j=b,
+                    letter=letters[rank[left]][front],
                     order_before=tuple(order),
                 )
             )

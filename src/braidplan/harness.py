@@ -195,17 +195,23 @@ def simulate(team: LiftedTeam) -> SimulationResult:
     return SimulationResult(float(dist[pair, w]), when, ids, team.horizon)
 
 
+# The pair and triplet letters of a crossing, (s1, s2), by the crossing's sign.
+_FOLD_LETTERS = {sign: (BraidLetter(1, sign), BraidLetter(2, sign)) for sign in (1, -1)}
+
+
 def fold_crossings(
     events: list[CrossingEvent], table: BraidTable
 ) -> tuple[BraidTable, list[tuple[tuple[int, ...], float, str]]]:
     """Fold one angle's crossing events into that angle's braid table.
 
+    The events must be one angle's consecutive crossings, in time order, as
+    ``extract_crossings`` returns them: the robots' ranks are read from the
+    first event's order and then follow the swaps, skipped events included.
     A crossing of robots i and j is one letter of their pair braid and one
     of each of the n - 2 triplet braids that hold them, with the
     crossing's sign: s2 when the third robot ranks left of the pair just
     before the crossing, else s1.  Events of robots outside the table are
-    ignored; a table robot missing from an event's order raises
-    ``InputError``.
+    ignored; a table robot missing from the order raises ``InputError``.
 
     Returns the new table and the first forbidden pattern of each pair,
     then of each triplet, in slot order, as (ids, time, word).  A pair's
@@ -217,26 +223,27 @@ def fold_crossings(
     pairs, trips = list(table.pairs), list(table.triplets)
     # keyed (2, pair slot) or (3, triplet slot), so sorted keys give the report order
     hits: dict[tuple[int, int], tuple[tuple[int, ...], float, str]] = {}
+    rank = {r: pos for pos, r in enumerate(events[0].order_before)} if events else {}
     for ev in events:
-        if not 0 < ev.i < ev.j <= n:
-            continue
-        po, thirds = moves[ev.i][ev.j]
-        rank = {r: pos for pos, r in enumerate(ev.order_before)}
-        left = ev.letter.index - 1  # where the pair's left robot stands
-        s1, s2 = BraidLetter(1, ev.letter.sign), BraidLetter(2, ev.letter.sign)
-        if (2, po) not in hits:
-            pairs[po], ok = update_pair(pairs[po], s1)
-            if not ok:
-                hits[2, po] = ((ev.i, ev.j), ev.time, pair_word_text(pairs[po]))
-        for t0, to, _ in thirds:
-            pos = rank.get(t0 + 1)
-            if pos is None:
-                raise InputError(f"table robot {t0 + 1} is missing from a crossing's order")
-            if (3, to) not in hits:
-                trips[to], ok = update_triplet(trips[to], s2 if pos < left else s1)
+        i, j = ev.i, ev.j
+        if 0 < i < j <= n:
+            po, thirds = moves[i][j]
+            left = ev.letter.index - 1  # where the pair's left robot stands
+            s1, s2 = _FOLD_LETTERS[ev.letter.sign]
+            if (2, po) not in hits:
+                pairs[po], ok = update_pair(pairs[po], s1)
                 if not ok:
-                    ids = tuple(sorted((ev.i, ev.j, t0 + 1)))
-                    hits[3, to] = (ids, ev.time, triplet_word_text(trips[to]))
+                    hits[2, po] = ((i, j), ev.time, pair_word_text(pairs[po]))
+            for t0, to, _ in thirds:
+                pos = rank.get(t0 + 1)
+                if pos is None:
+                    raise InputError(f"table robot {t0 + 1} is missing from a crossing's order")
+                if (3, to) not in hits:
+                    trips[to], ok = update_triplet(trips[to], s2 if pos < left else s1)
+                    if not ok:
+                        ids = tuple(sorted((i, j, t0 + 1)))
+                        hits[3, to] = (ids, ev.time, triplet_word_text(trips[to]))
+        rank[i], rank[j] = rank[j], rank[i]
     forbidden = [hits[key] for key in sorted(hits)]
     return BraidTable(table.n, tuple(pairs), tuple(trips)), forbidden
 

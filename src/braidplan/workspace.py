@@ -19,7 +19,8 @@ the perpendicular axis.  The braids an executed episode weaves are folded
 by ``harness``.
 
 ``map_path`` works on whole arrays: one (states, 2, n) rank array of the
-path, every state's cell centres in one expression shared with
+path, on which every step is checked at once to be one swap of adjacent
+ranks, every state's cell centres in one expression shared with
 ``grid_cells``, and one window clock for the whole team, so every robot
 has the same waypoint times and ``geometry.build_space_time`` copies,
 rather than interpolates, its positions.
@@ -132,6 +133,8 @@ def grid_cells(perms: PermutationState, config: WorkspaceConfig) -> np.ndarray:
 
 
 def _step_action(prev: PermutationState, cur: PermutationState) -> SwapAction:
+    """The swap one path step makes, or ``InputError`` naming what is wrong
+    with it: the per-step oracle of ``map_path``'s array check."""
     d1 = [r for r in range(1, prev.n + 1) if prev.pi1[r - 1] != cur.pi1[r - 1]]
     d2 = [r for r in range(1, prev.n + 1) if prev.pi2[r - 1] != cur.pi2[r - 1]]
     if d1 and d2:
@@ -153,7 +156,12 @@ def map_path(
     start_positions: tuple[Point, ...] | list[Point],
     target_positions: tuple[Point, ...] | list[Point],
 ) -> list[Trajectory]:
-    """Realize a permutation path as synchronized timed trajectories."""
+    """Realize a permutation path as synchronized timed trajectories.
+
+    Raises ``InputError`` when the endpoints do not match the positions'
+    ranks, or when a step is not one swap of adjacent ranks on one axis;
+    the message is the first bad step's, from ``_step_action``.
+    """
     if not perm_path:
         raise InputError("empty permutation path")
     n = perm_path[0].n
@@ -186,9 +194,17 @@ def map_path(
             for r0 in range(n)
         ]
 
-    for prev, cur in zip(perm_path, perm_path[1:]):
-        _step_action(prev, cur)  # validates the step shape
-    ranks = np.array([(perms.pi1, perms.pi2) for perms in perm_path])  # (states, 2, n)
+    try:
+        ranks = np.array([(perms.pi1, perms.pi2) for perms in perm_path])  # (states, 2, n)
+    except ValueError:  # ragged: some state has another team size
+        raise InputError("every permutation of the path must have the team's size") from None
+    # Every state is a permutation, so a step changes no rank of an axis or at
+    # least two: |changes| summing to 2 are two robots trading adjacent ranks
+    # on one axis.
+    bad = np.flatnonzero(np.abs(np.diff(ranks, axis=0)).sum(axis=(1, 2)) != 2)
+    if bad.size:
+        k = int(bad[0])
+        _step_action(perm_path[k], perm_path[k + 1])  # raises the step's own message
     cells = _cell_centres(ranks[:, 0], ranks[:, 1], config)  # (states, n, 2)
 
     # Window ends, each (windows, n, 2), and durations: entry, one per swap, exit.

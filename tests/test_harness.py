@@ -63,6 +63,7 @@ from braidplan.planner import (
     expand,
     pair_slot,
     plan,
+    to_serializable,
     triplet_slot,
 )
 from braidplan.plot import render_braid_svg
@@ -519,6 +520,38 @@ def test_run_metrics_as_dict_round_trips_json():
     assert payload["success_rate"] == 1.0
     assert payload["final_braids"]["n"] == 3
     assert len(payload["results"]) == 2
+
+
+_VERIFIER_PINS = json.loads(
+    (Path(__file__).parent / "data" / "verifier_pins.json").read_text()
+)
+
+
+@pytest.mark.parametrize(
+    "pin", _VERIFIER_PINS, ids=lambda pin: "n{}-sets{}-seed{}-m{}".format(*pin["scenario"])
+)
+def test_run_task_sequence_matches_verifier_pins(pin):
+    """The verifier's discrete outputs over whole runs, recorded in
+    ``data/verifier_pins.json``: per episode the reason, the number of
+    actions, each violation's (ids, index of its angle among the verified
+    angles, word) and the perturbation count, then the final tables.  No
+    float is pinned, so numpy versions cannot move it; a change to crossing
+    extraction or folding that alters a braid shows here."""
+    n, sets, seed, m = pin["scenario"]
+    scenario = make_scenario(n, sets, seed, m=m)
+    angles = scenario.angles + tuple(a for a in AXIS_ANGLES if a not in scenario.angles)
+    metrics = run_task_sequence(scenario)
+    episodes = [
+        [
+            r.reason,
+            r.actions,
+            [[list(v.ids), angles.index(v.axis_angle), v.word] for v in r.violations],
+            r.perturbations,
+        ]
+        for r in metrics.results
+    ]
+    assert episodes == pin["episodes"]
+    assert to_serializable(metrics.final_braids) == pin["final_braids"]
 
 
 def test_run_task_sequence_folds_each_episode_once(monkeypatch):

@@ -12,12 +12,20 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from braidplan.errors import ConfigurationError, EntanglementAlarm, InputError
 from braidplan.geometry import Trajectory
 from braidplan.harness import carry_over_braids
 from braidplan.planner import AXIS_ANGLES, BraidTable, PermutationState, plan
-from braidplan.workspace import WorkspaceConfig, grid_cells, map_path, ranks_from_positions
+from braidplan.workspace import (
+    WorkspaceConfig,
+    _step_action,
+    grid_cells,
+    map_path,
+    ranks_from_positions,
+)
 from grid import random_perms, workspace_config
 from sampling import position_at
 
@@ -266,6 +274,74 @@ def test_map_path_validation():
     both = PermutationState((1, 2), (2, 1))
     with pytest.raises(InputError):
         map_path([perms, both], config, positions, [tuple(c) for c in grid_cells(both, config)])
+    # every state of a path has the team's size
+    three = PermutationState.identity(3)
+    with pytest.raises(InputError, match="team's size"):
+        map_path([perms, three, perms], config, positions, positions)
+
+
+def _relabel(pi: tuple[int, ...], cycle: list[int]) -> tuple[int, ...]:
+    """``pi`` with each rank of ``cycle`` replaced by the next one, cyclically."""
+    to = dict(zip(cycle, cycle[1:] + cycle[:1]))
+    return tuple(to.get(r, r) for r in pi)
+
+
+@st.composite
+def _stepped_paths(draw):
+    """A path of random steps from a random state at n = 2..6: adjacent swaps
+    on one axis, swaps of any two ranks, adjacent swaps on both axes, rank
+    3-cycles, repeated states and fresh random states."""
+    n = draw(st.integers(2, 6))
+    perm = st.permutations(range(1, n + 1)).map(tuple)
+    path = [PermutationState(draw(perm), draw(perm))]
+    for _ in range(draw(st.integers(1, 5))):
+        prev = path[-1]
+        kind = draw(st.sampled_from(("adjacent", "adjacent", "any two", "both", "cycle",
+                                     "repeat", "fresh")))
+        pis = [prev.pi1, prev.pi2]
+        axis = draw(st.integers(0, 1))
+        if kind == "adjacent":
+            r = draw(st.integers(1, n - 1))
+            pis[axis] = _relabel(pis[axis], [r, r + 1])
+        elif kind == "any two":
+            pis[axis] = _relabel(pis[axis], draw(st.lists(
+                st.integers(1, n), min_size=2, max_size=2, unique=True)))
+        elif kind == "both":
+            for a in (0, 1):
+                r = draw(st.integers(1, n - 1))
+                pis[a] = _relabel(pis[a], [r, r + 1])
+        elif kind == "cycle" and n >= 3:
+            pis[axis] = _relabel(pis[axis], draw(st.lists(
+                st.integers(1, n), min_size=3, max_size=3, unique=True)))
+        elif kind == "fresh":
+            pis = [draw(perm), draw(perm)]
+        path.append(PermutationState(*pis))
+    return path
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(path=_stepped_paths())
+def test_map_path_step_check_matches_step_action(path):
+    """``map_path`` checks every step at once on its rank array.  It must
+    accept exactly the paths whose every step ``_step_action`` accepts, and
+    reject the others with ``_step_action``'s message for the first bad step."""
+    expected = None
+    for prev, cur in zip(path, path[1:]):
+        try:
+            _step_action(prev, cur)
+        except InputError as exc:
+            expected = str(exc)
+            break
+    config = workspace_config()
+    starts = [tuple(c) for c in grid_cells(path[0], config)]
+    targets = [tuple(c) for c in grid_cells(path[-1], config)]
+    if expected is None:
+        trajectories = map_path(path, config, starts, targets)
+        assert len(trajectories[0].waypoints) == len(path)
+    else:
+        with pytest.raises(InputError) as info:
+            map_path(path, config, starts, targets)
+        assert str(info.value) == expected
 
 
 # ---------------------------------------------------------------------------
