@@ -520,12 +520,18 @@ class GridNode:
     maintained incrementally, since each action changes exactly one pair's
     term and the terms of the n - 2 triplets that hold that pair.  ``move``
     is the arriving swap as (axis, i, j), ``action`` as a ``SwapAction``.
-    Nodes are their own closed-list keys: a node hashes and compares its
-    ``pairs`` and ``trips``, tuples of small ints.  The pair states' orders
-    fix both permutations, so ``pi1`` and ``pi2`` add nothing to that key.
+
+    Nodes hash and compare their ``pairs`` and ``trips``, tuples of small
+    ints; the pair states' orders fix both permutations, so ``pi1`` and
+    ``pi2`` add nothing to that key.  The search keys its states by the
+    tuples themselves and builds a node only for a state it pops (see
+    ``_best_first``).  An axis sort builds a node per step for the path,
+    but only its last node holds the states: the steps before it hold their
+    ranks, ``g``, ``parent`` and ``move``, with None for the rest (see
+    ``_axis_sort``).
     """
 
-    __slots__ = ("pi1", "pi2", "pairs", "trips", "g", "hsum", "xsum", "parent", "move", "_kh")
+    __slots__ = ("pi1", "pi2", "pairs", "trips", "g", "hsum", "xsum", "parent", "move")
 
     def __init__(self, pi1, pi2, pairs, trips, g, hsum, xsum, parent, move):
         self.pi1 = pi1
@@ -537,10 +543,9 @@ class GridNode:
         self.xsum = xsum
         self.parent = parent
         self.move = move
-        self._kh = hash((pairs, trips))
 
     def __hash__(self) -> int:
-        return self._kh
+        return hash((self.pairs, self.trips))
 
     def __eq__(self, other: object) -> bool:
         if type(other) is not GridNode:
@@ -603,14 +608,36 @@ def expand(node: GridNode, target: PermutationState) -> list[GridNode]:
     Every child's states equal its parent's except those of the one pair
     and the n - 2 triplets that hold the swapped robots.
     """
-    return _expand(node, _moves(len(node.pi1)), _columns(target), False)[0]
+    children = _expand(node, _moves(len(node.pi1)), _columns(target), False)[0]
+    return [_child(node, *child) for child in children]
 
 
-def _expand(node: GridNode, moves: tuple, cols: tuple, prune: bool) -> tuple[list[GridNode], int]:
-    """Expansion core; returns (children, braid-rejected action count).
+def _child(
+    parent: GridNode, move: tuple[int, int, int], pairs: tuple[int, ...], trips: tuple[int, ...],
+    hsum: int, xsum: int,
+) -> GridNode:
+    """The node that ``move``, (axis, i, j), reaches from ``parent`` with
+    the given states and guidance sums: robots i and j swap their ranks on
+    that axis."""
+    axis, i, j = move
+    pi1, pi2 = parent.pi1, parent.pi2
+    ranks = list(pi1 if axis == 1 else pi2)
+    k = ranks[i - 1]
+    ranks[i - 1], ranks[j - 1] = k + 1, k
+    if axis == 1:
+        pi1 = tuple(ranks)
+    else:
+        pi2 = tuple(ranks)
+    return GridNode(pi1, pi2, pairs, trips, parent.g + 1, hsum, xsum, parent, move)
+
+
+def _expand(node: GridNode, moves: tuple, cols: tuple, prune: bool) -> tuple[list[tuple], int]:
+    """Expansion core; returns (children, braid-rejected action count), a
+    child as its arguments of ``_child`` after the parent: (move, pairs,
+    trips, hsum, xsum).  No node is built.
 
     ``moves`` is the team's ``_moves`` and ``cols`` the target's
-    ``_columns``, both passed on to ``_child``.  With ``prune`` set, two kinds
+    ``_columns``, both passed on to ``_swap``.  With ``prune`` set, two kinds
     of provably redundant successors are skipped.  Swaps of disjoint robot
     pairs commute exactly: neither changes the other's rank adjacency,
     crossing letters, or touched braid slots, so both orders reach the
@@ -621,7 +648,8 @@ def _expand(node: GridNode, moves: tuple, cols: tuple, prune: bool) -> tuple[lis
     """
     n = len(node.pi1)
     pair_next = _pair_next()
-    children: list[GridNode] = []
+    node_pairs, node_trips, hsum, xsum = node.pairs, node.trips, node.hsum, node.xsum
+    children: list[tuple] = []
     braid_rejected = 0
 
     pa = node.move if prune else None
@@ -645,22 +673,27 @@ def _expand(node: GridNode, moves: tuple, cols: tuple, prune: bool) -> tuple[lis
                 elif a != pa_a and a != pa_b and b != pa_a and b != pa_b:
                     if (axis, a, b) < pa_key:
                         continue
-            child = _child(node, moves[i][j], cols, axis_pairs, axis_trips, axis, k, i, j)
-            if child is None:
+            pairs, trips = list(node_pairs), list(node_trips)
+            delta = _swap(pairs, trips, moves[i][j], cols, axis, axis_pairs, axis_trips)
+            if delta is None:
                 braid_rejected += 1
             else:
-                children.append(child)
+                children.append((
+                    (axis, i, j), tuple(pairs), tuple(trips), hsum + delta[0], xsum + delta[1]
+                ))
     return children, braid_rejected
 
 
-def _child(
-    node: GridNode, move: tuple, cols: tuple, pair_next: tuple[int, ...], step: list[int],
-    axis: int, k: int, i: int, j: int,
-) -> GridNode | None:
-    """The node reached by swapping robots i and j, ranked k and k + 1 on
-    ``axis``, or None when a braid check rejects the move: the pair's
-    crossing count would leave [-1, 1] or a triplet word would become
-    forbidden.  ``move`` is the swap's entry of ``_moves``, ``cols`` the
+def _swap(
+    pairs: list[int], trips: list[int], move: tuple, cols: tuple, axis: int,
+    pair_next: tuple[int, ...], step: list[int],
+) -> tuple[int, int] | None:
+    """Moves ``pairs`` and ``trips`` in place through one swap on ``axis``
+    and returns the changes of ``hsum`` and ``xsum``, or returns None when
+    a braid check rejects the swap: the pair's crossing count would leave
+    [-1, 1] or a triplet word would become forbidden.  A rejected swap may
+    leave ``trips`` partly moved, so callers that keep the states pass
+    copies.  ``move`` is the swap's entry of ``_moves``, ``cols`` the
     target's ``_columns``, and ``pair_next`` and ``step`` are the axis's
     transitions of pair and triplet states.  Each touched state's term of
     ``hsum`` or ``xsum`` changes by its new row's entry minus its old one's.
@@ -671,12 +704,11 @@ def _child(
     """
     po, thirds = move
     pair_cols, trip_cols = cols
-    p = node.pairs[po]
+    p = pairs[po]
     new_p = pair_next[p]
     if new_p < 0:
         return None
-    trips = list(node.trips)
-    xsum = node.xsum
+    dx = 0
     excess = _TRIP_EXCESS
     for _, to, c in thirds:
         q = trips[to]
@@ -687,23 +719,11 @@ def _child(
             if nq < 0:
                 return None
         col = trip_cols[to]
-        xsum += excess[nq][col] - excess[q][col]
+        dx += excess[nq][col] - excess[q][col]
         trips[to] = nq
-    col = pair_cols[po]
-    hsum = node.hsum + _PAIR_DIST[new_p][col] - _PAIR_DIST[p][col]
-    pairs = list(node.pairs)
     pairs[po] = new_p
-    pi1, pi2 = node.pi1, node.pi2
-    ranks = list(pi1 if axis == 1 else pi2)
-    ranks[i - 1], ranks[j - 1] = k + 1, k
-    if axis == 1:
-        pi1 = tuple(ranks)
-    else:
-        pi2 = tuple(ranks)
-    return GridNode(
-        pi1, pi2, tuple(pairs), tuple(trips),
-        node.g + 1, hsum, xsum, node, (axis, i, j),
-    )
+    col = pair_cols[po]
+    return _PAIR_DIST[new_p][col] - _PAIR_DIST[p][col], dx
 
 
 def _grid_distances(
@@ -713,33 +733,34 @@ def _grid_distances(
     databases (Culberson & Schaeffer, Computational Intelligence, 1998)
     that guide the search.
 
-    Returns the states that ``_expand`` reaches from ``roots``, in the
-    order met, and for each target order pair ``(pi1, pi2)`` every state's
-    fewest moves to those orders, ``_INF`` where none reach them.  Each
-    move's reverse is a move, so one breadth-first search from the target's
-    states gives every distance.  The walk reads the team's ``_moves`` and
-    no guidance, which it builds: any columns serve, and its nodes' ``hsum``
-    and ``xsum`` go unread.  ``size`` is the graph's known number of
-    states; a walk that meets more has a wrong move and raises
+    Returns a node for each state that ``_expand`` reaches from ``roots``,
+    in the order met, and for each target order pair ``(pi1, pi2)`` every
+    state's fewest moves to those orders, ``_INF`` where none reach them.
+    Each move's reverse is a move, so one breadth-first search from the
+    target's states gives every distance.  The walk reads the team's
+    ``_moves`` and no guidance, which it builds: any columns serve, and its
+    nodes' ``hsum`` and ``xsum`` go unread.  ``size`` is the graph's known
+    number of states; a walk that meets more has a wrong move and raises
     ``RuntimeError`` instead of running on.
     """
     n = len(roots[0].pi1)
     moves, cols = _moves(n), ([0] * math.comb(n, 2), [0] * math.comb(n, 3))
     nodes = list(roots)
-    index = {node: k for k, node in enumerate(nodes)}
+    index = {(node.pairs, node.trips): k for k, node in enumerate(nodes)}
     edges: list[list[int]] = []
     for node in nodes:  # the list grows as the search meets new states
         out = []
         for child in _expand(node, moves, cols, False)[0]:
-            if child not in index:
+            state = child[1:3]
+            if state not in index:
                 if len(nodes) == size:
                     raise RuntimeError(
                         f"the n = {n} grid graph meets more than its {size:,} states: "
                         "a move is wrong"
                     )
-                index[child] = len(nodes)
-                nodes.append(child)
-            out.append(index[child])
+                index[state] = len(nodes)
+                nodes.append(_child(node, *child))
+            out.append(index[state])
         edges.append(out)
 
     distances = {}
@@ -876,38 +897,42 @@ _DIRECT_BUDGET = 2_000
 _UNWIND_BUDGET = 30_000
 
 
-def _tangle(node: GridNode) -> int:
-    """Letters recorded across the node's braid tables: each pair's crossing
-    counts and each triplet's word lengths, the shortest for every braid a
-    plan can hold."""
-    return sum(map(_PAIR_LETTERS.__getitem__, node.pairs)) + sum(
-        map(_TRIP_LETTERS.__getitem__, node.trips)
-    )
+def _tangle(pairs: tuple[int, ...], trips: tuple[int, ...]) -> int:
+    """Letters recorded across the braid tables of the states ``pairs`` and
+    ``trips``: each pair's crossing counts and each triplet's word lengths,
+    the shortest for every braid a plan can hold."""
+    return sum(map(_PAIR_LETTERS.__getitem__, pairs)) + sum(map(_TRIP_LETTERS.__getitem__, trips))
 
 
 def _best_first(root: GridNode, cols: tuple, key, done, budget: int) -> _Stage:
-    """Expand nodes in ascending ``key(node)`` order until one is ``done``;
-    ``cols`` is the target's ``_columns``.
+    """Expand nodes in ascending ``key(g, hsum, xsum, pairs, trips)`` order
+    until one is ``done``; ``cols`` is the target's ``_columns``.
 
-    Ties on the key pop the newest node first, diving across plateaus, so
-    the result is deterministic.  A child is queued only when it improves
-    on the best g seen for its state.  Stops with the done node (reason
-    "goal"), with None after ``budget`` expansions ("max_expansions"), or
-    with None once the queue runs dry ("exhausted").
+    Ties on the key pop the newest entry first, diving across plateaus, so
+    the result is deterministic.  A queued child is its parent, its move
+    and its states, and becomes a ``GridNode`` only when it is popped while
+    its state is open: most children are never popped.  One dict holds, per
+    state ``(pairs, trips)``, the best g queued, or -1 once the state is
+    closed, and a child is queued only when its g beats that.  Stops with
+    the done node (reason "goal"), with None after ``budget`` expansions
+    ("max_expansions"), or with None once the queue runs dry ("exhausted").
     """
     moves = _moves(len(root.pi1))
-    heap: list[tuple] = [(*key(root), 0, root)]
-    g_best = {root: root.g}
-    closed: set[GridNode] = set()
+    state = (root.pairs, root.trips)
+    heap: list[tuple] = [
+        (*key(root.g, root.hsum, root.xsum, *state), 0, None, None, state, root.hsum, root.xsum)
+    ]
+    best = {state: root.g}
     seq = 0
     expanded = generated = rejected = 0
     peak_open = 1
 
     while heap:
-        node = heappop(heap)[-1]
-        if node in closed:
+        parent, move, state, hsum, xsum = heappop(heap)[-5:]
+        if best[state] < 0:
             continue
-        closed.add(node)
+        best[state] = -1
+        node = root if parent is None else _child(parent, move, *state, hsum, xsum)
         expanded += 1
         if done(node):
             return node, SearchTrace(expanded, generated, rejected, peak_open, "goal")
@@ -916,12 +941,19 @@ def _best_first(root: GridNode, cols: tuple, key, done, budget: int) -> _Stage:
         children, braid_rejected = _expand(node, moves, cols, True)
         rejected += braid_rejected
         generated += len(children)
-        for child in children:
-            if child in closed or g_best.get(child, _INF) <= child.g:
-                continue
-            g_best[child] = child.g
+        g = node.g + 1
+        for move, pairs, trips, hsum, xsum in children:
+            state = (pairs, trips)
+            # One lookup for a new state: setdefault queues its g, and only
+            # a known state's g needs a second.
+            size = len(best)
+            known = best.setdefault(state, g)
+            if len(best) == size:
+                if known <= g:
+                    continue
+                best[state] = g
             seq += 1
-            heappush(heap, (*key(child), -seq, child))
+            heappush(heap, (*key(g, hsum, xsum, pairs, trips), -seq, node, move, state, hsum, xsum))
         if len(heap) > peak_open:
             peak_open = len(heap)
 
@@ -938,9 +970,9 @@ def _search(root: GridNode, target: PermutationState, cols: tuple, budget: int) 
     shortest path.
     """
 
-    def key(node: GridNode) -> tuple[float, float]:
-        h = _WEIGHT * (node.hsum + node.xsum)
-        return node.g + h, h
+    def key(g: int, hsum: int, xsum: int, pairs, trips) -> tuple[float, float]:
+        h = _WEIGHT * (hsum + xsum)
+        return g + h, h
 
     return _best_first(
         root, cols, key, lambda node: node.pi1 == target.pi1 and node.pi2 == target.pi2, budget
@@ -968,7 +1000,10 @@ def _unwind(root: GridNode, cols: tuple, budget: int) -> _Stage:
     such history and no such guarantee.
     """
     return _best_first(
-        root, cols, lambda node: (_tangle(node), node.g), lambda node: _tangle(node) == 0, budget
+        root, cols,
+        lambda g, hsum, xsum, pairs, trips: (_tangle(pairs, trips), g),
+        lambda node: _tangle(node.pairs, node.trips) == 0,
+        budget,
     )
 
 
@@ -976,23 +1011,29 @@ def _axis_sort(
     root: GridNode, target: PermutationState, cols: tuple, axes: tuple[int, int] = (1, 2)
 ) -> _Stage:
     """Bubble-sort one axis, then the other (``axes`` gives the order), into
-    target order through ``_child``.
+    target order through ``_swap``.
 
     Each step swaps the lowest rank-adjacent pair that is out of target
     order on the current axis, so every move keeps all braid checks and
     the walk is exactly the inversion count long, the length no legal path
     can beat (see ``plan``).  Returns None when a swap is rejected.  From a
     zero-tangle table no swap ever is, in either axis order.
+
+    The walk moves one working copy of the root's states in place.  Each
+    step's node holds only its ranks, g, parent and move, and the last node
+    gets the states and guidance sums.  The root keeps its own tuples.
     """
     n = len(root.pi1)
     moves, pair_next = _moves(n), _pair_next()
+    pairs, trips, hsum, xsum = list(root.pairs), list(root.trips), root.hsum, root.xsum
     node = root
     expanded = 0
     for axis in axes:
         goal = target.pi1 if axis == 1 else target.pi2
         axis_pairs, axis_trips = pair_next[axis - 1], _TRIP_NEXT[axis - 1]
+        ranks = list(node.pi1 if axis == 1 else node.pi2)
         inv = [0] * (n + 1)
-        for robot0, r in enumerate(node.pi1 if axis == 1 else node.pi2):
+        for robot0, r in enumerate(ranks):
             inv[r] = robot0 + 1
         # A swap of ranks k and k + 1 changes no pair below rank k - 1, so
         # the next lowest pair out of order is at k - 1 or above.
@@ -1003,11 +1044,18 @@ def _axis_sort(
                 k += 1
                 continue
             expanded += 1
-            node = _child(node, moves[i][j], cols, axis_pairs, axis_trips, axis, k, i, j)
-            if node is None:
+            delta = _swap(pairs, trips, moves[i][j], cols, axis, axis_pairs, axis_trips)
+            if delta is None:
                 return None, SearchTrace(expanded, expanded - 1, 1, 0, "max_expansions")
+            hsum += delta[0]
+            xsum += delta[1]
+            ranks[i - 1], ranks[j - 1] = k + 1, k
+            pi1, pi2 = (tuple(ranks), node.pi2) if axis == 1 else (node.pi1, tuple(ranks))
+            node = GridNode(pi1, pi2, None, None, node.g + 1, None, None, node, (axis, i, j))
             inv[k], inv[k + 1] = j, i
             k = max(k - 1, 1)
+    if node is not root:
+        node.pairs, node.trips, node.hsum, node.xsum = tuple(pairs), tuple(trips), hsum, xsum
     return node, SearchTrace(expanded, expanded, 0, 0, "goal")
 
 

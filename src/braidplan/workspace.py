@@ -98,10 +98,17 @@ class WorkspaceConfig:
 
 def ranks_from_positions(positions: tuple[Point, ...] | list[Point]) -> PermutationState:
     """Rank the team on the plane at each grid angle: the inverse of
-    ``projected_order``, so ranks follow the verifier's order, ties included."""
-    pts = np.asarray(positions, dtype=float)
+    ``projected_order``, so ranks follow the verifier's order, ties included.
+    Points that are not pairs of finite numbers are an ``InputError``: NaN
+    would rank first on every axis."""
+    try:
+        pts = np.asarray(positions, dtype=float)
+    except (TypeError, ValueError):
+        raise InputError(f"positions must be numeric (x, y) points, got {positions!r}") from None
     if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] == 0:
         raise InputError("positions must be a non-empty list of (x, y) points")
+    if not np.isfinite(pts).all():
+        raise InputError(f"positions must be finite, got {positions!r}")
     vectors = []
     for angle in AXIS_ANGLES:
         ranks = [0] * len(pts)

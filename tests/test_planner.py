@@ -9,6 +9,7 @@ that shares no code with the planner.
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import itertools
 import json
 import math
@@ -851,6 +852,54 @@ def test_recorded_plans_replay():
         assert result.final_braids == from_serializable(rec["final_braids"])
 
 
+_SEARCH_PIN_SCENARIOS = ((8, 11, 11), (8, 33, 12), (8, 33, 13))
+
+
+def _sha256(value) -> str:
+    return hashlib.sha256(json.dumps(value, sort_keys=True).encode()).hexdigest()
+
+
+def _recorded_search(n: int, sets: int, seed: int, monkeypatch) -> list[dict]:
+    """Each ``plan()`` call of ``run_task_sequence(make_scenario(n, sets,
+    seed))``: its path's and predicted tables' SHA-256 and its trace."""
+    from braidplan import harness
+
+    calls = []
+
+    def recorder(*args):
+        result = plan(*args)
+        calls.append({
+            "path": _sha256([[list(p.pi1), list(p.pi2)] for p in result.path]),
+            "trace": dataclasses.asdict(result.trace),
+            "final_braids": _sha256(
+                None if result.final_braids is None else to_serializable(result.final_braids)
+            ),
+        })
+        return result
+
+    monkeypatch.setattr(harness, "plan", recorder)
+    harness.run_task_sequence(make_scenario(n, sets, seed))
+    return calls
+
+
+def test_search_pins_replay(monkeypatch):
+    """``plan()`` repeats the 77 calls of one ``team8-carry`` round, recorded
+    in ``data/search_pins.json``: the n = 8 sequences of
+    ``make_scenario(8, 11, 11)``, ``(8, 33, 12)`` and ``(8, 33, 13)`` run
+    through ``run_task_sequence``, each query planned against the tables the
+    earlier ones left.  Unlike ``recorded_plans.json`` these reach the
+    2,000-expansion direct search and the unwind, so any change to the
+    search order, its ties or its duplicate test shows here."""
+    pins = json.loads((DATA / "search_pins.json").read_text())
+    assert [tuple(p["scenario"]) for p in pins] == list(_SEARCH_PIN_SCENARIOS)
+    assert sum(len(p["calls"]) for p in pins) == 77
+    for pin in pins:
+        assert _recorded_search(*pin["scenario"], monkeypatch) == pin["calls"]
+    traces = [call["trace"] for pin in pins for call in pin["calls"]]
+    assert max(t["expanded"] for t in traces) > planner._DIRECT_BUDGET
+    assert any(t["peak_open"] > 0 for t in traces)
+
+
 def test_plan_validates_team_sizes():
     with pytest.raises(InputError):
         plan(PermutationState.identity(3), PermutationState.identity(4))
@@ -1058,7 +1107,7 @@ def test_words_do_not_depend_on_history():
     assert from_serializable(dumped) == tables
     start = PermutationState.identity(3)
     root = GridNode.root(start, (tables[0], tables[0]), start)
-    assert _tangle(root) == 2 * (1 + 3)
+    assert _tangle(root.pairs, root.trips) == 2 * (1 + 3)
 
 
 # ---------------------------------------------------------------------------
@@ -1075,10 +1124,10 @@ def test_unwind_reaches_identity_table():
     assert first.trace.reason == "goal"
     carried = first.final_braids
     root = GridNode.root(mid, carried, start)
-    assert _tangle(root) > 0
+    assert _tangle(root.pairs, root.trips) > 0
     best, trace = _unwind(root, _columns(start), 5000)
     assert trace.reason == "goal"
-    assert _tangle(best) == 0
+    assert _tangle(best.pairs, best.trips) == 0
     assert trace.expanded <= 5000
     assert best.g >= 1
     # the budget stops the walk with tangle left
@@ -1114,7 +1163,7 @@ def test_planned_history_walks_back_to_clean_tables():
     assert len(history) > 100
 
     last = GridNode.root(start, node.braids, start)
-    assert _tangle(last) > 0
+    assert _tangle(last.pairs, last.trips) > 0
     node = last
     for perms, tables in reversed(history[:-1]):
         node = step(node, perms)
@@ -1122,7 +1171,7 @@ def test_planned_history_walks_back_to_clean_tables():
     assert node.braids == _clean(6)
 
     best, trace = _unwind(last, _columns(start), _UNWIND_BUDGET)
-    assert trace.reason == "goal" and _tangle(best) == 0
+    assert trace.reason == "goal" and _tangle(best.pairs, best.trips) == 0
 
 
 def test_plan_from_clean_tables_is_the_axis_sort():
@@ -1180,6 +1229,72 @@ def test_axis_sort_from_clean_table_always_succeeds():
     for n in range(4, 11):
         for _ in range(30):
             check(random_perms(rng, n), random_perms(rng, n))
+
+
+def _sort_by_expand(root: GridNode, target: PermutationState, axes: tuple[int, int]):
+    """Oracle for ``_axis_sort``: on each axis in turn, step to the child in
+    ``expand`` that swaps the lowest rank-adjacent pair out of target order.
+    Returns the nodes from the root on, or None at a rejected step, and the
+    number of steps tried."""
+    n, nodes, tried = len(root.pi1), [root], 0
+    for axis in axes:
+        goal = target.ranks(axis)
+        while True:
+            node = nodes[-1]
+            inv = {r: robot for robot, r in enumerate(node.pi1 if axis == 1 else node.pi2, 1)}
+            out = [k for k in range(1, n) if goal[inv[k] - 1] > goal[inv[k + 1] - 1]]
+            if not out:
+                break
+            move = (axis, inv[out[0]], inv[out[0] + 1])
+            tried += 1
+            child = next((c for c in expand(node, target) if c.move == move), None)
+            if child is None:
+                return None, tried
+            nodes.append(child)
+    return nodes, tried
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    n=st.integers(2, 8), seed=st.integers(0, 2**32 - 1), carried=st.booleans(),
+    axes=st.sampled_from(((1, 2), (2, 1))),
+)
+def test_axis_sort_equals_stepping_through_expand(n, seed, carried, axes):
+    """``_axis_sort`` moves one working copy of the states in place; its
+    walk equals stepping through ``expand`` children from the root.  Every
+    step is the child of the one before with the same ranks, move and g,
+    and the last node has the same states, guidance sums and trace.  A
+    rejected step returns None at the same step.  The root is never
+    changed.  Tables are clean or carried over a random walk of expansions."""
+    from braidplan.planner import SearchTrace, _axis_sort, _columns
+
+    rng = random.Random(seed)
+    node = GridNode.root(random_perms(rng, n), _clean(n), random_perms(rng, n))
+    if carried:
+        for _ in range(rng.randrange(1, 25)):
+            node = rng.choice(expand(node, PermutationState(node.pi1, node.pi2)) or [node])
+    target = random_perms(rng, n)
+    root = GridNode.root(PermutationState(node.pi1, node.pi2), node.braids, target)
+    before = (root.pi1, root.pi2, root.pairs, root.trips, root.g, root.hsum, root.xsum)
+    sort, trace = _axis_sort(root, target, _columns(target), axes)
+    assert (root.pi1, root.pi2, root.pairs, root.trips, root.g, root.hsum, root.xsum) == before
+    nodes, tried = _sort_by_expand(root, target, axes)
+    if nodes is None:
+        assert sort is None
+        assert trace == SearchTrace(tried, tried - 1, 1, 0, "max_expansions")
+        return
+    assert trace == SearchTrace(tried, tried, 0, 0, "goal")
+    walk = [sort]
+    while walk[-1] is not root:
+        walk.append(walk[-1].parent)
+    walk.reverse()
+    assert [(w.pi1, w.pi2, w.move, w.g) for w in walk] == [
+        (c.pi1, c.pi2, c.move, c.g) for c in nodes
+    ]
+    last = nodes[-1]
+    assert (sort.pairs, sort.trips, sort.hsum, sort.xsum) == (
+        last.pairs, last.trips, last.hsum, last.xsum
+    )
 
 
 def test_axis_sort_stops_on_rejected_step():
@@ -1242,7 +1357,7 @@ def test_search_from_unwound_stalled_query():
     root = GridNode.root(start, carried, target)
     cols = _columns(target)
     unwound, _ = _unwind(root, cols, planner._UNWIND_BUDGET)
-    assert unwound is not None and _tangle(unwound) == 0
+    assert unwound is not None and _tangle(unwound.pairs, unwound.trips) == 0
     node, trace = _search(unwound, target, cols, 1000)
     assert trace.reason == "goal"
     assert (node.pi1, node.pi2) == (target.pi1, target.pi2)

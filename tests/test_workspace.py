@@ -65,6 +65,26 @@ def test_ranks_validation():
         ranks_from_positions([(1.0, 2.0, 3.0)])
 
 
+@pytest.mark.parametrize(
+    "points",
+    [
+        [(math.nan, 0.0), (1.0, 2.0), (3.0, 1.0)],
+        [(1.0, 2.0), (3.0, math.nan)],
+        [(math.inf, 0.0), (1.0, 2.0)],
+        [(1.0, 2.0), (3.0, -math.inf)],
+        [("a", 1.0)],
+        [(None, 1.0), (1.0, 2.0)],
+        [(1.0, 2.0), (3.0,)],
+    ],
+    ids=["nan-x", "nan-y", "inf", "minus-inf", "text", "none", "ragged"],
+)
+def test_ranks_refuse_points_that_are_not_finite_numbers(points):
+    """A NaN coordinate once ranked its robot first on both axes, and text
+    raised a bare ``ValueError``; every such point is an ``InputError``."""
+    with pytest.raises(InputError):
+        ranks_from_positions(points)
+
+
 def test_grid_cells_round_trip_and_spacing():
     rng = random.Random(21)
     config = workspace_config()
