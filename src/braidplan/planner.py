@@ -28,6 +28,7 @@ is x, so in front means a *smaller* axis-1 rank.
 
 from __future__ import annotations
 
+import gc
 import itertools
 import math
 import operator
@@ -83,6 +84,11 @@ class PermutationState:
     pi2: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        for ranks in (self.pi1, self.pi2):
+            # Each rank's type is exactly int: bool is an int subclass, but
+            # True is no rank.
+            if not isinstance(ranks, tuple) or not {int}.issuperset(map(type, ranks)):
+                raise InputError(f"each rank vector must be a tuple of ints, got {ranks!r}")
         n = len(self.pi1)
         if len(self.pi2) != n:
             raise InputError("rank vectors must have equal length")
@@ -916,48 +922,64 @@ def _best_first(root: GridNode, cols: tuple, key, done, budget: int) -> _Stage:
     closed, and a child is queued only when its g beats that.  Stops with
     the done node (reason "goal"), with None after ``budget`` expansions
     ("max_expansions"), or with None once the queue runs dry ("exhausted").
+
+    Nothing the search builds is part of a reference cycle: a heap entry
+    refers to its parent node, its move and its state tuples, and a node
+    to its ranks, states and parent, never to a child.  Reference counting
+    frees all of it, so the cyclic garbage collector could only scan, never
+    reclaim, the young tuples of every queued child.  The loop pauses the
+    collector and, on return or raise, resumes it only if it was enabled on
+    entry.
     """
-    moves = _moves(len(root.pi1))
-    state = (root.pairs, root.trips)
-    heap: list[tuple] = [
-        (*key(root.g, root.hsum, root.xsum, *state), 0, None, None, state, root.hsum, root.xsum)
-    ]
-    best = {state: root.g}
-    seq = 0
-    expanded = generated = rejected = 0
-    peak_open = 1
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        moves = _moves(len(root.pi1))
+        state = (root.pairs, root.trips)
+        heap: list[tuple] = [(
+            *key(root.g, root.hsum, root.xsum, *state), 0, None, None, state, root.hsum, root.xsum
+        )]
+        best = {state: root.g}
+        seq = 0
+        expanded = generated = rejected = 0
+        peak_open = 1
 
-    while heap:
-        parent, move, state, hsum, xsum = heappop(heap)[-5:]
-        if best[state] < 0:
-            continue
-        best[state] = -1
-        node = root if parent is None else _child(parent, move, *state, hsum, xsum)
-        expanded += 1
-        if done(node):
-            return node, SearchTrace(expanded, generated, rejected, peak_open, "goal")
-        if expanded >= budget:
-            return None, SearchTrace(expanded, generated, rejected, peak_open, "max_expansions")
-        children, braid_rejected = _expand(node, moves, cols, True)
-        rejected += braid_rejected
-        generated += len(children)
-        g = node.g + 1
-        for move, pairs, trips, hsum, xsum in children:
-            state = (pairs, trips)
-            # One lookup for a new state: setdefault queues its g, and only
-            # a known state's g needs a second.
-            size = len(best)
-            known = best.setdefault(state, g)
-            if len(best) == size:
-                if known <= g:
-                    continue
-                best[state] = g
-            seq += 1
-            heappush(heap, (*key(g, hsum, xsum, pairs, trips), -seq, node, move, state, hsum, xsum))
-        if len(heap) > peak_open:
-            peak_open = len(heap)
+        while heap:
+            parent, move, state, hsum, xsum = heappop(heap)[-5:]
+            if best[state] < 0:
+                continue
+            best[state] = -1
+            node = root if parent is None else _child(parent, move, *state, hsum, xsum)
+            expanded += 1
+            if done(node):
+                return node, SearchTrace(expanded, generated, rejected, peak_open, "goal")
+            if expanded >= budget:
+                return None, SearchTrace(expanded, generated, rejected, peak_open, "max_expansions")
+            children, braid_rejected = _expand(node, moves, cols, True)
+            rejected += braid_rejected
+            generated += len(children)
+            g = node.g + 1
+            for move, pairs, trips, hsum, xsum in children:
+                state = (pairs, trips)
+                # One lookup for a new state: setdefault queues its g, and only
+                # a known state's g needs a second.
+                size = len(best)
+                known = best.setdefault(state, g)
+                if len(best) == size:
+                    if known <= g:
+                        continue
+                    best[state] = g
+                seq += 1
+                heappush(
+                    heap, (*key(g, hsum, xsum, pairs, trips), -seq, node, move, state, hsum, xsum)
+                )
+            if len(heap) > peak_open:
+                peak_open = len(heap)
 
-    return None, SearchTrace(expanded, generated, rejected, peak_open, "exhausted")
+        return None, SearchTrace(expanded, generated, rejected, peak_open, "exhausted")
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 def _search(root: GridNode, target: PermutationState, cols: tuple, budget: int) -> _Stage:
@@ -1113,6 +1135,11 @@ def plan(
     its budget the plan fails with the direct search's reason,
     "max_expansions"; a direct search that runs dry fails with "exhausted".
     The trace sums every stage that ran, rejected sorts included.
+
+    ``plan`` assumes one thread: it grows the module-level triplet tables
+    ``_TRIP_KEYS`` and ``_TRIP_NEXT`` on first use, and each best-first
+    stage pauses the process-wide cyclic garbage collector (see
+    ``_best_first``).
     """
     if start.n != target.n:
         raise InputError("start and target describe different team sizes")

@@ -96,11 +96,10 @@ class WorkspaceConfig:
             )
 
 
-def ranks_from_positions(positions: tuple[Point, ...] | list[Point]) -> PermutationState:
-    """Rank the team on the plane at each grid angle: the inverse of
-    ``projected_order``, so ranks follow the verifier's order, ties included.
-    Points that are not pairs of finite numbers are an ``InputError``: NaN
-    would rank first on every axis."""
+def _points(positions: tuple[Point, ...] | list[Point]) -> np.ndarray:
+    """``positions`` as an (n, 2) float array.  Points that are not pairs of
+    finite numbers are an ``InputError``: NaN would rank first on every
+    axis."""
     try:
         pts = np.asarray(positions, dtype=float)
     except (TypeError, ValueError):
@@ -109,6 +108,11 @@ def ranks_from_positions(positions: tuple[Point, ...] | list[Point]) -> Permutat
         raise InputError("positions must be a non-empty list of (x, y) points")
     if not np.isfinite(pts).all():
         raise InputError(f"positions must be finite, got {positions!r}")
+    return pts
+
+
+def _ranks(pts: np.ndarray) -> PermutationState:
+    """The ranks of validated (n, 2) points at each grid angle."""
     vectors = []
     for angle in AXIS_ANGLES:
         ranks = [0] * len(pts)
@@ -116,6 +120,13 @@ def ranks_from_positions(positions: tuple[Point, ...] | list[Point]) -> Permutat
             ranks[row] = rank
         vectors.append(tuple(ranks))
     return PermutationState(*vectors)
+
+
+def ranks_from_positions(positions: tuple[Point, ...] | list[Point]) -> PermutationState:
+    """Rank the team on the plane at each grid angle: the inverse of
+    ``projected_order``, so ranks follow the verifier's order, ties included.
+    Points that are not pairs of finite numbers are an ``InputError``."""
+    return _ranks(_points(positions))
 
 
 def _cell_centres(
@@ -165,27 +176,26 @@ def map_path(
 ) -> list[Trajectory]:
     """Realize a permutation path as synchronized timed trajectories.
 
-    Raises ``InputError`` when the endpoints do not match the positions'
-    ranks, or when a step is not one swap of adjacent ranks on one axis;
-    the message is the first bad step's, from ``_step_action``.
+    Raises ``InputError`` when a start or target point is not a pair of
+    finite numbers, when the endpoints do not match the positions' ranks,
+    or when a step is not one swap of adjacent ranks on one axis; the
+    message is the first bad step's, from ``_step_action``.
     """
     if not perm_path:
         raise InputError("empty permutation path")
+    starts, targets = _points(start_positions), _points(target_positions)
     n = perm_path[0].n
-    if len(start_positions) != n or len(target_positions) != n:
+    if len(starts) != n or len(targets) != n:
         raise InputError("positions do not match the path's team size")
     config.validate_grid(n)
-    for label, positions in (("start", start_positions), ("target", target_positions)):
-        for idx, p in enumerate(positions):
-            if not config.contains(tuple(p)):
+    for label, pts in (("start", starts), ("target", targets)):
+        for idx, p in enumerate(pts.tolist()):
+            if not config.contains(p):
                 raise InputError(f"{label} position of robot {idx + 1} lies outside the workspace")
-    if ranks_from_positions(start_positions) != perm_path[0]:
+    if _ranks(starts) != perm_path[0]:
         raise InputError("first permutation does not match the start positions")
-    if ranks_from_positions(target_positions) != perm_path[-1]:
+    if _ranks(targets) != perm_path[-1]:
         raise InputError("last permutation does not match the target positions")
-
-    starts = np.asarray(start_positions, dtype=float)
-    targets = np.asarray(target_positions, dtype=float)
 
     if len(perm_path) == 1 and np.array_equal(starts, targets):
         # Nothing to do: hold in place instead of detouring through the grid.

@@ -9,6 +9,7 @@ that shares no code with the planner.
 from __future__ import annotations
 
 import dataclasses
+import gc
 import hashlib
 import itertools
 import json
@@ -900,6 +901,24 @@ def test_search_pins_replay(monkeypatch):
     assert any(t["peak_open"] > 0 for t in traces)
 
 
+@pytest.mark.parametrize(
+    "pi1, pi2",
+    [
+        ((1.0, 2.0), (1, 2)),
+        ((1, 2), (2.0, 1.0)),
+        ([2, 1], [1, 2]),
+        ((2, 1), [1, 2]),
+        ((True, 2), (1, 2)),
+        ((1, 2), (2, True)),
+        ("12", (1, 2)),
+    ],
+    ids=["float-pi1", "float-pi2", "lists", "list-pi2", "bool-pi1", "bool-pi2", "text"],
+)
+def test_permutation_state_refuses_ranks_that_are_not_int_tuples(pi1, pi2):
+    with pytest.raises(InputError, match="tuple of ints"):
+        PermutationState(pi1, pi2)
+
+
 def test_plan_validates_team_sizes():
     with pytest.raises(InputError):
         plan(PermutationState.identity(3), PermutationState.identity(4))
@@ -1344,6 +1363,62 @@ def test_plan_carried_n8_stall_recovers_within_budget():
     assert len(result.path) - 1 == 76
     _assert_swap_chain(result.path, start, target)
     assert _all_clean(result.final_braids)
+
+
+@pytest.fixture(params=[True, False], ids=["collector-on", "collector-off"])
+def collector(request):
+    """Runs a test with the cyclic collector switched on or off, and puts it
+    back as it was afterwards."""
+    was_enabled = gc.isenabled()
+    if request.param:
+        gc.enable()
+    else:
+        gc.disable()
+    yield request.param
+    if was_enabled:
+        gc.enable()
+    else:
+        gc.disable()
+
+
+@pytest.mark.parametrize("collector", [False], ids=["collector-off"], indirect=True)
+def test_search_builds_no_reference_cycle(collector):
+    """The collector pause in ``_best_first`` is safe only because reference
+    counting frees everything a search builds: a plan through the direct
+    search, the unwind and the final sort leaves no cyclic garbage.  The
+    first plan warms the process up, since a first call into some library
+    code can leave one-off cycles outside braidplan."""
+    start, target, carried = _pinned_query("stalled_n8_query.json")
+    plan(start, target, carried)
+    gc.collect()
+    result = plan(start, target, carried)
+    assert result.trace.expanded > planner._DIRECT_BUDGET
+    assert gc.collect() == 0
+
+
+def test_plan_pauses_the_collector_only_while_searching(collector, monkeypatch):
+    seen = []
+    expand_core = planner._expand
+
+    def spy(*args):
+        seen.append(gc.isenabled())
+        return expand_core(*args)
+
+    monkeypatch.setattr(planner, "_expand", spy)
+    result = plan(*_pinned_query("stalled_n8_query.json"))
+    assert result.trace.reason == "goal"
+    assert seen and not any(seen)
+    assert gc.isenabled() is collector
+
+
+def test_plan_restores_the_collector_when_the_search_raises(collector, monkeypatch):
+    def broken(*args):
+        raise RuntimeError("expansion failed")
+
+    monkeypatch.setattr(planner, "_expand", broken)
+    with pytest.raises(RuntimeError, match="expansion failed"):
+        plan(*_pinned_query("stalled_n8_query.json"))
+    assert gc.isenabled() is collector
 
 
 def test_search_from_unwound_stalled_query():

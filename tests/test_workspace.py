@@ -300,6 +300,33 @@ def test_map_path_validation():
         map_path([perms, three, perms], config, positions, positions)
 
 
+@pytest.mark.parametrize("side", ["start", "target"])
+@pytest.mark.parametrize(
+    "bad",
+    [
+        [("a", 2.0), (6.0, 6.0)],
+        [(2.0,), (6.0, 6.0)],
+        [(2.0,), (6.0,)],
+        [(2.0, 2.0, 0.0), (6.0, 6.0)],
+        [(math.nan, 2.0), (6.0, 6.0)],
+        [(2.0, math.inf), (6.0, 6.0)],
+        [None, (6.0, 6.0)],
+        None,
+    ],
+    ids=["text", "one-coordinate", "all-one-coordinate", "three-coordinates", "nan", "inf",
+         "none-point", "none"],
+)
+def test_map_path_refuses_malformed_points(side, bad):
+    """Start and target points are checked before any is compared with the
+    workspace: each must be a finite numeric (x, y) pair."""
+    config = workspace_config()
+    positions = [(2.0, 2.0), (6.0, 6.0)]
+    perms = ranks_from_positions(positions)
+    start, target = (bad, positions) if side == "start" else (positions, bad)
+    with pytest.raises(InputError):
+        map_path([perms], config, start, target)
+
+
 def _relabel(pi: tuple[int, ...], cycle: list[int]) -> tuple[int, ...]:
     """``pi`` with each rank of ``cycle`` replaced by the next one, cyclically."""
     to = dict(zip(cycle, cycle[1:] + cycle[:1]))
