@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import math
 import operator
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import chain
@@ -204,27 +203,6 @@ def _pair_rows(n: int) -> tuple[np.ndarray, np.ndarray]:
     return rows
 
 
-def _interp_at(x: float, xp: list[float], fp: list[float]) -> float:
-    """``float(np.interp(x, xp, fp))`` for one x, on lists, in numpy's own
-    float steps (its C loop), so the two agree bit for bit.  ``xp`` must
-    strictly increase and hold at least two knots, as a grid with crossings
-    does."""
-    if x != x:
-        return x
-    j = bisect_right(xp, x) - 1
-    if j < 0:
-        return fp[0]
-    if j == len(xp) - 1 or xp[j] == x:
-        return fp[j]
-    slope = (fp[j + 1] - fp[j]) / (xp[j + 1] - xp[j])
-    value = slope * (x - xp[j]) + fp[j]
-    if value != value:  # numpy retries from the right knot
-        value = slope * (x - xp[j + 1]) + fp[j + 1]
-        if value != value and fp[j] == fp[j + 1]:
-            value = fp[j]
-    return value
-
-
 def extract_crossings(
     team: LiftedTeam,
     angle: float,
@@ -233,13 +211,12 @@ def extract_crossings(
     """All rank swaps of the projected strands, ordered by time.
 
     Every pair's side changes between grid times are found in one array
-    step; the two strands' depths at each crossing are read off the grid
-    with ``_interp_at``, ``np.interp``'s value without a numpy call per
-    crossing.  Simultaneous events (within ``TIME_TOLERANCE`` of the
-    horizon) are resolved pair-lexicographically, always as adjacent-rank
-    swaps.  If ``ties_out`` is given, exact coordinate ties that required
-    the symbolic perturbation are appended to it as (i, j, time), pair by
-    pair.
+    step; a crossing at fraction f of grid interval k reads each strand's
+    depth d off a list as d[k] + (d[k + 1] - d[k]) * f.  Simultaneous
+    events (within ``TIME_TOLERANCE`` of the horizon) are resolved
+    pair-lexicographically, always as adjacent-rank swaps.  If ``ties_out``
+    is given, exact coordinate ties that required the symbolic perturbation
+    are appended to it as (i, j, time), pair by pair.
     """
     ids, grid = team.ids, team.grid
     U = project(team.xy, angle)   # (n, G)
@@ -252,18 +229,20 @@ def extract_crossings(
             ties_out.append((ids[rows_a[p]], ids[rows_b[p]], float(grid[k])))
     a_right = _right_of(diff)
     p, k = np.nonzero(a_right[:, :-1] != a_right[:, 1:])
-    candidates: list[tuple[float, int, int]] = []
+    candidates: list[tuple[float, int, int, int, float]] = []
     if p.size:
         f0, f1 = diff[p, k], diff[p, k + 1]
-        times = grid[k] + (grid[k + 1] - grid[k]) * (f0 / (f0 - f1))
-        # (time, a, b) with a < b: ids ascend with rows.
+        fracs = f0 / (f0 - f1)
+        times = grid[k] + (grid[k + 1] - grid[k]) * fracs
+        # (time, a, b, interval, fraction) with a < b: ids ascend with rows.
         candidates = sorted(zip(
             times.tolist(),
             [ids[r] for r in rows_a[p].tolist()],
             [ids[r] for r in rows_b[p].tolist()],
+            k.tolist(),
+            fracs.tolist(),
         ))
         # Each crossing reads its two strands' depths off these lists.
-        grid_list = grid.tolist()
         depths = dict(zip(ids, depth(team.xy, angle).tolist()))
         letters = _letters(len(ids))
 
@@ -280,7 +259,7 @@ def extract_crossings(
         group = list(candidates[pos:end])
         while group:
             pick = None
-            for idx, (t, a, b) in enumerate(group):
+            for idx, (t, a, b, _, _) in enumerate(group):
                 if abs(rank[a] - rank[b]) == 1:
                     pick = idx
                     break
@@ -288,10 +267,11 @@ def extract_crossings(
                 raise DegenerateInputError(
                     "simultaneous crossings cannot be ordered into adjacent swaps"
                 )
-            t, a, b = group.pop(pick)
+            t, a, b, at, frac = group.pop(pick)
             left, right = (a, b) if rank[a] < rank[b] else (b, a)
-            d_left = _interp_at(t, grid_list, depths[left])
-            d_right = _interp_at(t, grid_list, depths[right])
+            dl, dr = depths[left], depths[right]
+            d_left = dl[at] + (dl[at + 1] - dl[at]) * frac
+            d_right = dr[at] + (dr[at + 1] - dr[at]) * frac
             front = (d_left, -left) > (d_right, -right)
             events.append(
                 CrossingEvent(

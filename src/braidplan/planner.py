@@ -220,6 +220,7 @@ def triplet_slot(n: int, i: int, j: int, k: int) -> int:
     return _trip_ord(n)[(i, j, k)]
 
 
+@dataclass(frozen=True, slots=True)
 class BraidTable:
     """Braid state of every robot pair and triplet on one projection angle.
 
@@ -229,17 +230,15 @@ class BraidTable:
     small ints that compare and hash by value.
     """
 
-    __slots__ = ("n", "pairs", "triplets", "_hash")
+    n: int
+    pairs: tuple[int, ...]
+    triplets: tuple[int, ...]
 
-    def __init__(self, n: int, pairs: tuple[int, ...], triplets: tuple[int, ...]):
-        if len(pairs) != len(_pair_ord(n)):
+    def __post_init__(self) -> None:
+        if len(self.pairs) != len(_pair_ord(self.n)):
             raise InputError("pair tuple has the wrong length for this team size")
-        if len(triplets) != len(_trip_ord(n)):
+        if len(self.triplets) != len(_trip_ord(self.n)):
             raise InputError("triplet tuple has the wrong length for this team size")
-        self.n = n
-        self.pairs = pairs
-        self.triplets = triplets
-        self._hash = hash((n, pairs, triplets))
 
     @classmethod
     def identity(cls, n: int) -> "BraidTable":
@@ -250,14 +249,6 @@ class BraidTable:
         return not (
             any(abs(c) >= 2 for c in self.pairs) or any(_VIOLATED[t] for t in self.triplets)
         )
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, BraidTable):
-            return NotImplemented
-        return self.n == other.n and self.pairs == other.pairs and self.triplets == other.triplets
-
-    def __hash__(self) -> int:
-        return self._hash
 
 
 def to_serializable(tables: tuple[BraidTable, ...]) -> dict:
@@ -376,8 +367,8 @@ _PAIR_KEYS = tuple(itertools.product((1, -1), (1, -1), (-1, 0, 1), (-1, 0, 1)))
 _PAIR_STATE = {key: p for p, key in enumerate(_PAIR_KEYS)}
 # Letters recorded in each pair state's two crossing counts.
 _PAIR_LETTERS = tuple(abs(s1) + abs(s2) for _, _, s1, s2 in _PAIR_KEYS)
-# ``_PAIR_DIST[p]`` is pair state p's row of ``_pair_distances``, all 0 until
-# that table is built: its distance to target orders (t1, t2) in column
+# ``_PAIR_DIST[p]`` is pair state p's guidance row, all 0 until ``_guidance``
+# fills it: its distance to target orders (t1, t2) in column
 # 2 * (t1 > 0) + (t2 > 0).  The list is never rebound.
 _PAIR_DIST: list[tuple[int, ...]] = [(0,) * 4] * len(_PAIR_KEYS)
 
@@ -407,8 +398,8 @@ def _pair_next() -> tuple[tuple[int, ...], tuple[int, ...]]:
 # two, and ``_TRIP_NEXT[axis - 1][3 * q + c]`` is the state after that pair
 # swaps on that axis: ``_UNSET`` until first used, ``_REJECT`` when the
 # swap's letter makes a forbidden braid.  ``_TRIP_EXCESS[q]`` is the state's
-# row of ``_excess_columns``, all 0 until that table is built and for states
-# outside it, and ``_TRIP_LETTERS[q]`` the letters of its two braid words.
+# guidance row, all 0 until ``_guidance`` fills it and for states outside the
+# n = 3 graph, and ``_TRIP_LETTERS[q]`` the letters of its two braid words.
 # The lists only grow and are never rebound.
 _UNSET, _REJECT = -1, -2
 _TRIP_KEYS: list[tuple[int, int, int, int]] = []
@@ -498,12 +489,17 @@ def _moves(n: int) -> tuple[tuple, ...]:
 
 def _columns(target: PermutationState) -> tuple[list[int], list[int]]:
     """The guidance towards one target: each pair slot's column of
-    ``_PAIR_DIST`` and each triplet slot's column of ``_TRIP_EXCESS``, for
-    the target orders of its robots on axes 1 and 2.  Builds the guidance
-    tables on first use."""
-    _excess_columns()  # fills _PAIR_DIST and _TRIP_EXCESS
-    orders = zip(_orders(target.pi1), _orders(target.pi2))
-    codes = zip(_codes(target.pi1), _codes(target.pi2))
+    ``_PAIR_DIST`` and each triplet slot's column of ``_TRIP_EXCESS``.
+    Fills those rows on first use (see ``_guidance``)."""
+    _guidance()
+    return _target_columns(target.pi1, target.pi2)
+
+
+def _target_columns(pi1: tuple[int, ...], pi2: tuple[int, ...]) -> tuple[list[int], list[int]]:
+    """``_columns`` for target ranks ``pi1`` and ``pi2``: a slot's column is
+    the target orders of its robots on axes 1 and 2."""
+    orders = zip(_orders(pi1), _orders(pi2))
+    codes = zip(_codes(pi1), _codes(pi2))
     return [2 * (t1 > 0) + (t2 > 0) for t1, t2 in orders], [8 * c1 + c2 for c1, c2 in codes]
 
 
@@ -520,21 +516,19 @@ class GridNode:
     braids of both grid axes with the orders of their robots, so that a
     move is one transition per state it touches.  ``braids`` decodes them
     into the (table at pi/2, table at 0) pair.  ``hsum`` is the pair lower
-    bound on remaining actions (see ``_pair_distances``) and ``xsum`` the
-    summed triplet excess (see ``_excess_columns``): each the sum of its
-    states' guidance rows at the query's columns (see ``_columns``), both
-    maintained incrementally, since each action changes exactly one pair's
-    term and the terms of the n - 2 triplets that hold that pair.  ``move``
-    is the arriving swap as (axis, i, j), ``action`` as a ``SwapAction``.
+    bound on remaining actions and ``xsum`` the summed triplet excess (see
+    ``_guidance``): each the sum of its states' guidance rows at the
+    query's columns (see ``_columns``), both maintained incrementally,
+    since each action changes exactly one pair's term and the terms of the
+    n - 2 triplets that hold that pair.  ``move`` is the arriving swap as
+    (axis, i, j), ``action`` as a ``SwapAction``.
 
-    Nodes hash and compare their ``pairs`` and ``trips``, tuples of small
-    ints; the pair states' orders fix both permutations, so ``pi1`` and
-    ``pi2`` add nothing to that key.  The search keys its states by the
-    tuples themselves and builds a node only for a state it pops (see
-    ``_best_first``).  An axis sort builds a node per step for the path,
-    but only its last node holds the states: the steps before it hold their
-    ranks, ``g``, ``parent`` and ``move``, with None for the rest (see
-    ``_axis_sort``).
+    The search keys its states by ``(pairs, trips)``, tuples of small ints
+    whose pair orders fix both permutations, and builds a node only for a
+    state it pops (see ``_best_first``).  An axis sort builds a node per
+    step for the path, but only its last node holds the states: the steps
+    before it hold their ranks, ``g``, ``parent`` and ``move``, with None
+    for the rest (see ``_axis_sort``).
     """
 
     __slots__ = ("pi1", "pi2", "pairs", "trips", "g", "hsum", "xsum", "parent", "move")
@@ -549,14 +543,6 @@ class GridNode:
         self.xsum = xsum
         self.parent = parent
         self.move = move
-
-    def __hash__(self) -> int:
-        return hash((self.pairs, self.trips))
-
-    def __eq__(self, other: object) -> bool:
-        if type(other) is not GridNode:
-            return NotImplemented
-        return self.pairs == other.pairs and self.trips == other.trips
 
     @property
     def action(self) -> SwapAction | None:
@@ -784,87 +770,63 @@ def _grid_distances(
 
 
 @lru_cache(maxsize=None)
-def _pair_distances() -> dict[tuple[int, int], dict[tuple[int, int, int, int], int]]:
-    """Exact pair guidance: the distances of the n = 2 grid graph.
+def _guidance() -> None:
+    """Fills the guidance rows: each pair state's row of ``_PAIR_DIST`` and
+    each triplet state's row of ``_TRIP_EXCESS``, from the exact distances
+    of the n = 2 and n = 3 grid graphs.
 
-    Table ``(t1, t2)``, for target orders t1 and t2 (``_orders``), maps each
-    pair state (o1, o2, s1, s2), its orders and crossing counts on the two
-    axes, to its distance.  All 36 states are roots: the 4 clean ones reach
-    only 20, and hand-loaded tables can hold the other 16.  Summed over a
-    team's pairs, this is a consistent lower bound that sees the braid
-    checks, and one ``_INF`` pair proves a query infeasible.  Building it
-    fills each pair state's row of ``_PAIR_DIST``, as ``_excess_columns``
-    fills the triplet states' rows of ``_TRIP_EXCESS``.
+    A pair state's row holds its distance to each target order pair.  All
+    36 states are roots: the 4 clean ones reach only 20, and hand-loaded
+    tables can hold the other 16.  Summed over a team's pairs, this is a
+    consistent lower bound that sees the braid checks, and one ``_INF``
+    pair proves a query infeasible.
+
+    A triplet state's row holds its *excess*: its exact distance to the
+    target orders in the n = 3 graph minus the pair distances of its three
+    pairs, the detours that the pair bound cannot see: 0, 2 or 4.
+    Relabelling the robots maps the graph onto itself, so every triplet of
+    every team reads one row per state.  The graph holds 2,316 states,
+    reached from the 36 clean roots by 7,392 moves, and the build interns
+    them all.  The excess is 0 wherever one axis's braid is trivial, so
+    only states with two nontrivial braids are read; a state outside the
+    graph, one no plan from clean tables reaches, keeps its zero row.
     """
-    perms = {1: (1, 2), -1: (2, 1)}
-    nodes, distances = _grid_distances([
-        GridNode(perms[key[0]], perms[key[1]], (p,), (), 0, 0, 0, None, None)
+    perms2 = {1: (1, 2), -1: (2, 1)}
+    distances = _grid_distances([
+        GridNode(perms2[key[0]], perms2[key[1]], (p,), (), 0, 0, 0, None, None)
         for p, key in enumerate(_PAIR_KEYS)
-    ], len(_PAIR_KEYS))
-    keys = [_PAIR_KEYS[node.pairs[0]] for node in nodes]
-    tables = {
-        (_orders(t1)[0], _orders(t2)[0]): dict(zip(keys, dist))
-        for (t1, t2), dist in distances.items()
-    }
-    for p, key in enumerate(_PAIR_KEYS):
-        _PAIR_DIST[p] = tuple(tables[t][key] for t in itertools.product((-1, 1), repeat=2))
-    return tables
+    ], len(_PAIR_KEYS))[1]
+    # The roots are the whole graph, so node p is pair state p, and the
+    # columns 2 * (t1 > 0) + (t2 > 0) ascend in product order.
+    _PAIR_DIST[:] = zip(*(
+        distances[perms2[t1], perms2[t2]] for t1, t2 in itertools.product((-1, 1), repeat=2)
+    ))
 
-
-@lru_cache(maxsize=None)
-def _excess_columns() -> list[dict[tuple[int, int, int, int], int]]:
-    """Exact triplet guidance: the distances of the n = 3 grid graph beyond
-    the pair bound.
-
-    A triplet state's *excess* is its exact distance to the target orders
-    in the n = 3 graph minus the ``_pair_distances`` of its three pairs,
-    the detours that the pair bound cannot see: 0, 2 or 4.
-
-    Column ``8 * t1 + t2`` is for the target orders t1 and t2 of a
-    triplet's robots on axes 1 and 2, coded by ``_codes``.  It maps a
-    state's key (see ``_TRIP_KEYS``) to its excess and omits zeros, so a
-    state outside the graph, one no plan from clean tables reaches, reads
-    0.  Relabelling the robots maps the graph onto itself, so every triplet
-    of every team reads one table.  Building it interns every state of the
-    graph and fills their rows of ``_TRIP_EXCESS``.
-
-    The graph holds 2,316 states, reached from the 36 clean roots by 7,392
-    moves.  The excess is 0 wherever one axis's braid is trivial, so only
-    states with two nontrivial braids are stored.
-    """
-    perms = list(itertools.permutations((1, 2, 3)))
+    perms3 = list(itertools.permutations((1, 2, 3)))
     roots = []
-    for p1, p2 in itertools.product(perms, repeat=2):
-        orders1, orders2 = _orders(p1), _orders(p2)
-        pairs = tuple(_PAIR_STATE[(o1, o2, 0, 0)] for o1, o2 in zip(orders1, orders2))
+    for p1, p2 in itertools.product(perms3, repeat=2):
+        pairs = tuple(_PAIR_STATE[(o1, o2, 0, 0)] for o1, o2 in zip(_orders(p1), _orders(p2)))
         trips = (_trip_state((0, 0, _codes(p1)[0], _codes(p2)[0])),)
         roots.append(GridNode(p1, p2, pairs, trips, 0, 0, 0, None, None))
     nodes, distances = _grid_distances(roots, 2_316)
-    # Each state with two nontrivial braids: its index, its key in a column
-    # and its three pairs' keys in their tables.
+    # Each state with two nontrivial braids: its index, its triplet state
+    # and its three pair states.
     tangled = []
     for k, node in enumerate(nodes):
         key = _TRIP_KEYS[node.trips[0]]
         if key[0] and key[1]:
-            tangled.append((k, key, *(_PAIR_KEYS[p] for p in node.pairs)))
-    tables = _pair_distances()
-    columns: list[dict] = [{} for _ in range(64)]
-    for (t1, t2), dist in distances.items():
-        orders1, orders2 = _orders(t1), _orders(t2)
-        table12, table13, table23 = (tables[orders] for orders in zip(orders1, orders2))
-        column = columns[8 * _codes(t1)[0] + _codes(t2)[0]]
-        for k, key, pair12, pair13, pair23 in tangled:
-            excess = dist[k] - table12[pair12] - table13[pair13] - table23[pair23]
-            if excess:
-                column[key] = excess
+            tangled.append((k, node.trips[0], *node.pairs))
     rows: dict[int, list[int]] = {}
-    for col, column in enumerate(columns):
-        for key, excess in column.items():
-            rows.setdefault(_trip_state(key), [0] * 64)[col] = excess
+    for (t1, t2), dist in distances.items():
+        pair_cols, (col,) = _target_columns(t1, t2)
+        dist12, dist13, dist23 = ([row[c] for row in _PAIR_DIST] for c in pair_cols)
+        for k, q, p12, p13, p23 in tangled:
+            excess = dist[k] - dist12[p12] - dist13[p13] - dist23[p23]
+            if excess:
+                rows.setdefault(q, [0] * 64)[col] = excess
     shared: dict[tuple[int, ...], tuple[int, ...]] = {}
     for q, row in rows.items():
         _TRIP_EXCESS[q] = shared.setdefault(tuple(row), tuple(row))
-    return columns
 
 
 @dataclass(frozen=True)
@@ -985,11 +947,10 @@ def _best_first(root: GridNode, cols: tuple, key, done, budget: int) -> _Stage:
 def _search(root: GridNode, target: PermutationState, cols: tuple, budget: int) -> _Stage:
     """The direct stage: best-first to the target by f = g + h, ties on lower h.
 
-    h is ``_WEIGHT * (hsum + xsum)``: the pair bound (see
-    ``_pair_distances``) plus the summed triplet excess, each triplet's
-    exact n = 3 distance beyond its pairs' (see ``_excess_columns``).  At
-    n = 3 that sum is the exact distance, so the search walks down a
-    shortest path.
+    h is ``_WEIGHT * (hsum + xsum)``: the pair bound plus the summed
+    triplet excess, each triplet's exact n = 3 distance beyond its pairs'
+    (see ``_guidance``).  At n = 3 that sum is the exact distance, so the
+    search walks down a shortest path.
     """
 
     def key(g: int, hsum: int, xsum: int, pairs, trips) -> tuple[float, float]:
@@ -1013,7 +974,7 @@ def _unwind(root: GridNode, cols: tuple, budget: int) -> _Stage:
     backwards is a legal walk from the root to clean tables.  Every pair
     count stays within +-1, and each triplet moves as an n = 3 team does,
     so its braid is one of the finitely many of the n = 3 grid graph (see
-    ``_excess_columns``): the states reachable from the root are finite
+    ``_guidance``): the states reachable from the root are finite
     and include a zero-tangle one.  A move that ``_expand``'s pruning skips
     either undoes the arriving action or commutes with it, and then the
     parent reaches the same state with the two moves swapped; induction on

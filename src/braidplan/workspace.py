@@ -28,7 +28,9 @@ rather than interpolates, its positions.
 
 from __future__ import annotations
 
+import itertools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -98,14 +100,20 @@ class WorkspaceConfig:
 
 def _points(positions: tuple[Point, ...] | list[Point]) -> np.ndarray:
     """``positions`` as an (n, 2) float array.  Points that are not pairs of
-    finite numbers are an ``InputError``: NaN would rank first on every
-    axis."""
+    finite real numbers are an ``InputError``: NaN would rank first on every
+    axis, and numpy would read text and bytes as numbers and bools as 0 and
+    1."""
     try:
         pts = np.asarray(positions, dtype=float)
     except (TypeError, ValueError):
         raise InputError(f"positions must be numeric (x, y) points, got {positions!r}") from None
     if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] == 0:
         raise InputError("positions must be a non-empty list of (x, y) points")
+    # One check per coordinate type, not per coordinate: bool is an int
+    # subclass, but True is no coordinate.
+    for kind in set(map(type, itertools.chain.from_iterable(positions))):
+        if kind is not float and (kind is bool or not issubclass(kind, numbers.Real)):
+            raise InputError(f"positions must be numeric (x, y) points, got {positions!r}")
     if not np.isfinite(pts).all():
         raise InputError(f"positions must be finite, got {positions!r}")
     return pts

@@ -22,7 +22,6 @@ from braidplan.geometry import (
     CrossingEvent,
     TIME_TOLERANCE,
     Trajectory,
-    _interp_at,
     build_space_time,
     depth,
     extract_crossings,
@@ -357,33 +356,6 @@ def test_build_space_time_equals_interpolation_mapped():
         result = plan(ranks_from_positions(starts), ranks_from_positions(targets))
         team = map_path(result.path, config, starts, targets)
         assert build_space_time(team).xy.tobytes() == _interp_lift(team).tobytes()
-
-
-_KNOTS = st.lists(
-    st.floats(-1e6, 1e6, allow_nan=False), min_size=2, max_size=8, unique=True
-).map(sorted)
-
-
-@settings(max_examples=300, deadline=None, derandomize=True)
-@given(
-    xp=_KNOTS,
-    data=st.data(),
-    where=st.sampled_from(("knot", "inside", "last", "below", "above")),
-)
-def test_interp_at_equals_numpy_interp(xp, data, where):
-    """The depth read at a crossing is ``np.interp``'s value, bit for bit:
-    at a knot, inside an interval, at the last knot and past either end."""
-    fp = data.draw(st.lists(st.floats(-1e6, 1e6), min_size=len(xp), max_size=len(xp)))
-    if where == "knot":
-        x = data.draw(st.sampled_from(xp))
-    elif where == "inside":
-        j = data.draw(st.integers(0, len(xp) - 2))
-        x = xp[j] + data.draw(st.floats(0.0, 1.0)) * (xp[j + 1] - xp[j])
-    elif where == "last":
-        x = xp[-1]
-    else:
-        x = xp[0] - 1.0 if where == "below" else xp[-1] + 1.0
-    assert _interp_at(x, xp, fp).hex() == float(np.interp(x, xp, fp)).hex()
 
 
 def test_trajectory_validation():

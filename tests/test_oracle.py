@@ -209,8 +209,9 @@ def test_pair_table_matches_oracle():
 def test_excess_table_matches_oracle():
     """The planner's n = 3 table is exact: on each of the 2,316 states of the
     n = 3 graph and each of the 36 target order pairs, the root's pair bound
-    plus its triplet excess is the oracle's distance.  The table holds an
-    entry for exactly the states whose excess is not 0."""
+    plus its triplet excess is the oracle's distance.  The triplet rows
+    hold a nonzero entry for exactly the state and target pairs whose
+    excess is not 0."""
     states, _, back = _graph3()
     assert len(states) == 2316 and sum(map(len, back)) == 7392
     package_id = {_oracle_braid(st): st for st in range(len(_WORD))}
@@ -227,7 +228,8 @@ def test_excess_table_matches_oracle():
             assert root.hsum + root.xsum == d
             excesses.append(root.xsum)
     assert set(excesses) == {0, 2, 4}
-    assert sum(map(len, planner._excess_columns())) == sum(1 for x in excesses if x)
+    entries = sum(1 for row in planner._TRIP_EXCESS for x in row if x)
+    assert entries == sum(1 for x in excesses if x)
 
 
 def test_trio_plans_are_shortest(monkeypatch):

@@ -261,7 +261,7 @@ def _folded_child_table(node: GridNode, action: SwapAction, target: PermutationS
     into the swap axis's table slot by slot, or None when a letter trips a
     forbidden pattern or the pair's target orders become unreachable under
     the pair table."""
-    from braidplan.planner import _INF, _pair_distances
+    from braidplan.planner import _INF, _PAIR_DIST, _PAIR_STATE, _columns
 
     perms = PermutationState(node.pi1, node.pi2)
     n = perms.n
@@ -284,11 +284,10 @@ def _folded_child_table(node: GridNode, action: SwapAction, target: PermutationS
     folded = list(tables)
     folded[action.axis - 1] = BraidTable(n, tuple(pairs), tuple(trips))
     after = _apply(perms, action)
-    o1, o2, t1, t2 = (
-        1 if p[a - 1] < p[b - 1] else -1 for p in (after.pi1, after.pi2, target.pi1, target.pi2)
-    )
-    s1, s2 = (t.pairs[pair_slot(n, a, b)] for t in folded)
-    if _pair_distances()[(t1, t2)][(o1, o2, s1, s2)] >= _INF:
+    o1, o2 = (1 if p[a - 1] < p[b - 1] else -1 for p in (after.pi1, after.pi2))
+    slot = pair_slot(n, a, b)
+    s1, s2 = (t.pairs[slot] for t in folded)
+    if _PAIR_DIST[_PAIR_STATE[(o1, o2, s1, s2)]][_columns(target)[0][slot]] >= _INF:
         return None
     return tuple(folded)
 
@@ -306,12 +305,11 @@ def _check_expansion(node: GridNode, target: PermutationState) -> list[GridNode]
         assert child.braids == table
         assert PermutationState(child.pi1, child.pi2) == _apply(perms, action)
         assert child.parent is node and child.g == node.g + 1
-        # the incremental bound and the closed-set key match a from-scratch root
+        # the incremental bound and the search's state key match a from-scratch root
         fresh = GridNode.root(PermutationState(child.pi1, child.pi2), table, target)
         assert child.hsum == fresh.hsum
         assert child.xsum == fresh.xsum
-        assert child == fresh
-        assert hash(child) == hash(fresh)
+        assert (child.pairs, child.trips) == (fresh.pairs, fresh.trips)
         kept.append(child)
     assert not children
     return kept
@@ -415,7 +413,7 @@ def test_nodes_with_different_braids_do_not_merge():
             split += 1
             a = next(iter(nodes))
             b = next(n for n in nodes if n.braids != a.braids)
-            assert a != b
+            assert (a.pairs, a.trips) != (b.pairs, b.trips)
     assert split > 0
 
 
@@ -456,6 +454,22 @@ def test_root_rejects_bad_tables():
     dirty = (BraidTable(3, (2, 0, 0), BraidTable.identity(3).triplets), BraidTable.identity(3))
     with pytest.raises(InputError):
         GridNode.root(perms, dirty, perms)
+
+
+def test_braid_table_is_frozen_and_hashes_by_value():
+    """A table refuses assignment, so its hash, ``hash((n, pairs, triplets))``,
+    cannot go stale and no tuple of the wrong length gets in after the
+    length checks; equal tables hash alike."""
+    table = BraidTable(3, (1, 0, -1), (0,))
+    for field, value in (("pairs", (1,)), ("triplets", (0, 0)), ("n", 4)):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(table, field, value)
+    assert table.pairs == (1, 0, -1) and table.triplets == (0,) and table.n == 3
+    assert hash(table) == hash((3, (1, 0, -1), (0,)))
+    assert table == BraidTable(3, (1, 0, -1), (0,)) and table != BraidTable.identity(3)
+    for pairs, trips in (((0, 0), (0,)), ((0, 0, 0), ())):
+        with pytest.raises(InputError, match="wrong length"):
+            BraidTable(3, pairs, trips)
 
 
 def test_slot_layout():
@@ -509,7 +523,7 @@ def test_corrupted_move_table_fails_fast(monkeypatch):
 
     monkeypatch.setattr(planner, "_moves", corrupted)
     with pytest.raises(RuntimeError, match="n = 3 grid graph meets more than its 2,316"):
-        planner._excess_columns.__wrapped__()
+        planner._guidance.__wrapped__()
 
 
 # ---------------------------------------------------------------------------
@@ -517,19 +531,31 @@ def test_corrupted_move_table_fails_fast(monkeypatch):
 # ---------------------------------------------------------------------------
 
 
-def test_pair_guidance_rows_match_pair_distances():
-    """Each pair state's row of ``_PAIR_DIST`` holds its ``_pair_distances``
-    entry for all 4 target orders, at the column that ``_columns`` gives a
-    pair with those target orders."""
-    from braidplan.planner import _PAIR_DIST, _PAIR_KEYS, _columns, _pair_distances
+def _rows_in_table() -> list[tuple[tuple[int, int, int, int], tuple[int, ...]]]:
+    """Each triplet state's key and guidance row, in key order, for every
+    row that is not all 0: the states of the n = 3 table."""
+    planner._guidance()
+    return sorted(
+        (planner._TRIP_KEYS[q], row) for q, row in enumerate(planner._TRIP_EXCESS) if any(row)
+    )
 
-    tables = _pair_distances()
-    assert len(_PAIR_KEYS) == 36 and len(tables) == 4
-    perms = {1: (1, 2), -1: (2, 1)}
-    for (t1, t2), table in tables.items():
-        pair_cols, _ = _columns(PermutationState(perms[t1], perms[t2]))
-        for p, key in enumerate(_PAIR_KEYS):
-            assert _PAIR_DIST[p][pair_cols[0]] == table[key]
+
+def test_guidance_rows_are_pinned():
+    """The guidance rows are exactly the recorded ones: a SHA-256 over each
+    pair state's key and row, in state order, then over each key and row of
+    the n = 3 table.  Any change to the graph walks, the column coding or
+    the excess shows here; other tests interning more triplet states do
+    not."""
+    rows = _rows_in_table()
+    digest = hashlib.sha256()
+    for p, row in enumerate(planner._PAIR_DIST):
+        digest.update(repr((planner._PAIR_KEYS[p], row)).encode())
+    for key, row in rows:
+        digest.update(repr((key, row)).encode())
+    assert len(planner._PAIR_DIST) == 36 and len(rows) == 1344
+    assert digest.hexdigest() == (
+        "b3764a5aceb13a9d6f21274355ee6e16de23812700ecd26715607718a340447f"
+    )
 
 
 def _assert_excess_as_root(node: GridNode, target: PermutationState) -> None:
@@ -583,7 +609,7 @@ def test_guidance_reads_zero_outside_the_table():
         state = triplet_state_from_word(BraidWord(3, letters))
         if not braid._VIOLATED[state]:
             trips.append(state)
-    in_table = {key[ax] for column in planner._excess_columns() for key in column for ax in (0, 1)}
+    in_table = {key[ax] for key, _ in _rows_in_table() for ax in (0, 1)}
     assert in_table.isdisjoint(trips)
     start = PermutationState.identity(n)
     target = PermutationState((5, 4, 3, 2, 1), (5, 4, 3, 2, 1))
@@ -612,7 +638,7 @@ def _outside_braids(rng: random.Random, count: int) -> list[int]:
     table, so that no plan from clean tables reaches them."""
     from braidplan import braid
 
-    in_table = {key[ax] for column in planner._excess_columns() for key in column for ax in (0, 1)}
+    in_table = {key[ax] for key, _ in _rows_in_table() for ax in (0, 1)}
     states = []
     while len(states) < count:
         letters = tuple(

@@ -75,14 +75,33 @@ def test_ranks_validation():
         [("a", 1.0)],
         [(None, 1.0), (1.0, 2.0)],
         [(1.0, 2.0), (3.0,)],
+        [("1.5", "2"), (b"3", True)],
+        [("1.5", 2.0), (3.0, 1.0)],
+        [(1.0, 2.0), (b"3", 1.0)],
+        [(1.0, True), (3.0, 1.0)],
+        [(np.bool_(True), 2.0), (3.0, 1.0)],
     ],
-    ids=["nan-x", "nan-y", "inf", "minus-inf", "text", "none", "ragged"],
+    ids=["nan-x", "nan-y", "inf", "minus-inf", "text", "none", "ragged", "numeric-text-bytes-bool",
+         "numeric-text", "bytes", "bool", "numpy-bool"],
 )
 def test_ranks_refuse_points_that_are_not_finite_numbers(points):
-    """A NaN coordinate once ranked its robot first on both axes, and text
-    raised a bare ``ValueError``; every such point is an ``InputError``."""
+    """A NaN coordinate once ranked its robot first on both axes, text
+    raised a bare ``ValueError``, and numeric text, bytes and bools were
+    read as numbers; every such point is an ``InputError``."""
     with pytest.raises(InputError):
         ranks_from_positions(points)
+
+
+def test_ranks_accept_ints_and_numpy_numbers():
+    """Any real coordinate ranks as its float does: ints, numpy floats and
+    numpy ints, in lists, tuples or an array."""
+    expected = ranks_from_positions([(1.0, 2.0), (3.0, 1.0)])
+    for points in (
+        [(1, 2), (3, 1)],
+        ((np.float32(1.0), np.int64(2)), (np.float64(3.0), 1)),
+        np.array([[1.0, 2.0], [3.0, 1.0]]),
+    ):
+        assert ranks_from_positions(points) == expected
 
 
 def test_grid_cells_round_trip_and_spacing():
@@ -312,9 +331,12 @@ def test_map_path_validation():
         [(2.0, math.inf), (6.0, 6.0)],
         [None, (6.0, 6.0)],
         None,
+        [("2.0", 2.0), (6.0, 6.0)],
+        [(2.0, b"2"), (6.0, 6.0)],
+        [(True, 2.0), (6.0, 6.0)],
     ],
     ids=["text", "one-coordinate", "all-one-coordinate", "three-coordinates", "nan", "inf",
-         "none-point", "none"],
+         "none-point", "none", "numeric-text", "bytes", "bool"],
 )
 def test_map_path_refuses_malformed_points(side, bad):
     """Start and target points are checked before any is compared with the
